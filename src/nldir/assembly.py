@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AssemblyError, ConfigError, MollifierError
+from .errors import AssemblyError, ConfigError, KernelError, MollifierError
 from .geometry import DomainMesh, neighbor_pairs
 from .kernels import (KernelSpec, ScaledKernel, antiderivative_kernel,
                       eval_scaled, validate_kernel)
@@ -168,9 +168,12 @@ def _require_valid(kernel: KernelSpec):
             conditions=[c.condition for c in report.failures()])
 
 
-def _boundary_tables(mesh, base: KernelSpec, delta):
-    """CSR boundary-to-interior coefficients q_j * k_delta(|x_b - x_j|)."""
-    table = neighbor_pairs(mesh, base.support * delta)
+def _boundary_tables(mesh, base: KernelSpec, delta, table):
+    """CSR boundary-to-interior coefficients q_j * k_delta(|x_b - x_j|).
+    table, a neighbor search on this mesh, is reused when its radius is
+    the kernel's support radius; otherwise the mesh is searched."""
+    if table is None or table.radius != base.support * delta:
+        table = neighbor_pairs(mesh, base.support * delta)
     indptr, indices = table.boundary_indptr, table.boundary_indices
     rowid = np.repeat(np.arange(mesh.n_boundary), np.diff(indptr))
     dist = np.linalg.norm(mesh.boundary_points[rowid]
@@ -392,9 +395,12 @@ class EnergyOperator:
         """Binary-free dump of the pair list and penalty vectors.
 
         Keys: format, dim, delta, p, variant, shi_delta_sq_prefactor,
-        n_interior, n_boundary, pair {i, j, w}, penalty {indptr,
+        kernel, n_interior, n_boundary, pair {i, j, w}, penalty {indptr,
         indices, coef, pref}, a. Reconstruct against the same mesh with
-        operator_from_json.
+        operator_from_json. kernel is the penalty kernel's label; the
+        catalog kernels (kernel_by_id) are labelled with their ids, so
+        their dumps reload, while a dump of a kernel built otherwise
+        (scale_kernel, normalize_w, a hand-made KernelSpec) does not.
         """
         return {
             "format": "nldir-operator-v1",
@@ -434,7 +440,9 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
 
     Requires delta >= 2 h so the kernel is resolved by the quadrature,
     validated kernels, zero data for the zero-datum variants, and p = 2
-    for the variants without a general-p statement.
+    for the variants without a general-p statement. One neighbor search
+    serves the interior pairs and the penalty tables when their kernels
+    share a support.
     """
     if not delta > 0:
         raise AssemblyError("horizon must be positive", delta=delta)
@@ -470,7 +478,7 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
         base = antiderivative_kernel(spec.kernel)
     else:
         base = spec.kernel
-    indptr, indices, rowid, coef = _boundary_tables(mesh, base, delta)
+    indptr, indices, rowid, coef = _boundary_tables(mesh, base, delta, table)
     w_b = mesh.boundary_weights
     if spec.variant == "product":
         pref = w_b / delta**p
@@ -517,8 +525,10 @@ def operator_from_json(data: dict, mesh: DomainMesh) -> EnergyOperator:
     from .kernels import kernel_by_id
     try:
         kernel = kernel_by_id(data["kernel"])
-    except Exception:
-        kernel = KernelSpec(data["kernel"], lambda s: np.zeros_like(s), 1.0)
+    except KernelError as exc:
+        raise AssemblyError(
+            "operator dump names a kernel that does not resolve as a "
+            "catalog id", kernel=data["kernel"]) from exc
     spec = PenaltySpec(data["variant"], kernel,
                        bool(data.get("shi_delta_sq_prefactor", False)))
     op = EnergyOperator(
@@ -572,22 +582,30 @@ def mollify(mesh: DomainMesh, khat: KernelSpec, delta: float, u):
             "mollifier weight vanishes at an interior node",
             node=bad, position=mesh.interior_points[bad].tolist(),
             radius=khat.support * delta)
-    interior = numer / omega
+    trace = _trace_matrix(mesh, khat, delta, table)
+    return Field(mesh, numer / omega), BoundaryData(mesh, trace @ v)
 
-    brow = np.repeat(np.arange(mesh.n_boundary), np.diff(table.boundary_indptr))
-    bidx = table.boundary_indices
-    bdist = np.linalg.norm(mesh.boundary_points[brow]
-                           - mesh.interior_points[bidx], axis=1)
-    bdata = q[bidx] * eval_scaled(scaled, bdist)
-    bomega = np.bincount(brow, weights=bdata, minlength=mesh.n_boundary)
-    bnumer = np.bincount(brow, weights=bdata * v[bidx], minlength=mesh.n_boundary)
-    if np.any(bomega <= _TINY):
-        bad = int(np.nonzero(bomega <= _TINY)[0][0])
+
+def trace_matrix(mesh: DomainMesh, khat: KernelSpec, delta: float):
+    """Boundary half of the mollifier as a row-normalized sparse
+    (M x N) matrix T with T[b, j] = q_j Khat_delta(|x_b - x_j|) / omega_b.
+    T @ u is the smoothed boundary trace of u, and T @ U for an
+    N x k block gives k traces in one product. A vanishing omega_b
+    raises MollifierError naming the node."""
+    return _trace_matrix(mesh, khat, delta, None)
+
+
+def _trace_matrix(mesh, khat, delta, table):
+    indptr, indices, rowid, coef = _boundary_tables(mesh, khat, delta, table)
+    omega = np.bincount(rowid, weights=coef, minlength=mesh.n_boundary)
+    if np.any(omega <= _TINY):
+        bad = int(np.nonzero(omega <= _TINY)[0][0])
         raise MollifierError(
             "mollifier weight vanishes at a boundary node",
             node=bad, position=mesh.boundary_points[bad].tolist(),
             radius=khat.support * delta)
-    return Field(mesh, interior), BoundaryData(mesh, bnumer / bomega)
+    return sp.csr_matrix((coef / omega[rowid], indices, indptr),
+                         shape=(mesh.n_boundary, mesh.n_interior))
 
 
 def nonlocal_inner_product(mesh: DomainMesh, W: KernelSpec, delta: float,

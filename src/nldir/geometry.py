@@ -15,7 +15,7 @@ Shape descriptors follow the config convention:
 """
 
 from dataclasses import dataclass
-from itertools import product as _iterproduct
+from itertools import chain
 
 import numpy as np
 
@@ -276,108 +276,32 @@ class NeighborTable:
         return rows[keep], self.indices[keep]
 
 
-def _bucket_map(points, radius):
-    cells = np.floor(points / radius).astype(np.int64)
-    order = np.lexsort(cells.T[::-1])
-    sorted_cells = cells[order]
-    change = np.nonzero(np.any(np.diff(sorted_cells, axis=0) != 0, axis=1))[0] + 1
-    starts = np.concatenate([[0], change, [len(points)]])
-    table = {}
-    for k in range(len(starts) - 1):
-        key = tuple(sorted_cells[starts[k]])
-        table[key] = order[starts[k]:starts[k + 1]]
-    return table
-
-
-def _radius_pairs(points, radius):
-    """All unordered index pairs within Euclidean radius (inclusive),
-    via a bucket grid of cell size radius."""
-    n = points.shape[0]
-    if radius <= 0 or n < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    table = _bucket_map(points, radius)
-    dim = points.shape[1]
-    if dim == 1:
-        offsets = [(1,)]
-    else:
-        offsets = [(0, 1), (1, -1), (1, 0), (1, 1)]
-    out_i, out_j = [], []
-    for key, idx in table.items():
-        pts = points[idx]
-        # pairs within the same bucket
-        if len(idx) > 1:
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            ii, jj = np.nonzero(np.triu(d2 <= radius * radius, k=1))
-            out_i.append(idx[ii])
-            out_j.append(idx[jj])
-        # pairs against lexicographically later buckets
-        for off in offsets:
-            other = table.get(tuple(np.add(key, off)))
-            if other is None:
-                continue
-            d2 = np.sum((pts[:, None, :] - points[other][None, :, :]) ** 2,
-                        axis=-1)
-            ii, jj = np.nonzero(d2 <= radius * radius)
-            out_i.append(idx[ii])
-            out_j.append(other[jj])
-    if not out_i:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ii = np.concatenate(out_i)
-    jj = np.concatenate(out_j)
-    swap = ii > jj
-    ii2 = np.where(swap, jj, ii)
-    jj2 = np.where(swap, ii, jj)
-    return ii2, jj2
-
-
-def _cross_radius_lists(sources, targets, radius):
-    """For each source point, ascending indices of targets within
-    radius (inclusive). Returns CSR (indptr, indices)."""
-    m = sources.shape[0]
-    if radius <= 0 or targets.shape[0] == 0 or m == 0:
-        return np.zeros(m + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    table = _bucket_map(targets, radius)
-    dim = targets.shape[1]
-    cells = np.floor(sources / radius).astype(np.int64)
-    counts = np.zeros(m, dtype=np.int64)
-    hits = []
-    neighborhood = list(_iterproduct(*([(-1, 0, 1)] * dim)))
-    for b in range(m):
-        cand = []
-        key = tuple(cells[b])
-        for off in neighborhood:
-            got = table.get(tuple(np.add(key, off)))
-            if got is not None:
-                cand.append(got)
-        if not cand:
-            hits.append(np.empty(0, dtype=np.int64))
-            continue
-        cand = np.concatenate(cand)
-        d2 = np.sum((targets[cand] - sources[b]) ** 2, axis=-1)
-        sel = np.sort(cand[d2 <= radius * radius])
-        hits.append(sel)
-        counts[b] = sel.size
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = (np.concatenate(hits) if hits else np.empty(0, dtype=np.int64))
-    return indptr, indices
-
-
 def neighbor_pairs(mesh: DomainMesh, radius: float) -> NeighborTable:
-    """Bucket-grid neighbor search at the given radius: symmetric
-    interior adjacency plus boundary-to-interior lists."""
+    """Neighbor search at the given radius through a k-d tree: symmetric
+    interior adjacency plus boundary-to-interior lists. Two points are
+    neighbors when |x - y| <= radius, so ties at exactly the radius are
+    kept. Radius 0 gives no neighbors, not even coincident points."""
     if radius < 0:
         raise MeshError("radius must be nonnegative", radius=radius)
-    n = mesh.n_interior
-    ii, jj = _radius_pairs(mesh.interior_points, radius)
-    rows = np.concatenate([ii, jj])
-    cols = np.concatenate([jj, ii])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
+    n, m = mesh.n_interior, mesh.n_boundary
+    pairs = np.empty((0, 2), dtype=np.int64)
+    hits = [[]] * m
+    if radius > 0:
+        from scipy.spatial import cKDTree
+        tree = cKDTree(mesh.interior_points)
+        pairs = tree.query_pairs(radius, output_type="ndarray")
+        hits = tree.query_ball_point(mesh.boundary_points, radius,
+                                     return_sorted=True)
+    # one sort of the row-major key orders both directions of every pair
+    key = np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                          pairs[:, 1] * n + pairs[:, 0]])
+    key.sort()
+    rows, cols = np.divmod(key, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    bptr, bidx = _cross_radius_lists(mesh.boundary_points,
-                                     mesh.interior_points, radius)
-    cols = np.ascontiguousarray(cols)
+    bptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum([len(h) for h in hits], out=bptr[1:])
+    bidx = np.fromiter(chain.from_iterable(hits), dtype=np.int64,
+                       count=bptr[-1])
     _freeze(indptr, cols, bptr, bidx)
     return NeighborTable(radius, indptr, cols, bptr, bidx)

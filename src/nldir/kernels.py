@@ -26,6 +26,7 @@ from .errors import KernelError, QuadratureError
 
 _BUDGET = 10_000_000
 _TINY = 1e-300
+_BLOCK = 65_536  # quadrature points evaluated at once in 2D
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,8 @@ WENDLAND = KernelSpec(
 def tabulated_kernel(path, label=None):
     """Read a profile from a two-column CSV (s, value), strictly
     increasing in s. Values are linearly interpolated; the profile is
-    zero beyond the last sample."""
+    zero beyond the last sample. The default label is the catalog id
+    "tabulated:<path>"."""
     try:
         data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -178,13 +180,15 @@ def tabulated_kernel(path, label=None):
         s = np.asarray(s, dtype=float)
         return np.interp(s, _grid, _vals, right=0.0)
 
-    return KernelSpec(label or "tabulated", profile, float(np.sqrt(grid[-1])))
+    return KernelSpec(label or f"tabulated:{path}", profile,
+                      float(np.sqrt(grid[-1])))
 
 
 def minorant_kernel(base: KernelSpec, c2: float):
     """Quadratic minorant used for penalty coercivity arguments:
     (c1/c2**2)*(s-c2)**2 on [0, c2] with c1 = base.profile(c2), zero
-    beyond. Lies below any nonincreasing base profile on its support."""
+    beyond. Lies below any nonincreasing base profile on its support.
+    Labelled with its catalog id "minorant:<base label>:<c2>"."""
     if not 0 < c2 <= base.support**2:
         raise KernelError("minorant parameter must lie inside the base support",
                           kernel=base.label, c2=c2, support=base.support)
@@ -207,7 +211,7 @@ def minorant_kernel(base: KernelSpec, c2: float):
         return np.where(s <= _c2, _scale * (_c2 - s) ** 4 / 12.0, 0.0)
 
     r = float(np.sqrt(c2))
-    name = f"minorant_{base.label}"
+    name = f"minorant:{base.label}:{float(c2)!r}"
     return KernelSpec(name, profile, r,
                       _anti=KernelSpec(name + "_bar", bar, r,
                                        _anti=KernelSpec(name + "_bbar", bbar, r)))
@@ -312,12 +316,15 @@ def _ball_integral(profile, radius, dim, weight, rel_tol, budget, what):
         g, h = _midpoint_grid(radius, n)
         if dim == 1:
             return float(np.sum(profile(g * g) * weight(g, None, None)) * h)
-        if dim == 2:
-            X = g[:, None]
-            Y = g[None, :]
-            s = X * X + Y * Y
-            return float(np.sum(profile(s) * weight(X, Y, None)) * h * h)
         total = 0.0
+        if dim == 2:
+            Y = g[None, :]
+            rows = max(1, _BLOCK // n)
+            for k in range(0, n, rows):  # row blocks bound memory in 2D
+                X = g[k:k + rows, None]
+                s = X * X + Y * Y
+                total += np.sum(profile(s) * weight(X, Y, None))
+            return float(total * h * h)
         YY = g[:, None]
         ZZ = g[None, :]
         plane = YY * YY + ZZ * ZZ

@@ -22,13 +22,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import assembly
-from .assembly import PenaltySpec, boundary_data, lp_norm, mollify
+from .assembly import PenaltySpec, boundary_data, lp_norm
 from .errors import ConfigError, NldirError
 from .geometry import build_mesh
 from .kernels import kernel_by_id, sigma_r
 from .minimize import SolveOptions, solve_p_energy, solve_quadratic
 
 _TINY = 1e-300
+_PROBE_BLOCK = 1 << 20  # field values per block of coercivity probes (8 MiB)
 
 CSV_HEADER = "delta,h,penalty,p,l2_error,trace_norm,energy,sigma_r,seconds"
 
@@ -246,10 +247,9 @@ def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
 
     exact_vals = case.exact(mesh.interior_points)
     l2_error = lp_norm(mesh, u - exact_vals, 2.0)
-    khat = kernel_by_id(cfg.kernel_khat)
-    _, smooth_b = mollify(mesh, khat, delta, u)
+    trace = assembly.trace_matrix(mesh, kernel_by_id(cfg.kernel_khat), delta)
     trace_norm = float(np.sqrt(np.sum(
-        mesh.boundary_weights * (smooth_b.values - a.values) ** 2)))
+        mesh.boundary_weights * (trace @ u - a.values) ** 2)))
     grad_int = float(np.sum(mesh.interior_weights
                             * case.grad_power(mesh.interior_points, cfg.p)))
     ratio_to_limit = (result.energy / (sigma * grad_int)
@@ -358,27 +358,31 @@ def coercivity_probe(mesh, spec: PenaltySpec, khat, delta: float,
     penalty_energy(u) / ||smoothed trace of u||^2 with zero datum.
     Probes where both sides vanish are skipped. c_n rescales the
     minimum by delta^2 (all variants carry delta^-2 at p = 2), giving
-    a number comparable across horizons."""
+    a number comparable across horizons. The fields are drawn one trial
+    at a time and smoothed in blocks of at most _PROBE_BLOCK values."""
     if trials < 10:
         raise ConfigError("need at least 10 trials", field="trials",
                           trials=trials)
     op = assembly.assemble(mesh, spec.kernel, spec, delta, 2.0,
                            np.zeros(mesh.n_boundary))
+    trace = assembly.trace_matrix(mesh, khat, delta)
     rng = np.random.default_rng(seed)
+    per_block = max(1, _PROBE_BLOCK // mesh.n_interior)
     ratios = []
     skipped = 0
-    for _ in range(trials):
-        u = rng.standard_normal(mesh.n_interior)
-        pen = op.penalty_energy(u)
-        _, smooth_b = mollify(mesh, khat, delta, u)
-        trace_sq = float(np.sum(mesh.boundary_weights * smooth_b.values**2))
-        if trace_sq <= _TINY:
-            if pen <= _TINY:
-                skipped += 1
+    for start in range(0, trials, per_block):
+        block = np.array([rng.standard_normal(mesh.n_interior)
+                          for _ in range(min(per_block, trials - start))])
+        traces_sq = mesh.boundary_weights @ (trace @ block.T) ** 2
+        for u, trace_sq in zip(block, traces_sq.tolist()):
+            pen = op.penalty_energy(u)
+            if trace_sq <= _TINY:
+                if pen <= _TINY:
+                    skipped += 1
+                    continue
+                ratios.append(np.inf)
                 continue
-            ratios.append(np.inf)
-            continue
-        ratios.append(pen / trace_sq)
+            ratios.append(pen / trace_sq)
     if not ratios:
         raise ConfigError("all probes were degenerate", trials=trials)
     min_ratio = float(min(ratios))

@@ -25,11 +25,15 @@ from nldir import (AssemblyError, BoundaryData, ConfigError, EnergyOperator,
                    boundary_data, build_mesh, kernel_scale_ratio, lp_norm,
                    mollify, nonlocal_inner_product, operator_from_json,
                    save_operator, load_operator, w_mass_matrix)
-from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS
-from nldir.kernels import QUARTIC, WENDLAND, KernelSpec, normalize_w
+from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS, trace_matrix
+from nldir.kernels import (QUARTIC, WENDLAND, KernelSpec, kernel_by_id,
+                           normalize_w, scale_kernel)
 
 INTERVAL = build_mesh({"interval": [0.0, 1.0]}, 0.1)       # 10 + 2 nodes
 SQUARE = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)  # 16 + 16
+L_SHAPE = build_mesh({"polygon": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5],
+                                  [0.5, 0.5], [0.5, 1.0], [0.0, 1.0]]},
+                     0.125)                                # 48 + 32
 
 
 # ------------------------------------------------------ independent reference
@@ -323,6 +327,30 @@ def test_mollify_boundary_starvation_names_node():
     assert "position" in exc.value.info
 
 
+@pytest.mark.parametrize("mesh, delta", [(INTERVAL, 0.3), (SQUARE, 0.5),
+                                         (L_SHAPE, 0.3)])
+def test_trace_matrix_block_matches_mollify(mesh, delta):
+    block = np.random.default_rng(97).standard_normal((mesh.n_interior, 7))
+    traces = trace_matrix(mesh, QUARTIC, delta) @ block
+    pts, q = mesh.interior_points, mesh.interior_weights
+    for k in range(block.shape[1]):
+        want = mollify(mesh, QUARTIC, delta, block[:, k])[1].values
+        assert np.max(np.abs(traces[:, k] - want)) \
+            <= 1e-14 * np.max(np.abs(want))
+        # independent closed-form reference, one boundary node at a time
+        for b, xb in enumerate(mesh.boundary_points):
+            kb = q * k_scaled(r_quartic, np.linalg.norm(pts - xb, axis=1),
+                              delta, mesh.dim)
+            assert rel(traces[b, k], kb @ block[:, k] / kb.sum()) <= 1e-12
+
+
+def test_trace_matrix_boundary_starvation_names_node():
+    with pytest.raises(MollifierError) as exc:
+        trace_matrix(INTERVAL, QUARTIC, 0.05)   # radius 0.05 = first gap
+    assert exc.value.info["node"] == 0
+    assert exc.value.info["position"] == [0.0]
+
+
 def test_mollify_dead_kernel_names_interior_node():
     dead = KernelSpec("dead", lambda s: np.zeros_like(np.asarray(s, float)),
                       1.0)
@@ -399,6 +427,42 @@ def test_operator_round_trip_is_bitwise(tmp_path):
     assert back.quadratic_energy(u) == op.quadratic_energy(u)
 
 
+def _catalog_kernel(kind, tmp_path):
+    if kind == "minorant":
+        return kernel_by_id("minorant:quartic:0.5")
+    s = np.linspace(0.0, 1.0, 101)
+    path = tmp_path / "tab.csv"
+    np.savetxt(path, np.column_stack([s, (1.0 - s) ** 2]), delimiter=",")
+    return kernel_by_id(f"tabulated:{path}")
+
+
+@pytest.mark.parametrize("kind", ["minorant", "tabulated"])
+@pytest.mark.parametrize("variant", ["product", "wang"])
+def test_operator_round_trip_with_catalog_penalty_kernel(kind, variant,
+                                                         tmp_path):
+    kernel = _catalog_kernel(kind, tmp_path)
+    a = np.random.default_rng(89).uniform(-1.0, 1.0, SQUARE.n_boundary)
+    op = assemble(SQUARE, QUARTIC, PenaltySpec(variant, kernel), 0.5, a=a)
+    path = tmp_path / "op.json"
+    save_operator(op, path)
+    back = load_operator(path, SQUARE)
+    assert back.spec.kernel.label == kernel.label
+    u = np.random.default_rng(97).standard_normal(SQUARE.n_interior)
+    assert back.energy(u) == op.energy(u)
+    assert np.array_equal(back.gradient(u), op.gradient(u))
+
+
+def test_operator_dump_of_non_catalog_kernel_names_it(tmp_path):
+    op = assemble(SQUARE, QUARTIC,
+                  PenaltySpec("dirac_diagonal", scale_kernel(QUARTIC, 2.0)),
+                  0.5, a=np.zeros(SQUARE.n_boundary))
+    path = tmp_path / "op.json"
+    save_operator(op, path)
+    with pytest.raises(AssemblyError) as exc:
+        load_operator(path, SQUARE)
+    assert exc.value.info["kernel"] == "quartic_x2"
+
+
 def test_operator_dump_rejects_wrong_mesh(tmp_path):
     op = make_op(INTERVAL, "product", 0.3)
     path = tmp_path / "op.json"
@@ -410,6 +474,14 @@ def test_operator_dump_rejects_wrong_mesh(tmp_path):
 def test_operator_dump_rejects_unknown_format():
     with pytest.raises(AssemblyError):
         operator_from_json({"format": "something-else"}, INTERVAL)
+
+
+def test_operator_dump_rejects_unknown_kernel():
+    data = make_op(INTERVAL, "product", 0.3).to_json_dict()
+    data["kernel"] = "no_such_kernel"
+    with pytest.raises(AssemblyError) as exc:
+        operator_from_json(data, INTERVAL)
+    assert exc.value.info["kernel"] == "no_such_kernel"
 
 
 def test_operator_dump_is_plain_json(tmp_path):

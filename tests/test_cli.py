@@ -6,10 +6,14 @@ significant digits; files carry 17.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nldir
 from nldir.cli import dispatch
 from nldir.study import CSV_HEADER
 
@@ -21,6 +25,18 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return path
+
+
+def test_cli_import_defers_spatial_and_sympy():
+    # both load inside the functions that need them, keeping start-up short
+    code = ("import sys, nldir.cli; "
+            "print(sorted(m for m in ('scipy.spatial', 'sympy') "
+            "if m in sys.modules))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(nldir.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------- sigma

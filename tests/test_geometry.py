@@ -291,6 +291,41 @@ def test_neighbor_radius_is_inclusive():
     assert table.neighbors(1).tolist() == [0, 2]
 
 
+@pytest.mark.parametrize("shape, h", [
+    ({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.125),
+    ({"rect": [[-0.25, 0.5], [1.0, 1.75]]}, 0.125),
+    ({"polygon": L_SHAPE}, 0.125),
+    ({"polygon": PENTAGON}, 0.1),
+])
+def test_neighbor_grid_ties_match_brute_force(shape, h):
+    # radii k*h, sqrt(2)*h and sqrt(5)*h fall exactly on grid distances
+    mesh = build_mesh(shape, h)
+    pts = mesh.interior_points
+    for factor in (1.0, 2.0, 3.0, np.sqrt(2.0), np.sqrt(5.0)):
+        radius = factor * mesh.h
+        table = neighbor_pairs(mesh, radius)
+        assert table_pairs(table) == brute_pairs(pts, radius), factor
+        for b in range(mesh.n_boundary):
+            d2 = np.sum((pts - mesh.boundary_points[b]) ** 2, axis=1)
+            want = np.nonzero(d2 <= radius * radius)[0]
+            assert table.boundary_neighbors(b).tolist() == want.tolist()
+
+
+def test_neighbor_radius_zero_skips_coincident_points():
+    pts = np.array([[0.1, 0.2], [0.1, 0.2], [0.6, 0.4]])
+    bpts = np.array([[0.1, 0.2], [0.0, 0.0]])
+    mesh = DomainMesh(2, {"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.1, pts,
+                      np.full(3, 0.01), bpts, np.full(2, 0.1),
+                      np.tile([1.0, 0.0], (2, 1)))
+    table = neighbor_pairs(mesh, 0.0)
+    assert table.indices.size == 0
+    assert table.boundary_indices.size == 0
+    # any positive radius pairs the duplicates
+    table = neighbor_pairs(mesh, 1e-9)
+    assert table_pairs(table) == {(0, 1)}
+    assert table.boundary_neighbors(0).tolist() == [0, 1]
+
+
 # ------------------------------------------------------ distance_to_boundary
 
 def test_distance_square_center():

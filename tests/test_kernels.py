@@ -170,11 +170,13 @@ def test_kernel_by_id_catalog():
 def test_kernel_by_id_minorant_and_tabulated(tmp_path):
     mk = kernel_by_id("minorant:quartic:0.5")
     assert mk.support <= QUARTIC.support
+    assert mk.label == "minorant:quartic:0.5"   # labels are catalog ids
     s = np.linspace(0.0, 1.0, 101)
     path = tmp_path / "tab.csv"
     np.savetxt(path, np.column_stack([s, (1.0 - s) ** 2]), delimiter=",")
     tk = kernel_by_id(f"tabulated:{path}")
     assert abs(tk(0.25) - 0.5625) <= 1e-12
+    assert tk.label == f"tabulated:{path}"
 
 
 def test_minorant_kernel_sits_below_its_base():

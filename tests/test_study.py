@@ -19,6 +19,7 @@ from nldir import (ConfigError, PenaltySpec, SolveOptions, StudyConfig,
                    compare_penalties, manufactured_case, report_csv_text,
                    report_json_dict, run_delta_sweep)
 from nldir.kernels import QUARTIC, KernelSpec
+from nldir import study
 from nldir.study import CSV_HEADER
 
 LINEAR_CFG = StudyConfig(shape={"interval": [0.0, 1.0]},
@@ -282,6 +283,18 @@ def test_coercivity_cn_stable_under_horizon_halving():
             trials=20, seed=7))
     ratio = reports[1].c_n / reports[0].c_n
     assert 0.5 <= ratio <= 2.0
+
+
+def test_coercivity_blocks_of_trials_match_one_block(monkeypatch):
+    # blocks of 3 trials (the last one short) draw the same fields in
+    # the same order as one block of all 20
+    mesh = build_mesh({"interval": [0.0, 1.0]}, 0.05)
+    args = (mesh, PenaltySpec("product", QUARTIC), QUARTIC, 0.2)
+    whole = coercivity_probe(*args, trials=20, seed=7)
+    monkeypatch.setattr(study, "_PROBE_BLOCK", 3 * mesh.n_interior)
+    blocked = coercivity_probe(*args, trials=20, seed=7)
+    assert len(blocked.ratios) == 20
+    np.testing.assert_allclose(blocked.ratios, whole.ratios, rtol=1e-12)
 
 
 def test_coercivity_requires_ten_trials():
