@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AssemblyError, ConfigError, KernelError, MollifierError
-from .geometry import DomainMesh, neighbor_pairs
+from .errors import (AssemblyError, ConfigError, KernelError, MeshError,
+                     MollifierError, SolverError)
+from .geometry import DomainMesh, lattice_index, neighbor_pairs
 from .kernels import (KernelSpec, ScaledKernel, antiderivative_kernel,
                       eval_scaled, validate_kernel)
 
@@ -278,25 +279,71 @@ class EnergyOperator:
         _, _, ell, c0, _ = self._require_p2()
         return float(v @ self.apply_quadratic(v) - 2.0 * (ell @ v) + c0)
 
-    def p2_diagonal(self):
-        """Diagonal of the p = 2 form at this horizon, usable as a
-        preconditioner for any exponent (pair weights rescale by
-        delta^(p-2))."""
-        n = self.mesh.n_interior
-        scale = self.delta ** (self.p - 2.0)
-        w2 = self.pair_w * scale
-        diag = np.bincount(self.pair_i, weights=2 * w2, minlength=n)
-        diag += np.bincount(self.pair_j, weights=2 * w2, minlength=n)
-        coef, rowid, idx = self.pen_coef, self.pen_rowid, self.pen_indices
-        if self.variant in ("product", "wang"):
-            pref = self.pen_pref if self.variant == "wang" \
-                else self.pen_pref * self.delta ** (self.p - 2.0)
-            diag += np.bincount(idx, weights=(pref[rowid]) * coef**2, minlength=n)
-        else:
-            pref = self.pen_pref if self.variant in ZERO_DATA_VARIANTS \
-                else self.pen_pref * self.delta ** (self.p - 2.0)
-            diag += np.bincount(idx, weights=pref[rowid] * coef, minlength=n)
-        return diag
+    def preconditioner(self):
+        """r -> P^-1 r, with P the Dirichlet tau-matrix of the interior
+        p = 2 stencil at this horizon; usable for any exponent (pair
+        weights rescale by delta^(p-2)).
+
+        The interior nodes sit on a uniform lattice with equal weights,
+        so away from the boundary the interior form is a convolution
+        stencil. Its pair weights w(o), grouped by absolute lattice
+        offset, give the symbol
+        lambda(theta) = sum_o 2 w(o) (1 - prod_a cos(theta_a o_a))
+        over all signed offsets o, taken at theta_a = pi k / n_a,
+        k = 1..n_a, on the n_1 x ... bounding grid. Applying P^-1
+        scatters r onto that grid (zero off the mesh), runs an
+        orthonormal DST-II, divides by the symbol, transforms back and
+        gathers, so P^-1 is symmetric positive definite. The penalty
+        terms are left out of P. Raises SolverError naming the reason
+        when the nodes are off a lattice, their weights differ, or the
+        symbol is not positive.
+        """
+        from scipy.fft import dstn, idstn
+        mesh = self.mesh
+        q = mesh.interior_weights
+        if np.ptp(q) > 1e-12 * np.max(q):
+            raise SolverError(
+                "preconditioner needs equal interior weights",
+                reason="nonuniform_weights", min_weight=float(np.min(q)),
+                max_weight=float(np.max(q)))
+        try:
+            index, shape = lattice_index(mesh)
+        except MeshError as exc:
+            raise SolverError(
+                "preconditioner needs interior nodes on a uniform lattice: "
+                + str(exc), reason="off_lattice", **exc.info) from exc
+        offset = np.ravel_multi_index(
+            tuple(np.abs(index[self.pair_j, a] - index[self.pair_i, a])
+                  for a in range(mesh.dim)), shape)
+        count = np.bincount(offset)
+        group = np.nonzero(count)[0]
+        weight = (np.bincount(offset, weights=self.pair_w)[group]
+                  / count[group] * self.delta ** (self.p - 2.0))
+        steps = np.unravel_index(group, shape)
+        # each absolute offset stands for 2^(nonzero axes) signed ones
+        coef = 2.0 * weight * 2.0 ** np.count_nonzero(steps, axis=0)
+        cosines = [np.cos(np.outer(np.pi * np.arange(1, n + 1) / n, o))
+                   for n, o in zip(shape, steps)]
+        # sum over groups g of coef_g prod_a cosines[a][k_a, g]
+        axes = "ijk"[:mesh.dim]
+        lam = coef.sum() - np.einsum(
+            ",".join(["g"] + [a + "g" for a in axes]) + "->" + axes,
+            coef, *cosines)
+        if not np.min(lam) > 0.0:
+            raise SolverError("preconditioner symbol is not positive",
+                              reason="symbol_not_positive",
+                              min_symbol=float(np.min(lam)))
+        sites = np.ravel_multi_index(tuple(index.T), shape)
+
+        def apply(r):
+            grid = np.zeros(shape)
+            grid.ravel()[sites] = r
+            spectrum = dstn(grid, type=2, norm="ortho", overwrite_x=True)
+            spectrum /= lam
+            return idstn(spectrum, type=2, norm="ortho",
+                         overwrite_x=True).ravel()[sites]
+
+        return apply
 
     # -- direct evaluation ---------------------------------------------
 

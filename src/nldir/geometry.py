@@ -1,5 +1,5 @@
 """Discretized domains: interior cell quadrature, boundary quadrature,
-neighbor search, and distance to the boundary.
+lattice indexing, neighbor search, and distance to the boundary.
 
 Interior nodes are cell centers with the cell measure as quadrature
 weight. For intervals and rectangles the cell count per axis is rounded
@@ -247,6 +247,41 @@ def distance_to_boundary(mesh: DomainMesh, x) -> float:
         raise MeshError("point outside the domain", point=x.tolist(),
                         shape={"polygon": "..."})
     return dmin
+
+
+def lattice_index(mesh: DomainMesh):
+    """Integer position of each interior node on the axis-aligned grid
+    whose cell centers the nodes are, and the shape of that grid's
+    bounding box. Per axis the spacing is the smallest gap between node
+    coordinates. Raises MeshError when a node is off the grid, two nodes
+    share a cell, or a weight is not the cell measure."""
+    pts = mesh.interior_points
+    index = np.zeros(pts.shape, dtype=np.int64)
+    cell = 1.0
+    for axis in range(mesh.dim):
+        coords = np.unique(pts[:, axis])
+        if len(coords) == 1:
+            cell = None  # one row: this axis's spacing is not observable
+            continue
+        spacing = float(np.min(np.diff(coords)))
+        steps = (pts[:, axis] - coords[0]) / spacing
+        index[:, axis] = np.rint(steps)
+        if np.max(np.abs(steps - index[:, axis])) > 1e-6:
+            raise MeshError("interior nodes are off a uniform lattice",
+                            axis=axis, spacing=spacing)
+        if cell is not None:
+            cell *= spacing
+    # the weights pin the spacing: a node moved by a fraction of a cell
+    # would otherwise pass as a node of a finer grid
+    if cell is not None and np.max(np.abs(mesh.interior_weights - cell)) \
+            > 1e-9 * cell:
+        raise MeshError("interior weights are not the lattice cell measure",
+                        cell=cell)
+    shape = tuple(int(k) for k in index.max(axis=0) + 1)
+    sites = np.ravel_multi_index(tuple(index.T), shape)
+    if np.unique(sites).size != len(sites):
+        raise MeshError("two interior nodes share a lattice cell")
+    return index, shape
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Minimizers of assembled energies.
 
-Two strictly deterministic solvers with zero initial guess: a Jacobi
+Two strictly deterministic solvers with zero initial guess: a
 preconditioned conjugate-gradient iteration for the p = 2 quadratic
 form, and preconditioned nonlinear conjugate gradients (Polak-Ribiere
 with restart) plus backtracking line search for general p > 1. Both
-declare convergence on gradient_norm <= tol * (1 + |energy|); energy
-stall is never the stopping test.
+precondition with the operator's grid-stencil DST preconditioner
+(EnergyOperator.preconditioner). Both declare convergence on
+gradient_norm <= tol * (1 + |energy|); energy stall is never the
+stopping test.
 """
 
 from dataclasses import dataclass
@@ -73,11 +75,6 @@ def _finish(op, x, iterations, opts, max_norm):
                        iterations, converged, max_norm)
 
 
-def _jacobi(op):
-    diag = op.p2_diagonal()
-    return np.where(diag > _TINY, diag, 1.0)
-
-
 def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
                     ) -> SolveResult:
     """Preconditioned conjugate gradients on A u = l from a zero start.
@@ -99,9 +96,9 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     if ell_norm == 0.0:
         return _finish(op, x, 0, opts, max_norm)
 
-    jacobi = _jacobi(op)
+    precond = op.preconditioner()
     r = ell.copy()
-    z = r / jacobi
+    z = precond(r)
     d = z.copy()
     rz = float(r @ z)
     iterations = 0
@@ -121,7 +118,7 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
         if (r_norm <= opts.tol * max(ell_norm, _TINY)
                 and 2.0 * r_norm <= opts.tol * (1.0 + abs(f_val))):
             break
-        z = r / jacobi
+        z = precond(r)
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
         rz = rz_new
@@ -141,10 +138,10 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions(),
     n = op.mesh.n_interior
     x = np.zeros(n) if x0 is None else np.array(
         x0.values if isinstance(x0, Field) else x0, dtype=float)
-    jacobi = _jacobi(op)
+    precond = op.preconditioner()
     energy = op.energy(x)
     g = op.gradient(x)
-    z = g / jacobi
+    z = precond(g)
     d = -z
     gz = float(g @ z)
     max_norm = lp_norm(op.mesh, x, op.p)
@@ -188,7 +185,7 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions(),
         x = x_new
         energy = e_trial
         g_new = op.gradient(x)
-        z_new = g_new / jacobi
+        z_new = precond(g_new)
         gz_new = float(g_new @ z_new)
         beta = max(0.0, float(g_new @ (z_new - z)) / gz) if gz > 0 else 0.0
         d = -z_new + beta * d

@@ -8,9 +8,11 @@ normalized path is taken in the same kernel inner product as its unit
 constraint.
 
 The iteration is a single-vector locally optimal block scheme: the
-next iterate is the Rayleigh-Ritz minimizer over span{x, preconditioned
-residual, previous increment}, re-orthogonalized against earlier modes
-every iteration.
+next iterate is the Rayleigh-Ritz minimizer over span{x, P^-1 residual,
+previous increment}, re-orthogonalized against earlier modes every
+iteration. P is the stiffness operator's grid-stencil DST
+preconditioner (EnergyOperator.preconditioner), built once for all
+modes.
 """
 
 from dataclasses import dataclass
@@ -85,11 +87,11 @@ class EigenProblem:
         locally optimal iteration with identity metric."""
         n = self.stiffness.mesh.n_interior
         diag = self._b_mat.diagonal()
-        precond = np.where(np.abs(diag) > _DROP, np.abs(diag), 1.0)
+        diag = np.where(np.abs(diag) > _DROP, np.abs(diag), 1.0)
         lam, _, _, _, _ = _lobpcg_mode(
             apply_a=lambda v: self._b_mat @ v,
             apply_b=lambda v: v,
-            precond=precond, n=n, prior=[], prior_b=[],
+            precond=lambda r: r / diag, n=n, prior=[], prior_b=[],
             tol=1e-6, max_iter=500, seed=1)
         return float(lam)
 
@@ -140,8 +142,9 @@ def _deflate(v, prior, prior_b):
 
 def _lobpcg_mode(apply_a, apply_b, precond, n, prior, prior_b,
                  tol, max_iter, seed):
-    """One eigenpair below the deflated subspace. Returns
-    (lam, x, residual_norm, converged, iterations)."""
+    """One eigenpair below the deflated subspace; precond maps a
+    residual r to P^-1 r. Returns (lam, x, residual_norm, converged,
+    iterations)."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x = _deflate(x, prior, prior_b)
@@ -162,7 +165,7 @@ def _lobpcg_mode(apply_a, apply_b, precond, n, prior, prior_b,
         res = float(np.linalg.norm(r))
         if res <= tol * max(abs(lam), 1.0):
             return lam, x, res, True, it
-        w = _deflate(r / precond, prior, prior_b)
+        w = _deflate(precond(r), prior, prior_b)
         basis = [x, w] if p is None else [x, w, p]
         vecs, _ = _b_orthonormalize(basis, apply_b)
         if len(vecs) < 2:
@@ -199,8 +202,7 @@ def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS
     is returned flagged non-converged."""
     op = prob.stiffness
     n = op.mesh.n_interior
-    diag = op.p2_diagonal()
-    precond = np.where(diag > _DROP, diag, 1.0)
+    precond = op.preconditioner()
     prior, prior_b = [], []
     lams, fields, resids, okays, iters = [], [], [], [], []
     for mode in range(prob.k):

@@ -171,14 +171,6 @@ def test_gradient_is_two_au_minus_two_ell(variant):
     assert np.linalg.norm(got - want) <= 1e-12 * (1 + np.linalg.norm(want))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_p2_diagonal_matches_densified_operator(variant):
-    op = make_op(INTERVAL, variant, 0.25, seed=2)
-    n = INTERVAL.n_interior
-    diag = np.array([op.apply_quadratic(np.eye(n)[k])[k] for k in range(n)])
-    assert np.allclose(op.p2_diagonal(), diag, rtol=1e-12, atol=1e-15)
-
-
 def test_quadratic_form_refused_for_other_p():
     op = make_op(INTERVAL, "product", 0.25, p=3.0, seed=1)
     with pytest.raises(AssemblyError):

@@ -28,9 +28,10 @@ def write_config(tmp_path, **overrides):
 
 
 def test_cli_import_defers_spatial_and_sympy():
-    # both load inside the functions that need them, keeping start-up short
+    # all three load inside the functions that need them, keeping
+    # start-up short
     code = ("import sys, nldir.cli; "
-            "print(sorted(m for m in ('scipy.spatial', 'sympy') "
+            "print(sorted(m for m in ('scipy.spatial', 'sympy', 'scipy.fft') "
             "if m in sys.modules))")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(nldir.__file__)))

@@ -9,11 +9,13 @@ Hand-checked oracles used below:
     indicator area is (1-h)/2 and the area error is exactly h/2.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nldir import MeshError, build_mesh, distance_to_boundary, neighbor_pairs
-from nldir.geometry import DomainMesh
+from nldir.geometry import DomainMesh, lattice_index
 
 L_SHAPE = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
            [0.0, 1.0]]
@@ -282,6 +284,37 @@ def test_boundary_lists_match_brute_force():
                            axis=1)
         want = np.nonzero(d <= radius)[0]
         assert table.boundary_neighbors(b).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("shape, h, grid", [
+    ({"interval": [0.0, 1.0]}, 0.1, (10,)),
+    ({"rect": [[0.0, 0.0], [2.0, 1.0]]}, 0.3, (7, 3)),
+    ({"polygon": L_SHAPE}, 0.125, (8, 8)),
+    ({"polygon": PENTAGON}, 0.1, (16, 15)),
+])
+def test_lattice_index_rebuilds_the_nodes(shape, h, grid):
+    # the 2 x 1 rect has unequal spacings 2/7 and 1/3 on its two axes
+    mesh = build_mesh(shape, h)
+    index, got = lattice_index(mesh)
+    assert got == grid
+    pts = mesh.interior_points
+    low, high = pts.min(axis=0), pts.max(axis=0)
+    assert np.all(index.min(axis=0) == 0)
+    spacing = (high - low) / (np.array(grid) - 1)
+    np.testing.assert_allclose(pts, low + index * spacing, atol=1e-12)
+    assert len({tuple(k) for k in index}) == mesh.n_interior
+
+
+@pytest.mark.parametrize("shift", [0.1, 0.0123456789, -1.0])
+def test_lattice_index_refuses_off_lattice_nodes(shift):
+    # a shift by a tenth of a cell fits a 10x finer grid, whose cell
+    # measure no longer matches the weights; a shift by -1 cell puts
+    # node 5 on node 4
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)
+    pts = mesh.interior_points.copy()
+    pts[5, 1] += shift * mesh.h
+    with pytest.raises(MeshError):
+        lattice_index(replace(mesh, interior_points=pts))
 
 
 def test_neighbor_radius_is_inclusive():

@@ -7,11 +7,14 @@ growing iteration budgets (the path is deterministic, so prefixes
 coincide) and against the conjugate-gradient result at p = 2.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nldir import (ConfigError, Field, PenaltySpec, SolveOptions, SolveResult,
-                   SolverError, assemble, build_mesh, lp_norm,
+from nldir import (ConfigError, EigenProblem, EnergyOperator, Field,
+                   PenaltySpec, SolveOptions, SolveResult, SolverError,
+                   assemble, build_mesh, lp_norm, solve_eigen,
                    solve_p_energy, solve_quadratic)
 from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS
 from nldir.kernels import QUARTIC
@@ -19,6 +22,12 @@ from nldir.kernels import QUARTIC
 COARSE = build_mesh({"interval": [0.0, 1.0]}, 0.1)
 FINE = build_mesh({"interval": [0.0, 1.0]}, 0.025)
 SQUARE = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.125)
+L_SHAPE = build_mesh({"polygon": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5],
+                                  [0.5, 0.5], [0.5, 1.0], [0.0, 1.0]]},
+                     0.0625)
+PENTAGON = build_mesh({"polygon": [[0.0, 0.0], [1.1, 0.1], [1.4, 0.9],
+                                   [0.6, 1.5], [-0.2, 0.8]]}, 0.08)
+UNIT_SQUARE = {"rect": [[0.0, 0.0], [1.0, 1.0]]}
 
 
 def make_op(mesh, variant, delta, p=2.0, a=None):
@@ -133,8 +142,8 @@ class IndefiniteOp:
     def apply_quadratic(self, u):
         return self._d * u
 
-    def p2_diagonal(self):
-        return np.ones(self.mesh.n_interior)
+    def preconditioner(self):
+        return lambda r: r
 
     def energy(self, u):
         return float(u @ (self._d * u) - 2.0 * (self.linear_term @ u))
@@ -150,6 +159,113 @@ def test_negative_curvature_raises_with_probe():
     assert info["curvature"] <= 0.0
     assert "iteration" in info
     assert len(info["probe"]) == COARSE.n_interior
+
+
+# ------------------------------------------------------------ preconditioner
+
+def densify_preconditioner(op):
+    apply = op.preconditioner()
+    eye = np.eye(op.mesh.n_interior)
+    return np.column_stack([apply(e) for e in eye])
+
+
+def rebuilt(op, mesh=None, pair_w=None):
+    """op's arrays under another mesh or other pair weights."""
+    return EnergyOperator(
+        op.mesh if mesh is None else mesh, op.delta, op.p, op.spec, op.a,
+        op.pair_i, op.pair_j, op.pair_w if pair_w is None else pair_w,
+        op.pen_indptr, op.pen_indices, op.pen_rowid, op.pen_coef,
+        op.pen_pref)
+
+
+@pytest.mark.parametrize("mesh, delta", [(COARSE, 0.3), (SQUARE, 0.5),
+                                         (L_SHAPE, 0.25), (PENTAGON, 0.24)])
+def test_preconditioner_is_symmetric_positive_definite(mesh, delta):
+    pinv = densify_preconditioner(make_op(mesh, "product", delta))
+    assert np.linalg.norm(pinv - pinv.T) <= 1e-12 * np.linalg.norm(pinv)
+    assert np.linalg.eigvalsh(0.5 * (pinv + pinv.T))[0] > 0.0
+
+
+@pytest.mark.parametrize("mesh, delta, k", [
+    (COARSE, 0.3, (3,)),
+    (SQUARE, 0.25, (1, 3)),
+    (build_mesh({"rect": [[0.0, 0.0], [2.0, 1.0]]}, 0.13), 0.3, (1, 2)),
+])
+def test_preconditioner_inverts_the_stencil_on_grid_modes(mesh, delta, k):
+    # a DST-II mode prod_a sin(pi k_a (x_a - lo_a) / L_a) is an
+    # eigenvector of the infinite-lattice stencil; at the node nearest
+    # the center, more than delta from the boundary, the operator applies
+    # that stencil alone, so its ratio there is the symbol P divides by.
+    # The 2 x 1 rect has cells of 2/15 x 1/8.
+    op = make_op(mesh, "product", delta)
+    lo = mesh.boundary_points.min(axis=0)
+    extent = mesh.boundary_points.max(axis=0) - lo
+    v = np.prod(np.sin(np.pi * np.array(k) * (mesh.interior_points - lo)
+                       / extent), axis=1)
+    center = int(np.argmin(np.linalg.norm(
+        mesh.interior_points - (lo + extent / 2), axis=1)))
+    symbol = op.apply_quadratic(v)[center] / v[center]
+    want = v / symbol
+    got = op.preconditioner()(v)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("variant", ["product", "pointwise", "wang"])
+@pytest.mark.parametrize("mesh, delta", [(L_SHAPE, 0.25), (PENTAGON, 0.24)])
+def test_pcg_dense_agreement_on_polygons(mesh, delta, variant):
+    op = make_op(mesh, variant, delta, a="harmonic_xy")
+    res = solve_quadratic(op, SolveOptions(tol=1e-12))
+    x_star = np.linalg.solve(densify(op), op.linear_term)
+    assert res.converged
+    assert np.linalg.norm(res.minimizer.values - x_star) \
+        <= 1e-9 * np.linalg.norm(x_star)
+
+
+def test_pcg_iterations_on_the_fine_square():
+    # Jacobi preconditioning took 322 iterations on this solve
+    op = make_op(build_mesh(UNIT_SQUARE, 0.025 / 4.0), "product", 0.025,
+                 a="harmonic_x2_minus_y2")
+    res = solve_quadratic(op)
+    assert res.converged
+    assert res.iterations <= 80
+
+
+def test_eigen_iterations_per_mode_at_6400_nodes():
+    # Jacobi preconditioning took 442 / 281 / 260 iterations per mode
+    mesh = build_mesh(UNIT_SQUARE, 0.0125)
+    assert mesh.n_interior == 6400
+    res = solve_eigen(EigenProblem(make_op(mesh, "product", 0.05), "L2", 3))
+    assert all(res.converged)
+    assert max(res.iterations) <= 80
+
+
+def test_preconditioner_refuses_off_lattice_nodes():
+    op = make_op(SQUARE, "product", 0.5, a="harmonic_xy")
+    rng = np.random.default_rng(3)
+    pts = SQUARE.interior_points
+    mesh = replace(SQUARE, interior_points=pts + rng.normal(
+        scale=1e-3 * SQUARE.h, size=pts.shape))
+    with pytest.raises(SolverError) as exc:
+        solve_quadratic(rebuilt(op, mesh=mesh))
+    assert exc.value.info["reason"] == "off_lattice"
+
+
+def test_preconditioner_refuses_unequal_weights():
+    op = make_op(SQUARE, "product", 0.5, a="harmonic_xy")
+    weights = SQUARE.interior_weights.copy()
+    weights[0] *= 1.5
+    mesh = replace(SQUARE, interior_weights=weights)
+    with pytest.raises(SolverError) as exc:
+        solve_p_energy(rebuilt(op, mesh=mesh))
+    assert exc.value.info["reason"] == "nonuniform_weights"
+
+
+def test_preconditioner_refuses_a_nonpositive_symbol():
+    op = make_op(SQUARE, "product", 0.5, a="harmonic_xy")
+    with pytest.raises(SolverError) as exc:
+        rebuilt(op, pair_w=np.zeros_like(op.pair_w)).preconditioner()
+    assert exc.value.info["reason"] == "symbol_not_positive"
+    assert exc.value.info["min_symbol"] <= 0.0
 
 
 # ------------------------------------------------------------ nonlinear CG

@@ -14,11 +14,12 @@ import json
 import numpy as np
 import pytest
 
-from nldir import (ConfigError, PenaltySpec, SolveOptions, StudyConfig,
-                   StudyReport, build_mesh, coercivity_probe,
-                   compare_penalties, manufactured_case, report_csv_text,
-                   report_json_dict, run_delta_sweep)
-from nldir.kernels import QUARTIC, KernelSpec
+from nldir import (ConfigError, EigenProblem, PenaltySpec, SolveOptions,
+                   StudyConfig, StudyReport, assemble, build_mesh,
+                   coercivity_probe, compare_penalties, manufactured_case,
+                   report_csv_text, report_json_dict, run_delta_sweep,
+                   solve_eigen)
+from nldir.kernels import QUARTIC, KernelSpec, kernel_by_id
 from nldir import study
 from nldir.study import CSV_HEADER
 
@@ -187,6 +188,31 @@ def test_eigen_rows_carry_lambdas():
     row = rep.ok_rows()[0]
     assert len(row.eigen_lambdas) == 2
     assert 0.0 < row.eigen_lambdas[0] < row.eigen_lambdas[1]
+
+
+def test_eigen_row_reuses_the_row_operator(monkeypatch):
+    # the zero-datum stiffness shares the row operator's pairs, so the
+    # row searches once for assembly and once for the trace matrix
+    cfg = StudyConfig(shape={"interval": [0.0, 1.0]}, deltas=(0.2,),
+                      case="linear_x", eigen_modes=1)
+    calls = []
+    search = study.assembly.neighbor_pairs
+
+    def counted(mesh, radius):
+        calls.append(radius)
+        return search(mesh, radius)
+
+    monkeypatch.setattr(study.assembly, "neighbor_pairs", counted)
+    row = run_delta_sweep(cfg).ok_rows()[0]
+    assert len(calls) == 2
+    monkeypatch.undo()
+    mesh = build_mesh(cfg.shape, 0.2 / cfg.ratio)
+    op0 = assemble(mesh, kernel_by_id(cfg.kernel_r),
+                   PenaltySpec(cfg.variant, kernel_by_id(cfg.kernel_k)),
+                   0.2, cfg.p, np.zeros(mesh.n_boundary))
+    eig = solve_eigen(EigenProblem(op0, "L2", 1),
+                      SolveOptions(tol=1e-9, max_iter=2000, seed=cfg.seed))
+    assert row.eigen_lambdas == tuple(float(v) for v in eig.eigenvalues)
 
 
 def test_zero_case_minimizer_is_zero():
