@@ -20,13 +20,10 @@ from .kernels import (CUBIC, QUARTIC, WENDLAND, KernelSpec, ScaledKernel,
                       antiderivative_kernel, eval_scaled, kernel_by_id,
                       kernel_mass, minorant_kernel, normalize_w, scale_kernel,
                       scaled_mass, sigma_r, tabulated_kernel, validate_kernel)
-from .geometry import (DomainMesh, NeighborTable, build_mesh,
-                       distance_to_boundary, neighbor_pairs)
+from .geometry import DomainMesh, NeighborTable, build_mesh, neighbor_pairs
 from .assembly import (BoundaryData, EnergyOperator, Field, PenaltySpec,
-                       assemble, boundary_data, kernel_scale_ratio,
-                       load_operator, lp_norm, mollify,
-                       nonlocal_inner_product, operator_from_json,
-                       save_operator, w_mass_matrix)
+                       assemble, boundary_data, lp_norm, mollify,
+                       w_mass_matrix)
 from .minimize import SolveOptions, SolveResult, solve_p_energy, solve_quadratic
 from .spectra import (EigenProblem, EigenResult, MassComparison,
                       compare_mass_models, dense_eigen, solve_eigen)
@@ -44,12 +41,9 @@ __all__ = [
     "WENDLAND", "tabulated_kernel", "minorant_kernel", "scale_kernel",
     "kernel_by_id", "antiderivative_kernel", "sigma_r", "kernel_mass",
     "scaled_mass", "normalize_w", "validate_kernel",
-    "DomainMesh", "NeighborTable", "build_mesh", "distance_to_boundary",
-    "neighbor_pairs",
+    "DomainMesh", "NeighborTable", "build_mesh", "neighbor_pairs",
     "Field", "BoundaryData", "PenaltySpec", "EnergyOperator", "assemble",
-    "boundary_data", "mollify", "nonlocal_inner_product", "w_mass_matrix",
-    "kernel_scale_ratio", "lp_norm", "save_operator", "load_operator",
-    "operator_from_json",
+    "boundary_data", "mollify", "w_mass_matrix", "lp_norm",
     "SolveOptions", "SolveResult", "solve_quadratic", "solve_p_energy",
     "EigenProblem", "EigenResult", "MassComparison", "solve_eigen",
     "dense_eigen", "compare_mass_models",

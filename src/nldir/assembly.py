@@ -16,8 +16,8 @@ R), the penalties at boundary node b with weight w_b and datum a_b are
     shi       : (4 w_b / mu_b) sum_j r_b[j] u_j^2              (a == 0)
 
 where wbb_b = sum_j q_j Rbarbar_delta(|x_b - x_j|) and
-mu_b = min(2 delta, max(delta^2, d(x_b))) = delta^2 at boundary nodes
-(their boundary distance is zero). A config switch selects the
+mu_b = min(2 delta, max(delta^2, d(x_b))) = min(2 delta, delta^2) at
+boundary nodes (their boundary distance d is zero). A config switch selects the
 alternative shi prefactor 4/(delta^2 mu_b); both scalings appear in the
 literature on this penalty. dirac_diagonal and shi are zero-datum
 penalties; wang, dirac_diagonal and shi are quadratic (p = 2) only.
@@ -28,14 +28,13 @@ matrix, a penalty diagonal, and per-boundary-node rank-one terms that
 are never materialized densely.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (AssemblyError, ConfigError, KernelError, MeshError,
-                     MollifierError, SolverError)
+from .errors import (AssemblyError, ConfigError, MeshError, MollifierError,
+                     SolverError)
 from .geometry import DomainMesh, lattice_index, neighbor_pairs
 from .kernels import (KernelSpec, ScaledKernel, antiderivative_kernel,
                       eval_scaled, validate_kernel)
@@ -438,36 +437,6 @@ class EnergyOperator:
                        c0 * factor, None if lowrank is None else lowrank * factor)
         return out
 
-    def to_json_dict(self):
-        """Binary-free dump of the pair list and penalty vectors.
-
-        Keys: format, dim, delta, p, variant, shi_delta_sq_prefactor,
-        kernel, n_interior, n_boundary, pair {i, j, w}, penalty {indptr,
-        indices, coef, pref}, a. Reconstruct against the same mesh with
-        operator_from_json. kernel is the penalty kernel's label; the
-        catalog kernels (kernel_by_id) are labelled with their ids, so
-        their dumps reload, while a dump of a kernel built otherwise
-        (scale_kernel, normalize_w, a hand-made KernelSpec) does not.
-        """
-        return {
-            "format": "nldir-operator-v1",
-            "dim": self.mesh.dim,
-            "delta": self.delta,
-            "p": self.p,
-            "variant": self.variant,
-            "shi_delta_sq_prefactor": self.spec.shi_delta_sq_prefactor,
-            "kernel": self.spec.kernel.label,
-            "n_interior": self.mesh.n_interior,
-            "n_boundary": self.mesh.n_boundary,
-            "pair": {"i": self.pair_i.tolist(), "j": self.pair_j.tolist(),
-                     "w": self.pair_w.tolist()},
-            "penalty": {"indptr": self.pen_indptr.tolist(),
-                        "indices": self.pen_indices.tolist(),
-                        "coef": self.pen_coef.tolist(),
-                        "pref": self.pen_pref.tolist()},
-            "a": self.a.tolist(),
-        }
-
 
 def _field_values_boundary(mesh, a):
     if isinstance(a, BoundaryData):
@@ -547,9 +516,8 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
                 node=bad, position=mesh.boundary_points[bad].tolist())
         pref = 2.0 * w_b / (delta**2 * wbb)
     else:  # shi
-        # boundary nodes have zero boundary distance, so mu floors at delta^2
-        mu = np.full(mesh.n_boundary,
-                     min(2.0 * delta, max(delta**2, 0.0)))
+        # boundary nodes have zero boundary distance: max(delta^2, d) = delta^2
+        mu = min(2.0 * delta, delta**2)
         pref = 4.0 * w_b / mu
         if spec.shi_delta_sq_prefactor:
             pref = pref / delta**2
@@ -557,50 +525,6 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     return EnergyOperator(mesh, delta, p, spec, a_vals,
                           pair_i, pair_j, pair_w,
                           indptr, indices, rowid, coef, pref)
-
-
-def operator_from_json(data: dict, mesh: DomainMesh) -> EnergyOperator:
-    """Rebuild an operator from to_json_dict output and its mesh."""
-    if data.get("format") != "nldir-operator-v1":
-        raise AssemblyError("unrecognized operator dump format",
-                            format=data.get("format"))
-    if (data["n_interior"] != mesh.n_interior
-            or data["n_boundary"] != mesh.n_boundary):
-        raise AssemblyError("operator dump does not match the mesh",
-                            dump=[data["n_interior"], data["n_boundary"]],
-                            mesh=[mesh.n_interior, mesh.n_boundary])
-    from .kernels import kernel_by_id
-    try:
-        kernel = kernel_by_id(data["kernel"])
-    except KernelError as exc:
-        raise AssemblyError(
-            "operator dump names a kernel that does not resolve as a "
-            "catalog id", kernel=data["kernel"]) from exc
-    spec = PenaltySpec(data["variant"], kernel,
-                       bool(data.get("shi_delta_sq_prefactor", False)))
-    op = EnergyOperator(
-        mesh, float(data["delta"]), float(data["p"]), spec,
-        np.asarray(data["a"], dtype=float),
-        np.asarray(data["pair"]["i"], dtype=np.int64),
-        np.asarray(data["pair"]["j"], dtype=np.int64),
-        np.asarray(data["pair"]["w"], dtype=float),
-        np.asarray(data["penalty"]["indptr"], dtype=np.int64),
-        np.asarray(data["penalty"]["indices"], dtype=np.int64),
-        np.repeat(np.arange(mesh.n_boundary),
-                  np.diff(np.asarray(data["penalty"]["indptr"], dtype=np.int64))),
-        np.asarray(data["penalty"]["coef"], dtype=float),
-        np.asarray(data["penalty"]["pref"], dtype=float))
-    return op
-
-
-def save_operator(op: EnergyOperator, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(op.to_json_dict(), fh)
-
-
-def load_operator(path, mesh: DomainMesh) -> EnergyOperator:
-    with open(path, "r", encoding="utf-8") as fh:
-        return operator_from_json(json.load(fh), mesh)
 
 
 def mollify(mesh: DomainMesh, khat: KernelSpec, delta: float, u):
@@ -655,26 +579,6 @@ def _trace_matrix(mesh, khat, delta, table):
                          shape=(mesh.n_boundary, mesh.n_interior))
 
 
-def nonlocal_inner_product(mesh: DomainMesh, W: KernelSpec, delta: float,
-                           u, v) -> float:
-    """Double quadrature sum q_i q_j W_delta(|x_i - x_j|) u_i v_j over
-    all index pairs including i = j. W should be normalized to unit
-    mass for the inner product interpretation."""
-    uv = _field_values(mesh, u)
-    vv = _field_values(mesh, v, what="second field")
-    table = neighbor_pairs(mesh, W.support * delta)
-    ii, jj = table.interior_pairs()
-    scaled = ScaledKernel(W, delta, mesh.dim)
-    q = mesh.interior_weights
-    dist = np.linalg.norm(mesh.interior_points[ii]
-                          - mesh.interior_points[jj], axis=1)
-    wij = q[ii] * q[jj] * eval_scaled(scaled, dist)
-    k0 = float(eval_scaled(scaled, np.asarray(0.0)))
-    off = float(np.sum(wij * (uv[ii] * vv[jj] + uv[jj] * vv[ii])))
-    diag = float(np.sum(q * q * k0 * uv * vv))
-    return off + diag
-
-
 def w_mass_matrix(mesh: DomainMesh, W: KernelSpec, delta: float):
     """Sparse symmetric mass form B[i,j] = q_i q_j W_delta(|x_i-x_j|),
     diagonal included."""
@@ -691,42 +595,3 @@ def w_mass_matrix(mesh: DomainMesh, W: KernelSpec, delta: float):
     cols = np.concatenate([jj, ii, np.arange(n)])
     vals = np.concatenate([wij, wij, q * q * k0])
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def kernel_scale_ratio(mesh: DomainMesh, R: KernelSpec, delta: float,
-                       m: float, trials: int, p: float = 2.0,
-                       seed: int = 0) -> float:
-    """Empirical maximum over random fields of
-    interior_energy(delta) / interior_energy(m*delta), both at
-    exponent p. Bounded by m**(dim+p) for m >= 1 since the rescaled
-    kernel dominates pointwise."""
-    if not m > 0:
-        raise AssemblyError("scale factor must be positive", m=m)
-    if trials < 1:
-        raise AssemblyError("need at least one trial", trials=trials)
-
-    def pair_energy_data(dd):
-        table = neighbor_pairs(mesh, R.support * dd)
-        ii, jj = table.interior_pairs()
-        dist = np.linalg.norm(mesh.interior_points[ii]
-                              - mesh.interior_points[jj], axis=1)
-        q = mesh.interior_weights
-        w = q[ii] * q[jj] * eval_scaled(ScaledKernel(R, dd, mesh.dim), dist) / dd**p
-        return ii, jj, w
-
-    i1, j1, w1 = pair_energy_data(delta)
-    i2, j2, w2 = pair_energy_data(m * delta)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        for _attempt in range(1000):
-            u = rng.standard_normal(mesh.n_interior)
-            e2 = 2.0 * np.sum(w2 * np.abs(u[i2] - u[j2]) ** p)
-            if e2 > _TINY:
-                break
-        else:
-            raise AssemblyError("could not draw a field with nonzero energy",
-                                m=m, delta=delta)
-        e1 = 2.0 * np.sum(w1 * np.abs(u[i1] - u[j1]) ** p)
-        best = max(best, float(e1 / e2))
-    return best

@@ -1,5 +1,5 @@
 """Discretized domains: interior cell quadrature, boundary quadrature,
-lattice indexing, neighbor search, and distance to the boundary.
+lattice indexing and neighbor search.
 
 Interior nodes are cell centers with the cell measure as quadrature
 weight. For intervals and rectangles the cell count per axis is rounded
@@ -206,47 +206,6 @@ def _polygon_mesh(spec, h):
     pts = np.ascontiguousarray(pts)
     _freeze(pts, qw, bpts, bw, bn)
     return DomainMesh(2, {"polygon": verts.tolist()}, h, pts, qw, bpts, bw, bn)
-
-
-def _point_segment_distance(x, p0, p1):
-    d = p1 - p0
-    denom = float(d @ d)
-    if denom == 0.0:
-        return float(np.linalg.norm(x - p0))
-    t = np.clip(float((x - p0) @ d) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(x - (p0 + t * d)))
-
-
-def distance_to_boundary(mesh: DomainMesh, x) -> float:
-    """Distance from an interior point to the boundary. Exact coordinate
-    formulas for interval and rectangle, minimum over edges for a
-    polygon. Points outside the closed domain raise MeshError."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (mesh.dim,):
-        raise MeshError("point dimension mismatch", point=x.tolist(), dim=mesh.dim)
-    kind, spec = next(iter(mesh.shape.items()))
-    tol = 1e-12 * max(mesh.h, 1.0)
-    if kind == "interval":
-        a, b = spec
-        if x[0] < a - tol or x[0] > b + tol:
-            raise MeshError("point outside the domain", point=x.tolist(),
-                            shape=mesh.shape)
-        return max(0.0, min(x[0] - a, b - x[0]))
-    if kind == "rect":
-        (x0, y0), (x1, y1) = spec
-        gaps = [x[0] - x0, x1 - x[0], x[1] - y0, y1 - x[1]]
-        if min(gaps) < -tol:
-            raise MeshError("point outside the domain", point=x.tolist(),
-                            shape=mesh.shape)
-        return max(0.0, min(gaps))
-    verts = np.asarray(spec, dtype=float)
-    nv = len(verts)
-    dmin = min(_point_segment_distance(x, verts[i], verts[(i + 1) % nv])
-               for i in range(nv))
-    if dmin > tol and not _points_in_polygon(x[None, :], verts)[0]:
-        raise MeshError("point outside the domain", point=x.tolist(),
-                        shape={"polygon": "..."})
-    return dmin
 
 
 def lattice_index(mesh: DomainMesh):

@@ -1,24 +1,26 @@
-"""Nonlocal eigenpairs by constrained Rayleigh-quotient minimization.
+"""Nonlocal eigenpairs by one preconditioned block eigensolve.
 
-Mode m minimizes u^T A u over the mass-unit sphere, mass-orthogonal to
-the previously computed modes; deflation always uses those nonlocal
-modes themselves. Two mass models: "L2" (diagonal quadrature weights)
-and "nonlocalW" (double-sum kernel form); orthogonality for the
-normalized path is taken in the same kernel inner product as its unit
-constraint.
+The k smallest eigenpairs of A x = lambda B x come from a single call
+to scipy's block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
+started from a seeded Gaussian n x k block, so the modes are found
+together and come back mass-orthonormal without deflation. Two mass
+models: "L2" (diagonal quadrature weights) and "nonlocalW" (double-sum
+kernel form); orthogonality for the normalized path is taken in the
+same kernel inner product as its unit constraint.
 
-The iteration is a single-vector locally optimal block scheme: the
-next iterate is the Rayleigh-Ritz minimizer over span{x, P^-1 residual,
-previous increment}, re-orthogonalized against earlier modes every
-iteration. P is the stiffness operator's grid-stencil DST
-preconditioner (EnergyOperator.preconditioner), built once for all
-modes.
+A and the preconditioner are applied column by column. P is the
+stiffness operator's grid-stencil DST preconditioner
+(EnergyOperator.preconditioner), built once per solve. scipy stops a
+column on the absolute test |r| <= tol; after the solve each mode's
+residual |A x - lambda B x| is recomputed, and the mode is flagged
+converged when that is at most tol * max(|lambda|, 1).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .assembly import EnergyOperator, Field, w_mass_matrix
 from .errors import MassFormError, SolverError
@@ -59,13 +61,11 @@ class EigenProblem:
         self.W = W
         mesh = stiffness.mesh
         if mass == "L2":
-            self._b_diag = mesh.interior_weights
-            self._b_mat = None
-            min_ritz = float(np.min(self._b_diag))
+            self._b_mat = sp.diags(mesh.interior_weights, format="csr")
+            min_ritz = float(np.min(mesh.interior_weights))
         else:
             if W is None:
                 raise SolverError("nonlocalW mass requires a kernel W")
-            self._b_diag = None
             self._b_mat = w_mass_matrix(mesh, W, stiffness.delta)
             min_ritz = self._smallest_mass_ritz()
         if not min_ritz > 1e-8:
@@ -75,8 +75,7 @@ class EigenProblem:
                 kernel=None if W is None else W.label)
 
     def apply_mass(self, v):
-        if self._b_diag is not None:
-            return self._b_diag * v
+        """B @ v for a vector or an n x k block."""
         return self._b_mat @ v
 
     def apply_stiffness(self, v):
@@ -84,20 +83,22 @@ class EigenProblem:
 
     def _smallest_mass_ritz(self):
         """Smallest eigenvalue estimate of the mass form via the same
-        locally optimal iteration with identity metric."""
-        n = self.stiffness.mesh.n_interior
-        diag = self._b_mat.diagonal()
-        diag = np.where(np.abs(diag) > _DROP, np.abs(diag), 1.0)
-        lam, _, _, _, _ = _lobpcg_mode(
-            apply_a=lambda v: self._b_mat @ v,
-            apply_b=lambda v: v,
-            precond=lambda r: r / diag, n=n, prior=[], prior_b=[],
-            tol=1e-6, max_iter=500, seed=1)
-        return float(lam)
+        block solve with identity metric and a diag(B) preconditioner."""
+        diag = np.abs(self._b_mat.diagonal())
+        diag = np.where(diag > _DROP, diag, 1.0)
+        lam, _, _, _ = _smallest_modes(
+            self.apply_mass, None, lambda r: r / diag,
+            self.stiffness.mesh.n_interior, 1, tol=1e-6, max_iter=500,
+            seed=1)
+        return float(lam[0])
 
 
 @dataclass(frozen=True)
 class EigenResult:
+    """iterations repeats, once per mode, the number of block iterations
+    of the one solve that produced all k modes (at most max_iter; 0 when
+    n < 5 k, where scipy solves the problem densely instead)."""
+
     eigenvalues: np.ndarray
     eigenfields: tuple
     residuals: np.ndarray
@@ -108,88 +109,34 @@ class EigenResult:
     h: float
 
 
-def _b_orthonormalize(vectors, apply_b):
-    """Modified Gram-Schmidt in the B inner product. Each candidate is
-    scaled to unit length first so only true cancellation against the
-    kept directions (not small magnitude) causes a drop."""
-    kept, kept_b = [], []
-    for v in vectors:
-        lead = float(np.linalg.norm(v))
-        if lead <= 0.0 or not np.isfinite(lead):
-            continue
-        w = v / lead
-        bw = apply_b(w)
-        pre = float(w @ bw)
-        if pre <= 0.0:
-            continue
-        for u, bu in zip(kept, kept_b):
-            w = w - (bu @ w) * u
-        bw = apply_b(w)
-        nrm2 = float(w @ bw)
-        if nrm2 <= 1e-24 * pre or nrm2 <= 0.0:
-            continue
-        nrm = np.sqrt(nrm2)
-        kept.append(w / nrm)
-        kept_b.append(bw / nrm)
-    return kept, kept_b
+def _columns(apply):
+    """Block version of a vector map, applied column by column."""
+    return lambda block: np.column_stack([apply(v) for v in block.T])
 
 
-def _deflate(v, prior, prior_b):
-    for u, bu in zip(prior, prior_b):
-        v = v - (bu @ v) * u
-    return v
+def _smallest_modes(apply_a, apply_b, precond, n, k, tol, max_iter, seed):
+    """The k smallest eigenpairs of A x = lambda B x (B = I when apply_b
+    is None) from one block LOBPCG solve; apply_a and apply_b act on
+    n x k blocks, precond maps one residual r to P^-1 r. Returns
+    (eigenvalues ascending, n x k vectors, residual norms
+    |A x - lambda B x|, block iterations run, at most max_iter)."""
+    from scipy.sparse.linalg import lobpcg
+    blocks = 0
+    apply_m = _columns(precond)
 
+    def counted_m(block):
+        nonlocal blocks
+        blocks += 1
+        return apply_m(block)
 
-def _lobpcg_mode(apply_a, apply_b, precond, n, prior, prior_b,
-                 tol, max_iter, seed):
-    """One eigenpair below the deflated subspace; precond maps a
-    residual r to P^-1 r. Returns (lam, x, residual_norm, converged,
-    iterations)."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x = _deflate(x, prior, prior_b)
-    bx = apply_b(x)
-    nrm = float(x @ bx)
-    if nrm <= 0.0:
-        raise SolverError("start vector collapsed under deflation",
-                          deflated=len(prior))
-    x /= np.sqrt(nrm)
-    bx = apply_b(x)
-    p = None
-    lam = float(x @ apply_a(x))
-    res = np.inf
-    for it in range(1, max_iter + 1):
-        ax = apply_a(x)
-        lam = float(x @ ax)
-        r = ax - lam * bx
-        res = float(np.linalg.norm(r))
-        if res <= tol * max(abs(lam), 1.0):
-            return lam, x, res, True, it
-        w = _deflate(precond(r), prior, prior_b)
-        basis = [x, w] if p is None else [x, w, p]
-        vecs, _ = _b_orthonormalize(basis, apply_b)
-        if len(vecs) < 2:
-            return lam, x, res, False, it
-        avecs = [apply_a(v) for v in vecs]
-        m = len(vecs)
-        small = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                small[i, j] = small[j, i] = vecs[i] @ avecs[j]
-        evals, evecs = scipy.linalg.eigh(small)
-        y = evecs[:, 0]
-        x_new = sum(c * v for c, v in zip(y, vecs))
-        # increment excludes the current-x component; spans the history
-        p = sum(c * v for c, v in zip(y[1:], vecs[1:]))
-        x = _deflate(x_new, prior, prior_b)
-        bx = apply_b(x)
-        nrm = float(x @ bx)
-        if nrm <= 0.0:
-            raise SolverError("iterate collapsed under deflation",
-                              deflated=len(prior))
-        x /= np.sqrt(nrm)
-        bx = apply_b(x)
-    return lam, x, res, False, max_iter
+    x0 = np.random.default_rng(seed).standard_normal((n, k))
+    lam, x = lobpcg(apply_a, x0, B=apply_b, M=counted_m, largest=False,
+                    tol=tol, maxiter=max_iter)
+    order = np.argsort(lam, kind="stable")
+    lam, x = lam[order], x[:, order]
+    bx = x if apply_b is None else apply_b(x)
+    resid = np.linalg.norm(apply_a(x) - bx * lam, axis=0)
+    return lam, x, resid, min(blocks, max_iter)
 
 
 _EIGEN_DEFAULTS = SolveOptions(tol=1e-9, max_iter=2000)
@@ -197,37 +144,27 @@ _EIGEN_DEFAULTS = SolveOptions(tol=1e-9, max_iter=2000)
 
 def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS
                 ) -> EigenResult:
-    """First k eigenpairs, ascending, mass-orthonormal. Residual target
-    per mode is tol * max(|lambda|, 1); a mode that exhausts its budget
-    is returned flagged non-converged."""
+    """First k eigenpairs, ascending, mass-orthonormal, from one block
+    solve seeded by opts.seed. Residual target per mode is
+    tol * max(|lambda|, 1); a mode that misses it when the budget of
+    opts.max_iter block iterations runs out is returned flagged
+    non-converged."""
     op = prob.stiffness
-    n = op.mesh.n_interior
-    precond = op.preconditioner()
-    prior, prior_b = [], []
-    lams, fields, resids, okays, iters = [], [], [], [], []
-    for mode in range(prob.k):
-        lam, x, res, ok, it = _lobpcg_mode(
-            prob.apply_stiffness, prob.apply_mass, precond, n,
-            prior, prior_b, opts.tol, opts.max_iter,
-            seed=opts.seed + 7919 * mode)
+    lams, xs, resids, blocks = _smallest_modes(
+        _columns(prob.apply_stiffness), prob.apply_mass,
+        op.preconditioner(), op.mesh.n_interior, prob.k, opts.tol,
+        opts.max_iter, opts.seed)
+    fields = []
+    for x in np.ascontiguousarray(xs.T):
         # deterministic sign: entry of largest magnitude positive
-        pivot = int(np.argmax(np.abs(x)))
-        if x[pivot] < 0:
+        if x[int(np.argmax(np.abs(x)))] < 0:
             x = -x
-        prior.append(x)
-        prior_b.append(prob.apply_mass(x))
-        lams.append(lam)
         fields.append(Field(op.mesh, x))
-        resids.append(res)
-        okays.append(ok)
-        iters.append(it)
-    order = np.argsort(lams, kind="stable")
     return EigenResult(
-        eigenvalues=np.asarray(lams)[order],
-        eigenfields=tuple(fields[i] for i in order),
-        residuals=np.asarray(resids)[order],
-        converged=tuple(okays[i] for i in order),
-        iterations=tuple(iters[i] for i in order),
+        eigenvalues=lams, eigenfields=tuple(fields), residuals=resids,
+        converged=tuple(bool(r <= opts.tol * max(abs(lam), 1.0))
+                        for lam, r in zip(lams, resids)),
+        iterations=(blocks,) * prob.k,
         mass_model=prob.mass, delta=op.delta, h=op.mesh.h)
 
 
@@ -238,11 +175,7 @@ def dense_eigen(prob: EigenProblem, k: int = None):
     n = prob.stiffness.mesh.n_interior
     eye = np.eye(n)
     a = np.column_stack([prob.apply_stiffness(eye[:, i]) for i in range(n)])
-    if prob._b_diag is not None:
-        b = np.diag(prob._b_diag)
-    else:
-        b = prob._b_mat.toarray()
-    evals, evecs = scipy.linalg.eigh(a, b)
+    evals, evecs = scipy.linalg.eigh(a, prob._b_mat.toarray())
     kk = prob.k if k is None else k
     return evals[:kk], evecs[:, :kk]
 

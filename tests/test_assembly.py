@@ -15,19 +15,14 @@ sum (1/delta^p) sum_{i!=j} q_i q_j k_delta(|x_i-x_j|) |u_i-u_j|^p and
 all five boundary penalties as stated in the assembly module.
 """
 
-import json
-
 import numpy as np
 import pytest
 
 from nldir import (AssemblyError, BoundaryData, ConfigError, EnergyOperator,
                    Field, MollifierError, PenaltySpec, assemble,
-                   boundary_data, build_mesh, kernel_scale_ratio, lp_norm,
-                   mollify, nonlocal_inner_product, operator_from_json,
-                   save_operator, load_operator, w_mass_matrix)
+                   boundary_data, build_mesh, lp_norm, mollify, w_mass_matrix)
 from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS, trace_matrix
-from nldir.kernels import (QUARTIC, WENDLAND, KernelSpec, kernel_by_id,
-                           normalize_w, scale_kernel)
+from nldir.kernels import QUARTIC, WENDLAND, KernelSpec, normalize_w
 
 INTERVAL = build_mesh({"interval": [0.0, 1.0]}, 0.1)       # 10 + 2 nodes
 SQUARE = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)  # 16 + 16
@@ -352,30 +347,22 @@ def test_mollify_dead_kernel_names_interior_node():
     assert "interior" in str(exc.value)
 
 
-# ------------------------------------------------- nonlocal inner product
+# ------------------------------------------------------------ mass matrix
 
-def test_inner_product_symmetric_bilinear():
-    W = normalize_w(WENDLAND, 1)
-    rng = np.random.default_rng(67)
-    u = rng.standard_normal(INTERVAL.n_interior)
-    v = rng.standard_normal(INTERVAL.n_interior)
-    w = rng.standard_normal(INTERVAL.n_interior)
-    ip = lambda a, b: nonlocal_inner_product(INTERVAL, W, 0.3, a, b)
-    assert rel(ip(u, v), ip(v, u)) <= 1e-12
-    assert abs(ip(2.0 * u + 3.0 * w, v)
-               - (2.0 * ip(u, v) + 3.0 * ip(w, v))) \
-        <= 1e-12 * (1 + abs(ip(u, v)) + abs(ip(w, v)))
-
-
-def test_inner_product_matches_mass_matrix():
-    W = normalize_w(WENDLAND, 2)
-    B = w_mass_matrix(SQUARE, W, 0.5)
-    rng = np.random.default_rng(71)
-    for _ in range(5):
-        u = rng.standard_normal(SQUARE.n_interior)
-        v = rng.standard_normal(SQUARE.n_interior)
-        assert rel(nonlocal_inner_product(SQUARE, W, 0.5, u, v),
-                   float(u @ (B @ v))) <= 1e-12
+@pytest.mark.parametrize("mesh, delta", [(INTERVAL, 0.3), (SQUARE, 0.5)],
+                         ids=["interval", "square"])
+def test_mass_matrix_matches_double_loop(mesh, delta):
+    # B[i, j] = q_i q_j W_delta(|x_i - x_j|) over every node pair, i = j
+    # included, from the closed-form quartic profile
+    pts, q = mesh.interior_points, mesh.interior_weights
+    n = mesh.n_interior
+    ref = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            t = float(np.linalg.norm(pts[i] - pts[j]))
+            ref[i, j] = q[i] * q[j] * k_scaled(r_quartic, t, delta, mesh.dim)
+    got = w_mass_matrix(mesh, QUARTIC, delta).toarray()
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_mass_matrix_symmetric_with_positive_diagonal():
@@ -384,106 +371,6 @@ def test_mass_matrix_symmetric_with_positive_diagonal():
     dense = B.toarray()
     assert np.allclose(dense, dense.T, atol=0)
     assert np.all(np.diag(dense) > 0)
-
-
-# ------------------------------------------------------- kernel scale ratio
-
-def test_scale_ratio_identity_is_one():
-    assert kernel_scale_ratio(INTERVAL, QUARTIC, 0.25, 1.0, 5) == 1.0
-
-
-def test_scale_ratio_bounded_by_power():
-    for p in (2.0, 3.0):
-        r = kernel_scale_ratio(INTERVAL, QUARTIC, 0.2, 2.0, 20, p=p, seed=3)
-        assert 0.0 < r <= 2.0 ** (INTERVAL.dim + p) + 1e-12
-
-
-def test_scale_ratio_input_checks():
-    with pytest.raises(AssemblyError):
-        kernel_scale_ratio(INTERVAL, QUARTIC, 0.25, 0.0, 5)
-    with pytest.raises(AssemblyError):
-        kernel_scale_ratio(INTERVAL, QUARTIC, 0.25, 2.0, 0)
-
-
-# --------------------------------------------------------- serialization
-
-def test_operator_round_trip_is_bitwise(tmp_path):
-    op = make_op(SQUARE, "product", 0.5, seed=73)
-    path = tmp_path / "op.json"
-    save_operator(op, path)
-    back = load_operator(path, SQUARE)
-    rng = np.random.default_rng(79)
-    u = rng.standard_normal(SQUARE.n_interior)
-    assert back.energy(u) == op.energy(u)
-    assert np.array_equal(back.gradient(u), op.gradient(u))
-    assert back.quadratic_energy(u) == op.quadratic_energy(u)
-
-
-def _catalog_kernel(kind, tmp_path):
-    if kind == "minorant":
-        return kernel_by_id("minorant:quartic:0.5")
-    s = np.linspace(0.0, 1.0, 101)
-    path = tmp_path / "tab.csv"
-    np.savetxt(path, np.column_stack([s, (1.0 - s) ** 2]), delimiter=",")
-    return kernel_by_id(f"tabulated:{path}")
-
-
-@pytest.mark.parametrize("kind", ["minorant", "tabulated"])
-@pytest.mark.parametrize("variant", ["product", "wang"])
-def test_operator_round_trip_with_catalog_penalty_kernel(kind, variant,
-                                                         tmp_path):
-    kernel = _catalog_kernel(kind, tmp_path)
-    a = np.random.default_rng(89).uniform(-1.0, 1.0, SQUARE.n_boundary)
-    op = assemble(SQUARE, QUARTIC, PenaltySpec(variant, kernel), 0.5, a=a)
-    path = tmp_path / "op.json"
-    save_operator(op, path)
-    back = load_operator(path, SQUARE)
-    assert back.spec.kernel.label == kernel.label
-    u = np.random.default_rng(97).standard_normal(SQUARE.n_interior)
-    assert back.energy(u) == op.energy(u)
-    assert np.array_equal(back.gradient(u), op.gradient(u))
-
-
-def test_operator_dump_of_non_catalog_kernel_names_it(tmp_path):
-    op = assemble(SQUARE, QUARTIC,
-                  PenaltySpec("dirac_diagonal", scale_kernel(QUARTIC, 2.0)),
-                  0.5, a=np.zeros(SQUARE.n_boundary))
-    path = tmp_path / "op.json"
-    save_operator(op, path)
-    with pytest.raises(AssemblyError) as exc:
-        load_operator(path, SQUARE)
-    assert exc.value.info["kernel"] == "quartic_x2"
-
-
-def test_operator_dump_rejects_wrong_mesh(tmp_path):
-    op = make_op(INTERVAL, "product", 0.3)
-    path = tmp_path / "op.json"
-    save_operator(op, path)
-    with pytest.raises(AssemblyError):
-        load_operator(path, SQUARE)
-
-
-def test_operator_dump_rejects_unknown_format():
-    with pytest.raises(AssemblyError):
-        operator_from_json({"format": "something-else"}, INTERVAL)
-
-
-def test_operator_dump_rejects_unknown_kernel():
-    data = make_op(INTERVAL, "product", 0.3).to_json_dict()
-    data["kernel"] = "no_such_kernel"
-    with pytest.raises(AssemblyError) as exc:
-        operator_from_json(data, INTERVAL)
-    assert exc.value.info["kernel"] == "no_such_kernel"
-
-
-def test_operator_dump_is_plain_json(tmp_path):
-    op = make_op(INTERVAL, "wang", 0.3, seed=83)
-    path = tmp_path / "op.json"
-    save_operator(op, path)
-    data = json.loads(path.read_text())
-    assert data["format"] == "nldir-operator-v1"
-    assert data["variant"] == "wang"
-    assert len(data["a"]) == INTERVAL.n_boundary
 
 
 # ---------------------------------------------------------- input checking

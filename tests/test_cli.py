@@ -28,11 +28,11 @@ def write_config(tmp_path, **overrides):
 
 
 def test_cli_import_defers_spatial_and_sympy():
-    # all three load inside the functions that need them, keeping
+    # all four load inside the functions that need them, keeping
     # start-up short
     code = ("import sys, nldir.cli; "
-            "print(sorted(m for m in ('scipy.spatial', 'sympy', 'scipy.fft') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.spatial', 'sympy', 'scipy.fft', "
+            "'scipy.sparse.linalg') if m in sys.modules))")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(nldir.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env,

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nldir import MeshError, build_mesh, distance_to_boundary, neighbor_pairs
+from nldir import MeshError, build_mesh, neighbor_pairs
 from nldir.geometry import DomainMesh, lattice_index
 
 L_SHAPE = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
@@ -147,8 +147,10 @@ def test_l_shape_counts_and_measures():
     mesh = build_mesh({"polygon": L_SHAPE}, 0.05)
     assert float(np.sum(mesh.interior_weights)) == pytest.approx(0.75, abs=1e-3)
     assert float(np.sum(mesh.boundary_weights)) == pytest.approx(4.0, rel=1e-12)
-    for i in range(mesh.n_interior):
-        assert distance_to_boundary(mesh, mesh.interior_points[i]) >= 0.0
+    # closed form: the unit square minus the notch (0.5, 1] x (0.5, 1]
+    x, y = mesh.interior_points.T
+    assert np.all((x > 0.0) & (x < 1.0) & (y > 0.0) & (y < 1.0))
+    assert not np.any((x > 0.5) & (y > 0.5))
 
 
 def test_clockwise_polygon_is_reoriented():
@@ -357,60 +359,3 @@ def test_neighbor_radius_zero_skips_coincident_points():
     table = neighbor_pairs(mesh, 1e-9)
     assert table_pairs(table) == {(0, 1)}
     assert table.boundary_neighbors(0).tolist() == [0, 1]
-
-
-# ------------------------------------------------------ distance_to_boundary
-
-def test_distance_square_center():
-    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)
-    assert distance_to_boundary(mesh, [0.5, 0.5]) == pytest.approx(0.5)
-
-
-def test_distance_interval_point():
-    mesh = build_mesh({"interval": [0.0, 1.0]}, 0.25)
-    assert distance_to_boundary(mesh, [0.2]) == pytest.approx(0.2)
-    assert distance_to_boundary(mesh, [0.9]) == pytest.approx(0.1)
-
-
-def test_distance_rect_matches_gap_formula():
-    mesh = build_mesh({"rect": [[-1.0, 0.0], [2.0, 1.0]]}, 0.2)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        x = rng.uniform([-1.0, 0.0], [2.0, 1.0])
-        want = min(x[0] + 1.0, 2.0 - x[0], x[1], 1.0 - x[1])
-        assert distance_to_boundary(mesh, x) == pytest.approx(want, abs=1e-14)
-
-
-def test_distance_pentagon_matches_dense_sampling():
-    mesh = build_mesh({"polygon": PENTAGON}, 0.05)
-    verts = np.asarray(PENTAGON)
-    dense = []
-    for i in range(5):
-        t = np.linspace(0.0, 1.0, 4000, endpoint=False)[:, None]
-        dense.append(verts[i] + t * (verts[(i + 1) % 5] - verts[i]))
-    dense = np.vstack(dense)
-    rng = np.random.default_rng(11)
-    probes = [[0.5, 0.5], [0.2, 0.3], [1.0, 0.8]]
-    probes += [mesh.interior_points[k].tolist()
-               for k in rng.integers(0, mesh.n_interior, 5)]
-    for x in probes:
-        want = float(np.min(np.linalg.norm(dense - np.asarray(x), axis=1)))
-        assert distance_to_boundary(mesh, x) == pytest.approx(want, abs=1e-6)
-
-
-def test_distance_rejects_outside_points():
-    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)
-    with pytest.raises(MeshError):
-        distance_to_boundary(mesh, [1.5, 0.5])
-    interval = build_mesh({"interval": [0.0, 1.0]}, 0.25)
-    with pytest.raises(MeshError):
-        distance_to_boundary(interval, [-0.3])
-    poly = build_mesh({"polygon": L_SHAPE}, 0.1)
-    with pytest.raises(MeshError):
-        distance_to_boundary(poly, [0.9, 0.9])   # in the notch
-
-
-def test_distance_rejects_dimension_mismatch():
-    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)
-    with pytest.raises(MeshError):
-        distance_to_boundary(mesh, [0.5])

@@ -20,6 +20,11 @@ SIGMA_2D = np.pi / 24.0
 
 INTERVAL = build_mesh({"interval": [0.0, 1.0]}, 0.025)
 SQUARE = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.125)
+L_SHAPE = build_mesh({"polygon": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5],
+                                  [0.5, 0.5], [0.5, 1.0], [0.0, 1.0]]},
+                     0.0625)
+PENTAGON = build_mesh({"polygon": [[0.0, 0.0], [1.1, 0.1], [1.4, 0.9],
+                                   [0.6, 1.5], [-0.2, 0.8]]}, 0.08)
 
 
 def stiffness(mesh, delta, variant="product"):
@@ -49,9 +54,13 @@ def test_interval_matches_dense_oracle():
         assert abs(abs(float(x @ prob.apply_mass(y))) - 1.0) <= 1e-7
 
 
-def test_square_matches_dense_oracle():
-    op = stiffness(SQUARE, 0.3)
-    prob = EigenProblem(op, "L2", k=3)
+@pytest.mark.parametrize("mass", ["L2", "nonlocalW"])
+@pytest.mark.parametrize("mesh, delta", [(SQUARE, 0.3), (L_SHAPE, 0.25),
+                                         (PENTAGON, 0.24)],
+                         ids=["square", "l_shape", "pentagon"])
+def test_square_matches_dense_oracle(mesh, delta, mass):
+    op = stiffness(mesh, delta)
+    prob = EigenProblem(op, mass, k=3, W=normalize_w(WENDLAND, 2))
     res = solve_eigen(prob)
     evals, _ = dense_eigen(prob)
     assert np.all(np.abs(res.eigenvalues - evals) <= 1e-8 * np.abs(evals))
@@ -127,13 +136,19 @@ def test_spectrum_scales_with_the_form():
         assert abs(abs(float(x0 @ prob.apply_mass(x1))) - 1.0) <= 1e-7
 
 
-def test_budget_exhaustion_is_flagged():
+@pytest.mark.parametrize("k", [1, 3])
+def test_budget_exhaustion_is_flagged(k):
     op = stiffness(INTERVAL, 0.1)
-    res = solve_eigen(EigenProblem(op, "L2", k=1),
-                      SolveOptions(tol=1e-12, max_iter=3))
-    assert not res.converged[0]
-    assert np.isfinite(res.eigenvalues[0])
-    assert res.iterations[0] == 3
+    prob = EigenProblem(op, "L2", k=k)
+    res = solve_eigen(prob, SolveOptions(tol=1e-12, max_iter=3))
+    assert not any(res.converged)
+    assert np.all(np.isfinite(res.eigenvalues))
+    assert res.iterations == (3,) * k
+    for i in range(k):
+        x = res.eigenfields[i].values
+        r = prob.apply_stiffness(x) - res.eigenvalues[i] * prob.apply_mass(x)
+        assert res.residuals[i] == pytest.approx(np.linalg.norm(r),
+                                                 rel=1e-12)
 
 
 # ------------------------------------------------------- analytic limits
