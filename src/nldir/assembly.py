@@ -90,13 +90,27 @@ class BoundaryData:
         return cls(mesh, np.asarray(fn(mesh.boundary_points), dtype=float))
 
 
-_DATA_CATALOG = ("zero", "linear_x", "harmonic_x2_minus_y2", "harmonic_xy")
+# The manufactured local solutions, each written once in closed form on
+# an (n, dim) point array: id -> (u, |grad u|^2, dims, exponents), where
+# None admits every dimension or every p > 1. The affine entries solve
+# the local p-Laplace problem for every p, the harmonic ones for p = 2.
+MANUFACTURED = {
+    "zero": (lambda x: np.zeros(len(x)), lambda x: np.zeros(len(x)),
+             None, None),
+    "linear_x": (lambda x: x[:, 0].copy(), lambda x: np.ones(len(x)),
+                 None, None),
+    "harmonic_x2_minus_y2": (lambda x: x[:, 0] ** 2 - x[:, 1] ** 2,
+                             lambda x: 4 * x[:, 0] ** 2 + 4 * x[:, 1] ** 2,
+                             (2,), (2.0,)),
+    "harmonic_xy": (lambda x: x[:, 0] * x[:, 1],
+                    lambda x: x[:, 0] ** 2 + x[:, 1] ** 2, (2,), (2.0,)),
+}
 
 
 def boundary_data(mesh: DomainMesh, spec) -> BoundaryData:
     """Resolve a boundary datum: None or "zero" for homogeneous data, a
-    named analytic function, "csv:<path>" with one value per boundary
-    node, or an explicit array."""
+    manufactured solution of MANUFACTURED by id, "csv:<path>" with one
+    value per boundary node, or an explicit array."""
     if spec is None:
         return BoundaryData(mesh, np.zeros(mesh.n_boundary))
     if isinstance(spec, BoundaryData):
@@ -104,23 +118,18 @@ def boundary_data(mesh: DomainMesh, spec) -> BoundaryData:
             raise AssemblyError("boundary data bound to a different mesh")
         return spec
     if isinstance(spec, str):
-        pts = mesh.boundary_points
-        if spec == "zero":
-            return BoundaryData(mesh, np.zeros(mesh.n_boundary))
-        if spec == "linear_x":
-            return BoundaryData(mesh, pts[:, 0].copy())
-        if spec in ("harmonic_x2_minus_y2", "harmonic_xy"):
-            if mesh.dim != 2:
-                raise ConfigError("datum requires a two-dimensional shape",
-                                  field="datum", datum=spec, dim=mesh.dim)
-            if spec == "harmonic_x2_minus_y2":
-                return BoundaryData(mesh, pts[:, 0] ** 2 - pts[:, 1] ** 2)
-            return BoundaryData(mesh, pts[:, 0] * pts[:, 1])
+        if spec in MANUFACTURED:
+            exact, _, dims, _ = MANUFACTURED[spec]
+            if dims is not None and mesh.dim not in dims:
+                raise ConfigError("datum does not admit this shape's dimension",
+                                  field="datum", datum=spec, dim=mesh.dim,
+                                  dims=list(dims))
+            return BoundaryData(mesh, exact(mesh.boundary_points))
         if spec.startswith("csv:"):
             vals = np.loadtxt(spec[4:], dtype=float, ndmin=1)
             return BoundaryData(mesh, vals)
         raise ConfigError("unknown boundary datum", field="datum", datum=spec,
-                          catalog=list(_DATA_CATALOG) + ["csv:<path>"])
+                          catalog=list(MANUFACTURED) + ["csv:<path>"])
     return BoundaryData(mesh, np.asarray(spec, dtype=float))
 
 

@@ -17,6 +17,7 @@ up to 3, which matters when a profile is used as the mass kernel W; the
 quartic and cubic profiles produce indefinite mass forms on fine grids.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -26,7 +27,6 @@ from .errors import KernelError, QuadratureError
 
 _BUDGET = 10_000_000
 _TINY = 1e-300
-_BLOCK = 65_536  # quadrature points evaluated at once in 2D
 
 
 @dataclass(frozen=True)
@@ -280,94 +280,68 @@ class QuadResult(NamedTuple):
     points: int
 
 
-def _midpoint_grid(radius, n):
-    h = 2.0 * radius / n
-    return -radius + (np.arange(n) + 0.5) * h, h
-
-
-def _ladder(estimate, dim, rel_tol, budget, what):
-    """Richardson-extrapolated midpoint refinement: doubles the grid
-    until successive extrapolants differ by < rel_tol relative."""
+def _ladder(estimate, rel_tol, budget, what):
+    """Richardson-extrapolated midpoint refinement: doubles the node
+    count until successive extrapolants differ by < rel_tol relative."""
     n = 32
     prev = prev_rich = None
-    while n**dim <= budget:
+    while n <= budget:
         raw = estimate(n)
         if prev is not None:
             rich = raw + (raw - prev) / 3.0
             if prev_rich is not None:
                 err = abs(rich - prev_rich)
                 if err <= rel_tol * max(abs(rich), _TINY):
-                    return QuadResult(float(rich), float(err), n**dim)
+                    return QuadResult(float(rich), float(err), n)
             prev_rich = rich
         prev = raw
         n *= 2
     raise QuadratureError(
-        f"{what} quadrature did not reach tolerance within the point budget",
+        f"{what} quadrature did not reach tolerance within the node budget",
         last=None if prev_rich is None else float(prev_rich),
         previous=None if prev is None else float(prev),
         budget=budget, rel_tol=rel_tol)
 
 
-def _ball_integral(profile, radius, dim, weight, rel_tol, budget, what):
-    """Tensor-midpoint integral of profile(|z|^2)*weight(z) over the
-    bounding cube of the support ball."""
+def _radial_moment(radial, radius, dim, p, rel_tol, budget, what):
+    """int_{R^dim} radial(|z|) |z_1|^p dz for a radial integrand with
+    support radius `radius`: the sphere moment
+    int_{S^(dim-1)} |w_1|^p dw = 2 pi^((dim-1)/2) G((p+1)/2) / G((dim+p)/2)
+    times the 1D integral int_0^radius radial(r) r^(p+dim-1) dr, which
+    the midpoint ladder evaluates on n nodes."""
+    if dim not in (1, 2, 3):
+        raise KernelError("dimension must be 1, 2 or 3", dim=dim)
+    sphere = (2.0 * math.pi ** ((dim - 1) / 2.0) * math.gamma((p + 1.0) / 2.0)
+              / math.gamma((dim + p) / 2.0))
 
     def estimate(n):
-        g, h = _midpoint_grid(radius, n)
-        if dim == 1:
-            return float(np.sum(profile(g * g) * weight(g, None, None)) * h)
-        total = 0.0
-        if dim == 2:
-            Y = g[None, :]
-            rows = max(1, _BLOCK // n)
-            for k in range(0, n, rows):  # row blocks bound memory in 2D
-                X = g[k:k + rows, None]
-                s = X * X + Y * Y
-                total += np.sum(profile(s) * weight(X, Y, None))
-            return float(total * h * h)
-        YY = g[:, None]
-        ZZ = g[None, :]
-        plane = YY * YY + ZZ * ZZ
-        for x in g:  # slice by slice to bound memory in 3D
-            s = plane + x * x
-            total += np.sum(profile(s) * weight(x, YY, ZZ))
-        return float(total * h**3)
+        h = radius / n
+        r = (np.arange(n) + 0.5) * h
+        return sphere * float(np.sum(radial(r) * r ** (p + dim - 1)) * h)
 
-    return _ladder(estimate, dim, rel_tol, budget, what)
+    return _ladder(estimate, rel_tol, budget, what)
 
 
 def sigma_r(kernel: KernelSpec, p: float, dim: int,
-            rel_tol: float = 1e-8, budget: int = _BUDGET, axis: int = 0) -> QuadResult:
+            rel_tol: float = 1e-8, budget: int = _BUDGET) -> QuadResult:
     """Directional p-th moment of the kernel,
-    int_{R^dim} profile(|z|^2) |z . e_axis|^p dz, by the midpoint
-    Richardson ladder over the support ball.
+    int_{R^dim} profile(|z|^2) |z_1|^p dz, by the radial midpoint
+    ladder (any axis gives the same value for a radial profile).
 
     Raises QuadratureError (carrying the last two extrapolants) when the
-    point budget runs out first.
+    node budget runs out first.
     """
     if not p > 1:
         raise KernelError("exponent must exceed 1", p=p)
-    if dim not in (1, 2, 3):
-        raise KernelError("dimension must be 1, 2 or 3", dim=dim)
-    if not 0 <= axis < dim:
-        raise KernelError("axis out of range", axis=axis, dim=dim)
-
-    def weight(x, y, z):
-        comp = (x, y, z)[axis]
-        return np.abs(comp) ** p
-
-    return _ball_integral(kernel.profile, kernel.support, dim, weight,
-                          rel_tol, budget, f"sigma_R({kernel.label})")
+    return _radial_moment(lambda r: kernel.profile(r * r), kernel.support,
+                          dim, p, rel_tol, budget, f"sigma_R({kernel.label})")
 
 
 def kernel_mass(kernel: KernelSpec, dim: int,
                 rel_tol: float = 1e-8, budget: int = _BUDGET) -> QuadResult:
     """int_{R^dim} profile(|z|^2) dz over the support ball."""
-    if dim not in (1, 2, 3):
-        raise KernelError("dimension must be 1, 2 or 3", dim=dim)
-    return _ball_integral(kernel.profile, kernel.support, dim,
-                          lambda x, y, z: 1.0, rel_tol, budget,
-                          f"mass({kernel.label})")
+    return _radial_moment(lambda r: kernel.profile(r * r), kernel.support,
+                          dim, 0.0, rel_tol, budget, f"mass({kernel.label})")
 
 
 def scaled_mass(kernel: KernelSpec, delta: float, dim: int,
@@ -375,12 +349,8 @@ def scaled_mass(kernel: KernelSpec, delta: float, dim: int,
     """Mass of the scaled kernel over its support ball of radius
     r*delta; independent of delta up to quadrature error."""
     scaled = ScaledKernel(kernel, delta, dim)
-
-    def profile(s):
-        return eval_scaled(scaled, np.sqrt(np.maximum(s, 0.0)))
-
-    return _ball_integral(profile, kernel.support * delta, dim,
-                          lambda x, y, z: 1.0, rel_tol, budget,
+    return _radial_moment(lambda r: eval_scaled(scaled, r),
+                          kernel.support * delta, dim, 0.0, rel_tol, budget,
                           f"scaled_mass({kernel.label})")
 
 

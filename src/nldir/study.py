@@ -10,19 +10,19 @@ time column. Error trends are asserted by the callers (tests), not
 here; rates are reported as information only.
 
 The manufactured catalog is this laboratory's own choice of closed-form
-local solutions; each entry is verified symbolically when the catalog
-is first used.
+local solutions (assembly.MANUFACTURED, which also supplies the boundary
+data); the test suite checks that each solves its local problem.
 """
 
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import assembly
-from .assembly import PenaltySpec, boundary_data, lp_norm
+from .assembly import MANUFACTURED, PenaltySpec, boundary_data, lp_norm
 from .errors import ConfigError, NldirError
 from .geometry import build_mesh
 from .kernels import kernel_by_id, sigma_r
@@ -101,18 +101,8 @@ class StudyConfig:
         return cls(**kwargs)
 
     def to_dict(self):
-        out = {}
-        for name in self.__dataclass_fields__:
-            val = getattr(self, name)
-            if isinstance(val, SolveOptions):
-                val = {"tol": val.tol, "max_iter": val.max_iter,
-                       "seed": val.seed,
-                       "sufficient_decrease": val.sufficient_decrease,
-                       "backtrack": val.backtrack}
-            elif isinstance(val, tuple):
-                val = list(val)
-            out[name] = val
-        return out
+        return {name: list(val) if isinstance(val, tuple) else val
+                for name, val in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -155,7 +145,7 @@ class ManufacturedCase:
     dims: tuple  # None means any dimension
     exponents: tuple  # None means any p > 1
     exact: object  # callable points -> values
-    grad_power: object  # callable (points, p) -> |grad u*|^p values
+    grad_sq: object  # callable points -> |grad u*|^2 values
 
     def admits(self, dim: int, p: float) -> bool:
         if self.dims is not None and dim not in self.dims:
@@ -164,59 +154,16 @@ class ManufacturedCase:
             return False
         return True
 
+    def grad_power(self, points, p):
+        """|grad u*|^p at the points."""
+        return self.grad_sq(points) ** (p / 2.0)
 
-_CATALOG = None
 
-
-def _build_catalog():
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    entries = {
-        "zero": (sympy.Integer(0), (x,), None, None),
-        "linear_x": (x, (x, y), None, None),
-        "harmonic_x2_minus_y2": (x**2 - y**2, (x, y), (2,), (2.0,)),
-        "harmonic_xy": (x * y, (x, y), (2,), (2.0,)),
-    }
-    catalog = {}
-    for cid, (expr, syms, dims, exps) in entries.items():
-        # registration-time check that the exact solution solves the
-        # local problem: harmonic for the p = 2 entries, affine (hence
-        # p-harmonic for every p) otherwise
-        if exps == (2.0,):
-            lap = sum(sympy.diff(expr, s, 2) for s in syms)
-            if sympy.simplify(lap) != 0:
-                raise ConfigError("catalog entry is not harmonic", case=cid)
-        else:
-            hess = [sympy.diff(expr, s1, s2) for s1 in syms for s2 in syms]
-            if any(sympy.simplify(hh) != 0 for hh in hess):
-                raise ConfigError("catalog entry is not affine", case=cid)
-        fn = sympy.lambdify(syms, expr, "numpy")
-        gsq = sum(sympy.diff(expr, s) ** 2 for s in syms)
-        gfn = sympy.lambdify(syms, gsq, "numpy")
-
-        def exact(points, _fn=fn, _ns=len(syms)):
-            cols = [points[:, i] if i < points.shape[1]
-                    else np.zeros(len(points)) for i in range(_ns)]
-            vals = np.asarray(_fn(*cols), dtype=float)
-            return np.broadcast_to(vals, (len(points),)).copy()
-
-        def grad_power(points, p, _gfn=gfn, _ns=len(syms)):
-            cols = [points[:, i] if i < points.shape[1]
-                    else np.zeros(len(points)) for i in range(_ns)]
-            vals = np.asarray(_gfn(*cols), dtype=float)
-            vals = np.broadcast_to(vals, (len(points),)).copy()
-            return vals ** (p / 2.0)
-
-        catalog[cid] = ManufacturedCase(cid, cid, dims, exps, exact,
-                                        grad_power)
-    return catalog
+_CATALOG = {cid: ManufacturedCase(cid, cid, dims, exps, exact, grad_sq)
+            for cid, (exact, grad_sq, dims, exps) in MANUFACTURED.items()}
 
 
 def manufactured_case(case_id: str) -> ManufacturedCase:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
     if case_id not in _CATALOG:
         raise ConfigError("unknown manufactured case", case=case_id,
                           catalog=sorted(_CATALOG))

@@ -28,8 +28,8 @@ def write_config(tmp_path, **overrides):
 
 
 def test_cli_import_defers_spatial_and_sympy():
-    # all four load inside the functions that need them, keeping
-    # start-up short
+    # the scipy modules load inside the functions that need them, and
+    # sympy not at all, keeping start-up short
     code = ("import sys, nldir.cli; "
             "print(sorted(m for m in ('scipy.spatial', 'sympy', 'scipy.fft', "
             "'scipy.sparse.linalg') if m in sys.modules))")
@@ -38,6 +38,28 @@ def test_cli_import_defers_spatial_and_sympy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_catalog_and_sweep_run_without_sympy(tmp_path):
+    # a None entry in sys.modules makes every `import sympy` raise
+    config = write_config(tmp_path)
+    rows = tmp_path / "rows.csv"
+    code = "\n".join([
+        "import sys",
+        "sys.modules['sympy'] = None",
+        "from nldir import manufactured_case",
+        "from nldir.cli import dispatch",
+        "for cid in ('zero', 'linear_x', 'harmonic_x2_minus_y2', "
+        "'harmonic_xy'):",
+        "    manufactured_case(cid)",
+        f"sys.exit(dispatch(['sweep', '--config', {str(config)!r}, "
+        f"'--out', {str(rows)!r}]))"])
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(nldir.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert len(rows.read_text().splitlines()) == 2
 
 
 # ----------------------------------------------------------------- sigma
@@ -52,6 +74,12 @@ def test_sigma_quartic_2d(capsys):
     code = dispatch(["sigma", "--kernel", "quartic", "--p", "2", "--dim", "2"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "0.1309"
+
+
+def test_sigma_quartic_3d(capsys):
+    code = dispatch(["sigma", "--kernel", "quartic", "--p", "2", "--dim", "3"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "0.106382"  # 32 pi / 945
 
 
 def test_sigma_unknown_kernel_gives_json_error(capsys):

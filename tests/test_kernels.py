@@ -8,12 +8,16 @@ radius s, supported on s <= support**2):
     1D mass      int_{-1}^{1} (1-r^2)^2 dr                 = 16/15
     sigma d=1    int_{-1}^{1} r^2 (1-r^2)^2 dr             = 16/105
     sigma d=2    int_{B_1} z_1^2 (1-|z|^2)^2 dz            = pi/24
+    sigma d=3    (4 pi/3) int_0^1 r^4 (1-r^2)^2 dr        = 32 pi/945
+    3D mass      4 pi int_0^1 r^2 (1-r^2)^2 dr             = 32 pi/105
+    sigma d=1, p=3   2 int_0^1 r^3 (1-r^2)^2 dr            = 1/12
   cubic    (1-s)_+^3
     1D mass      2 int_0^1 (1-r^2)^3 dr                    = 32/35
     sigma d=1    2 int_0^1 r^2 (1-r^2)^3 dr                = 32/315
   wendland (1-sqrt(s))_+^4 (4 sqrt(s)+1), radius form (1-r)^4(4r+1)
     1D mass      2 int_0^1 (1-r)^4 (4r+1) dr               = 2/3
     2D mass      2 pi int_0^1 (1-r)^4 (4r+1) r dr          = pi/7
+    sigma d=3    (4 pi/3) int_0^1 r^4 (1-r)^4 (4r+1) dr    = 2 pi/315
   upper antiderivatives (Kbar(s) = int_s^inf K, applied twice):
     quartic: (1-s)_+^3/3,  (1-s)_+^4/12
     cubic:   (1-s)_+^4/4,  (1-s)_+^5/20
@@ -36,6 +40,10 @@ MASS_QUARTIC_1D = 16.0 / 15.0
 MASS_CUBIC_1D = 32.0 / 35.0
 MASS_WENDLAND_1D = 2.0 / 3.0
 MASS_WENDLAND_2D = np.pi / 7.0
+SIGMA_QUARTIC_3D = 32.0 * np.pi / 945.0
+MASS_QUARTIC_3D = 32.0 * np.pi / 105.0
+SIGMA_QUARTIC_1D_P3 = 1.0 / 12.0
+SIGMA_WENDLAND_3D = 2.0 * np.pi / 315.0
 
 
 def test_sigma_quartic_1d_oracle():
@@ -51,6 +59,17 @@ def test_sigma_quartic_2d_oracle():
 def test_sigma_cubic_1d_oracle():
     res = sigma_r(CUBIC, 2, 1)
     assert abs(res.value - SIGMA_CUBIC_1D) <= 1e-6 * SIGMA_CUBIC_1D
+
+
+def test_radial_moments_match_closed_forms():
+    # three dimensions and a non-square exponent go through the same
+    # radial quadrature as the 1D and 2D moments
+    cases = [(sigma_r(QUARTIC, 2, 3), SIGMA_QUARTIC_3D),
+             (kernel_mass(QUARTIC, 3), MASS_QUARTIC_3D),
+             (sigma_r(QUARTIC, 3, 1), SIGMA_QUARTIC_1D_P3),
+             (sigma_r(WENDLAND, 2, 3), SIGMA_WENDLAND_3D)]
+    for res, exact in cases:
+        assert abs(res.value - exact) <= 1e-8 * exact
 
 
 def test_sigma_reports_quadrature_estimate_error():

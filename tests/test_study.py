@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from nldir import (ConfigError, EigenProblem, PenaltySpec, SolveOptions,
-                   StudyConfig, StudyReport, assemble, build_mesh,
-                   coercivity_probe, compare_penalties, manufactured_case,
-                   report_csv_text, report_json_dict, run_delta_sweep,
-                   solve_eigen)
+                   StudyConfig, StudyReport, assemble, boundary_data,
+                   build_mesh, coercivity_probe, compare_penalties,
+                   manufactured_case, report_csv_text, report_json_dict,
+                   run_delta_sweep, solve_eigen)
 from nldir.kernels import QUARTIC, KernelSpec, kernel_by_id
 from nldir import study
 from nldir.study import CSV_HEADER
@@ -116,6 +116,45 @@ def test_catalog_exact_values():
         [4 * (0.25 + 0.0625), 8.0])
     assert np.allclose(manufactured_case("linear_x").grad_power(pts1, 3.0),
                        [1.0, 1.0])
+
+
+CASE_IDS = ("zero", "linear_x", "harmonic_x2_minus_y2", "harmonic_xy")
+
+
+def test_catalog_solves_its_local_problems():
+    # difference quotients with step 0.1 are exact for quadratics up to
+    # rounding: the harmonic entries have a vanishing 5-point Laplacian,
+    # the affine ones vanishing second differences, and |grad u|^2 is the
+    # sum of the squared central differences
+    pts = np.random.default_rng(31).uniform(-1.0, 1.0, (64, 2))
+    h = 0.1
+    ex, ey = np.array([h, 0.0]), np.array([0.0, h])
+    for cid in CASE_IDS:
+        case = manufactured_case(cid)
+        u = case.exact
+        uxx = (u(pts + ex) - 2.0 * u(pts) + u(pts - ex)) / h**2
+        uyy = (u(pts + ey) - 2.0 * u(pts) + u(pts - ey)) / h**2
+        uxy = (u(pts + ex + ey) - u(pts + ex - ey) - u(pts - ex + ey)
+               + u(pts - ex - ey)) / (4.0 * h**2)
+        if cid.startswith("harmonic_"):
+            assert np.max(np.abs(uxx + uyy)) <= 1e-10, cid
+        else:
+            assert np.max(np.abs([uxx, uyy, uxy])) <= 1e-10, cid
+        gx = (u(pts + ex) - u(pts - ex)) / (2.0 * h)
+        gy = (u(pts + ey) - u(pts - ey)) / (2.0 * h)
+        assert np.allclose(case.grad_power(pts, 2.0), gx**2 + gy**2,
+                           rtol=1e-10, atol=1e-10), cid
+
+
+@pytest.mark.parametrize("shape", [{"interval": [0.0, 1.0]},
+                                   {"rect": [[0.0, 0.0], [1.0, 1.0]]}])
+def test_boundary_data_is_the_exact_solution(shape):
+    mesh = build_mesh(shape, 0.125)
+    for cid in CASE_IDS:
+        case = manufactured_case(cid)
+        if case.admits(mesh.dim, 2.0):
+            assert np.array_equal(boundary_data(mesh, case.datum).values,
+                                  case.exact(mesh.boundary_points)), cid
 
 
 def test_incompatible_case_is_rejected_up_front():
