@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .errors import (AssemblyError, ConfigError, MeshError, MollifierError,
                      SolverError)
-from .geometry import DomainMesh, lattice_index, neighbor_pairs
+from .geometry import DomainMesh, lattice_index, lattice_stencil
 from .kernels import (KernelSpec, ScaledKernel, antiderivative_kernel,
                       eval_scaled, validate_kernel)
 
@@ -62,10 +62,6 @@ class Field:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, mesh, fn):
-        return cls(mesh, np.asarray(fn(mesh.interior_points), dtype=float))
-
-    @classmethod
     def zero(cls, mesh):
         return cls(mesh, np.zeros(mesh.n_interior))
 
@@ -84,10 +80,6 @@ class BoundaryData:
                                 expected=self.mesh.n_boundary,
                                 got=list(vals.shape))
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_function(cls, mesh, fn):
-        return cls(mesh, np.asarray(fn(mesh.boundary_points), dtype=float))
 
 
 # The manufactured local solutions, each written once in closed form on
@@ -177,19 +169,63 @@ def _require_valid(kernel: KernelSpec):
             conditions=[c.condition for c in report.failures()])
 
 
-def _boundary_tables(mesh, base: KernelSpec, delta, table):
+def _boundary_tables(mesh, base: KernelSpec, delta, stencil):
     """CSR boundary-to-interior coefficients q_j * k_delta(|x_b - x_j|).
-    table, a neighbor search on this mesh, is reused when its radius is
-    the kernel's support radius; otherwise the mesh is searched."""
-    if table is None or table.radius != base.support * delta:
-        table = neighbor_pairs(mesh, base.support * delta)
-    indptr, indices = table.boundary_indptr, table.boundary_indices
+    stencil, a lattice_stencil of this mesh, is reused when its radius
+    is the kernel's support radius; otherwise one is built."""
+    if stencil is None or stencil.radius != base.support * delta:
+        stencil = lattice_stencil(mesh, base.support * delta)
+    indptr, indices = stencil.boundary_indptr, stencil.boundary_indices
     rowid = np.repeat(np.arange(mesh.n_boundary), np.diff(indptr))
     dist = np.linalg.norm(mesh.boundary_points[rowid]
                           - mesh.interior_points[indices], axis=1)
     scaled = ScaledKernel(base, delta, mesh.dim)
     coef = mesh.interior_weights[indices] * eval_scaled(scaled, dist)
     return indptr, indices, rowid, coef
+
+
+def _on_nodes(grid_matrix, stencil):
+    """A CSR matrix on the bounding grid restricted to the mesh's nodes,
+    in node order."""
+    sites = stencil.sites
+    if len(sites) == grid_matrix.shape[0] \
+            and np.array_equal(sites, np.arange(len(sites))):
+        return grid_matrix
+    return grid_matrix[sites][:, sites]
+
+
+def _stencil_matrix(stencil, weights, diagonal=None, upper=False):
+    """n x n CSR matrix with weights[k] at (i, j) and (j, i) for every
+    two nodes the k-th half-offset apart and `diagonal` (per node) on
+    the diagonal; diagonal None puts minus each row's off-diagonal sum
+    there. upper=True keeps only the entry (i, j) of each pair, i the
+    node the offset starts from, and no diagonal.
+
+    Built in one dia-to-CSR pass on the flattened bounding grid: the
+    dia row of offset f holds the pair weights at their second site
+    (entries (s, s + f)), the row of -f at their first (entries
+    (s + f, s)). Two offsets can share a flat step (o and
+    o + (1, -n_1) on an n_0 x n_1 grid); their pairs are disjoint and
+    share a row. Exact zeros (offsets of weight 0, off-mesh and
+    wrapped-around entries) are not stored."""
+    steps = stencil.flat_offsets
+    starts = stencil.pair_starts()
+    flat, row = np.unique(steps, return_inverse=True)
+    k, size = len(flat), starts.shape[1]
+    data = np.zeros((k if upper else 2 * k + 1, size))
+    for start, f, w, r in zip(starts, steps, weights, row):
+        data[r, f:] += w * start[:size - f]
+        if not upper:
+            data[k + r] += w * start
+    offsets = flat
+    if not upper:
+        if diagonal is None:
+            data[2 * k] = -data[:2 * k].sum(axis=0)
+        else:
+            data[2 * k, stencil.sites] = diagonal
+        offsets = np.concatenate([flat, -flat, [0]])
+    grid = sp.dia_matrix((data, offsets), shape=(size, size)).tocsr()
+    return _on_nodes(grid, stencil)
 
 
 class EnergyOperator:
@@ -201,8 +237,7 @@ class EnergyOperator:
     penalty terms.
     """
 
-    def __init__(self, mesh, delta, p, spec, a_values,
-                 pair_i, pair_j, pair_w,
+    def __init__(self, mesh, delta, p, spec, a_values, stencil, offset_w,
                  pen_indptr, pen_indices, pen_rowid, pen_coef, pen_pref):
         self.mesh = mesh
         self.delta = float(delta)
@@ -210,9 +245,13 @@ class EnergyOperator:
         self.spec = spec
         self.variant = spec.variant
         self.a = a_values
-        self.pair_i = pair_i
-        self.pair_j = pair_j
-        self.pair_w = pair_w
+        # interior pairs: offset_w[k] = q^2 R_delta(|o_k|) / delta^p is the
+        # weight of every pair of nodes the k-th half-offset apart
+        self.stencil = stencil
+        self.offset_w = offset_w
+        pairs = _stencil_matrix(stencil, offset_w, upper=True).tocoo()
+        self.pair_i, self.pair_j, self.pair_w = (pairs.row, pairs.col,
+                                                 pairs.data)
         self.pen_indptr = pen_indptr
         self.pen_indices = pen_indices
         self.pen_rowid = pen_rowid
@@ -228,11 +267,8 @@ class EnergyOperator:
 
     def _build_quadratic(self):
         n = self.mesh.n_interior
-        i, j, w = self.pair_i, self.pair_j, self.pair_w
-        rows = np.concatenate([i, j, i, j])
-        cols = np.concatenate([i, j, j, i])
-        vals = np.concatenate([2 * w, 2 * w, -2 * w, -2 * w])
-        a_int = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        # each pair (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u
+        a_int = _stencil_matrix(self.stencil, -2.0 * self.offset_w)
         diag = np.zeros(n)
         ell = np.zeros(n)
         c0 = 0.0
@@ -294,8 +330,7 @@ class EnergyOperator:
 
         The interior nodes sit on a uniform lattice with equal weights,
         so away from the boundary the interior form is a convolution
-        stencil. Its pair weights w(o), grouped by absolute lattice
-        offset, give the symbol
+        stencil. Its per-offset weights w(o) give the symbol
         lambda(theta) = sum_o 2 w(o) (1 - prod_a cos(theta_a o_a))
         over all signed offsets o, taken at theta_a = pi k / n_a,
         k = 1..n_a, on the n_1 x ... bounding grid. Applying P^-1
@@ -320,18 +355,10 @@ class EnergyOperator:
             raise SolverError(
                 "preconditioner needs interior nodes on a uniform lattice: "
                 + str(exc), reason="off_lattice", **exc.info) from exc
-        offset = np.ravel_multi_index(
-            tuple(np.abs(index[self.pair_j, a] - index[self.pair_i, a])
-                  for a in range(mesh.dim)), shape)
-        count = np.bincount(offset)
-        group = np.nonzero(count)[0]
-        weight = (np.bincount(offset, weights=self.pair_w)[group]
-                  / count[group] * self.delta ** (self.p - 2.0))
-        steps = np.unravel_index(group, shape)
-        # each absolute offset stands for 2^(nonzero axes) signed ones
-        coef = 2.0 * weight * 2.0 ** np.count_nonzero(steps, axis=0)
+        # each half-offset o stands for o and -o
+        coef = 4.0 * self.offset_w * self.delta ** (self.p - 2.0)
         cosines = [np.cos(np.outer(np.pi * np.arange(1, n + 1) / n, o))
-                   for n, o in zip(shape, steps)]
+                   for n, o in zip(shape, self.stencil.offsets.T)]
         # sum over groups g of coef_g prod_a cosines[a][k_a, g]
         axes = "ijk"[:mesh.dim]
         lam = coef.sum() - np.einsum(
@@ -438,6 +465,7 @@ class EnergyOperator:
         out = object.__new__(EnergyOperator)
         out.__dict__.update(self.__dict__)
         out.pair_w = self.pair_w * factor
+        out.offset_w = self.offset_w * factor
         out.pen_pref = self.pen_pref * factor
         out.pen_sums = self.pen_sums
         if self._p2 is not None:
@@ -464,10 +492,13 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     """Assemble the discrete energy on a mesh.
 
     Requires delta >= 2 h so the kernel is resolved by the quadrature,
-    validated kernels, zero data for the zero-datum variants, and p = 2
-    for the variants without a general-p statement. One neighbor search
-    serves the interior pairs and the penalty tables when their kernels
-    share a support.
+    validated kernels, zero data for the zero-datum variants, p = 2
+    for the variants without a general-p statement, and a lattice mesh
+    (MeshError otherwise; see geometry.lattice_stencil). One
+    lattice_stencil serves the interior pairs and the penalty tables
+    when their kernels share a support: the kernel R is evaluated once
+    per half-offset, and the interior matrix is built from the
+    per-offset diagonals.
     """
     if not delta > 0:
         raise AssemblyError("horizon must be positive", delta=delta)
@@ -489,21 +520,19 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
             f"variant '{spec.variant}' admits only zero boundary data",
             variant=spec.variant)
 
-    # interior pairs
-    table = neighbor_pairs(mesh, R.support * delta)
-    pair_i, pair_j = table.interior_pairs()
-    dist = np.linalg.norm(mesh.interior_points[pair_i]
-                          - mesh.interior_points[pair_j], axis=1)
-    scaled = ScaledKernel(R, delta, mesh.dim)
+    # interior pairs, one weight per half-offset (the weights are equal)
+    stencil = lattice_stencil(mesh, R.support * delta)
     q = mesh.interior_weights
-    pair_w = q[pair_i] * q[pair_j] * eval_scaled(scaled, dist) / delta**p
+    offset_w = (q[0] * q[0] * eval_scaled(ScaledKernel(R, delta, mesh.dim),
+                                          stencil.lengths) / delta**p)
 
     # penalty tables
     if spec.variant in ("wang", "shi"):
         base = antiderivative_kernel(spec.kernel)
     else:
         base = spec.kernel
-    indptr, indices, rowid, coef = _boundary_tables(mesh, base, delta, table)
+    indptr, indices, rowid, coef = _boundary_tables(mesh, base, delta,
+                                                   stencil)
     w_b = mesh.boundary_weights
     if spec.variant == "product":
         pref = w_b / delta**p
@@ -531,8 +560,7 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
         if spec.shi_delta_sq_prefactor:
             pref = pref / delta**2
 
-    return EnergyOperator(mesh, delta, p, spec, a_vals,
-                          pair_i, pair_j, pair_w,
+    return EnergyOperator(mesh, delta, p, spec, a_vals, stencil, offset_w,
                           indptr, indices, rowid, coef, pref)
 
 
@@ -543,26 +571,21 @@ def mollify(mesh: DomainMesh, khat: KernelSpec, delta: float, u):
     boundary nodes. A vanishing omega (support narrower than the mesh)
     raises MollifierError naming the node."""
     v = _field_values(mesh, u)
-    table = neighbor_pairs(mesh, khat.support * delta)
+    stencil = lattice_stencil(mesh, khat.support * delta)
     scaled = ScaledKernel(khat, delta, mesh.dim)
     q = mesh.interior_weights
     k0 = float(eval_scaled(scaled, np.asarray(0.0)))
-
-    rows = np.repeat(np.arange(mesh.n_interior), np.diff(table.indptr))
-    idx = table.indices
-    dist = np.linalg.norm(mesh.interior_points[rows]
-                          - mesh.interior_points[idx], axis=1)
-    data = q[idx] * eval_scaled(scaled, dist)
-    omega = np.bincount(rows, weights=data, minlength=mesh.n_interior) + q * k0
-    numer = (np.bincount(rows, weights=data * v[idx], minlength=mesh.n_interior)
-             + q * k0 * v)
+    smooth = _stencil_matrix(
+        stencil, q[0] * eval_scaled(scaled, stencil.lengths), q * k0)
+    omega = smooth @ np.ones(mesh.n_interior)
+    numer = smooth @ v
     if np.any(omega <= _TINY):
         bad = int(np.nonzero(omega <= _TINY)[0][0])
         raise MollifierError(
             "mollifier weight vanishes at an interior node",
             node=bad, position=mesh.interior_points[bad].tolist(),
             radius=khat.support * delta)
-    trace = _trace_matrix(mesh, khat, delta, table)
+    trace = _trace_matrix(mesh, khat, delta, stencil)
     return Field(mesh, numer / omega), BoundaryData(mesh, trace @ v)
 
 
@@ -575,8 +598,9 @@ def trace_matrix(mesh: DomainMesh, khat: KernelSpec, delta: float):
     return _trace_matrix(mesh, khat, delta, None)
 
 
-def _trace_matrix(mesh, khat, delta, table):
-    indptr, indices, rowid, coef = _boundary_tables(mesh, khat, delta, table)
+def _trace_matrix(mesh, khat, delta, stencil):
+    indptr, indices, rowid, coef = _boundary_tables(mesh, khat, delta,
+                                                   stencil)
     omega = np.bincount(rowid, weights=coef, minlength=mesh.n_boundary)
     if np.any(omega <= _TINY):
         bad = int(np.nonzero(omega <= _TINY)[0][0])
@@ -590,17 +614,12 @@ def _trace_matrix(mesh, khat, delta, table):
 
 def w_mass_matrix(mesh: DomainMesh, W: KernelSpec, delta: float):
     """Sparse symmetric mass form B[i,j] = q_i q_j W_delta(|x_i-x_j|),
-    diagonal included."""
-    table = neighbor_pairs(mesh, W.support * delta)
-    ii, jj = table.interior_pairs()
+    diagonal included, built per lattice offset; exact zeros are not
+    stored."""
+    stencil = lattice_stencil(mesh, W.support * delta)
     scaled = ScaledKernel(W, delta, mesh.dim)
     q = mesh.interior_weights
-    dist = np.linalg.norm(mesh.interior_points[ii]
-                          - mesh.interior_points[jj], axis=1)
-    wij = q[ii] * q[jj] * eval_scaled(scaled, dist)
     k0 = float(eval_scaled(scaled, np.asarray(0.0)))
-    n = mesh.n_interior
-    rows = np.concatenate([ii, jj, np.arange(n)])
-    cols = np.concatenate([jj, ii, np.arange(n)])
-    vals = np.concatenate([wij, wij, q * q * k0])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return _stencil_matrix(
+        stencil, q[0] * q[0] * eval_scaled(scaled, stencil.lengths),
+        q * q * k0)

@@ -1,5 +1,6 @@
 """Discretized domains: interior cell quadrature, boundary quadrature,
-lattice indexing and neighbor search.
+lattice indexing, and the within-radius structure of a lattice mesh as
+integer offsets plus boundary windows (lattice_stencil).
 
 Interior nodes are cell centers with the cell measure as quadrature
 weight. For intervals and rectangles the cell count per axis is rounded
@@ -208,39 +209,153 @@ def _polygon_mesh(spec, h):
     return DomainMesh(2, {"polygon": verts.tolist()}, h, pts, qw, bpts, bw, bn)
 
 
+def _lattice(mesh: DomainMesh):
+    """lattice_index plus the grid's origin and per-axis spacing. The
+    smallest coordinate gap finds the indices; the spacing reported is
+    the coordinate span over the index span, which rounding shifts far
+    less. An axis with a single row of nodes reports the mesh's h."""
+    pts = mesh.interior_points
+    index = np.zeros(pts.shape, dtype=np.int64)
+    origin = pts.min(axis=0)
+    spacing = np.full(mesh.dim, float(mesh.h))
+    cell = 1.0
+    for axis in range(mesh.dim):
+        coords = np.sort(pts[:, axis])
+        gaps = np.diff(coords)
+        gaps = gaps[gaps > 0]
+        if gaps.size == 0:
+            cell = None  # one row: this axis's spacing is not observable
+            continue
+        gap = float(np.min(gaps))
+        steps = (pts[:, axis] - origin[axis]) / gap
+        index[:, axis] = np.rint(steps)
+        if np.max(np.abs(steps - index[:, axis])) > 1e-6:
+            raise MeshError("interior nodes are off a uniform lattice",
+                            axis=axis, spacing=gap)
+        spacing[axis] = (coords[-1] - coords[0]) / index[:, axis].max()
+        if cell is not None:
+            cell *= spacing[axis]
+    # the weights pin the spacing: a node moved by a fraction of a cell
+    # would otherwise pass as a node of a finer grid. Without an
+    # observable cell measure they must still be equal.
+    if cell is None:
+        cell = float(mesh.interior_weights[0])
+    if np.max(np.abs(mesh.interior_weights - cell)) > 1e-9 * cell:
+        raise MeshError("interior weights are not the lattice cell measure",
+                        cell=cell)
+    shape = tuple(int(k) for k in index.max(axis=0) + 1)
+    sites = np.ravel_multi_index(tuple(index.T), shape)
+    if np.bincount(sites).max() > 1:
+        raise MeshError("two interior nodes share a lattice cell")
+    return index, shape, origin, spacing
+
+
 def lattice_index(mesh: DomainMesh):
     """Integer position of each interior node on the axis-aligned grid
     whose cell centers the nodes are, and the shape of that grid's
     bounding box. Per axis the spacing is the smallest gap between node
     coordinates. Raises MeshError when a node is off the grid, two nodes
     share a cell, or a weight is not the cell measure."""
-    pts = mesh.interior_points
-    index = np.zeros(pts.shape, dtype=np.int64)
-    cell = 1.0
-    for axis in range(mesh.dim):
-        coords = np.unique(pts[:, axis])
-        if len(coords) == 1:
-            cell = None  # one row: this axis's spacing is not observable
-            continue
-        spacing = float(np.min(np.diff(coords)))
-        steps = (pts[:, axis] - coords[0]) / spacing
-        index[:, axis] = np.rint(steps)
-        if np.max(np.abs(steps - index[:, axis])) > 1e-6:
-            raise MeshError("interior nodes are off a uniform lattice",
-                            axis=axis, spacing=spacing)
-        if cell is not None:
-            cell *= spacing
-    # the weights pin the spacing: a node moved by a fraction of a cell
-    # would otherwise pass as a node of a finer grid
-    if cell is not None and np.max(np.abs(mesh.interior_weights - cell)) \
-            > 1e-9 * cell:
-        raise MeshError("interior weights are not the lattice cell measure",
-                        cell=cell)
-    shape = tuple(int(k) for k in index.max(axis=0) + 1)
-    sites = np.ravel_multi_index(tuple(index.T), shape)
-    if np.unique(sites).size != len(sites):
-        raise MeshError("two interior nodes share a lattice cell")
+    index, shape, _, _ = _lattice(mesh)
     return index, shape
+
+
+@dataclass(frozen=True)
+class LatticeStencil:
+    """Everything within a radius of the nodes of a lattice mesh.
+
+    Interior pairs are listed by integer offset: `offsets` holds the
+    half-offsets o (first nonzero entry positive; -o stands for the
+    same pairs) with |o * spacing| <= radius, and `lengths` their
+    lengths. Two nodes are neighbors exactly when their lattice indices
+    differ by one of them. `sites` places each interior node on the
+    C-ordered bounding grid of shape `shape`; a polygon's nodes are a
+    mask on that grid. Boundary-to-interior neighbors are CSR lists with
+    ascending node indices per boundary node."""
+
+    radius: float
+    shape: tuple
+    sites: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    boundary_indptr: np.ndarray
+    boundary_indices: np.ndarray
+
+    @property
+    def flat_offsets(self):
+        """Each half-offset's step on the flattened grid (all positive)."""
+        strides = np.cumprod((self.shape[1:] + (1,))[::-1])[::-1]
+        return self.offsets @ strides
+
+    def pair_starts(self):
+        """(K, G) booleans on the flattened grid of G sites: entry
+        [k, s] says that sites s and s + offsets[k] both hold nodes."""
+        mask = np.zeros(self.shape, dtype=bool)
+        mask.ravel()[self.sites] = True
+        starts = np.zeros((len(self.offsets),) + self.shape, dtype=bool)
+        for out, o in zip(starts, self.offsets):
+            src = tuple(slice(max(0, -k), n - max(0, k))
+                        for k, n in zip(o, self.shape))
+            dst = tuple(slice(max(0, k), n - max(0, -k))
+                        for k, n in zip(o, self.shape))
+            out[src] = mask[src] & mask[dst]
+        return starts.reshape(len(self.offsets), int(np.prod(self.shape)))
+
+
+def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
+    """The interior offsets and boundary neighbors of a lattice mesh
+    within a positive radius, without a point search.
+
+    Tie rule: an offset o is in when |o * spacing| <= radius, decided
+    once per offset from the lattice spacing, so all pairs at one offset
+    are in or out together wherever the mesh sits. The spacing is known
+    to rounding only, so a length within 1e-12 relative of the radius is
+    an exact tie: the offset is in and its length is the radius, where a
+    kernel that vanishes at its support gives weight 0. Boundary nodes lie
+    off the lattice; each one tests the cells of the window of about
+    (2 radius / spacing + 1)^dim cells around it and keeps the nodes
+    with |x_b - x_j|^2 <= radius^2. Raises MeshError when the mesh is
+    not a lattice (see lattice_index)."""
+    if not radius > 0:
+        raise MeshError("radius must be positive", radius=radius)
+    index, shape, origin, spacing = _lattice(mesh)
+    sites = np.ravel_multi_index(tuple(index.T), shape)
+
+    reach = [min(int(radius // s) + 1, n - 1) for s, n in zip(spacing, shape)]
+    grid = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in reach],
+                                indexing="ij"), axis=-1).reshape(-1, mesh.dim)
+    lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
+    half = grid[lead > 0]
+    lengths = np.sqrt(np.sum((half * spacing) ** 2, axis=1))
+    lengths[np.abs(lengths - radius) <= 1e-12 * radius] = radius
+    half, lengths = half[lengths <= radius], lengths[lengths <= radius]
+
+    # boundary windows: candidate cells per axis, combined in C order
+    pts, bpts = mesh.interior_points, mesh.boundary_points
+    m = len(bpts)
+    cand = np.zeros((m, 1), dtype=np.int64)
+    inside = np.ones((m, 1), dtype=bool)
+    for axis, n in enumerate(shape):
+        low = np.floor((bpts[:, axis] - origin[axis] - radius)
+                       / spacing[axis]).astype(np.int64)
+        idx = low[:, None] + np.arange(
+            int(np.ceil(2.0 * radius / spacing[axis])) + 2)
+        cand = (cand[:, :, None] * n + idx[:, None, :]).reshape(m, -1)
+        inside = (inside[:, :, None]
+                  & ((idx >= 0) & (idx < n))[:, None, :]).reshape(m, -1)
+    node_of_site = np.full(int(np.prod(shape)), -1, dtype=np.int64)
+    node_of_site[sites] = np.arange(len(sites))
+    rows, cols = np.nonzero(inside)
+    nodes = node_of_site[cand[rows, cols]]
+    rows, nodes = rows[nodes >= 0], nodes[nodes >= 0]
+    hit = np.sum((bpts[rows] - pts[nodes]) ** 2, axis=1) <= radius * radius
+    key = np.sort(rows[hit] * len(sites) + nodes[hit])
+    brow, bidx = np.divmod(key, len(sites))
+    bptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(brow, minlength=m), out=bptr[1:])
+    _freeze(sites, half, lengths, bptr, bidx)
+    return LatticeStencil(float(radius), shape, sites, half, lengths,
+                          bptr, bidx)
 
 
 @dataclass(frozen=True)
@@ -272,9 +387,11 @@ class NeighborTable:
 
 def neighbor_pairs(mesh: DomainMesh, radius: float) -> NeighborTable:
     """Neighbor search at the given radius through a k-d tree: symmetric
-    interior adjacency plus boundary-to-interior lists. Two points are
-    neighbors when |x - y| <= radius, so ties at exactly the radius are
-    kept. Radius 0 gives no neighbors, not even coincident points."""
+    interior adjacency plus boundary-to-interior lists, for any point
+    cloud. Two points are neighbors when |x - y| <= radius, so ties at
+    exactly the radius are kept, decided pair by pair from coordinates.
+    Radius 0 gives no neighbors, not even coincident points. This is the
+    tests' oracle for lattice_stencil; no pipeline path calls it."""
     if radius < 0:
         raise MeshError("radius must be nonnegative", radius=radius)
     n, m = mesh.n_interior, mesh.n_boundary

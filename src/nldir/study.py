@@ -206,11 +206,11 @@ def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
     if cfg.eigen_modes > 0:
         from .kernels import normalize_w
         from .spectra import EigenProblem, solve_eigen
-        # the datum enters only the affine part, so the pair and penalty
-        # arrays of op serve the zero-datum stiffness unchanged
+        # the datum enters only the affine part, so the stencil and the
+        # penalty arrays of op serve the zero-datum stiffness unchanged
         op0 = assembly.EnergyOperator(
             mesh, op.delta, op.p, op.spec, np.zeros(mesh.n_boundary),
-            op.pair_i, op.pair_j, op.pair_w, op.pen_indptr, op.pen_indices,
+            op.stencil, op.offset_w, op.pen_indptr, op.pen_indices,
             op.pen_rowid, op.pen_coef, op.pen_pref)
         mass = cfg.eigen_mass if cfg.eigen_mass != "both" else "L2"
         w_kernel = None

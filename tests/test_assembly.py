@@ -424,7 +424,7 @@ def test_field_and_data_length_checks():
         Field(INTERVAL, np.zeros(3))
     with pytest.raises(AssemblyError):
         BoundaryData(INTERVAL, np.zeros(5))
-    f = Field.from_function(INTERVAL, lambda x: x[:, 0] ** 2)
+    f = Field(INTERVAL, INTERVAL.interior_points[:, 0] ** 2)
     assert f.values[0] == pytest.approx(0.05 ** 2)
     assert np.all(Field.zero(INTERVAL).values == 0.0)
 

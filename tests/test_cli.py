@@ -40,6 +40,35 @@ def test_cli_import_defers_spatial_and_sympy():
     assert out.stdout.strip() == "[]"
 
 
+def test_pipeline_commands_leave_scipy_spatial_unloaded(tmp_path):
+    # assembly, trace and mass matrices come from lattice offsets, so a
+    # square sweep, an eigen solve and a coercivity probe never load the
+    # k-d tree
+    def config(name, **overrides):
+        path = write_config(tmp_path, shape={"rect": [[0.0, 0.0],
+                                                      [1.0, 1.0]]},
+                            **overrides)
+        return str(path.rename(tmp_path / name))
+
+    calls = [("sweep", config("sweep.json", case="harmonic_x2_minus_y2")),
+             ("eigen", config("eigen.json", case="zero", eigen_modes=1,
+                              eigen_mass="both")),
+             ("probe-coercivity", config("probe.json", case="zero",
+                                         trials=10))]
+    code = "\n".join([
+        "import sys",
+        "from nldir.cli import dispatch",
+        f"codes = [dispatch([cmd, '--config', cfg, '--out', cfg + '.out'])"
+        f" for cmd, cfg in {calls!r}]",
+        "print(codes, 'scipy.spatial' in sys.modules)"])
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(nldir.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0] False"
+
+
 def test_catalog_and_sweep_run_without_sympy(tmp_path):
     # a None entry in sys.modules makes every `import sympy` raise
     config = write_config(tmp_path)

@@ -1,0 +1,235 @@
+"""Lattice-native tables against the point search they replaced.
+
+The oracle rebuilds every kernel-weighted table the way assembly did
+before it used lattice offsets: a k-d tree search (`neighbor_pairs`)
+gives the interior pairs and boundary lists, and each weight is the
+kernel at the pair's coordinate distance. The lattice build evaluates
+the kernel once per half-offset instead and decides ties once per
+offset, so it stores no exact zeros. Both must agree to 1e-13 relative
+to the largest entry once the oracle's zero-weight entries are dropped.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from nldir import (MeshError, PenaltySpec, assemble, build_mesh,
+                   neighbor_pairs, w_mass_matrix)
+from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS, trace_matrix
+from nldir.geometry import lattice_stencil
+from nldir.kernels import (QUARTIC, KernelSpec, ScaledKernel,
+                           antiderivative_kernel, eval_scaled)
+
+L_SHAPE = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
+           [0.0, 1.0]]
+PENTAGON = [[0.0, 0.0], [1.1, 0.1], [1.4, 0.9], [0.6, 1.5], [-0.2, 0.8]]
+MESHES = {
+    "interval": build_mesh({"interval": [0.0, 1.0]}, 0.05),
+    "square": build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 1 / 16),
+    "shifted": build_mesh({"rect": [[-0.25, 0.5], [1.0, 1.75]]}, 0.125),
+    # unequal spacings 2/15 and 1/8
+    "wide": build_mesh({"rect": [[0.0, 0.0], [2.0, 1.0]]}, 0.13),
+    "l_shape": build_mesh({"polygon": L_SHAPE}, 1 / 16),
+    "pentagon": build_mesh({"polygon": PENTAGON}, 0.08),
+}
+RATIOS = (4.0, 3.3)
+
+
+def kernel_at(kernel, delta, dim, dist):
+    return eval_scaled(ScaledKernel(kernel, delta, dim), dist)
+
+
+def oracle_pairs(mesh, kernel, delta, scale):
+    """Dense symmetric q_i q_j k(|x_i - x_j|) * scale over the pairs of a
+    k-d tree search, diagonal zero."""
+    table = neighbor_pairs(mesh, kernel.support * delta)
+    ii, jj = table.interior_pairs()
+    pts, q = mesh.interior_points, mesh.interior_weights
+    w = q[ii] * q[jj] * kernel_at(kernel, delta, mesh.dim,
+                                  np.linalg.norm(pts[ii] - pts[jj], axis=1))
+    dense = np.zeros((mesh.n_interior, mesh.n_interior))
+    dense[ii, jj] = dense[jj, ii] = w * scale
+    return dense
+
+
+def oracle_boundary(mesh, kernel, delta):
+    """Dense (M x N) q_j k(|x_b - x_j|) over a k-d tree's boundary lists."""
+    table = neighbor_pairs(mesh, kernel.support * delta)
+    rows = np.repeat(np.arange(mesh.n_boundary),
+                     np.diff(table.boundary_indptr))
+    cols = table.boundary_indices
+    dist = np.linalg.norm(mesh.boundary_points[rows]
+                          - mesh.interior_points[cols], axis=1)
+    dense = np.zeros((mesh.n_boundary, mesh.n_interior))
+    dense[rows, cols] = (mesh.interior_weights[cols]
+                         * kernel_at(kernel, delta, mesh.dim, dist))
+    return dense
+
+
+def oracle_pref(mesh, spec, delta, p):
+    """Per-boundary-node penalty prefactors as the assembly module
+    states them."""
+    w_b = mesh.boundary_weights
+    if spec.variant in ("product", "pointwise"):
+        return w_b / delta**p
+    if spec.variant == "dirac_diagonal":
+        return w_b / delta**2
+    if spec.variant == "wang":
+        bbar = antiderivative_kernel(antiderivative_kernel(spec.kernel))
+        wbb = oracle_boundary(mesh, bbar, delta).sum(axis=1)
+        return 2.0 * w_b / (delta**2 * wbb)
+    return 4.0 * w_b / min(2.0 * delta, delta**2)
+
+
+def dense_pairs(op):
+    dense = np.zeros((op.mesh.n_interior, op.mesh.n_interior))
+    dense[op.pair_i, op.pair_j] = dense[op.pair_j, op.pair_i] = op.pair_w
+    return dense
+
+
+def dense_penalty(op):
+    dense = np.zeros((op.mesh.n_boundary, op.mesh.n_interior))
+    dense[op.pen_rowid, op.pen_indices] = op.pen_coef
+    return dense
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def assert_no_stored_zeros(matrix):
+    assert matrix.nnz == np.count_nonzero(matrix.data)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_operator_tables_match_the_search_oracle(name, ratio):
+    mesh = MESHES[name]
+    delta = ratio * mesh.h
+    p = 2.0
+    want_pairs = oracle_pairs(mesh, QUARTIC, delta, 1.0 / delta**p)
+    want_a = 2.0 * (np.diag(want_pairs.sum(axis=1)) - want_pairs)
+    for variant in VARIANTS:
+        spec = PenaltySpec(variant, QUARTIC)
+        datum = None if variant in ZERO_DATA_VARIANTS else "linear_x"
+        op = assemble(mesh, QUARTIC, spec, delta, p, datum)
+        a_int = op._p2[0]
+        assert_no_stored_zeros(a_int)
+        assert_close(a_int.toarray(), want_a)
+        assert_close(dense_pairs(op), want_pairs)
+        assert np.all(op.pair_w != 0.0)
+        base = spec.kernel
+        if variant in ("wang", "shi"):
+            base = antiderivative_kernel(base)
+        assert_close(dense_penalty(op), oracle_boundary(mesh, base, delta))
+        assert_close(op.pen_pref, oracle_pref(mesh, spec, delta, p))
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_trace_and_mass_match_the_search_oracle(name, ratio):
+    mesh = MESHES[name]
+    delta = ratio * mesh.h
+    coef = oracle_boundary(mesh, QUARTIC, delta)
+    trace = trace_matrix(mesh, QUARTIC, delta)
+    assert_no_stored_zeros(trace)
+    assert_close(trace.toarray(), coef / coef.sum(axis=1, keepdims=True))
+    q = mesh.interior_weights
+    k0 = kernel_at(QUARTIC, delta, mesh.dim, 0.0)
+    mass = w_mass_matrix(mesh, QUARTIC, delta)
+    assert_no_stored_zeros(mass)
+    assert_close(mass.toarray(), oracle_pairs(mesh, QUARTIC, delta, 1.0)
+                 + np.diag(q * q * k0))
+
+
+def test_zero_weight_ties_are_not_stored():
+    # at delta = 4 h the offsets (4, 0) and (0, 4) sit exactly on the
+    # quartic's support, where it vanishes: the search keeps some of
+    # those pairs as explicit zeros, the lattice build keeps none
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.025)
+    op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
+                  4 * mesh.h, 2.0, "harmonic_xy")
+    stencil = op.stencil
+    ties = np.all(np.sort(np.abs(stencil.offsets), axis=1) == [0, 4],
+                  axis=1)
+    assert ties.sum() == 2 and np.all(op.offset_w[ties] == 0.0)
+    assert np.count_nonzero(op.offset_w) == len(stencil.offsets) - 2
+    a_int = op._p2[0]
+    assert_no_stored_zeros(a_int)
+    assert a_int.nnz == mesh.n_interior + 2 * op.pair_w.size
+
+
+def test_support_ties_are_decided_per_offset():
+    # a profile that is 1 up to and at its support: every pair exactly 2 h
+    # apart is in, the same on a 10 x 10 grid anywhere in the plane,
+    # where a search by coordinates keeps only some of them
+    flat = KernelSpec("flat", lambda s: np.where(s <= 1.0, 1.0, 0.0), 1.0)
+    masses = []
+    for x0, y0 in [(0.0, 0.0), (-0.25, 0.5), (3.7, -1.1)]:
+        mesh = build_mesh({"rect": [[x0, y0], [x0 + 1.0, y0 + 1.0]]}, 0.1)
+        masses.append(w_mass_matrix(mesh, flat, 2 * mesh.h))
+    for mass in masses:
+        # the diagonal, and both entries of each pair: 180 pairs h
+        # apart, 162 sqrt(2) h apart and 160 exactly 2 h apart
+        assert mass.nnz == 100 + 2 * (180 + 162 + 160)
+        assert_close(mass.toarray(), masses[0].toarray())
+
+
+def test_off_lattice_mesh_is_refused_without_a_search():
+    square = MESHES["square"]
+    pts = square.interior_points
+    jitter = np.random.default_rng(3).normal(scale=1e-3 * square.h,
+                                             size=pts.shape)
+    mesh = replace(square, interior_points=pts + jitter)
+    with pytest.raises(MeshError, match="off a uniform lattice"):
+        assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
+                 4 * square.h, 2.0, "linear_x")
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_stencil_boundary_lists_equal_the_search(name):
+    mesh = MESHES[name]
+    for ratio in RATIOS + (2.0, 2.0 ** 0.5 * 2):
+        radius = ratio * mesh.h
+        got = lattice_stencil(mesh, radius)
+        want = neighbor_pairs(mesh, radius)
+        assert np.array_equal(got.boundary_indptr, want.boundary_indptr)
+        assert np.array_equal(got.boundary_indices, want.boundary_indices)
+
+
+def stencil_pairs(stencil):
+    """Unordered node pairs (i, j) the stencil's half-offsets join."""
+    node = np.full(int(np.prod(stencil.shape)), -1)
+    node[stencil.sites] = np.arange(len(stencil.sites))
+    pairs = set()
+    for start, f in zip(stencil.pair_starts(), stencil.flat_offsets):
+        sites = np.nonzero(start)[0]
+        pairs.update(zip(node[sites].tolist(), node[sites + f].tolist()))
+    return {(min(i, j), max(i, j)) for i, j in pairs}
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_stencil_pairs_equal_brute_force_with_ties_in(name):
+    # radii on exact lattice distances: every tie pair is in, as the
+    # O(N^2) double loop finds with the radius widened by 1e-9
+    mesh = MESHES[name]
+    pts = mesh.interior_points
+    for factor in (1.0, 2.0, 3.0, 4.0, 2.0 ** 0.5, 5.0 ** 0.5, 3.3):
+        radius = factor * mesh.h
+        want = set()
+        for i in range(mesh.n_interior):
+            d2 = np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)
+            hits = np.nonzero(d2 <= (radius * (1 + 1e-9)) ** 2)[0]
+            want.update((i, i + 1 + j) for j in hits.tolist())
+        assert stencil_pairs(lattice_stencil(mesh, radius)) == want, factor
+
+
+def test_stencil_refuses_off_lattice_meshes_and_empty_radii():
+    square = MESHES["square"]
+    pts = square.interior_points.copy()
+    pts[5, 1] += 0.1 * square.h
+    with pytest.raises(MeshError, match="radius must be positive"):
+        lattice_stencil(square, 0.0)
+    with pytest.raises(MeshError):
+        lattice_stencil(replace(square, interior_points=pts), square.h)

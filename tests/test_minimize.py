@@ -169,11 +169,11 @@ def densify_preconditioner(op):
     return np.column_stack([apply(e) for e in eye])
 
 
-def rebuilt(op, mesh=None, pair_w=None):
-    """op's arrays under another mesh or other pair weights."""
+def rebuilt(op, mesh=None, offset_w=None):
+    """op's arrays under another mesh or other per-offset pair weights."""
     return EnergyOperator(
         op.mesh if mesh is None else mesh, op.delta, op.p, op.spec, op.a,
-        op.pair_i, op.pair_j, op.pair_w if pair_w is None else pair_w,
+        op.stencil, op.offset_w if offset_w is None else offset_w,
         op.pen_indptr, op.pen_indices, op.pen_rowid, op.pen_coef,
         op.pen_pref)
 
@@ -263,7 +263,7 @@ def test_preconditioner_refuses_unequal_weights():
 def test_preconditioner_refuses_a_nonpositive_symbol():
     op = make_op(SQUARE, "product", 0.5, a="harmonic_xy")
     with pytest.raises(SolverError) as exc:
-        rebuilt(op, pair_w=np.zeros_like(op.pair_w)).preconditioner()
+        rebuilt(op, offset_w=np.zeros_like(op.offset_w)).preconditioner()
     assert exc.value.info["reason"] == "symbol_not_positive"
     assert exc.value.info["min_symbol"] <= 0.0
 

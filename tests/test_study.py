@@ -230,18 +230,18 @@ def test_eigen_rows_carry_lambdas():
 
 
 def test_eigen_row_reuses_the_row_operator(monkeypatch):
-    # the zero-datum stiffness shares the row operator's pairs, so the
-    # row searches once for assembly and once for the trace matrix
+    # the zero-datum stiffness shares the row operator's stencil, so the
+    # row builds one for assembly and one for the trace matrix
     cfg = StudyConfig(shape={"interval": [0.0, 1.0]}, deltas=(0.2,),
                       case="linear_x", eigen_modes=1)
     calls = []
-    search = study.assembly.neighbor_pairs
+    build = study.assembly.lattice_stencil
 
     def counted(mesh, radius):
         calls.append(radius)
-        return search(mesh, radius)
+        return build(mesh, radius)
 
-    monkeypatch.setattr(study.assembly, "neighbor_pairs", counted)
+    monkeypatch.setattr(study.assembly, "lattice_stencil", counted)
     row = run_delta_sweep(cfg).ok_rows()[0]
     assert len(calls) == 2
     monkeypatch.undo()
