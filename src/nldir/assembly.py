@@ -5,22 +5,28 @@ The functional has an interior part
     (1/delta^p) sum_{i != j} q_i q_j R_delta(|x_i - x_j|) |u_i - u_j|^p
 
 (ordered pairs, so every unordered pair counts twice) plus one of five
-boundary penalty variants. With k_b[j] = q_j K_delta(|x_b - x_j|) and
-r_b[j] = q_j Rbar_delta(|x_b - x_j|) (Rbar the upper antiderivative of
-R), the penalties at boundary node b with weight w_b and datum a_b are
+boundary penalty variants, each of one of two forms. With the kernel
+row k_b[j] = q_j G_delta(|x_b - x_j|) and its sum s_b, boundary node b
+with weight w_b and datum a_b adds
 
-    product   : w_b |(k_b . u - a_b sum(k_b)) / delta|^p
-    pointwise : (w_b/delta^p) sum_j k_b[j] |u_j - a_b|^p
-    dirac_diagonal : (w_b/delta^2) sum_j k_b[j] u_j^2          (a == 0)
-    wang      : (2 w_b / (delta^2 wbb_b)) (k -> r) (r_b . u - a_b sum(r_b))^2
-    shi       : (4 w_b / mu_b) sum_j r_b[j] u_j^2              (a == 0)
+    rank-one : pref_b |k_b . u - a_b s_b|^p
+    diagonal : pref_b sum_j k_b[j] |u_j - a_b|^p
 
-where wbb_b = sum_j q_j Rbarbar_delta(|x_b - x_j|) and
+where G is the penalty kernel K or Kbar, its upper antiderivative:
+
+    variant         form      kernel  prefactor pref_b          data  p
+    product         rank-one  K       w_b / delta^p             any   > 1
+    pointwise       diagonal  K       w_b / delta^p             any   > 1
+    dirac_diagonal  diagonal  K       w_b / delta^p             zero  2
+    wang            rank-one  Kbar    2 w_b / (delta^2 wbb_b)   any   2
+    shi             diagonal  Kbar    4 w_b / mu_b              zero  2
+
+Here wbb_b = sum_j q_j Kbarbar_delta(|x_b - x_j|) and
 mu_b = min(2 delta, max(delta^2, d(x_b))) = min(2 delta, delta^2) at
-boundary nodes (their boundary distance d is zero). A config switch selects the
-alternative shi prefactor 4/(delta^2 mu_b); both scalings appear in the
-literature on this penalty. dirac_diagonal and shi are zero-datum
-penalties; wang, dirac_diagonal and shi are quadratic (p = 2) only.
+boundary nodes (their boundary distance d is zero). A config switch
+selects the alternative shi prefactor 4/(delta^2 mu_b); both scalings
+appear in the literature on this penalty. At p = 2 with zero data,
+dirac_diagonal is pointwise.
 
 For p = 2 the assembled operator also carries a quadratic form
 F(u) = u^T A u - 2 l^T u + c0 with A split into a sparse interior
@@ -33,14 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (AssemblyError, ConfigError, MeshError, MollifierError,
-                     SolverError)
-from .geometry import DomainMesh, lattice_index, lattice_stencil
+from .errors import AssemblyError, ConfigError, MollifierError, SolverError
+from .geometry import DomainMesh, lattice_stencil
 from .kernels import (KernelSpec, ScaledKernel, antiderivative_kernel,
                       eval_scaled, validate_kernel)
 
 VARIANTS = ("product", "pointwise", "dirac_diagonal", "wang", "shi")
 ZERO_DATA_VARIANTS = ("dirac_diagonal", "shi")
+RANK_ONE_VARIANTS = ("product", "wang")
 QUADRATIC_ONLY_VARIANTS = ("dirac_diagonal", "wang", "shi")
 
 _TINY = 1e-300
@@ -102,7 +108,8 @@ MANUFACTURED = {
 def boundary_data(mesh: DomainMesh, spec) -> BoundaryData:
     """Resolve a boundary datum: None or "zero" for homogeneous data, a
     manufactured solution of MANUFACTURED by id, "csv:<path>" with one
-    value per boundary node, or an explicit array."""
+    value per boundary node, or an explicit array. A missing or
+    malformed CSV file raises AssemblyError naming the path."""
     if spec is None:
         return BoundaryData(mesh, np.zeros(mesh.n_boundary))
     if isinstance(spec, BoundaryData):
@@ -118,7 +125,11 @@ def boundary_data(mesh: DomainMesh, spec) -> BoundaryData:
                                   dims=list(dims))
             return BoundaryData(mesh, exact(mesh.boundary_points))
         if spec.startswith("csv:"):
-            vals = np.loadtxt(spec[4:], dtype=float, ndmin=1)
+            try:
+                vals = np.loadtxt(spec[4:], dtype=float, ndmin=1)
+            except (OSError, ValueError) as exc:
+                raise AssemblyError(f"cannot read boundary datum: {exc}",
+                                    path=spec[4:]) from exc
             return BoundaryData(mesh, vals)
         raise ConfigError("unknown boundary datum", field="datum", datum=spec,
                           catalog=list(MANUFACTURED) + ["csv:<path>"])
@@ -127,9 +138,8 @@ def boundary_data(mesh: DomainMesh, spec) -> BoundaryData:
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty variant plus its kernel. For product/pointwise/
-    dirac_diagonal the kernel is K; for wang/shi it is the base R whose
-    antiderivatives define the penalty."""
+    """Penalty variant plus its kernel K. wang and shi penalize with its
+    antiderivatives (see the module docstring)."""
 
     variant: str
     kernel: KernelSpec
@@ -167,6 +177,13 @@ def _require_valid(kernel: KernelSpec):
             + "; ".join(f"{c.condition}: {c.detail}" for c in report.failures()),
             kernel=kernel.label,
             conditions=[c.condition for c in report.failures()])
+
+
+def _require_admitted_data(variant, a_vals):
+    if variant in ZERO_DATA_VARIANTS and np.any(a_vals != 0.0):
+        raise AssemblyError(
+            f"variant '{variant}' admits only zero boundary data",
+            variant=variant)
 
 
 def _boundary_tables(mesh, base: KernelSpec, delta, stencil):
@@ -244,6 +261,7 @@ class EnergyOperator:
         self.p = float(p)
         self.spec = spec
         self.variant = spec.variant
+        self.rank_one = spec.variant in RANK_ONE_VARIANTS
         self.a = a_values
         # interior pairs: offset_w[k] = q^2 R_delta(|o_k|) / delta^p is the
         # weight of every pair of nodes the k-th half-offset apart
@@ -269,26 +287,22 @@ class EnergyOperator:
         n = self.mesh.n_interior
         # each pair (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u
         a_int = _stencil_matrix(self.stencil, -2.0 * self.offset_w)
-        diag = np.zeros(n)
-        ell = np.zeros(n)
-        c0 = 0.0
-        lowrank = None
-        a_b = self.a
         pref, coef = self.pen_pref, self.pen_coef
         idx, rowid = self.pen_indices, self.pen_rowid
-        if self.variant in ("product", "wang"):
-            lowrank = pref  # rank-one coefficient c_b per boundary node
-            target = a_b * self.pen_sums  # s_b * a_b
-            ell += np.bincount(idx, weights=coef * (pref * target)[rowid],
-                               minlength=n)
-            c0 = float(np.sum(pref * target**2))
+        if self.rank_one:
+            # pref_b (k_b . u - t_b)^2 with t_b = a_b s_b; pref is the
+            # rank-one coefficient per boundary node
+            target = self.a * self.pen_sums
+            ell = np.bincount(idx, weights=coef * (pref * target)[rowid],
+                              minlength=n)
+            self._p2 = (a_int, np.zeros(n), ell,
+                        float(np.sum(pref * target**2)), pref)
         else:
             cpen = pref[rowid] * coef
-            diag += np.bincount(idx, weights=cpen, minlength=n)
-            if self.variant == "pointwise":
-                ell += np.bincount(idx, weights=cpen * a_b[rowid], minlength=n)
-                c0 = float(np.sum(cpen * (a_b[rowid] ** 2)))
-        self._p2 = (a_int, diag, ell, c0, lowrank)
+            a_j = self.a[rowid]
+            self._p2 = (a_int, np.bincount(idx, weights=cpen, minlength=n),
+                        np.bincount(idx, weights=cpen * a_j, minlength=n),
+                        float(np.sum(cpen * a_j**2)), None)
 
     def _require_p2(self):
         if self._p2 is None:
@@ -317,12 +331,6 @@ class EnergyOperator:
     def constant_term(self):
         return self._require_p2()[3]
 
-    def quadratic_energy(self, u):
-        """u^T A u - 2 l^T u + c0 (p = 2 only)."""
-        v = _field_values(self.mesh, u)
-        _, _, ell, c0, _ = self._require_p2()
-        return float(v @ self.apply_quadratic(v) - 2.0 * (ell @ v) + c0)
-
     def preconditioner(self):
         """r -> P^-1 r, with P the Dirichlet tau-matrix of the interior
         p = 2 stencil at this horizon; usable for any exponent (pair
@@ -336,31 +344,20 @@ class EnergyOperator:
         k = 1..n_a, on the n_1 x ... bounding grid. Applying P^-1
         scatters r onto that grid (zero off the mesh), runs an
         orthonormal DST-II, divides by the symbol, transforms back and
-        gathers, so P^-1 is symmetric positive definite. The penalty
-        terms are left out of P. Raises SolverError naming the reason
-        when the nodes are off a lattice, their weights differ, or the
-        symbol is not positive.
+        gathers, so P^-1 is symmetric positive definite. The grid and
+        the nodes' sites on it are the stencil's, which assemble()
+        certified as a lattice with equal weights. The penalty terms are
+        left out of P. Raises SolverError (reason "symbol_not_positive")
+        when the symbol is not positive.
         """
         from scipy.fft import dstn, idstn
-        mesh = self.mesh
-        q = mesh.interior_weights
-        if np.ptp(q) > 1e-12 * np.max(q):
-            raise SolverError(
-                "preconditioner needs equal interior weights",
-                reason="nonuniform_weights", min_weight=float(np.min(q)),
-                max_weight=float(np.max(q)))
-        try:
-            index, shape = lattice_index(mesh)
-        except MeshError as exc:
-            raise SolverError(
-                "preconditioner needs interior nodes on a uniform lattice: "
-                + str(exc), reason="off_lattice", **exc.info) from exc
+        shape, sites = self.stencil.shape, self.stencil.sites
         # each half-offset o stands for o and -o
         coef = 4.0 * self.offset_w * self.delta ** (self.p - 2.0)
         cosines = [np.cos(np.outer(np.pi * np.arange(1, n + 1) / n, o))
                    for n, o in zip(shape, self.stencil.offsets.T)]
         # sum over groups g of coef_g prod_a cosines[a][k_a, g]
-        axes = "ijk"[:mesh.dim]
+        axes = "ijk"[:self.mesh.dim]
         lam = coef.sum() - np.einsum(
             ",".join(["g"] + [a + "g" for a in axes]) + "->" + axes,
             coef, *cosines)
@@ -368,7 +365,6 @@ class EnergyOperator:
             raise SolverError("preconditioner symbol is not positive",
                               reason="symbol_not_positive",
                               min_symbol=float(np.min(lam)))
-        sites = np.ravel_multi_index(tuple(index.T), shape)
 
         def apply(r):
             grid = np.zeros(shape)
@@ -381,6 +377,12 @@ class EnergyOperator:
         return apply
 
     # -- direct evaluation ---------------------------------------------
+
+    def _inner(self, v, a_b):
+        """Rank-one residuals a_b s_b - k_b . v, one per boundary node."""
+        return a_b * self.pen_sums - np.bincount(
+            self.pen_rowid, weights=self.pen_coef * v[self.pen_indices],
+            minlength=self.mesh.n_boundary)
 
     def interior_energy(self, u) -> float:
         """Ordered-pair double sum of kernel-weighted p-th power
@@ -396,28 +398,13 @@ class EnergyOperator:
             a_b = self.a
         else:
             a_b = _field_values_boundary(self.mesh, a)
-            if self.variant in ZERO_DATA_VARIANTS and np.any(a_b != 0.0):
-                raise AssemblyError(
-                    f"variant '{self.variant}' admits only zero boundary data",
-                    variant=self.variant)
-        coef, rowid, idx = self.pen_coef, self.pen_rowid, self.pen_indices
-        pref = self.pen_pref
-        m = self.mesh.n_boundary
-        if self.variant == "product":
-            # pref is w_b / delta^p, so this is w_b |inner/delta|^p
-            inner = (a_b * self.pen_sums
-                     - np.bincount(rowid, weights=coef * v[idx], minlength=m))
-            return float(np.sum(pref * np.abs(inner) ** self.p))
-        if self.variant == "wang":
-            inner = (a_b * self.pen_sums
-                     - np.bincount(rowid, weights=coef * v[idx], minlength=m))
-            return float(np.sum(pref * inner**2))
-        if self.variant == "pointwise":
-            vals = coef * np.abs(v[idx] - a_b[rowid]) ** self.p
-            return float(np.sum(pref[rowid] * vals))
-        # dirac_diagonal, shi
-        vals = coef * v[idx] ** 2
-        return float(np.sum(pref[rowid] * vals))
+            _require_admitted_data(self.variant, a_b)
+        if self.rank_one:
+            return float(np.sum(self.pen_pref
+                                * np.abs(self._inner(v, a_b)) ** self.p))
+        idx, rowid = self.pen_indices, self.pen_rowid
+        vals = self.pen_coef * np.abs(v[idx] - a_b[rowid]) ** self.p
+        return float(np.sum(self.pen_pref[rowid] * vals))
 
     def energy(self, u) -> float:
         return self.interior_energy(u) + self.penalty_energy(u)
@@ -435,24 +422,15 @@ class EnergyOperator:
         g -= np.bincount(self.pair_j, weights=c, minlength=n)
         coef, rowid, idx = self.pen_coef, self.pen_rowid, self.pen_indices
         pref = self.pen_pref
-        a_b = self.a
-        m = self.mesh.n_boundary
-        if self.variant in ("product", "wang"):
-            inner = (a_b * self.pen_sums
-                     - np.bincount(rowid, weights=coef * v[idx], minlength=m))
-            if self.variant == "product":
-                scale = pref * p * np.sign(inner) * np.abs(inner) ** (p - 1.0)
-            else:
-                scale = pref * 2.0 * inner
+        if self.rank_one:
+            inner = self._inner(v, self.a)
+            scale = pref * p * np.sign(inner) * np.abs(inner) ** (p - 1.0)
             g -= np.bincount(idx, weights=coef * scale[rowid], minlength=n)
-        elif self.variant == "pointwise":
-            dv = v[idx] - a_b[rowid]
+        else:
+            dv = v[idx] - self.a[rowid]
             g += np.bincount(idx,
                              weights=pref[rowid] * coef
                              * p * np.sign(dv) * np.abs(dv) ** (p - 1.0),
-                             minlength=n)
-        else:
-            g += np.bincount(idx, weights=pref[rowid] * coef * 2.0 * v[idx],
                              minlength=n)
         return g
 
@@ -515,10 +493,7 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     if spec.kernel is not R:
         _require_valid(spec.kernel)
     a_vals = boundary_data(mesh, a).values
-    if spec.variant in ZERO_DATA_VARIANTS and np.any(a_vals != 0.0):
-        raise AssemblyError(
-            f"variant '{spec.variant}' admits only zero boundary data",
-            variant=spec.variant)
+    _require_admitted_data(spec.variant, a_vals)
 
     # interior pairs, one weight per half-offset (the weights are equal)
     stencil = lattice_stencil(mesh, R.support * delta)
@@ -534,31 +509,24 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     indptr, indices, rowid, coef = _boundary_tables(mesh, base, delta,
                                                    stencil)
     w_b = mesh.boundary_weights
-    if spec.variant == "product":
-        pref = w_b / delta**p
-    elif spec.variant == "pointwise":
-        pref = w_b / delta**p
-    elif spec.variant == "dirac_diagonal":
-        pref = w_b / delta**2
-    elif spec.variant == "wang":
-        bbar = antiderivative_kernel(base)
-        sk = ScaledKernel(bbar, delta, mesh.dim)
-        dist_b = np.linalg.norm(mesh.boundary_points[rowid]
-                                - mesh.interior_points[indices], axis=1)
-        wbb = np.bincount(rowid, weights=q[indices] * eval_scaled(sk, dist_b),
-                          minlength=mesh.n_boundary)
+    if spec.variant == "wang":
+        _, _, wrow, wcoef = _boundary_tables(
+            mesh, antiderivative_kernel(base), delta, stencil)
+        wbb = np.bincount(wrow, weights=wcoef, minlength=mesh.n_boundary)
         if np.any(wbb <= 0.0):
             bad = int(np.nonzero(wbb <= 0.0)[0][0])
             raise AssemblyError(
                 "wang weight vanishes at a boundary node",
                 node=bad, position=mesh.boundary_points[bad].tolist())
         pref = 2.0 * w_b / (delta**2 * wbb)
-    else:  # shi
+    elif spec.variant == "shi":
         # boundary nodes have zero boundary distance: max(delta^2, d) = delta^2
         mu = min(2.0 * delta, delta**2)
         pref = 4.0 * w_b / mu
         if spec.shi_delta_sq_prefactor:
             pref = pref / delta**2
+    else:  # product, pointwise, dirac_diagonal (p = 2)
+        pref = w_b / delta**p
 
     return EnergyOperator(mesh, delta, p, spec, a_vals, stencil, offset_w,
                           indptr, indices, rowid, coef, pref)

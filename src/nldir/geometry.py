@@ -1,6 +1,6 @@
 """Discretized domains: interior cell quadrature, boundary quadrature,
-lattice indexing, and the within-radius structure of a lattice mesh as
-integer offsets plus boundary windows (lattice_stencil).
+and the within-radius structure of a lattice mesh as integer offsets
+plus boundary windows (lattice_stencil).
 
 Interior nodes are cell centers with the cell measure as quadrature
 weight. For intervals and rectangles the cell count per axis is rounded
@@ -210,10 +210,14 @@ def _polygon_mesh(spec, h):
 
 
 def _lattice(mesh: DomainMesh):
-    """lattice_index plus the grid's origin and per-axis spacing. The
-    smallest coordinate gap finds the indices; the spacing reported is
-    the coordinate span over the index span, which rounding shifts far
-    less. An axis with a single row of nodes reports the mesh's h."""
+    """The axis-aligned grid whose cell centers the interior nodes are:
+    each node's site on the C-ordered bounding box of that grid, the
+    box's shape, its origin and its per-axis spacing. Per axis the
+    smallest gap between node coordinates finds the indices; the
+    spacing reported is the coordinate span over the index span, which
+    rounding shifts far less. An axis with a single row of nodes
+    reports the mesh's h. Raises MeshError when a node is off the grid,
+    two nodes share a cell, or a weight is not the cell measure."""
     pts = mesh.interior_points
     index = np.zeros(pts.shape, dtype=np.int64)
     origin = pts.min(axis=0)
@@ -247,17 +251,7 @@ def _lattice(mesh: DomainMesh):
     sites = np.ravel_multi_index(tuple(index.T), shape)
     if np.bincount(sites).max() > 1:
         raise MeshError("two interior nodes share a lattice cell")
-    return index, shape, origin, spacing
-
-
-def lattice_index(mesh: DomainMesh):
-    """Integer position of each interior node on the axis-aligned grid
-    whose cell centers the nodes are, and the shape of that grid's
-    bounding box. Per axis the spacing is the smallest gap between node
-    coordinates. Raises MeshError when a node is off the grid, two nodes
-    share a cell, or a weight is not the cell measure."""
-    index, shape, _, _ = _lattice(mesh)
-    return index, shape
+    return sites, shape, origin, spacing
 
 
 @dataclass(frozen=True)
@@ -315,11 +309,11 @@ def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
     off the lattice; each one tests the cells of the window of about
     (2 radius / spacing + 1)^dim cells around it and keeps the nodes
     with |x_b - x_j|^2 <= radius^2. Raises MeshError when the mesh is
-    not a lattice (see lattice_index)."""
+    not a lattice: a node off the grid, two nodes in one cell, or a
+    weight other than the cell measure."""
     if not radius > 0:
         raise MeshError("radius must be positive", radius=radius)
-    index, shape, origin, spacing = _lattice(mesh)
-    sites = np.ravel_multi_index(tuple(index.T), shape)
+    sites, shape, origin, spacing = _lattice(mesh)
 
     reach = [min(int(radius // s) + 1, n - 1) for s, n in zip(spacing, shape)]
     grid = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in reach],

@@ -3,7 +3,7 @@
 Two strictly deterministic solvers with zero initial guess: a
 preconditioned conjugate-gradient iteration for the p = 2 quadratic
 form, and preconditioned nonlinear conjugate gradients (Polak-Ribiere
-with restart) plus backtracking line search for general p > 1. Both
+with restart) plus an Armijo line search for general p > 1. Both
 precondition with the operator's grid-stencil DST preconditioner
 (EnergyOperator.preconditioner). Both declare convergence on
 gradient_norm <= tol * (1 + |energy|); energy stall is never the
@@ -18,6 +18,8 @@ from .assembly import EnergyOperator, Field, lp_norm
 from .errors import ConfigError, SolverError
 
 _TINY = 1e-300
+_ARMIJO = 1e-4  # a step must achieve this fraction of the predicted decrease
+_SHRINK = 0.5   # step factor per rejected trial
 
 
 @dataclass(frozen=True)
@@ -25,8 +27,6 @@ class SolveOptions:
     tol: float = 1e-10
     max_iter: int = 20000
     seed: int = 0
-    sufficient_decrease: float = 1e-4
-    backtrack: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
@@ -35,17 +35,10 @@ class SolveOptions:
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1", field="max_iter",
                               max_iter=self.max_iter)
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise ConfigError("sufficient_decrease must lie in (0, 1)",
-                              field="sufficient_decrease",
-                              value=self.sufficient_decrease)
-        if not 0.0 < self.backtrack < 1.0:
-            raise ConfigError("backtrack must lie in (0, 1)",
-                              field="backtrack", value=self.backtrack)
 
     @classmethod
     def from_dict(cls, data: dict):
-        known = {"tol", "max_iter", "seed", "sufficient_decrease", "backtrack"}
+        known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
             raise ConfigError("unknown solver option",
@@ -130,8 +123,9 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions(),
     """Preconditioned nonlinear conjugate gradients for any p > 1.
 
     Polak-Ribiere coefficient clipped at zero, restart to steepest
-    descent whenever the direction fails to descend, Armijo
-    backtracking for sufficient decrease. Line-search underflow stops
+    descent whenever the direction fails to descend, and an Armijo line
+    search that halves the step until the energy falls by at least
+    1e-4 times the predicted decrease. Line-search underflow stops
     the iteration; the converged flag then reflects the gradient test
     at the last iterate.
     """
@@ -163,10 +157,10 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions(),
         while True:
             trial = x + t * d
             e_trial = op.energy(trial)
-            if e_trial <= energy + opts.sufficient_decrease * t * slope:
+            if e_trial <= energy + _ARMIJO * t * slope:
                 x_new = trial
                 break
-            t *= opts.backtrack
+            t *= _SHRINK
             if t <= 1e-18:
                 stalled = True
                 break

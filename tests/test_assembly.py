@@ -120,7 +120,8 @@ def test_energies_match_double_loop(variant, mesh, delta):
     assert rel(op.energy(u), want) <= 1e-12
 
 
-@pytest.mark.parametrize("variant,p", [("product", 3.0), ("pointwise", 2.5)])
+@pytest.mark.parametrize("variant,p", [("product", 3.0), ("pointwise", 2.5),
+                                     ("product", 1.5), ("pointwise", 1.5)])
 def test_general_p_matches_double_loop(variant, p):
     rng = np.random.default_rng(5)
     u = rng.standard_normal(INTERVAL.n_interior)
@@ -146,6 +147,12 @@ def test_shi_alternate_prefactor_divides_by_delta_sq():
 
 # ------------------------------------------------------------- p = 2 form
 
+def quadratic_energy(op, u):
+    """u^T A u - 2 l^T u + c0 from the operator's p = 2 form."""
+    return float(u @ op.apply_quadratic(u) - 2.0 * (op.linear_term @ u)
+                 + op.constant_term)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_quadratic_form_matches_direct_energy(variant):
     for mesh, delta in [(INTERVAL, 0.25), (SQUARE, 0.5)]:
@@ -153,7 +160,7 @@ def test_quadratic_form_matches_direct_energy(variant):
         rng = np.random.default_rng(13)
         for _ in range(5):
             u = rng.standard_normal(mesh.n_interior)
-            assert rel(op.quadratic_energy(u), op.energy(u)) <= 1e-12
+            assert rel(quadratic_energy(op, u), op.energy(u)) <= 1e-12
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -202,6 +209,7 @@ def fd_gradient(op, u, step):
     ("wang", 2.0), ("shi", 2.0),
     ("product", 3.0), ("pointwise", 3.0),
     ("product", 4.0), ("pointwise", 4.0),
+    ("product", 1.5), ("pointwise", 1.5),
 ])
 def test_gradient_matches_finite_differences(variant, p):
     op = make_op(INTERVAL, variant, 0.3, p=p, seed=17)
@@ -275,7 +283,7 @@ def test_scaled_quadratic_form_consistent():
     sc = op.scaled(3.7)
     rng = np.random.default_rng(61)
     u = rng.standard_normal(SQUARE.n_interior)
-    assert rel(sc.quadratic_energy(u), 3.7 * op.quadratic_energy(u)) <= 1e-12
+    assert rel(quadratic_energy(sc, u), 3.7 * quadratic_energy(op, u)) <= 1e-12
     assert np.allclose(sc.apply_quadratic(u), 3.7 * op.apply_quadratic(u),
                        rtol=1e-12, atol=0)
     assert sc.constant_term == pytest.approx(3.7 * op.constant_term, rel=1e-12)
@@ -470,6 +478,21 @@ def test_boundary_data_from_csv(tmp_path):
     np.savetxt(path, vals)
     got = boundary_data(INTERVAL, f"csv:{path}")
     assert np.allclose(got.values, vals)
+
+
+def test_boundary_data_missing_csv_names_the_path(tmp_path):
+    path = tmp_path / "absent.csv"
+    with pytest.raises(AssemblyError) as exc:
+        boundary_data(INTERVAL, f"csv:{path}")
+    assert exc.value.info["path"] == str(path)
+
+
+def test_boundary_data_malformed_csv_names_the_path(tmp_path):
+    path = tmp_path / "datum.csv"
+    path.write_text("0.5\nnot-a-number\n", encoding="utf-8")
+    with pytest.raises(AssemblyError) as exc:
+        boundary_data(INTERVAL, f"csv:{path}")
+    assert exc.value.info["path"] == str(path)
 
 
 def test_boundary_data_foreign_mesh_rejected():

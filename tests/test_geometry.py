@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from nldir import MeshError, build_mesh, neighbor_pairs
-from nldir.geometry import DomainMesh, lattice_index
+from nldir.geometry import DomainMesh, lattice_stencil
 
 L_SHAPE = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
            [0.0, 1.0]]
@@ -297,8 +297,9 @@ def test_boundary_lists_match_brute_force():
 def test_lattice_index_rebuilds_the_nodes(shape, h, grid):
     # the 2 x 1 rect has unequal spacings 2/7 and 1/3 on its two axes
     mesh = build_mesh(shape, h)
-    index, got = lattice_index(mesh)
-    assert got == grid
+    stencil = lattice_stencil(mesh, mesh.h)
+    assert stencil.shape == grid
+    index = np.column_stack(np.unravel_index(stencil.sites, grid))
     pts = mesh.interior_points
     low, high = pts.min(axis=0), pts.max(axis=0)
     assert np.all(index.min(axis=0) == 0)
@@ -316,7 +317,7 @@ def test_lattice_index_refuses_off_lattice_nodes(shift):
     pts = mesh.interior_points.copy()
     pts[5, 1] += shift * mesh.h
     with pytest.raises(MeshError):
-        lattice_index(replace(mesh, interior_points=pts))
+        lattice_stencil(replace(mesh, interior_points=pts), mesh.h)
 
 
 def test_neighbor_radius_is_inclusive():
