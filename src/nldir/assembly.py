@@ -29,9 +29,13 @@ appear in the literature on this penalty. At p = 2 with zero data,
 dirac_diagonal is pointwise.
 
 For p = 2 the assembled operator also carries a quadratic form
-F(u) = u^T A u - 2 l^T u + c0 with A split into a sparse interior
-matrix, a penalty diagonal, and per-boundary-node rank-one terms that
-are never materialized densely.
+F(u) = u^T A u - 2 l^T u + c0 with A split into the interior form, a
+penalty diagonal, and per-boundary-node rank-one terms that are never
+materialized densely. The interior form is applied matrix-free, as one
+real-FFT convolution of the per-offset weights over the bounding grid
+minus the row sums, so no N-row sparse interior matrix exists. Its
+preconditioner solves the boundary layer, where A differs from the
+translation-invariant stencil, exactly and the rest by a DST.
 """
 
 from dataclasses import dataclass
@@ -245,13 +249,40 @@ def _stencil_matrix(stencil, weights, diagonal=None, upper=False):
     return _on_nodes(grid, stencil)
 
 
+def _convolution(stencil, weights):
+    """The map v -> sum over signed offsets o of weights[k(o)] v(. + o)
+    on the mesh's nodes, v zero off the mesh: one real-FFT convolution
+    over the bounding grid padded by the stencil's reach, so that no
+    wrap-around reaches a node. The kernel is even, so its transform is
+    real and the map is symmetric."""
+    from scipy.fft import irfftn, next_fast_len, rfftn
+    shape = stencil.shape
+    reach = np.abs(stencil.offsets).max(axis=0)
+    padded = tuple(next_fast_len(int(n + r), real=True)
+                   for n, r in zip(shape, reach))
+    kernel = np.zeros(padded)
+    for o, w in zip(stencil.offsets, weights):
+        kernel[tuple(o % padded)] += w
+        kernel[tuple(-o % padded)] += w
+    symbol = rfftn(kernel).real
+    sites = np.ravel_multi_index(np.unravel_index(stencil.sites, shape),
+                                 padded)
+
+    def apply(v):
+        grid = np.zeros(padded)
+        grid.ravel()[sites] = v
+        return irfftn(rfftn(grid) * symbol, s=padded).ravel()[sites]
+
+    return apply
+
+
 class EnergyOperator:
     """Assembled discrete energy: evaluable and differentiable in u.
 
     Construct with assemble(); the instance is immutable in use. For
     p = 2, apply_quadratic/linear_term/constant_term expose the
-    quadratic form, applied as sparse-interior + diagonal + rank-one
-    penalty terms.
+    quadratic form, applied as FFT-convolution interior + diagonal +
+    rank-one penalty terms.
     """
 
     def __init__(self, mesh, delta, p, spec, a_values, stencil, offset_w,
@@ -285,8 +316,16 @@ class EnergyOperator:
 
     def _build_quadratic(self):
         n = self.mesh.n_interior
-        # each pair (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u
-        a_int = _stencil_matrix(self.stencil, -2.0 * self.offset_w)
+        # each pair (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so
+        # A_int v = rowsum * v - sum over signed offsets o of 2 w(o) v(. + o)
+        rowsum = 2.0 * (np.bincount(self.pair_i, self.pair_w, n)
+                        + np.bincount(self.pair_j, self.pair_w, n))
+        neighbors = _convolution(self.stencil, 2.0 * self.offset_w)
+
+        def a_int(v):
+            return rowsum * v - neighbors(v)
+
+        self._rowsum = rowsum
         pref, coef = self.pen_pref, self.pen_coef
         idx, rowid = self.pen_indices, self.pen_rowid
         if self.rank_one:
@@ -312,9 +351,12 @@ class EnergyOperator:
 
     def apply_quadratic(self, u):
         """A @ u for the p = 2 form."""
-        a_int, diag, _, _, lowrank = self._require_p2()
-        v = _field_values(self.mesh, u)
-        out = a_int @ v + diag * v
+        self._require_p2()
+        return self._apply(_field_values(self.mesh, u))
+
+    def _apply(self, v):
+        a_int, diag, _, _, lowrank = self._p2
+        out = a_int(v) + diag * v
         if lowrank is not None:
             t = np.bincount(self.pen_rowid, weights=self.pen_coef * v[self.pen_indices],
                             minlength=self.mesh.n_boundary)
@@ -332,22 +374,87 @@ class EnergyOperator:
         return self._require_p2()[3]
 
     def preconditioner(self):
-        """r -> P^-1 r, with P the Dirichlet tau-matrix of the interior
-        p = 2 stencil at this horizon; usable for any exponent (pair
-        weights rescale by delta^(p-2)).
+        """r -> M r, the symmetric positive definite map that CG,
+        nonlinear CG and LOBPCG all precondition with.
+
+        For p != 2, M is P_tau^-1, the DST solve of _tau_solve. For
+        p = 2 it is the symmetric two-level map
+
+            z1 = A_LL^-1 r_L
+            z2 = z1 + P_tau^-1 (r - A z1)
+            z  = z2 + A_LL^-1 (r - A z2)_L
+
+        on the boundary layer L of _layer. Off L the p = 2 form is the
+        translation-invariant stencil that P_tau^-1 inverts, so A - P_tau
+        lives on L x L and the iteration counts no longer grow as delta
+        falls. A_LL is factored once per call (scipy splu).
+        """
+        tau = self._tau_solve()
+        if self._p2 is None:
+            return tau
+        from scipy.sparse.linalg import splu
+        nodes, a_ll = self._layer()
+        lu = splu(a_ll, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+
+        def apply(r):
+            z = np.zeros_like(r)
+            z[nodes] = lu.solve(r[nodes])
+            z += tau(r - self._apply(z))
+            z[nodes] += lu.solve((r - self._apply(z))[nodes])
+            return z
+
+        return apply
+
+    def _layer(self):
+        """The boundary layer of the p = 2 form and its block: the nodes
+        missing a neighbor at some offset of nonzero weight (their rows
+        differ from the full stencil) plus every node a penalty row
+        touches, ascending, and A restricted to them as a CSC matrix
+        without stored zeros."""
+        _, diag, _, _, lowrank = self._require_p2()
+        n = self.mesh.n_interior
+        count = (np.bincount(self.pair_i, minlength=n)
+                 + np.bincount(self.pair_j, minlength=n))
+        in_layer = count < 2 * np.count_nonzero(self.offset_w)
+        in_layer[self.pen_indices] = True
+        nodes = np.flatnonzero(in_layer)
+        m = len(nodes)
+        pos = np.full(n, -1)
+        pos[nodes] = np.arange(m)
+        keep = in_layer[self.pair_i] & in_layer[self.pair_j]
+        i, j = pos[self.pair_i[keep]], pos[self.pair_j[keep]]
+        w = -2.0 * self.pair_w[keep]
+        diagonal = np.arange(m)
+        a_ll = sp.csc_matrix(
+            (np.concatenate([w, w, self._rowsum[nodes] + diag[nodes]]),
+             (np.concatenate([i, j, diagonal]),
+              np.concatenate([j, i, diagonal]))), shape=(m, m))
+        if lowrank is not None:
+            k = sp.csr_matrix((self.pen_coef, (self.pen_rowid,
+                                               pos[self.pen_indices])),
+                              shape=(self.mesh.n_boundary, m))
+            a_ll = (a_ll + (k.T @ sp.diags(lowrank) @ k)).tocsc()
+        a_ll.eliminate_zeros()
+        return nodes, a_ll
+
+    def _tau_solve(self):
+        """r -> P_tau^-1 r, with P_tau the Dirichlet tau-matrix of the
+        interior p = 2 stencil at this horizon; usable for any exponent
+        (pair weights rescale by delta^(p-2)).
 
         The interior nodes sit on a uniform lattice with equal weights,
         so away from the boundary the interior form is a convolution
         stencil. Its per-offset weights w(o) give the symbol
         lambda(theta) = sum_o 2 w(o) (1 - prod_a cos(theta_a o_a))
         over all signed offsets o, taken at theta_a = pi k / n_a,
-        k = 1..n_a, on the n_1 x ... bounding grid. Applying P^-1
+        k = 1..n_a, on the n_1 x ... bounding grid. Applying P_tau^-1
         scatters r onto that grid (zero off the mesh), runs an
         orthonormal DST-II, divides by the symbol, transforms back and
-        gathers, so P^-1 is symmetric positive definite. The grid and
-        the nodes' sites on it are the stencil's, which assemble()
+        gathers, so P_tau^-1 is symmetric positive definite. The grid
+        and the nodes' sites on it are the stencil's, which assemble()
         certified as a lattice with equal weights. The penalty terms are
-        left out of P. Raises SolverError (reason "symbol_not_positive")
+        left out. Raises SolverError (reason "symbol_not_positive")
         when the symbol is not positive.
         """
         from scipy.fft import dstn, idstn
@@ -447,9 +554,7 @@ class EnergyOperator:
         out.pen_pref = self.pen_pref * factor
         out.pen_sums = self.pen_sums
         if self._p2 is not None:
-            a_int, diag, ell, c0, lowrank = self._p2
-            out._p2 = (a_int * factor, diag * factor, ell * factor,
-                       c0 * factor, None if lowrank is None else lowrank * factor)
+            out._build_quadratic()
         return out
 
 
@@ -475,8 +580,9 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     (MeshError otherwise; see geometry.lattice_stencil). One
     lattice_stencil serves the interior pairs and the penalty tables
     when their kernels share a support: the kernel R is evaluated once
-    per half-offset, and the interior matrix is built from the
-    per-offset diagonals.
+    per half-offset. The interior pairs are listed once, for the
+    energy and the gradient; at p = 2 the interior form is applied as
+    a convolution of the per-offset weights, without a sparse matrix.
     """
     if not delta > 0:
         raise AssemblyError("horizon must be positive", delta=delta)
@@ -553,20 +659,19 @@ def mollify(mesh: DomainMesh, khat: KernelSpec, delta: float, u):
             "mollifier weight vanishes at an interior node",
             node=bad, position=mesh.interior_points[bad].tolist(),
             radius=khat.support * delta)
-    trace = _trace_matrix(mesh, khat, delta, stencil)
+    trace = trace_matrix(mesh, khat, delta, stencil)
     return Field(mesh, numer / omega), BoundaryData(mesh, trace @ v)
 
 
-def trace_matrix(mesh: DomainMesh, khat: KernelSpec, delta: float):
+def trace_matrix(mesh: DomainMesh, khat: KernelSpec, delta: float,
+                 stencil=None):
     """Boundary half of the mollifier as a row-normalized sparse
     (M x N) matrix T with T[b, j] = q_j Khat_delta(|x_b - x_j|) / omega_b.
     T @ u is the smoothed boundary trace of u, and T @ U for an
-    N x k block gives k traces in one product. A vanishing omega_b
-    raises MollifierError naming the node."""
-    return _trace_matrix(mesh, khat, delta, None)
-
-
-def _trace_matrix(mesh, khat, delta, stencil):
+    N x k block gives k traces in one product. stencil, a
+    lattice_stencil of this mesh such as an operator's, is reused when
+    its radius is Khat's support. A vanishing omega_b raises
+    MollifierError naming the node."""
     indptr, indices, rowid, coef = _boundary_tables(mesh, khat, delta,
                                                    stencil)
     omega = np.bincount(rowid, weights=coef, minlength=mesh.n_boundary)

@@ -4,8 +4,10 @@ Two strictly deterministic solvers with zero initial guess: a
 preconditioned conjugate-gradient iteration for the p = 2 quadratic
 form, and preconditioned nonlinear conjugate gradients (Polak-Ribiere
 with restart) plus an Armijo line search for general p > 1. Both
-precondition with the operator's grid-stencil DST preconditioner
-(EnergyOperator.preconditioner). Both declare convergence on
+precondition with EnergyOperator.preconditioner: at p = 2 the
+two-level map that solves the boundary layer exactly and the rest by
+the grid-stencil DST, so the iteration count does not grow as delta
+falls; at p != 2 the DST solve alone. Both declare convergence on
 gradient_norm <= tol * (1 + |energy|); energy stall is never the
 stopping test.
 """

@@ -8,9 +8,10 @@ models: "L2" (diagonal quadrature weights) and "nonlocalW" (double-sum
 kernel form); orthogonality for the normalized path is taken in the
 same kernel inner product as its unit constraint.
 
-A and the preconditioner are applied column by column. P is the
-stiffness operator's grid-stencil DST preconditioner
-(EnergyOperator.preconditioner), built once per solve. scipy stops a
+A and the preconditioner are applied column by column. The
+preconditioner is the stiffness operator's two-level map
+(EnergyOperator.preconditioner: the boundary layer solved exactly, the
+rest by the grid-stencil DST), built once per solve. scipy stops a
 column on the absolute test |r| <= tol; after the solve each mode's
 residual |A x - lambda B x| is recomputed, and the mode is flagged
 converged when that is at most tol * max(|lambda|, 1).

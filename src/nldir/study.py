@@ -194,7 +194,8 @@ def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
 
     exact_vals = case.exact(mesh.interior_points)
     l2_error = lp_norm(mesh, u - exact_vals, 2.0)
-    trace = assembly.trace_matrix(mesh, kernel_by_id(cfg.kernel_khat), delta)
+    trace = assembly.trace_matrix(mesh, kernel_by_id(cfg.kernel_khat), delta,
+                                  op.stencil)
     trace_norm = float(np.sqrt(np.sum(
         mesh.boundary_weights * (trace @ u - a.values) ** 2)))
     grad_int = float(np.sum(mesh.interior_weights
@@ -316,7 +317,7 @@ def coercivity_probe(mesh, spec: PenaltySpec, khat, delta: float,
                           trials=trials)
     op = assembly.assemble(mesh, spec.kernel, spec, delta, 2.0,
                            np.zeros(mesh.n_boundary))
-    trace = assembly.trace_matrix(mesh, khat, delta)
+    trace = assembly.trace_matrix(mesh, khat, delta, op.stencil)
     rng = np.random.default_rng(seed)
     per_block = max(1, _PROBE_BLOCK // mesh.n_interior)
     ratios = []

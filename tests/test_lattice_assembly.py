@@ -16,7 +16,8 @@ import pytest
 
 from nldir import (MeshError, PenaltySpec, assemble, build_mesh,
                    neighbor_pairs, w_mass_matrix)
-from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS, trace_matrix
+from nldir.assembly import (VARIANTS, ZERO_DATA_VARIANTS, _stencil_matrix,
+                            trace_matrix)
 from nldir.geometry import lattice_stencil
 from nldir.kernels import (QUARTIC, KernelSpec, ScaledKernel,
                            antiderivative_kernel, eval_scaled)
@@ -102,6 +103,11 @@ def assert_no_stored_zeros(matrix):
     assert matrix.nnz == np.count_nonzero(matrix.data)
 
 
+def densify(apply, n):
+    eye = np.eye(n)
+    return np.column_stack([apply(e) for e in eye])
+
+
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_operator_tables_match_the_search_oracle(name, ratio):
@@ -114,16 +120,30 @@ def test_operator_tables_match_the_search_oracle(name, ratio):
         spec = PenaltySpec(variant, QUARTIC)
         datum = None if variant in ZERO_DATA_VARIANTS else "linear_x"
         op = assemble(mesh, QUARTIC, spec, delta, p, datum)
-        a_int = op._p2[0]
-        assert_no_stored_zeros(a_int)
-        assert_close(a_int.toarray(), want_a)
+        assert_close(densify(op._p2[0], mesh.n_interior), want_a)
         assert_close(dense_pairs(op), want_pairs)
         assert np.all(op.pair_w != 0.0)
+        assert_no_stored_zeros(op._layer()[1])
         base = spec.kernel
         if variant in ("wang", "shi"):
             base = antiderivative_kernel(base)
         assert_close(dense_penalty(op), oracle_boundary(mesh, base, delta))
         assert_close(op.pen_pref, oracle_pref(mesh, spec, delta, p))
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_fft_interior_form_matches_the_stencil_matrix(name, ratio):
+    # the matrix-free interior form against the sparse matrix built
+    # from the same per-offset weights; on "wide" two offsets share a
+    # flat step of the bounding grid, which the convolution never sees
+    mesh = MESHES[name]
+    op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
+                  ratio * mesh.h, 2.0, "linear_x")
+    want = _stencil_matrix(op.stencil, -2.0 * op.offset_w)
+    assert_close(densify(op._p2[0], mesh.n_interior), want.toarray())
+    v = np.random.default_rng(5).standard_normal(mesh.n_interior)
+    assert_close(op._p2[0](v), want @ v)
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -155,9 +175,14 @@ def test_zero_weight_ties_are_not_stored():
                   axis=1)
     assert ties.sum() == 2 and np.all(op.offset_w[ties] == 0.0)
     assert np.count_nonzero(op.offset_w) == len(stencil.offsets) - 2
-    a_int = op._p2[0]
-    assert_no_stored_zeros(a_int)
-    assert a_int.nnz == mesh.n_interior + 2 * op.pair_w.size
+    assert np.all(op.pair_w != 0.0)
+    starts = stencil.pair_starts()
+    assert op.pair_w.size == starts[op.offset_w != 0.0].sum() \
+        == starts.sum() - starts[ties].sum()
+    nodes, a_ll = op._layer()
+    assert_no_stored_zeros(a_ll)
+    assert a_ll.shape == (len(nodes), len(nodes)) \
+        and len(nodes) < mesh.n_interior
 
 
 def test_support_ties_are_decided_per_offset():

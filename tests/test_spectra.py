@@ -7,6 +7,8 @@ eigenvalues approach as sigma * that after dividing by the kernel
 constant sigma (16/105 for the quartic profile in 1D, pi/24 in 2D).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,25 @@ def test_budget_exhaustion_is_flagged(k):
         r = prob.apply_stiffness(x) - res.eigenvalues[i] * prob.apply_mass(x)
         assert res.residuals[i] == pytest.approx(np.linalg.norm(r),
                                                  rel=1e-12)
+
+
+def test_certified_modes_raise_no_solver_warning():
+    # the command-line eigen solve on the unit square: delta = 0.05,
+    # ratio 4, k = 3, both mass models, seed 0. With the DST solve alone
+    # scipy stopped after 64 and 72 blocks and warned 4 times, "not
+    # reaching the requested tolerance", for modes that then passed the
+    # certified residual test
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.05 / 4.0)
+    op = stiffness(mesh, 0.05)
+    opts = SolveOptions(tol=1e-9, max_iter=20000, seed=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = [solve_eigen(EigenProblem(op, "L2", 3), opts),
+                   solve_eigen(EigenProblem(op, "nonlocalW", 3,
+                                            W=normalize_w(WENDLAND, 2)),
+                               opts)]
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+    assert all(all(res.converged) for res in results)
 
 
 # ------------------------------------------------------- analytic limits

@@ -230,8 +230,8 @@ def test_eigen_rows_carry_lambdas():
 
 
 def test_eigen_row_reuses_the_row_operator(monkeypatch):
-    # the zero-datum stiffness shares the row operator's stencil, so the
-    # row builds one for assembly and one for the trace matrix
+    # the zero-datum stiffness and the trace matrix share the row
+    # operator's stencil, so the row builds one lattice stencil
     cfg = StudyConfig(shape={"interval": [0.0, 1.0]}, deltas=(0.2,),
                       case="linear_x", eigen_modes=1)
     calls = []
@@ -243,7 +243,7 @@ def test_eigen_row_reuses_the_row_operator(monkeypatch):
 
     monkeypatch.setattr(study.assembly, "lattice_stencil", counted)
     row = run_delta_sweep(cfg).ok_rows()[0]
-    assert len(calls) == 2
+    assert len(calls) == 1
     monkeypatch.undo()
     mesh = build_mesh(cfg.shape, 0.2 / cfg.ratio)
     op0 = assemble(mesh, kernel_by_id(cfg.kernel_r),
