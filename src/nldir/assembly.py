@@ -33,11 +33,14 @@ F(u) = u^T A u - 2 l^T u + c0 with A split into the interior form, a
 penalty diagonal, and per-boundary-node rank-one terms that are never
 materialized densely. The interior form is applied matrix-free, as one
 real-FFT convolution of the per-offset weights over the bounding grid
-minus the row sums, so no N-row sparse interior matrix exists. Its
-preconditioner solves the boundary layer, where A differs from the
-translation-invariant stencil, exactly and the rest by a DST.
+minus the row sums; the row sums, energy and gradient are per-offset
+slice sums on that grid, so p = 2 lists no pairs. Its preconditioner
+solves the boundary layer L, where A differs from the
+translation-invariant stencil, exactly (through the sparse A[:, L])
+and the rest by a DST.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,7 +285,8 @@ class EnergyOperator:
     Construct with assemble(); the instance is immutable in use. For
     p = 2, apply_quadratic/linear_term/constant_term expose the
     quadratic form, applied as FFT-convolution interior + diagonal +
-    rank-one penalty terms.
+    rank-one penalty terms, and the interior energy and gradient are
+    per-offset slice sums on the bounding grid.
     """
 
     def __init__(self, mesh, delta, p, spec, a_values, stencil, offset_w,
@@ -298,9 +302,6 @@ class EnergyOperator:
         # weight of every pair of nodes the k-th half-offset apart
         self.stencil = stencil
         self.offset_w = offset_w
-        pairs = _stencil_matrix(stencil, offset_w, upper=True).tocoo()
-        self.pair_i, self.pair_j, self.pair_w = (pairs.row, pairs.col,
-                                                 pairs.data)
         self.pen_indptr = pen_indptr
         self.pen_indices = pen_indices
         self.pen_rowid = pen_rowid
@@ -310,7 +311,45 @@ class EnergyOperator:
                                     minlength=mesh.n_boundary)
         self._p2 = None
         if self.p == 2.0:
+            # per offset of nonzero weight: its flat step and the grid
+            # sites its pairs start from
+            keep = offset_w != 0.0
+            self._steps = stencil.flat_offsets[keep]
+            self._starts = stencil.pair_starts()[keep]
             self._build_quadratic()
+
+    @functools.cached_property
+    def _pairs(self):
+        """Interior pair lists (i, j, w), i the node each half-offset
+        starts from; built on first use (p != 2 evaluates through them)."""
+        coo = _stencil_matrix(self.stencil, self.offset_w, upper=True).tocoo()
+        return coo.row, coo.col, coo.data
+
+    pair_i = property(lambda self: self._pairs[0])
+    pair_j = property(lambda self: self._pairs[1])
+    pair_w = property(lambda self: self._pairs[2])
+
+    def _to_ends(self, pieces, second=np.add):
+        """Per-node sums over the pairs of the nonzero-weight offsets: a
+        piece (one value per grid site, read at each pair's first site)
+        adds to the pair's first node and, by `second`, to its second."""
+        size = self._starts.shape[1]
+        grid = np.zeros(size)
+        for f, piece in zip(self._steps, pieces):
+            grid[:size - f] += piece[:size - f]
+            second(grid[f:], piece[:size - f], out=grid[f:])
+        return grid[self.stencil.sites]
+
+    def _differences(self, v):
+        """Per nonzero-weight offset: u_i - u_j at each pair's first
+        site on the bounding grid, exactly 0 at every other site."""
+        size = self._starts.shape[1]
+        grid = np.zeros(size)
+        grid[self.stencil.sites] = v
+        for f, start in zip(self._steps, self._starts):
+            d = grid[:size - f] - grid[f:]
+            d *= start[:size - f]
+            yield d
 
     # -- quadratic form ------------------------------------------------
 
@@ -318,8 +357,9 @@ class EnergyOperator:
         n = self.mesh.n_interior
         # each pair (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so
         # A_int v = rowsum * v - sum over signed offsets o of 2 w(o) v(. + o)
-        rowsum = 2.0 * (np.bincount(self.pair_i, self.pair_w, n)
-                        + np.bincount(self.pair_j, self.pair_w, n))
+        self._w2 = 2.0 * self.offset_w[self.offset_w != 0.0]
+        rowsum = self._to_ends(w2 * start for w2, start
+                               in zip(self._w2, self._starts))
         neighbors = _convolution(self.stencil, 2.0 * self.offset_w)
 
         def a_int(v):
@@ -387,56 +427,65 @@ class EnergyOperator:
         on the boundary layer L of _layer. Off L the p = 2 form is the
         translation-invariant stencil that P_tau^-1 inverts, so A - P_tau
         lives on L x L and the iteration counts no longer grow as delta
-        falls. A_LL is factored once per call (scipy splu).
+        falls. As z1 lives on L, A z1 = B z1_L and (A z2)_L = B^T z2 with
+        B = A[:, L]. A_LL is factored once per call (scipy splu).
         """
         tau = self._tau_solve()
         if self._p2 is None:
             return tau
         from scipy.sparse.linalg import splu
-        nodes, a_ll = self._layer()
+        nodes, a_ll, b = self._layer()
         lu = splu(a_ll, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
 
         def apply(r):
-            z = np.zeros_like(r)
-            z[nodes] = lu.solve(r[nodes])
-            z += tau(r - self._apply(z))
-            z[nodes] += lu.solve((r - self._apply(z))[nodes])
+            z1 = lu.solve(r[nodes])
+            z = tau(r - b @ z1)
+            z[nodes] += z1
+            z[nodes] += lu.solve(r[nodes] - b.T @ z)
             return z
 
         return apply
 
     def _layer(self):
-        """The boundary layer of the p = 2 form and its block: the nodes
+        """The boundary layer of the p = 2 form and its blocks: the nodes
         missing a neighbor at some offset of nonzero weight (their rows
         differ from the full stencil) plus every node a penalty row
-        touches, ascending, and A restricted to them as a CSC matrix
-        without stored zeros."""
+        touches, ascending; A_LL (CSC); and the layer columns
+        B = A[:, L] (n x |L|, CSR, read from the pair sites at the layer
+        nodes), whose layer rows are A_LL. Neither stores zeros."""
         _, diag, _, _, lowrank = self._require_p2()
         n = self.mesh.n_interior
-        count = (np.bincount(self.pair_i, minlength=n)
-                 + np.bincount(self.pair_j, minlength=n))
-        in_layer = count < 2 * np.count_nonzero(self.offset_w)
+        count = self._to_ends(self._starts)
+        in_layer = count < 2 * len(self._steps)
         in_layer[self.pen_indices] = True
         nodes = np.flatnonzero(in_layer)
         m = len(nodes)
-        pos = np.full(n, -1)
-        pos[nodes] = np.arange(m)
-        keep = in_layer[self.pair_i] & in_layer[self.pair_j]
-        i, j = pos[self.pair_i[keep]], pos[self.pair_j[keep]]
-        w = -2.0 * self.pair_w[keep]
-        diagonal = np.arange(m)
-        a_ll = sp.csc_matrix(
-            (np.concatenate([w, w, self._rowsum[nodes] + diag[nodes]]),
-             (np.concatenate([i, j, diagonal]),
-              np.concatenate([j, i, diagonal]))), shape=(m, m))
+        sites = self.stencil.sites
+        node_of = np.full(self._starts.shape[1], -1)
+        node_of[sites] = np.arange(n)
+        at = sites[nodes]
+        rows, cols = [nodes], [np.arange(m)]
+        vals = [self._rowsum[nodes] + diag[nodes]]
+        for f, w2, start in zip(self._steps, self._w2, self._starts):
+            # a layer node is the pair's first end at its own site, its
+            # second end when the pair starts f sites before it
+            for other, first in ((at + f, at), (at - f, at - f)):
+                hit = np.flatnonzero(start[np.maximum(first, 0)]
+                                     & (first >= 0))
+                rows.append(node_of[other[hit]])
+                cols.append(hit)
+                vals.append(np.full(len(hit), -w2))
+        block = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                      np.concatenate(cols))),
+                              shape=(n, m))
         if lowrank is not None:
             k = sp.csr_matrix((self.pen_coef, (self.pen_rowid,
-                                               pos[self.pen_indices])),
-                              shape=(self.mesh.n_boundary, m))
-            a_ll = (a_ll + (k.T @ sp.diags(lowrank) @ k)).tocsc()
-        a_ll.eliminate_zeros()
-        return nodes, a_ll
+                                               self.pen_indices)),
+                              shape=(self.mesh.n_boundary, n))
+            block = (block + k.T @ (sp.diags(lowrank) @ k[:, nodes])).tocsr()
+        block.eliminate_zeros()
+        return nodes, block[nodes].tocsc(), block
 
     def _tau_solve(self):
         """r -> P_tau^-1 r, with P_tau the Dirichlet tau-matrix of the
@@ -493,8 +542,12 @@ class EnergyOperator:
 
     def interior_energy(self, u) -> float:
         """Ordered-pair double sum of kernel-weighted p-th power
-        differences."""
+        differences; at p = 2 summed per offset on the bounding grid,
+        so a constant field gives exactly 0."""
         v = _field_values(self.mesh, u)
+        if self._p2 is not None:
+            return float(sum(w2 * (d @ d) for w2, d
+                             in zip(self._w2, self._differences(v))))
         d = v[self.pair_i] - v[self.pair_j]
         return float(2.0 * np.sum(self.pair_w * np.abs(d) ** self.p))
 
@@ -518,15 +571,20 @@ class EnergyOperator:
 
     def gradient(self, u):
         """Analytic gradient of the total energy; for p = 2 it equals
-        2 A u - 2 l."""
+        2 A u - 2 l, summed per offset (exactly 0 for a constant field)."""
         v = _field_values(self.mesh, u)
         n = self.mesh.n_interior
         p = self.p
-        d = v[self.pair_i] - v[self.pair_j]
-        # |d|^(p-2) d written as sign(d)|d|^(p-1): finite at d = 0 for p > 1
-        c = 2.0 * p * self.pair_w * np.sign(d) * np.abs(d) ** (p - 1.0)
-        g = np.bincount(self.pair_i, weights=c, minlength=n)
-        g -= np.bincount(self.pair_j, weights=c, minlength=n)
+        if self._p2 is not None:
+            g = self._to_ends((2.0 * w2 * d for w2, d
+                               in zip(self._w2, self._differences(v))),
+                              np.subtract)
+        else:
+            d = v[self.pair_i] - v[self.pair_j]
+            # |d|^(p-2) d written as sign(d)|d|^(p-1): finite at d = 0
+            c = 2.0 * p * self.pair_w * np.sign(d) * np.abs(d) ** (p - 1.0)
+            g = np.bincount(self.pair_i, weights=c, minlength=n)
+            g -= np.bincount(self.pair_j, weights=c, minlength=n)
         coef, rowid, idx = self.pen_coef, self.pen_rowid, self.pen_indices
         pref = self.pen_pref
         if self.rank_one:
@@ -549,7 +607,7 @@ class EnergyOperator:
             raise AssemblyError("scale factor must be positive", factor=factor)
         out = object.__new__(EnergyOperator)
         out.__dict__.update(self.__dict__)
-        out.pair_w = self.pair_w * factor
+        out.__dict__.pop("_pairs", None)  # rebuilt from the scaled weights
         out.offset_w = self.offset_w * factor
         out.pen_pref = self.pen_pref * factor
         out.pen_sums = self.pen_sums
@@ -580,9 +638,10 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     (MeshError otherwise; see geometry.lattice_stencil). One
     lattice_stencil serves the interior pairs and the penalty tables
     when their kernels share a support: the kernel R is evaluated once
-    per half-offset. The interior pairs are listed once, for the
-    energy and the gradient; at p = 2 the interior form is applied as
-    a convolution of the per-offset weights, without a sparse matrix.
+    per half-offset. p = 2 lists no pairs: the interior form is a
+    convolution of the per-offset weights, and the energy, gradient and
+    boundary layer read the stencil's per-offset pair sites. Other
+    exponents list the pairs on first use.
     """
     if not delta > 0:
         raise AssemblyError("horizon must be positive", delta=delta)

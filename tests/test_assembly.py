@@ -289,6 +289,28 @@ def test_scaled_quadratic_form_consistent():
     assert sc.constant_term == pytest.approx(3.7 * op.constant_term, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_scaled_operator_never_reads_stale_pair_lists(p):
+    # the pair lists are built on first use; an operator scaled after
+    # that must not keep the unscaled weights its __dict__ copy carries
+    rng = np.random.default_rng(67)
+    u = rng.standard_normal(L_SHAPE.n_interior)
+    f = 3.7
+    for built_first in (False, True):
+        op = make_op(L_SHAPE, "product", 0.3, p=p, seed=71)
+        if built_first:
+            _ = op.pair_w
+        sc = op.scaled(f)
+        assert rel(sc.energy(u), f * op.energy(u)) <= 1e-14
+        g = f * op.gradient(u)
+        assert np.linalg.norm(sc.gradient(u) - g) <= 1e-14 * np.linalg.norm(g)
+        if p == 2.0:
+            aq = f * op.apply_quadratic(u)
+            assert np.linalg.norm(sc.apply_quadratic(u) - aq) \
+                <= 1e-14 * np.linalg.norm(aq)
+        assert np.array_equal(sc.pair_w, op.pair_w * f)
+
+
 def test_scaled_rejects_nonpositive_factor():
     op = make_op(INTERVAL, "product", 0.3)
     for bad in (0.0, -1.0):

@@ -69,6 +69,37 @@ def test_pipeline_commands_leave_scipy_spatial_unloaded(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0] False"
 
 
+def test_p2_pipeline_commands_build_no_pair_lists(tmp_path, monkeypatch):
+    # at p = 2 the energy, the gradient and the boundary layer read
+    # per-offset grid slices: a square sweep row, an eigen solve under
+    # both masses and a coercivity probe never list the interior pairs,
+    # which a p = 3 sweep row still does, once per operator
+    real = nldir.assembly._stencil_matrix
+    listed = []
+
+    def counted(stencil, weights, diagonal=None, upper=False):
+        listed.append(upper)
+        return real(stencil, weights, diagonal, upper)
+
+    monkeypatch.setattr(nldir.assembly, "_stencil_matrix", counted)
+
+    def run(name, command, **overrides):
+        path = write_config(tmp_path, **overrides)
+        cfg = str(path.rename(tmp_path / name))
+        assert dispatch([command, "--config", cfg, "--out", cfg + ".out"]) \
+            == 0
+        return listed.count(True)
+
+    square = {"rect": [[0.0, 0.0], [1.0, 1.0]]}
+    assert run("sweep.json", "sweep", shape=square,
+               case="harmonic_x2_minus_y2") == 0
+    assert run("eigen.json", "eigen", shape=square, case="zero",
+               eigen_modes=1, eigen_mass="both") == 0
+    assert run("probe.json", "probe-coercivity", shape=square, case="zero",
+               trials=10) == 0
+    assert run("p3.json", "sweep", p=3.0) == 1
+
+
 def test_catalog_and_sweep_run_without_sympy(tmp_path):
     # a None entry in sys.modules makes every `import sympy` raise
     config = write_config(tmp_path)

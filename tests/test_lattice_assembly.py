@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nldir import (MeshError, PenaltySpec, assemble, build_mesh,
-                   neighbor_pairs, w_mass_matrix)
+from nldir import (EnergyOperator, MeshError, PenaltySpec, assemble,
+                   build_mesh, neighbor_pairs, w_mass_matrix)
 from nldir.assembly import (VARIANTS, ZERO_DATA_VARIANTS, _stencil_matrix,
                             trace_matrix)
 from nldir.geometry import lattice_stencil
@@ -146,6 +146,90 @@ def test_fft_interior_form_matches_the_stencil_matrix(name, ratio):
     assert_close(op._p2[0](v), want @ v)
 
 
+def pair_list_twin(op):
+    """op evaluated through the general-p pair-list formulas."""
+    twin = object.__new__(EnergyOperator)
+    twin.__dict__.update(op.__dict__)
+    twin._p2 = None
+    return twin
+
+
+def penalty_only(op):
+    """op with every interior weight zero: its penalty terms alone."""
+    return EnergyOperator(op.mesh, op.delta, op.p, op.spec, op.a, op.stencil,
+                          np.zeros_like(op.offset_w), op.pen_indptr,
+                          op.pen_indices, op.pen_rowid, op.pen_coef,
+                          op.pen_pref)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_grid_energy_and_gradient_match_pair_lists_and_double_loop(name,
+                                                                   ratio):
+    # the p = 2 energy and gradient are per-offset slice sums on the
+    # bounding grid; the pair lists and the O(N^2) double loop over
+    # coordinate distances must give the same numbers
+    mesh = MESHES[name]
+    delta = ratio * mesh.h
+    pts, q = mesh.interior_points, mesh.interior_weights
+    dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    w = np.outer(q, q) * kernel_at(QUARTIC, delta, mesh.dim, dist) / delta**2
+    np.fill_diagonal(w, 0.0)
+    u = np.random.default_rng(11).standard_normal(mesh.n_interior)
+    diff = u[:, None] - u[None]
+    want_e = np.sum(w * diff**2)
+    want_g = 4.0 * np.sum(w * diff, axis=1)
+    for variant in ("product", "pointwise"):
+        op = assemble(mesh, QUARTIC, PenaltySpec(variant, QUARTIC), delta,
+                      2.0, "linear_x")
+        energy, grad = op.interior_energy(u), op.gradient(u)
+        twin = pair_list_twin(op)
+        for want in (twin.interior_energy(u), want_e):
+            assert abs(energy - want) <= 1e-13 * abs(want)
+        assert_close(grad, twin.gradient(u))
+        assert_close(grad, want_g + penalty_only(op).gradient(u))
+        assert "_pairs" not in op.__dict__
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_constant_field_has_exactly_zero_grid_energy_and_gradient(name,
+                                                                  ratio):
+    # every slice difference of a constant is exactly 0, where the FFT
+    # form (row sums minus the convolution) leaves rounding
+    mesh = MESHES[name]
+    c = 0.7
+    op = assemble(mesh, QUARTIC, PenaltySpec("pointwise", QUARTIC),
+                  ratio * mesh.h, 2.0, np.full(mesh.n_boundary, c))
+    u = np.full(mesh.n_interior, c)
+    assert op.interior_energy(u) == 0.0
+    assert np.all(op.gradient(u) == 0.0)
+
+
+LAYER_SPECS = [PenaltySpec(v, QUARTIC) for v in VARIANTS] \
+    + [PenaltySpec("shi", QUARTIC, shi_delta_sq_prefactor=True)]
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_layer_columns_equal_the_operator_on_the_layer(name, ratio):
+    # B = A[:, L] read from the stencil's pair sites at the layer nodes,
+    # against the matrix-free operator applied to the layer's unit
+    # vectors; A_LL, which the preconditioner factors, is B's layer rows
+    mesh = MESHES[name]
+    for spec in LAYER_SPECS:
+        datum = None if spec.variant in ZERO_DATA_VARIANTS else "linear_x"
+        op = assemble(mesh, QUARTIC, spec, ratio * mesh.h, 2.0, datum)
+        nodes, a_ll, b = op._layer()
+        unit = np.eye(mesh.n_interior)[nodes]
+        assert b.shape == (mesh.n_interior, len(nodes))
+        assert_close(b.toarray(), np.column_stack([op._apply(e)
+                                                   for e in unit]))
+        assert np.array_equal(a_ll.toarray(), b[nodes].toarray())
+        assert_no_stored_zeros(b)
+        assert_no_stored_zeros(a_ll)
+
+
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_trace_and_mass_match_the_search_oracle(name, ratio):
@@ -179,7 +263,7 @@ def test_zero_weight_ties_are_not_stored():
     starts = stencil.pair_starts()
     assert op.pair_w.size == starts[op.offset_w != 0.0].sum() \
         == starts.sum() - starts[ties].sum()
-    nodes, a_ll = op._layer()
+    nodes, a_ll, _ = op._layer()
     assert_no_stored_zeros(a_ll)
     assert a_ll.shape == (len(nodes), len(nodes)) \
         and len(nodes) < mesh.n_interior
