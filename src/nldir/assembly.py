@@ -33,11 +33,13 @@ F(u) = u^T A u - 2 l^T u + c0 with A split into the interior form, a
 penalty diagonal, and per-boundary-node rank-one terms that are never
 materialized densely. The interior form is applied matrix-free, as one
 real-FFT convolution of the per-offset weights over the bounding grid
-minus the row sums; the row sums, energy and gradient are per-offset
-slice sums on that grid, so p = 2 lists no pairs. Its preconditioner
-solves the boundary layer L, where A differs from the
-translation-invariant stencil, exactly (through the sparse A[:, L])
-and the rest by a DST.
+minus the row sums, built on the first apply_quadratic; the row sums,
+energy and gradient are per-offset slice sums on that grid, so p = 2
+lists no pairs. The boundary layer L, where A differs from the
+translation-invariant stencil, is solved exactly (through the sparse
+A[:, L]) and the rest by a DST: as a symmetric preconditioner, and as
+the deflated conjugate-gradient step of minimize.solve_quadratic, which
+needs no matvec.
 """
 
 import functools
@@ -286,8 +288,14 @@ class EnergyOperator:
     p = 2, apply_quadratic/linear_term/constant_term expose the
     quadratic form, applied as FFT-convolution interior + diagonal +
     rank-one penalty terms, and the interior energy and gradient are
-    per-offset slice sums on the bounding grid.
+    per-offset slice sums on the bounding grid. The pieces that only
+    some paths read (the pair lists, the convolution, the DST solve,
+    the layer blocks and their factor) are built on first use, once
+    per operator.
     """
+
+    # first-use caches; scaled() drops them, as they read the weights
+    _CACHES = ("_pairs", "_neighbors", "_tau_solve", "_two_level")
 
     def __init__(self, mesh, delta, p, spec, a_values, stencil, offset_w,
                  pen_indptr, pen_indices, pen_rowid, pen_coef, pen_pref):
@@ -358,14 +366,8 @@ class EnergyOperator:
         # each pair (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so
         # A_int v = rowsum * v - sum over signed offsets o of 2 w(o) v(. + o)
         self._w2 = 2.0 * self.offset_w[self.offset_w != 0.0]
-        rowsum = self._to_ends(w2 * start for w2, start
-                               in zip(self._w2, self._starts))
-        neighbors = _convolution(self.stencil, 2.0 * self.offset_w)
-
-        def a_int(v):
-            return rowsum * v - neighbors(v)
-
-        self._rowsum = rowsum
+        self._rowsum = self._to_ends(w2 * start for w2, start
+                                     in zip(self._w2, self._starts))
         pref, coef = self.pen_pref, self.pen_coef
         idx, rowid = self.pen_indices, self.pen_rowid
         if self.rank_one:
@@ -374,12 +376,12 @@ class EnergyOperator:
             target = self.a * self.pen_sums
             ell = np.bincount(idx, weights=coef * (pref * target)[rowid],
                               minlength=n)
-            self._p2 = (a_int, np.zeros(n), ell,
-                        float(np.sum(pref * target**2)), pref)
+            self._p2 = (np.zeros(n), ell, float(np.sum(pref * target**2)),
+                        pref)
         else:
             cpen = pref[rowid] * coef
             a_j = self.a[rowid]
-            self._p2 = (a_int, np.bincount(idx, weights=cpen, minlength=n),
+            self._p2 = (np.bincount(idx, weights=cpen, minlength=n),
                         np.bincount(idx, weights=cpen * a_j, minlength=n),
                         float(np.sum(cpen * a_j**2)), None)
 
@@ -394,9 +396,15 @@ class EnergyOperator:
         self._require_p2()
         return self._apply(_field_values(self.mesh, u))
 
+    @functools.cached_property
+    def _neighbors(self):
+        """v -> sum over signed offsets o of 2 w(o) v(. + o): the
+        off-diagonal interior form, which only apply_quadratic reads."""
+        return _convolution(self.stencil, 2.0 * self.offset_w)
+
     def _apply(self, v):
-        a_int, diag, _, _, lowrank = self._p2
-        out = a_int(v) + diag * v
+        diag, _, _, lowrank = self._p2
+        out = self._rowsum * v - self._neighbors(v) + diag * v
         if lowrank is not None:
             t = np.bincount(self.pen_rowid, weights=self.pen_coef * v[self.pen_indices],
                             minlength=self.mesh.n_boundary)
@@ -407,15 +415,15 @@ class EnergyOperator:
 
     @property
     def linear_term(self):
-        return self._require_p2()[2]
+        return self._require_p2()[1]
 
     @property
     def constant_term(self):
-        return self._require_p2()[3]
+        return self._require_p2()[2]
 
     def preconditioner(self):
-        """r -> M r, the symmetric positive definite map that CG,
-        nonlinear CG and LOBPCG all precondition with.
+        """r -> M r, the symmetric positive definite map that nonlinear
+        CG and LOBPCG precondition with (linear CG runs deflated_cg).
 
         For p != 2, M is P_tau^-1, the DST solve of _tau_solve. For
         p = 2 it is the symmetric two-level map
@@ -428,24 +436,70 @@ class EnergyOperator:
         translation-invariant stencil that P_tau^-1 inverts, so A - P_tau
         lives on L x L and the iteration counts no longer grow as delta
         falls. As z1 lives on L, A z1 = B z1_L and (A z2)_L = B^T z2 with
-        B = A[:, L]. A_LL is factored once per call (scipy splu).
+        B = A[:, L]. It reads the pieces of _two_level.
         """
-        tau = self._tau_solve()
+        tau = self._tau_solve
         if self._p2 is None:
             return tau
-        from scipy.sparse.linalg import splu
-        nodes, a_ll, b = self._layer()
-        lu = splu(a_ll, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        nodes, b, bt, lu = self._two_level
 
         def apply(r):
             z1 = lu.solve(r[nodes])
             z = tau(r - b @ z1)
             z[nodes] += z1
-            z[nodes] += lu.solve(r[nodes] - b.T @ z)
+            z[nodes] += lu.solve(r[nodes] - bt @ z)
             return z
 
         return apply
+
+    def deflated_cg(self):
+        """(x0, r0, step): the start and the step of conjugate gradients
+        on A u = l deflated by the boundary layer L (Saad, Yeung, Erhel
+        & Guyomarc'h, SIAM J. Sci. Comput. 21, 2000), in the A-DEF2 form
+        of Tang, Nabben, Vuik & Erlangga (J. Sci. Comput. 39, 2009).
+
+        The start x0 = R_L^T A_LL^-1 l_L solves the layer exactly, so
+        r0 = l - B A_LL^-1 l_L vanishes on L. step maps a residual r to
+        the preconditioned residual z and A z:
+
+            y = P_tau^-1 r,  c = B^T y = (A y)_L,
+            w = A_LL^-1 (c - r_L),  z = y - R_L^T w.
+
+        A row off L is the full stencil with no penalty, and it reads no
+        site beyond the mesh, so (A y)_i = r_i there: A y is r with its
+        L entries replaced by c, and A z = A y - B w without a matvec.
+        As (A z)_L = r_L, the residuals stay zero on L up to rounding.
+        One DST solve and one layer solve per step, from the pieces of
+        _two_level.
+        """
+        ell = self.linear_term
+        tau = self._tau_solve
+        nodes, b, bt, lu = self._two_level
+        x0 = np.zeros(self.mesh.n_interior)
+        x0[nodes] = lu.solve(ell[nodes])
+        r0 = ell - b @ x0[nodes]
+
+        def step(r):
+            y = tau(r)
+            c = bt @ y
+            w = lu.solve(c - r[nodes])
+            az = r.copy()
+            az[nodes] = c
+            az -= b @ w
+            y[nodes] -= w
+            return y, az
+
+        return x0, r0, step
+
+    @functools.cached_property
+    def _two_level(self):
+        """The layer nodes, B from _layer and B^T (a CSC view of B's
+        arrays, so no copy), and the factor of A_LL (scipy splu)."""
+        from scipy.sparse.linalg import splu
+        nodes, a_ll, b = self._layer()
+        lu = splu(a_ll, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        return nodes, b, b.T, lu
 
     def _layer(self):
         """The boundary layer of the p = 2 form and its blocks: the nodes
@@ -454,7 +508,7 @@ class EnergyOperator:
         touches, ascending; A_LL (CSC); and the layer columns
         B = A[:, L] (n x |L|, CSR, read from the pair sites at the layer
         nodes), whose layer rows are A_LL. Neither stores zeros."""
-        _, diag, _, _, lowrank = self._require_p2()
+        diag, _, _, lowrank = self._require_p2()
         n = self.mesh.n_interior
         count = self._to_ends(self._starts)
         in_layer = count < 2 * len(self._steps)
@@ -487,6 +541,7 @@ class EnergyOperator:
         block.eliminate_zeros()
         return nodes, block[nodes].tocsc(), block
 
+    @functools.cached_property
     def _tau_solve(self):
         """r -> P_tau^-1 r, with P_tau the Dirichlet tau-matrix of the
         interior p = 2 stencil at this horizon; usable for any exponent
@@ -607,7 +662,8 @@ class EnergyOperator:
             raise AssemblyError("scale factor must be positive", factor=factor)
         out = object.__new__(EnergyOperator)
         out.__dict__.update(self.__dict__)
-        out.__dict__.pop("_pairs", None)  # rebuilt from the scaled weights
+        for name in self._CACHES:  # rebuilt from the scaled weights
+            out.__dict__.pop(name, None)
         out.offset_w = self.offset_w * factor
         out.pen_pref = self.pen_pref * factor
         out.pen_sums = self.pen_sums

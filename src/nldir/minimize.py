@@ -1,17 +1,18 @@
 """Minimizers of assembled energies.
 
-Two strictly deterministic solvers with zero initial guess: a
-preconditioned conjugate-gradient iteration for the p = 2 quadratic
-form, and preconditioned nonlinear conjugate gradients (Polak-Ribiere
-with restart) plus an Armijo line search for general p > 1. Both
-precondition with EnergyOperator.preconditioner: at p = 2 the
-two-level map that solves the boundary layer exactly and the rest by
-the grid-stencil DST, so the iteration count does not grow as delta
-falls; at p != 2 the DST solve alone. Both declare convergence on
-gradient_norm <= tol * (1 + |energy|); energy stall is never the
-stopping test.
+Two strictly deterministic solvers: conjugate gradients for the p = 2
+quadratic form, deflated by the boundary layer (EnergyOperator.
+deflated_cg: started from the exact layer solve, each step one
+grid-stencil DST solve and one layer solve, and no matvec), so the
+iteration count does not grow as delta falls; and preconditioned
+nonlinear conjugate gradients (Polak-Ribiere with restart) plus an
+Armijo line search for general p > 1, from a zero start by default,
+preconditioned with EnergyOperator.preconditioner. Both declare
+convergence on gradient_norm <= tol * (1 + |energy|); energy stall is
+never the stopping test.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,53 +71,68 @@ def _finish(op, x, iterations, opts, max_norm):
                        iterations, converged, max_norm)
 
 
+def _cg_iterates(x, r, step):
+    """Conjugate gradients from x with residual r = l - A x, where
+    step(r) returns the preconditioned residual z and A z: yields
+    (x, r) after each update, x updated in place. A d follows by the
+    recurrence A d = A z + beta A d, so no matvec runs. A direction
+    with nonpositive curvature raises SolverError naming the probe
+    vector."""
+    d, ad = step(r)
+    rz = float(r @ d)
+    for iteration in itertools.count(1):
+        dad = float(d @ ad)
+        if dad <= 0.0:
+            raise SolverError("nonpositive curvature direction encountered",
+                              iteration=iteration, curvature=dad, probe=d)
+        alpha = rz / dad
+        x += alpha * d
+        r = r - alpha * ad  # a new array: step may return r itself as z
+        yield x, r
+        z, az = step(r)
+        rz_new = float(r @ z)
+        beta = rz_new / rz
+        d = z + beta * d
+        ad = az + beta * ad
+        rz = rz_new
+
+
 def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
                     ) -> SolveResult:
-    """Preconditioned conjugate gradients on A u = l from a zero start.
+    """Deflated conjugate gradients on A u = l.
 
-    Stops when the residual is small both relative to l and relative to
-    the energy scale. Exhausting the budget returns the best iterate
-    flagged non-converged; a direction with nonpositive curvature
-    raises SolverError naming the probe vector.
+    op.deflated_cg() gives the start x0, its residual r0 = l - A x0 and
+    the step r -> (z, A z) that _cg_iterates runs. Stops when the
+    residual is small both relative to l and relative to the energy
+    scale, tested at x0 too (0 iterations). Exhausting the budget
+    returns the last iterate flagged non-converged; max_iterate_norm
+    counts x0.
     """
     if op.p != 2.0:
         raise SolverError("quadratic solve requires an operator with p = 2",
                           p=op.p)
     ell = op.linear_term
     c0 = op.constant_term
-    n = op.mesh.n_interior
-    x = np.zeros(n)
-    max_norm = lp_norm(op.mesh, x, op.p)
     ell_norm = float(np.linalg.norm(ell))
     if ell_norm == 0.0:
-        return _finish(op, x, 0, opts, max_norm)
+        x = np.zeros(op.mesh.n_interior)
+        return _finish(op, x, 0, opts, lp_norm(op.mesh, x, op.p))
 
-    precond = op.preconditioner()
-    r = ell.copy()
-    z = precond(r)
-    d = z.copy()
-    rz = float(r @ z)
-    iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
-        ad = op.apply_quadratic(d)
-        dad = float(d @ ad)
-        if dad <= 0.0:
-            raise SolverError("nonpositive curvature direction encountered",
-                              iteration=iterations, curvature=dad, probe=d)
-        alpha = rz / dad
-        x += alpha * d
-        r -= alpha * ad
-        max_norm = max(max_norm, lp_norm(op.mesh, x, op.p))
+    def small(x, r):
         # F(x) via r = l - A x: x^T A x = x.(l - r)
         f_val = -float(ell @ x) - float(x @ r) + c0
         r_norm = float(np.linalg.norm(r))
-        if (r_norm <= opts.tol * max(ell_norm, _TINY)
-                and 2.0 * r_norm <= opts.tol * (1.0 + abs(f_val))):
-            break
-        z = precond(r)
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
+        return (r_norm <= opts.tol * max(ell_norm, _TINY)
+                and 2.0 * r_norm <= opts.tol * (1.0 + abs(f_val)))
+
+    x, r, step = op.deflated_cg()
+    max_norm = lp_norm(op.mesh, x, op.p)
+    iterations = 0
+    if not small(x, r):
+        for iterations, (x, r) in enumerate(_cg_iterates(x, r, step), 1):
+            max_norm = max(max_norm, lp_norm(op.mesh, x, op.p))
+            if small(x, r) or iterations == opts.max_iter:
+                break
     return _finish(op, x, iterations, opts, max_norm)
 
 

@@ -311,6 +311,34 @@ def test_scaled_operator_never_reads_stale_pair_lists(p):
         assert np.array_equal(sc.pair_w, op.pair_w * f)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_scaled_operator_never_reads_a_stale_factor(p):
+    # the DST solve, the layer blocks and the layer factor are built on
+    # first use and cached; an operator scaled after that builds its own
+    # from the scaled weights. Scaling A and l by f scales P^-1 and the
+    # deflated step's z by 1/f and keeps x0 and A z
+    rng = np.random.default_rng(73)
+    r = rng.standard_normal(L_SHAPE.n_interior)
+    f = 3.7
+    for built_first in (False, True):
+        op = make_op(L_SHAPE, "product", 0.3, p=p, seed=71)
+        if built_first:
+            op.preconditioner()
+        sc = op.scaled(f)
+        want = op.preconditioner()(r) / f
+        got = sc.preconditioner()(r)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        if p == 2.0:
+            x0, r0, step = op.deflated_cg()
+            sx0, sr0, sstep = sc.deflated_cg()
+            assert np.linalg.norm(sx0 - x0) <= 1e-12 * np.linalg.norm(x0)
+            assert np.linalg.norm(sr0 - f * r0) \
+                <= 1e-12 * np.linalg.norm(f * op.linear_term)
+            (z, az), (sz, saz) = step(r), sstep(r)
+            assert np.linalg.norm(sz - z / f) <= 1e-12 * np.linalg.norm(z / f)
+            assert np.linalg.norm(saz - az) <= 1e-12 * np.linalg.norm(az)
+
+
 def test_scaled_rejects_nonpositive_factor():
     op = make_op(INTERVAL, "product", 0.3)
     for bad in (0.0, -1.0):

@@ -21,6 +21,7 @@ from nldir.assembly import (VARIANTS, ZERO_DATA_VARIANTS, _stencil_matrix,
 from nldir.geometry import lattice_stencil
 from nldir.kernels import (QUARTIC, KernelSpec, ScaledKernel,
                            antiderivative_kernel, eval_scaled)
+from nldir.minimize import _cg_iterates
 
 L_SHAPE = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
            [0.0, 1.0]]
@@ -108,6 +109,11 @@ def densify(apply, n):
     return np.column_stack([apply(e) for e in eye])
 
 
+def interior_form(op):
+    """v -> A_int v: the row sums less the FFT convolution."""
+    return lambda v: op._rowsum * v - op._neighbors(v)
+
+
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_operator_tables_match_the_search_oracle(name, ratio):
@@ -120,7 +126,7 @@ def test_operator_tables_match_the_search_oracle(name, ratio):
         spec = PenaltySpec(variant, QUARTIC)
         datum = None if variant in ZERO_DATA_VARIANTS else "linear_x"
         op = assemble(mesh, QUARTIC, spec, delta, p, datum)
-        assert_close(densify(op._p2[0], mesh.n_interior), want_a)
+        assert_close(densify(interior_form(op), mesh.n_interior), want_a)
         assert_close(dense_pairs(op), want_pairs)
         assert np.all(op.pair_w != 0.0)
         assert_no_stored_zeros(op._layer()[1])
@@ -141,9 +147,9 @@ def test_fft_interior_form_matches_the_stencil_matrix(name, ratio):
     op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
                   ratio * mesh.h, 2.0, "linear_x")
     want = _stencil_matrix(op.stencil, -2.0 * op.offset_w)
-    assert_close(densify(op._p2[0], mesh.n_interior), want.toarray())
+    assert_close(densify(interior_form(op), mesh.n_interior), want.toarray())
     v = np.random.default_rng(5).standard_normal(mesh.n_interior)
-    assert_close(op._p2[0](v), want @ v)
+    assert_close(interior_form(op)(v), want @ v)
 
 
 def pair_list_twin(op):
@@ -228,6 +234,32 @@ def test_layer_columns_equal_the_operator_on_the_layer(name, ratio):
         assert np.array_equal(a_ll.toarray(), b[nodes].toarray())
         assert_no_stored_zeros(b)
         assert_no_stored_zeros(a_ll)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_deflated_cg_residual_is_the_true_residual(name, ratio):
+    # the deflated step returns A z without a matvec, from P_tau^-1
+    # being exact off the layer (on polygons it reads ghost sites of the
+    # bounding grid), and CG carries A d by recurrence: the recurrence
+    # residual must stay l - A x, and zero on the layer, to the last
+    # iterate
+    mesh = MESHES[name]
+    for variant in ("product", "pointwise", "wang"):
+        op = assemble(mesh, QUARTIC, PenaltySpec(variant, QUARTIC),
+                      ratio * mesh.h, 2.0, "linear_x")
+        ell = op.linear_term
+        scale = np.linalg.norm(ell)
+        nodes = op._two_level[0]
+        x, r, step = op.deflated_cg()
+        assert np.linalg.norm(r[nodes]) <= 1e-12 * scale
+        for iteration, (x, r) in enumerate(_cg_iterates(x, r, step), 1):
+            assert np.linalg.norm(r[nodes]) <= 1e-12 * scale
+            if np.linalg.norm(r) <= 1e-12 * scale:
+                break
+        assert iteration <= 20, variant
+        assert np.linalg.norm(r - (ell - op.apply_quadratic(x))) \
+            <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("ratio", RATIOS)

@@ -131,29 +131,36 @@ def test_quadratic_solver_requires_p2():
         solve_quadratic(op)
 
 
-class IndefiniteOp:
-    """Diagonal stand-in whose form has one negative direction."""
+class DiagonalOp:
+    """Stand-in with the form u^T D u - 2 sum(u) and no preconditioning:
+    CG starts at x0 (zero by default) and steps r -> (r, D r)."""
 
-    def __init__(self, mesh):
+    def __init__(self, mesh, d, x0=None):
         self.mesh = mesh
         self.p = 2.0
-        n = mesh.n_interior
-        self._d = np.ones(n)
-        self._d[-1] = -1.0
-        self.linear_term = np.ones(n)
+        self._d = d
+        self.linear_term = np.ones(mesh.n_interior)
         self.constant_term = 0.0
+        self._x0 = np.zeros(mesh.n_interior) if x0 is None else x0
 
-    def apply_quadratic(self, u):
-        return self._d * u
-
-    def preconditioner(self):
-        return lambda r: r
+    def deflated_cg(self):
+        x0 = self._x0.copy()
+        return x0, self.linear_term - self._d * x0, lambda r: (r, self._d * r)
 
     def energy(self, u):
         return float(u @ (self._d * u) - 2.0 * (self.linear_term @ u))
 
     def gradient(self, u):
         return 2.0 * (self._d * u - self.linear_term)
+
+
+class IndefiniteOp(DiagonalOp):
+    """Diagonal stand-in whose form has one negative direction."""
+
+    def __init__(self, mesh):
+        d = np.ones(mesh.n_interior)
+        d[-1] = -1.0
+        super().__init__(mesh, d)
 
 
 def test_negative_curvature_raises_with_probe():
@@ -163,6 +170,16 @@ def test_negative_curvature_raises_with_probe():
     assert info["curvature"] <= 0.0
     assert "iteration" in info
     assert len(info["probe"]) == COARSE.n_interior
+
+
+def test_max_iterate_norm_counts_the_start():
+    # a start far from the minimizer 1 / d is the largest iterate
+    d = np.linspace(1.0, 2.0, COARSE.n_interior)
+    x0 = np.full(COARSE.n_interior, 100.0)
+    res = solve_quadratic(DiagonalOp(COARSE, d, x0))
+    assert res.converged and res.iterations >= 1
+    assert np.max(np.abs(res.minimizer.values - 1.0 / d)) <= 1e-9
+    assert res.max_iterate_norm == lp_norm(COARSE, x0, 2.0)
 
 
 # ------------------------------------------------------------ preconditioner
@@ -220,7 +237,7 @@ def test_preconditioner_inverts_the_stencil_on_grid_modes(mesh, delta, k):
         mesh.interior_points - (lo + extent / 2), axis=1)))
     symbol = op.apply_quadratic(v)[center] / v[center]
     want = v / symbol
-    got = op._tau_solve()(v)
+    got = op._tau_solve(v)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 

@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nldir import (EigenProblem, EigenResult, MassFormError, PenaltySpec,
+from nldir import (EigenProblem, EigenResult, EnergyOperator, MassFormError,
+                   PenaltySpec,
                    SolveOptions, SolverError, assemble, build_mesh,
                    compare_mass_models, dense_eigen, solve_eigen)
 from nldir.kernels import QUARTIC, WENDLAND, KernelSpec, normalize_w
@@ -217,6 +218,22 @@ def test_wendland_mass_gap_is_small():
     assert cmp.gaps[0] <= 0.05
     assert cmp.l2.mass_model == "L2"
     assert cmp.w.mass_model == "nonlocalW"
+
+
+def test_both_mass_models_factor_the_layer_once(monkeypatch):
+    # the layer blocks and their factor are cached on the stiffness, so
+    # the second solve of compare_mass_models reuses the first's
+    built = []
+    layer = EnergyOperator._layer
+
+    def counted(self):
+        built.append(self)
+        return layer(self)
+
+    monkeypatch.setattr(EnergyOperator, "_layer", counted)
+    op = stiffness(SQUARE, 0.3)
+    compare_mass_models(op, normalize_w(WENDLAND, 2), k=2)
+    assert built == [op]
 
 
 def test_indefinite_w_kernel_is_refused():

@@ -254,6 +254,45 @@ def test_eigen_row_reuses_the_row_operator(monkeypatch):
     assert row.eigen_lambdas == tuple(float(v) for v in eig.eigenvalues)
 
 
+def test_square_p2_row_solves_without_a_matvec(monkeypatch):
+    # the deflated CG step returns A z from its DST and layer solves, so
+    # inside solve_quadratic neither apply_quadratic nor an FFT
+    # convolution runs
+    inside, calls = [False], []
+    solve, convolution = study.solve_quadratic, study.assembly._convolution
+    apply_quadratic = study.assembly.EnergyOperator.apply_quadratic
+
+    def counted_solve(*args, **kwargs):
+        inside[0] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counted_convolution(*args):
+        apply = convolution(*args)
+
+        def counted(v):
+            calls.append(("convolution", inside[0]))
+            return apply(v)
+
+        return counted
+
+    def counted_apply(self, u):
+        calls.append(("apply_quadratic", inside[0]))
+        return apply_quadratic(self, u)
+
+    monkeypatch.setattr(study, "solve_quadratic", counted_solve)
+    monkeypatch.setattr(study.assembly, "_convolution", counted_convolution)
+    monkeypatch.setattr(study.assembly.EnergyOperator, "apply_quadratic",
+                        counted_apply)
+    cfg = StudyConfig(shape={"rect": [[0.0, 0.0], [1.0, 1.0]]},
+                      deltas=(0.1,), case="harmonic_x2_minus_y2")
+    row = run_delta_sweep(cfg).ok_rows()[0]
+    assert row.converged and row.iterations >= 1
+    assert [name for name, during in calls if during] == []
+
+
 def test_zero_case_minimizer_is_zero():
     cfg = StudyConfig(shape={"interval": [0.0, 1.0]}, deltas=(0.2,),
                       case="zero")
