@@ -28,18 +28,16 @@ selects the alternative shi prefactor 4/(delta^2 mu_b); both scalings
 appear in the literature on this penalty. At p = 2 with zero data,
 dirac_diagonal is pointwise.
 
-For p = 2 the assembled operator also carries a quadratic form
-F(u) = u^T A u - 2 l^T u + c0 with A split into the interior form, a
-penalty diagonal, and per-boundary-node rank-one terms that are never
-materialized densely. The interior form is applied matrix-free, as one
-real-FFT convolution of the per-offset weights over the bounding grid
-minus the row sums, built on the first apply_quadratic; the row sums,
-energy and gradient are per-offset slice sums on that grid, so p = 2
-lists no pairs. The boundary layer L, where A differs from the
+For every p the interior energy, its gradient and its Hessian-vector
+product are per-offset slice sums on the lattice's bounding grid: no
+pair list and no Hessian matrix is built. For p = 2 the operator also
+carries a quadratic form F(u) = u^T A u - 2 l^T u + c0: the interior
+form (applied as one real-FFT convolution of the per-offset weights
+minus the row sums), a penalty diagonal and per-boundary-node rank-one
+terms, never dense. The boundary layer L, where A differs from the
 translation-invariant stencil, is solved exactly (through the sparse
 A[:, L]) and the rest by a DST: as a symmetric preconditioner, and as
-the deflated conjugate-gradient step of minimize.solve_quadratic, which
-needs no matvec.
+the deflated conjugate-gradient step of minimize.solve_quadratic.
 """
 
 import functools
@@ -220,12 +218,10 @@ def _on_nodes(grid_matrix, stencil):
     return grid_matrix[sites][:, sites]
 
 
-def _stencil_matrix(stencil, weights, diagonal=None, upper=False):
+def _stencil_matrix(stencil, weights, diagonal):
     """n x n CSR matrix with weights[k] at (i, j) and (j, i) for every
     two nodes the k-th half-offset apart and `diagonal` (per node) on
-    the diagonal; diagonal None puts minus each row's off-diagonal sum
-    there. upper=True keeps only the entry (i, j) of each pair, i the
-    node the offset starts from, and no diagonal.
+    the diagonal.
 
     Built in one dia-to-CSR pass on the flattened bounding grid: the
     dia row of offset f holds the pair weights at their second site
@@ -238,19 +234,13 @@ def _stencil_matrix(stencil, weights, diagonal=None, upper=False):
     starts = stencil.pair_starts()
     flat, row = np.unique(steps, return_inverse=True)
     k, size = len(flat), starts.shape[1]
-    data = np.zeros((k if upper else 2 * k + 1, size))
+    data = np.zeros((2 * k + 1, size))
     for start, f, w, r in zip(starts, steps, weights, row):
         data[r, f:] += w * start[:size - f]
-        if not upper:
-            data[k + r] += w * start
-    offsets = flat
-    if not upper:
-        if diagonal is None:
-            data[2 * k] = -data[:2 * k].sum(axis=0)
-        else:
-            data[2 * k, stencil.sites] = diagonal
-        offsets = np.concatenate([flat, -flat, [0]])
-    grid = sp.dia_matrix((data, offsets), shape=(size, size)).tocsr()
+        data[k + r] += w * start
+    data[2 * k, stencil.sites] = diagonal
+    grid = sp.dia_matrix((data, np.concatenate([flat, -flat, [0]])),
+                         shape=(size, size)).tocsr()
     return _on_nodes(grid, stencil)
 
 
@@ -286,16 +276,14 @@ class EnergyOperator:
 
     Construct with assemble(); the instance is immutable in use. For
     p = 2, apply_quadratic/linear_term/constant_term expose the
-    quadratic form, applied as FFT-convolution interior + diagonal +
-    rank-one penalty terms, and the interior energy and gradient are
-    per-offset slice sums on the bounding grid. The pieces that only
-    some paths read (the pair lists, the convolution, the DST solve,
-    the layer blocks and their factor) are built on first use, once
-    per operator.
+    quadratic form. The pieces that only some paths read (the
+    convolution, the DST solve, the layer blocks and their factor) are
+    built on first use, once per operator.
     """
 
-    # first-use caches; scaled() drops them, as they read the weights
-    _CACHES = ("_pairs", "_neighbors", "_tau_solve", "_two_level")
+    # first-use caches; scaled() and twin() drop them, as they read the
+    # weights or the exponent
+    _CACHES = ("_neighbors", "_tau_solve", "_two_level")
 
     def __init__(self, mesh, delta, p, spec, a_values, stencil, offset_w,
                  pen_indptr, pen_indices, pen_rowid, pen_coef, pen_pref):
@@ -306,8 +294,8 @@ class EnergyOperator:
         self.variant = spec.variant
         self.rank_one = spec.variant in RANK_ONE_VARIANTS
         self.a = a_values
-        # interior pairs: offset_w[k] = q^2 R_delta(|o_k|) / delta^p is the
-        # weight of every pair of nodes the k-th half-offset apart
+        # offset_w[k] = q^2 R_delta(|o_k|) / delta^p is the weight of
+        # every pair of nodes the k-th half-offset apart
         self.stencil = stencil
         self.offset_w = offset_w
         self.pen_indptr = pen_indptr
@@ -317,25 +305,14 @@ class EnergyOperator:
         self.pen_pref = pen_pref
         self.pen_sums = np.bincount(pen_rowid, weights=pen_coef,
                                     minlength=mesh.n_boundary)
+        # per nonzero-weight offset: flat step, pair start sites, 2 w
+        keep = offset_w != 0.0
+        self._steps = stencil.flat_offsets[keep]
+        self._starts = stencil.pair_starts()[keep]
+        self._w2 = 2.0 * offset_w[keep]
         self._p2 = None
         if self.p == 2.0:
-            # per offset of nonzero weight: its flat step and the grid
-            # sites its pairs start from
-            keep = offset_w != 0.0
-            self._steps = stencil.flat_offsets[keep]
-            self._starts = stencil.pair_starts()[keep]
             self._build_quadratic()
-
-    @functools.cached_property
-    def _pairs(self):
-        """Interior pair lists (i, j, w), i the node each half-offset
-        starts from; built on first use (p != 2 evaluates through them)."""
-        coo = _stencil_matrix(self.stencil, self.offset_w, upper=True).tocoo()
-        return coo.row, coo.col, coo.data
-
-    pair_i = property(lambda self: self._pairs[0])
-    pair_j = property(lambda self: self._pairs[1])
-    pair_w = property(lambda self: self._pairs[2])
 
     def _to_ends(self, pieces, second=np.add):
         """Per-node sums over the pairs of the nonzero-weight offsets: a
@@ -365,7 +342,6 @@ class EnergyOperator:
         n = self.mesh.n_interior
         # each pair (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so
         # A_int v = rowsum * v - sum over signed offsets o of 2 w(o) v(. + o)
-        self._w2 = 2.0 * self.offset_w[self.offset_w != 0.0]
         self._rowsum = self._to_ends(w2 * start for w2, start
                                      in zip(self._w2, self._starts))
         pref, coef = self.pen_pref, self.pen_coef
@@ -406,12 +382,16 @@ class EnergyOperator:
         diag, _, _, lowrank = self._p2
         out = self._rowsum * v - self._neighbors(v) + diag * v
         if lowrank is not None:
-            t = np.bincount(self.pen_rowid, weights=self.pen_coef * v[self.pen_indices],
-                            minlength=self.mesh.n_boundary)
-            out += np.bincount(self.pen_indices,
-                               weights=self.pen_coef * (lowrank * t)[self.pen_rowid],
-                               minlength=self.mesh.n_interior)
+            out += self._rank_one_apply(lowrank, v)
         return out
+
+    def _rank_one_apply(self, scale, v):
+        """sum_b scale_b k_b (k_b . v): the rank-one penalty terms."""
+        idx, rowid = self.pen_indices, self.pen_rowid
+        t = np.bincount(rowid, weights=self.pen_coef * v[idx],
+                        minlength=self.mesh.n_boundary)
+        return np.bincount(idx, weights=self.pen_coef * (scale * t)[rowid],
+                           minlength=self.mesh.n_interior)
 
     @property
     def linear_term(self):
@@ -422,8 +402,8 @@ class EnergyOperator:
         return self._require_p2()[2]
 
     def preconditioner(self):
-        """r -> M r, the symmetric positive definite map that nonlinear
-        CG and LOBPCG precondition with (linear CG runs deflated_cg).
+        """r -> M r, the symmetric positive definite map that Newton-CG
+        and LOBPCG precondition with (linear CG runs deflated_cg).
 
         For p != 2, M is P_tau^-1, the DST solve of _tau_solve. For
         p = 2 it is the symmetric two-level map
@@ -510,29 +490,31 @@ class EnergyOperator:
         nodes), whose layer rows are A_LL. Neither stores zeros."""
         diag, _, _, lowrank = self._require_p2()
         n = self.mesh.n_interior
-        count = self._to_ends(self._starts)
-        in_layer = count < 2 * len(self._steps)
+        size, sites = self._starts.shape[1], self.stencil.sites
+        full = np.ones(size, dtype=bool)  # every offset links it both ways
+        for f, start in zip(self._steps, self._starts):
+            full &= start & np.concatenate([np.zeros(f, bool), start[:-f]])
+        in_layer = ~full[sites]
         in_layer[self.pen_indices] = True
         nodes = np.flatnonzero(in_layer)
         m = len(nodes)
-        sites = self.stencil.sites
-        node_of = np.full(self._starts.shape[1], -1)
+        node_of = np.full(size, -1)
         node_of[sites] = np.arange(n)
         at = sites[nodes]
-        rows, cols = [nodes], [np.arange(m)]
-        vals = [self._rowsum[nodes] + diag[nodes]]
+        # B^T in CSR, a row per layer node: the node, then per offset its
+        # neighbors f sites down and up (-1 where no pair links them, a
+        # pair starting at s linking s and s + f); scipy's counting
+        # transpose to B's CSR leaves each row's columns ascending
+        cols, vals = [nodes], [self._rowsum[nodes] + diag[nodes]]
         for f, w2, start in zip(self._steps, self._w2, self._starts):
-            # a layer node is the pair's first end at its own site, its
-            # second end when the pair starts f sites before it
-            for other, first in ((at + f, at), (at - f, at - f)):
-                hit = np.flatnonzero(start[np.maximum(first, 0)]
-                                     & (first >= 0))
-                rows.append(node_of[other[hit]])
-                cols.append(hit)
-                vals.append(np.full(len(hit), -w2))
-        block = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                      np.concatenate(cols))),
-                              shape=(n, m))
+            cols += [np.where((at >= f) & start[at - f], node_of[at - f], -1),
+                     np.where(start[at], node_of[(at + f) % size], -1)]
+            vals += [np.full(m, -w2)] * 2
+        cols, vals = np.stack(cols, axis=1), np.stack(vals, axis=1)
+        linked = cols >= 0
+        indptr = np.concatenate([[0], np.cumsum(linked.sum(axis=1))])
+        block = sp.csr_matrix((vals[linked], cols[linked], indptr),
+                              shape=(m, n)).T.tocsr()
         if lowrank is not None:
             k = sp.csr_matrix((self.pen_coef, (self.pen_rowid,
                                                self.pen_indices)),
@@ -597,14 +579,11 @@ class EnergyOperator:
 
     def interior_energy(self, u) -> float:
         """Ordered-pair double sum of kernel-weighted p-th power
-        differences; at p = 2 summed per offset on the bounding grid,
-        so a constant field gives exactly 0."""
-        v = _field_values(self.mesh, u)
-        if self._p2 is not None:
-            return float(sum(w2 * (d @ d) for w2, d
-                             in zip(self._w2, self._differences(v))))
-        d = v[self.pair_i] - v[self.pair_j]
-        return float(2.0 * np.sum(self.pair_w * np.abs(d) ** self.p))
+        differences, summed per offset on the bounding grid, so a
+        constant field gives exactly 0."""
+        v, p = _field_values(self.mesh, u), self.p
+        return float(sum(w2 * (d @ d if p == 2.0 else np.sum(np.abs(d) ** p))
+                         for w2, d in zip(self._w2, self._differences(v))))
 
     def penalty_energy(self, u, a=None) -> float:
         """Boundary penalty at u; a defaults to the assembled datum."""
@@ -625,34 +604,50 @@ class EnergyOperator:
         return self.interior_energy(u) + self.penalty_energy(u)
 
     def gradient(self, u):
-        """Analytic gradient of the total energy; for p = 2 it equals
-        2 A u - 2 l, summed per offset (exactly 0 for a constant field)."""
-        v = _field_values(self.mesh, u)
-        n = self.mesh.n_interior
-        p = self.p
-        if self._p2 is not None:
-            g = self._to_ends((2.0 * w2 * d for w2, d
-                               in zip(self._w2, self._differences(v))),
-                              np.subtract)
-        else:
-            d = v[self.pair_i] - v[self.pair_j]
-            # |d|^(p-2) d written as sign(d)|d|^(p-1): finite at d = 0
-            c = 2.0 * p * self.pair_w * np.sign(d) * np.abs(d) ** (p - 1.0)
-            g = np.bincount(self.pair_i, weights=c, minlength=n)
-            g -= np.bincount(self.pair_j, weights=c, minlength=n)
+        """Analytic gradient of the total energy, summed per offset
+        (exactly 0 for a constant field); for p = 2 it equals
+        2 A u - 2 l."""
+        v, p = _field_values(self.mesh, u), self.p
+        g = self._to_ends((p * w2 * _signed_power(d, p - 1.0) for w2, d
+                           in zip(self._w2, self._differences(v))),
+                          np.subtract)
         coef, rowid, idx = self.pen_coef, self.pen_rowid, self.pen_indices
-        pref = self.pen_pref
         if self.rank_one:
-            inner = self._inner(v, self.a)
-            scale = pref * p * np.sign(inner) * np.abs(inner) ** (p - 1.0)
-            g -= np.bincount(idx, weights=coef * scale[rowid], minlength=n)
+            scale = self.pen_pref * p * _signed_power(self._inner(v, self.a),
+                                                      p - 1.0)
+            return g - np.bincount(idx, weights=coef * scale[rowid],
+                                   minlength=len(v))
+        dv = v[idx] - self.a[rowid]
+        return g + np.bincount(idx, weights=self.pen_pref[rowid] * coef * p
+                               * _signed_power(dv, p - 1.0), minlength=len(v))
+
+    def hessian(self, u):
+        """v -> H v, the Hessian at u with no matrix: per offset slice
+        2 p (p - 1) w_k |Delta_k u|^(p-2), plus p (p - 1) pref_b times
+        |inner_b|^(p-2) k_b k_b^T (rank-one) or k_b[j] |u_j - a_b|^(p-2)
+        on the diagonal, each |.| floored as in _floored_power."""
+        v = _field_values(self.mesh, u)
+        c, e = self.p * (self.p - 1.0), self.p - 2.0
+        slices = [c * w2 * _floored_power(d, e)
+                  for w2, d in zip(self._w2, self._differences(v))]
+        idx, rowid = self.pen_indices, self.pen_rowid
+        if self.rank_one:
+            scale = c * self.pen_pref * _floored_power(self._inner(v, self.a),
+                                                       e)
         else:
-            dv = v[idx] - self.a[rowid]
-            g += np.bincount(idx,
-                             weights=pref[rowid] * coef
-                             * p * np.sign(dv) * np.abs(dv) ** (p - 1.0),
-                             minlength=n)
-        return g
+            diag = np.bincount(idx, minlength=self.mesh.n_interior,
+                               weights=c * self.pen_pref[rowid] * self.pen_coef
+                               * _floored_power(v[idx] - self.a[rowid], e))
+
+        def apply(w):
+            out = self._to_ends((s * d for s, d
+                                 in zip(slices, self._differences(w))),
+                                np.subtract)
+            if self.rank_one:
+                return out + self._rank_one_apply(scale, w)
+            return out + diag * w
+
+        return apply
 
     # -- transforms ------------------------------------------------------
 
@@ -660,16 +655,41 @@ class EnergyOperator:
         """A new operator whose energy is factor times this one."""
         if not factor > 0:
             raise AssemblyError("scale factor must be positive", factor=factor)
+        return self._derived(offset_w=self.offset_w * factor,
+                             pen_pref=self.pen_pref * factor,
+                             _w2=self._w2 * factor)
+
+    def twin(self, p=None, a=None):
+        """This operator's tables with exponent p and datum values a. The
+        weights keep their delta^-p, so a p = 2 twin is delta^(2-p) times
+        assemble()'s p = 2 operator, with the same minimizer."""
+        return self._derived(p=self.p if p is None else float(p),
+                             a=self.a if a is None else a)
+
+    def _derived(self, **fields):
+        """A copy with fields replaced, caches dropped, p = 2 form rebuilt."""
         out = object.__new__(EnergyOperator)
         out.__dict__.update(self.__dict__)
-        for name in self._CACHES:  # rebuilt from the scaled weights
+        for name in self._CACHES:
             out.__dict__.pop(name, None)
-        out.offset_w = self.offset_w * factor
-        out.pen_pref = self.pen_pref * factor
-        out.pen_sums = self.pen_sums
-        if self._p2 is not None:
+        out.__dict__.update(fields)
+        out._p2 = None
+        if out.p == 2.0:
             out._build_quadratic()
         return out
+
+
+def _signed_power(d, e):
+    """sign(d) |d|^e, which is d at e = 1 and finite at d = 0."""
+    return d if e == 1.0 else np.sign(d) * np.abs(d) ** e
+
+
+def _floored_power(d, e):
+    """|d|^e with |d| floored at 1e-10 of its largest value (at 1 when
+    every value is 0), so it is finite for e < 0."""
+    d = np.abs(d)
+    top = d.max(initial=0.0)
+    return np.maximum(d, 1e-10 * top if top > 0.0 else 1.0) ** e
 
 
 def _field_values_boundary(mesh, a):
@@ -694,10 +714,10 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     (MeshError otherwise; see geometry.lattice_stencil). One
     lattice_stencil serves the interior pairs and the penalty tables
     when their kernels share a support: the kernel R is evaluated once
-    per half-offset. p = 2 lists no pairs: the interior form is a
-    convolution of the per-offset weights, and the energy, gradient and
-    boundary layer read the stencil's per-offset pair sites. Other
-    exponents list the pairs on first use.
+    per half-offset. No exponent lists pairs: the energy, gradient,
+    Hessian and boundary layer read the stencil's per-offset pair sites,
+    and the p = 2 interior form is a convolution of the per-offset
+    weights.
     """
     if not delta > 0:
         raise AssemblyError("horizon must be positive", delta=delta)

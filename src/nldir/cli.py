@@ -126,10 +126,8 @@ def _cmd_solve(args):
     case = study.manufactured_case(cfg.case)
     a = assembly.boundary_data(mesh, case.datum)
     op = assembly.assemble(mesh, kernel_r, spec, delta, cfg.p, a)
-    if cfg.p == 2.0:
-        result = solve_quadratic(op, cfg.solver)
-    else:
-        result = solve_p_energy(op, cfg.solver)
+    solve = solve_quadratic if cfg.p == 2.0 else solve_p_energy
+    result = solve(op, cfg.solver)
     u = result.minimizer.values
     err = assembly.lp_norm(mesh, u - case.exact(mesh.interior_points), 2.0)
     out = cfg.out_csv
@@ -145,7 +143,7 @@ def _cmd_solve(args):
     print(f"delta {delta:.6g}  nodes {mesh.n_interior}  "
           f"energy {result.energy:.6g}  grad {result.gradient_norm:.6g}  "
           f"iterations {result.iterations}  converged {result.converged}  "
-          f"l2_error {err:.6g}")
+          f"stop {result.stop_reason}  l2_error {err:.6g}")
     return 0
 
 

@@ -4,12 +4,12 @@ Two strictly deterministic solvers: conjugate gradients for the p = 2
 quadratic form, deflated by the boundary layer (EnergyOperator.
 deflated_cg: started from the exact layer solve, each step one
 grid-stencil DST solve and one layer solve, and no matvec), so the
-iteration count does not grow as delta falls; and preconditioned
-nonlinear conjugate gradients (Polak-Ribiere with restart) plus an
-Armijo line search for general p > 1, from a zero start by default,
-preconditioned with EnergyOperator.preconditioner. Both declare
-convergence on gradient_norm <= tol * (1 + |energy|); energy stall is
-never the stopping test.
+iteration count does not grow as delta falls; and damped inexact
+Newton-CG for general p > 1 (Nocedal & Wright, Numerical Optimization,
+ch. 7) from the minimizer of the operator's p = 2 twin, its Hessian
+applied per offset slice with no matrix. Both declare convergence on
+gradient_norm <= tol * (1 + |energy|); energy stall is never the
+stopping test, and every result names its stop_reason.
 """
 
 import itertools
@@ -23,6 +23,8 @@ from .errors import ConfigError, SolverError
 _TINY = 1e-300
 _ARMIJO = 1e-4  # a step must achieve this fraction of the predicted decrease
 _SHRINK = 0.5   # step factor per rejected trial
+_MIN_STEP = 1e-12  # the shortest trial step before the line search stalls
+_START_TOL = 1e-8  # the tightest tolerance the p = 2 start is solved to
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,10 @@ class SolveResult:
     iterations: int
     converged: bool
     max_iterate_norm: float
+    stop_reason: str  # "gradient", "max_iter" or "line_search_stall"
 
 
-def _finish(op, x, iterations, opts, max_norm):
+def _finish(op, x, iterations, opts, max_norm, stop_reason):
     """Recompute energy and gradient at the final iterate so the
     converged flag is exact, not inherited from solver recurrences."""
     energy = op.energy(x)
@@ -68,7 +71,7 @@ def _finish(op, x, iterations, opts, max_norm):
     converged = gradient_norm <= opts.tol * (1.0 + abs(energy))
     max_norm = max(max_norm, lp_norm(op.mesh, x, op.p))
     return SolveResult(Field(op.mesh, x.copy()), energy, gradient_norm,
-                       iterations, converged, max_norm)
+                       iterations, converged, max_norm, stop_reason)
 
 
 def _cg_iterates(x, r, step):
@@ -104,8 +107,9 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     op.deflated_cg() gives the start x0, its residual r0 = l - A x0 and
     the step r -> (z, A z) that _cg_iterates runs. Stops when the
     residual is small both relative to l and relative to the energy
-    scale, tested at x0 too (0 iterations). Exhausting the budget
-    returns the last iterate flagged non-converged; max_iterate_norm
+    scale, tested at x0 too (0 iterations), with stop_reason
+    "gradient". Exhausting the budget returns the last iterate with
+    stop_reason "max_iter", flagged non-converged; max_iterate_norm
     counts x0.
     """
     if op.p != 2.0:
@@ -116,7 +120,7 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     ell_norm = float(np.linalg.norm(ell))
     if ell_norm == 0.0:
         x = np.zeros(op.mesh.n_interior)
-        return _finish(op, x, 0, opts, lp_norm(op.mesh, x, op.p))
+        return _finish(op, x, 0, opts, lp_norm(op.mesh, x, op.p), "gradient")
 
     def small(x, r):
         # F(x) via r = l - A x: x^T A x = x.(l - r)
@@ -133,74 +137,54 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
             max_norm = max(max_norm, lp_norm(op.mesh, x, op.p))
             if small(x, r) or iterations == opts.max_iter:
                 break
-    return _finish(op, x, iterations, opts, max_norm)
+    return _finish(op, x, iterations, opts, max_norm,
+                   "gradient" if small(x, r) else "max_iter")
 
 
 def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions(),
                    x0=None) -> SolveResult:
-    """Preconditioned nonlinear conjugate gradients for any p > 1.
-
-    Polak-Ribiere coefficient clipped at zero, restart to steepest
-    descent whenever the direction fails to descend, and an Armijo line
-    search that halves the step until the energy falls by at least
-    1e-4 times the predicted decrease. Line-search underflow stops
-    the iteration; the converged flag then reflects the gradient test
-    at the last iterate.
-    """
-    n = op.mesh.n_interior
-    x = np.zeros(n) if x0 is None else np.array(
-        x0.values if isinstance(x0, Field) else x0, dtype=float)
+    """Damped inexact Newton-CG for any p > 1, from x0 or else from the
+    minimizer of op.twin(p=2.0). Each step runs CG on H s = -g with
+    M = op.preconditioner() and H = op.hessian(x) until |r| <= eta |g|,
+    eta = min(0.5, |g|^(1/2)), then an Armijo backtracking. Stops on the
+    gradient test ("gradient"), after max_iter steps ("max_iter"), or
+    when no step down to 1e-12 lowers the energy ("line_search_stall"),
+    which a p < 2 row may reach where |.|^(p-2) is unbounded."""
+    if x0 is None:
+        x = solve_quadratic(op.twin(p=2.0), SolveOptions(
+            tol=max(opts.tol, _START_TOL))).minimizer.values
+    else:
+        x = np.array(x0.values if isinstance(x0, Field) else x0, dtype=float)
     precond = op.preconditioner()
-    energy = op.energy(x)
-    g = op.gradient(x)
-    z = precond(g)
-    d = -z
-    gz = float(g @ z)
+    energy, g = op.energy(x), op.gradient(x)
     max_norm = lp_norm(op.mesh, x, op.p)
-    step = 1.0
-    iterations = 0
-    flat_count = 0
-    for iterations in range(1, opts.max_iter + 1):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= opts.tol * (1.0 + abs(energy)):
-            iterations -= 1
+    for iterations in itertools.count():
+        g_norm = float(np.linalg.norm(g))
+        small = g_norm <= opts.tol * (1.0 + abs(energy))
+        if small or iterations == opts.max_iter:
+            reason = "gradient" if small else "max_iter"
             break
-        slope = float(g @ d)
-        if slope >= 0.0:
-            d = -z
-            slope = -gz
-        t = min(2.0 * step, 1e8)
-        x_new = None
-        stalled = False
-        while True:
-            trial = x + t * d
-            e_trial = op.energy(trial)
+        hessian = op.hessian(x)
+
+        def step(r):
+            z = precond(r)
+            return z, hessian(z)
+
+        target = min(0.5, np.sqrt(g_norm)) * g_norm
+        for inner, (s, r) in enumerate(_cg_iterates(np.zeros_like(x), -g,
+                                                    step), 1):
+            if np.linalg.norm(r) <= target or inner == len(g):
+                break
+        slope, t = float(g @ s), 1.0
+        while slope < 0.0 and t >= _MIN_STEP:
+            e_trial = op.energy(x + t * s)
             if e_trial <= energy + _ARMIJO * t * slope:
-                x_new = trial
                 break
             t *= _SHRINK
-            if t <= 1e-18:
-                stalled = True
-                break
-        if stalled:
-            break
-        # energy differences at the floating-point floor mean the line
-        # search can no longer certify progress; stop after a streak
-        if abs(energy - e_trial) <= 1e-15 * (1.0 + abs(energy)):
-            flat_count += 1
-            if flat_count >= 10:
-                x = x_new
-                break
         else:
-            flat_count = 0
-        step = t
-        x = x_new
-        energy = e_trial
-        g_new = op.gradient(x)
-        z_new = precond(g_new)
-        gz_new = float(g_new @ z_new)
-        beta = max(0.0, float(g_new @ (z_new - z)) / gz) if gz > 0 else 0.0
-        d = -z_new + beta * d
-        g, z, gz = g_new, z_new, gz_new
+            reason = "line_search_stall"
+            break
+        x, energy = x + t * s, e_trial
+        g = op.gradient(x)
         max_norm = max(max_norm, lp_norm(op.mesh, x, op.p))
-    return _finish(op, x, iterations, opts, max_norm)
+    return _finish(op, x, iterations, opts, max_norm, reason)

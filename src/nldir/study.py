@@ -119,6 +119,7 @@ class SweepRow:
     ratio_to_limit: float = None
     converged: bool = None
     iterations: int = None
+    stop_reason: str = None
     eigen_lambdas: tuple = None
     error: str = None
 
@@ -186,10 +187,8 @@ def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
                        cfg.shi_delta_sq_prefactor)
     a = boundary_data(mesh, case.datum)
     op = assembly.assemble(mesh, kernel_r, spec, delta, cfg.p, a)
-    if cfg.p == 2.0:
-        result = solve_quadratic(op, cfg.solver)
-    else:
-        result = solve_p_energy(op, cfg.solver)
+    solve = solve_quadratic if cfg.p == 2.0 else solve_p_energy
+    result = solve(op, cfg.solver)
     u = result.minimizer.values
 
     exact_vals = case.exact(mesh.interior_points)
@@ -209,10 +208,7 @@ def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
         from .spectra import EigenProblem, solve_eigen
         # the datum enters only the affine part, so the stencil and the
         # penalty arrays of op serve the zero-datum stiffness unchanged
-        op0 = assembly.EnergyOperator(
-            mesh, op.delta, op.p, op.spec, np.zeros(mesh.n_boundary),
-            op.stencil, op.offset_w, op.pen_indptr, op.pen_indices,
-            op.pen_rowid, op.pen_coef, op.pen_pref)
+        op0 = op.twin(a=np.zeros(mesh.n_boundary))
         mass = cfg.eigen_mass if cfg.eigen_mass != "both" else "L2"
         w_kernel = None
         if mass == "nonlocalW":
@@ -229,6 +225,7 @@ def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
                    ratio_to_limit=ratio_to_limit,
                    converged=result.converged,
                    iterations=result.iterations,
+                   stop_reason=result.stop_reason,
                    eigen_lambdas=eigen_lambdas)
     return (row, u if keep_field else None, mesh)
 
@@ -411,7 +408,8 @@ def report_json_dict(report: StudyReport) -> dict:
             row.update(l2_error=r.l2_error, trace_norm=r.trace_norm,
                        energy=r.energy, sigma_r=r.sigma_r,
                        seconds=r.seconds, ratio_to_limit=r.ratio_to_limit,
-                       converged=r.converged, iterations=r.iterations)
+                       converged=r.converged, iterations=r.iterations,
+                       stop_reason=r.stop_reason)
             if r.eigen_lambdas is not None:
                 row["eigen_lambdas"] = list(r.eigen_lambdas)
         rows.append(row)

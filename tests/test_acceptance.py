@@ -90,12 +90,13 @@ def test_criterion_04_p3_linear_limit():
                       solver=SolveOptions(tol=1e-8))
     rows = run_delta_sweep(cfg).ok_rows()
     errs = [r.l2_error for r in rows]
+    converged = [r.converged for r in rows]
     elapsed = time.perf_counter() - t0
     ok = (len(errs) == 3 and errs[0] > errs[1] > errs[2]
-          and errs[2] <= 0.03 and elapsed <= 120.0)
+          and errs[2] <= 0.03 and all(converged) and elapsed <= 120.0)
     gate(4, ok, f"p=3 errors vs u(x)=x {[f'{e:.5f}' for e in errs]} "
-                f"strictly decreasing, final <= 0.03; {elapsed:.1f}s "
-                f"(budget 120s)")
+                f"strictly decreasing, final <= 0.03; converged "
+                f"{converged}; {elapsed:.1f}s (budget 120s)")
 
 
 def test_criterion_05_eigenvalue_convergence():

@@ -223,6 +223,26 @@ def test_gradient_matches_finite_differences(variant, p):
         assert err <= 1e-6
 
 
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("variant", ["product", "pointwise"])
+@pytest.mark.parametrize("mesh,delta", [(INTERVAL, 0.3), (SQUARE, 0.5),
+                                        (L_SHAPE, 0.3)])
+def test_hessian_matches_central_differences_of_the_gradient(mesh, delta,
+                                                             variant, p):
+    # rank-one (product) and diagonal (pointwise) penalty forms; at a
+    # random field no difference or residual comes near the floor
+    op = make_op(mesh, variant, delta, p=p, seed=19)
+    u = np.random.default_rng(29).standard_normal(mesh.n_interior)
+    hess = op.hessian(u)
+    step = 1e-6
+    eye = np.eye(mesh.n_interior)
+    got = np.column_stack([hess(e) for e in eye])
+    want = np.column_stack([(op.gradient(u + step * e)
+                             - op.gradient(u - step * e)) / (2.0 * step)
+                            for e in eye])
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
 # --------------------------------------------------------- invariances
 
 def test_translation_invariance_hundred_cases():
@@ -291,24 +311,30 @@ def test_scaled_quadratic_form_consistent():
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_scaled_operator_never_reads_stale_pair_lists(p):
-    # the pair lists are built on first use; an operator scaled after
-    # that must not keep the unscaled weights its __dict__ copy carries
+    # the per-offset pair weights of the slices, and the convolution
+    # built on first use, scale with the operator: one scaled after its
+    # caches exist must not keep the unscaled weights its __dict__ copy
+    # carries
     rng = np.random.default_rng(67)
     u = rng.standard_normal(L_SHAPE.n_interior)
+    v = rng.standard_normal(L_SHAPE.n_interior)
     f = 3.7
     for built_first in (False, True):
         op = make_op(L_SHAPE, "product", 0.3, p=p, seed=71)
         if built_first:
-            _ = op.pair_w
+            _ = op._neighbors
         sc = op.scaled(f)
         assert rel(sc.energy(u), f * op.energy(u)) <= 1e-14
         g = f * op.gradient(u)
         assert np.linalg.norm(sc.gradient(u) - g) <= 1e-14 * np.linalg.norm(g)
+        hv = f * op.hessian(u)(v)
+        assert np.linalg.norm(sc.hessian(u)(v) - hv) \
+            <= 1e-14 * np.linalg.norm(hv)
         if p == 2.0:
             aq = f * op.apply_quadratic(u)
             assert np.linalg.norm(sc.apply_quadratic(u) - aq) \
                 <= 1e-14 * np.linalg.norm(aq)
-        assert np.array_equal(sc.pair_w, op.pair_w * f)
+        assert np.array_equal(sc._w2, op._w2 * f)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

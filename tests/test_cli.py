@@ -70,16 +70,17 @@ def test_pipeline_commands_leave_scipy_spatial_unloaded(tmp_path):
 
 
 def test_p2_pipeline_commands_build_no_pair_lists(tmp_path, monkeypatch):
-    # at p = 2 the energy, the gradient and the boundary layer read
-    # per-offset grid slices: a square sweep row, an eigen solve under
-    # both masses and a coercivity probe never list the interior pairs,
-    # which a p = 3 sweep row still does, once per operator
+    # the energy, the gradient, the Hessian and the boundary layer read
+    # per-offset grid slices for every p: a square sweep row, a
+    # coercivity probe and a p = 3 sweep row (Newton-CG) never build a
+    # sparse stencil matrix; an eigen solve under both masses builds one,
+    # the W mass matrix. No operator keeps a list of its pairs.
     real = nldir.assembly._stencil_matrix
-    listed = []
+    built = []
 
-    def counted(stencil, weights, diagonal=None, upper=False):
-        listed.append(upper)
-        return real(stencil, weights, diagonal, upper)
+    def counted(stencil, weights, diagonal=None):
+        built.append(sys._getframe(1).f_code.co_name)
+        return real(stencil, weights, diagonal)
 
     monkeypatch.setattr(nldir.assembly, "_stencil_matrix", counted)
 
@@ -88,16 +89,22 @@ def test_p2_pipeline_commands_build_no_pair_lists(tmp_path, monkeypatch):
         cfg = str(path.rename(tmp_path / name))
         assert dispatch([command, "--config", cfg, "--out", cfg + ".out"]) \
             == 0
-        return listed.count(True)
+        got = list(built)
+        built.clear()
+        return got
 
     square = {"rect": [[0.0, 0.0], [1.0, 1.0]]}
     assert run("sweep.json", "sweep", shape=square,
-               case="harmonic_x2_minus_y2") == 0
+               case="harmonic_x2_minus_y2") == []
     assert run("eigen.json", "eigen", shape=square, case="zero",
-               eigen_modes=1, eigen_mass="both") == 0
+               eigen_modes=1, eigen_mass="both") == ["w_mass_matrix"]
     assert run("probe.json", "probe-coercivity", shape=square, case="zero",
-               trials=10) == 0
-    assert run("p3.json", "sweep", p=3.0) == 1
+               trials=10) == []
+    assert run("p3.json", "sweep", p=3.0) == []
+    assert run("p3_square.json", "sweep", shape=square, p=3.0,
+               deltas=[0.2]) == []
+    assert not any(hasattr(nldir.EnergyOperator, name)
+                   for name in ("_pairs", "pair_i", "pair_j", "pair_w"))
 
 
 def test_catalog_and_sweep_run_without_sympy(tmp_path):

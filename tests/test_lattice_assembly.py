@@ -9,10 +9,12 @@ offset, so it stores no exact zeros. Both must agree to 1e-13 relative
 to the largest entry once the oracle's zero-weight entries are dropped.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nldir import (EnergyOperator, MeshError, PenaltySpec, assemble,
                    build_mesh, neighbor_pairs, w_mass_matrix)
@@ -84,10 +86,14 @@ def oracle_pref(mesh, spec, delta, p):
     return 4.0 * w_b / min(2.0 * delta, delta**2)
 
 
-def dense_pairs(op):
-    dense = np.zeros((op.mesh.n_interior, op.mesh.n_interior))
-    dense[op.pair_i, op.pair_j] = dense[op.pair_j, op.pair_i] = op.pair_w
-    return dense
+def double_loop(pairs, u, p):
+    """The interior energy sum_{i != j} w_ij |u_i - u_j|^p over a dense
+    symmetric weight matrix, and its gradient
+    2 p sum_j w_ij sign(u_i - u_j) |u_i - u_j|^(p-1): O(N^2)."""
+    diff = u[:, None] - u[None]
+    return (np.sum(pairs * np.abs(diff) ** p),
+            2.0 * p * np.sum(pairs * np.sign(diff) * np.abs(diff) ** (p - 1),
+                             axis=1))
 
 
 def dense_penalty(op):
@@ -122,13 +128,16 @@ def test_operator_tables_match_the_search_oracle(name, ratio):
     p = 2.0
     want_pairs = oracle_pairs(mesh, QUARTIC, delta, 1.0 / delta**p)
     want_a = 2.0 * (np.diag(want_pairs.sum(axis=1)) - want_pairs)
+    u = np.random.default_rng(13).standard_normal(mesh.n_interior)
+    want_e, want_g = double_loop(want_pairs, u, p)
     for variant in VARIANTS:
         spec = PenaltySpec(variant, QUARTIC)
         datum = None if variant in ZERO_DATA_VARIANTS else "linear_x"
         op = assemble(mesh, QUARTIC, spec, delta, p, datum)
         assert_close(densify(interior_form(op), mesh.n_interior), want_a)
-        assert_close(dense_pairs(op), want_pairs)
-        assert np.all(op.pair_w != 0.0)
+        assert abs(op.interior_energy(u) - want_e) <= 1e-13 * want_e
+        assert_close(op.gradient(u) - penalty_only(op).gradient(u), want_g)
+        assert np.all(op._w2 != 0.0)
         assert_no_stored_zeros(op._layer()[1])
         base = spec.kernel
         if variant in ("wang", "shi"):
@@ -146,18 +155,10 @@ def test_fft_interior_form_matches_the_stencil_matrix(name, ratio):
     mesh = MESHES[name]
     op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
                   ratio * mesh.h, 2.0, "linear_x")
-    want = _stencil_matrix(op.stencil, -2.0 * op.offset_w)
+    want = _stencil_matrix(op.stencil, -2.0 * op.offset_w, op._rowsum)
     assert_close(densify(interior_form(op), mesh.n_interior), want.toarray())
     v = np.random.default_rng(5).standard_normal(mesh.n_interior)
     assert_close(interior_form(op)(v), want @ v)
-
-
-def pair_list_twin(op):
-    """op evaluated through the general-p pair-list formulas."""
-    twin = object.__new__(EnergyOperator)
-    twin.__dict__.update(op.__dict__)
-    twin._p2 = None
-    return twin
 
 
 def penalty_only(op):
@@ -172,29 +173,24 @@ def penalty_only(op):
 @pytest.mark.parametrize("name", MESHES)
 def test_grid_energy_and_gradient_match_pair_lists_and_double_loop(name,
                                                                    ratio):
-    # the p = 2 energy and gradient are per-offset slice sums on the
-    # bounding grid; the pair lists and the O(N^2) double loop over
-    # coordinate distances must give the same numbers
+    # the energy and gradient are per-offset slice sums on the bounding
+    # grid for every p, with no list of pairs; the O(N^2) double loop
+    # over coordinate distances must give the same numbers at p = 2
+    # and p = 3
     mesh = MESHES[name]
     delta = ratio * mesh.h
     pts, q = mesh.interior_points, mesh.interior_weights
     dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
-    w = np.outer(q, q) * kernel_at(QUARTIC, delta, mesh.dim, dist) / delta**2
+    w = np.outer(q, q) * kernel_at(QUARTIC, delta, mesh.dim, dist)
     np.fill_diagonal(w, 0.0)
     u = np.random.default_rng(11).standard_normal(mesh.n_interior)
-    diff = u[:, None] - u[None]
-    want_e = np.sum(w * diff**2)
-    want_g = 4.0 * np.sum(w * diff, axis=1)
-    for variant in ("product", "pointwise"):
+    for p, variant in itertools.product((2.0, 3.0), ("product", "pointwise")):
+        want_e, want_g = double_loop(w / delta**p, u, p)
         op = assemble(mesh, QUARTIC, PenaltySpec(variant, QUARTIC), delta,
-                      2.0, "linear_x")
-        energy, grad = op.interior_energy(u), op.gradient(u)
-        twin = pair_list_twin(op)
-        for want in (twin.interior_energy(u), want_e):
-            assert abs(energy - want) <= 1e-13 * abs(want)
-        assert_close(grad, twin.gradient(u))
-        assert_close(grad, want_g + penalty_only(op).gradient(u))
-        assert "_pairs" not in op.__dict__
+                      p, "linear_x")
+        assert abs(op.interior_energy(u) - want_e) <= 1e-13 * want_e
+        assert_close(op.gradient(u), want_g + penalty_only(op).gradient(u))
+        assert not hasattr(op, "pair_w")
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -214,6 +210,56 @@ def test_constant_field_has_exactly_zero_grid_energy_and_gradient(name,
 
 LAYER_SPECS = [PenaltySpec(v, QUARTIC) for v in VARIANTS] \
     + [PenaltySpec("shi", QUARTIC, shi_delta_sq_prefactor=True)]
+
+
+def coo_layer(op):
+    """The layer nodes (a pair count below the full stencil's, or a
+    penalty row) and B = A[:, L] from a COO triplet list of the stencil
+    entries at the layer nodes plus the rank-one block, which scipy
+    sums and sorts into CSR."""
+    diag, _, _, lowrank = op._p2
+    n = op.mesh.n_interior
+    in_layer = op._to_ends(op._starts) < 2 * len(op._steps)
+    in_layer[op.pen_indices] = True
+    nodes = np.flatnonzero(in_layer)
+    sites = op.stencil.sites
+    node_of = np.full(op._starts.shape[1], -1)
+    node_of[sites] = np.arange(n)
+    at = sites[nodes]
+    rows, cols = [nodes], [np.arange(len(nodes))]
+    vals = [op._rowsum[nodes] + diag[nodes]]
+    for f, w2, start in zip(op._steps, op._w2, op._starts):
+        for other, first in ((at + f, at), (at - f, at - f)):
+            hit = np.flatnonzero(start[np.maximum(first, 0)] & (first >= 0))
+            rows.append(node_of[other[hit]])
+            cols.append(hit)
+            vals.append(np.full(len(hit), -w2))
+    block = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                  np.concatenate(cols))),
+                          shape=(n, len(nodes)))
+    if lowrank is not None:
+        k = sp.csr_matrix((op.pen_coef, (op.pen_rowid, op.pen_indices)),
+                          shape=(op.mesh.n_boundary, n))
+        block = (block + k.T @ (sp.diags(lowrank) @ k[:, nodes])).tocsr()
+    block.eliminate_zeros()
+    return nodes, block
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_layer_blocks_equal_a_coo_build_bit_for_bit(name, ratio):
+    # _layer writes B^T row by row and lets scipy transpose it; the
+    # arrays of B and A_LL must be those of the COO build
+    mesh = MESHES[name]
+    for spec in LAYER_SPECS:
+        datum = None if spec.variant in ZERO_DATA_VARIANTS else "linear_x"
+        op = assemble(mesh, QUARTIC, spec, ratio * mesh.h, 2.0, datum)
+        nodes, a_ll, b = op._layer()
+        want_nodes, want_b = coo_layer(op)
+        assert np.array_equal(nodes, want_nodes)
+        for got, want in ((b, want_b), (a_ll, want_b[nodes].tocsc())):
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -291,9 +337,10 @@ def test_zero_weight_ties_are_not_stored():
                   axis=1)
     assert ties.sum() == 2 and np.all(op.offset_w[ties] == 0.0)
     assert np.count_nonzero(op.offset_w) == len(stencil.offsets) - 2
-    assert np.all(op.pair_w != 0.0)
+    # the slices keep only the nonzero-weight offsets and their pairs
+    assert np.all(op._w2 != 0.0)
     starts = stencil.pair_starts()
-    assert op.pair_w.size == starts[op.offset_w != 0.0].sum() \
+    assert op._starts.sum() == starts[op.offset_w != 0.0].sum() \
         == starts.sum() - starts[ties].sum()
     nodes, a_ll, _ = op._layer()
     assert_no_stored_zeros(a_ll)
