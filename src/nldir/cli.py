@@ -16,11 +16,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import assembly, study
+from . import study
 from .errors import ConfigError, KernelError, NldirError
-from .geometry import build_mesh
-from .kernels import (kernel_by_id, normalize_w, sigma_r, validate_kernel)
-from .minimize import solve_p_energy, solve_quadratic
+from .kernels import kernel_by_id, sigma_r, validate_kernel
 from .study import StudyConfig
 
 
@@ -111,35 +109,16 @@ def _cmd_validate_kernel(args):
     return 1
 
 
-def _single_delta_setup(cfg):
-    delta = cfg.deltas[0]
-    mesh = build_mesh(cfg.shape, delta / cfg.ratio)
-    kernel_r = kernel_by_id(cfg.kernel_r)
-    spec = assembly.PenaltySpec(cfg.variant, kernel_by_id(cfg.kernel_k),
-                                cfg.shi_delta_sq_prefactor)
-    return delta, mesh, kernel_r, spec
-
-
 def _cmd_solve(args):
     cfg = _load_config(args)
-    delta, mesh, kernel_r, spec = _single_delta_setup(cfg)
-    case = study.manufactured_case(cfg.case)
-    a = assembly.boundary_data(mesh, case.datum)
-    op = assembly.assemble(mesh, kernel_r, spec, delta, cfg.p, a)
-    solve = solve_quadratic if cfg.p == 2.0 else solve_p_energy
-    result = solve(op, cfg.solver)
-    u = result.minimizer.values
-    err = assembly.lp_norm(mesh, u - case.exact(mesh.interior_points), 2.0)
-    out = cfg.out_csv
-    if out:
-        cols = [mesh.interior_points[:, i] for i in range(mesh.dim)]
-        header = ",".join(("x", "y", "z")[i] for i in range(mesh.dim)) + ",u"
-        lines = [header]
-        for row_idx in range(mesh.n_interior):
-            vals = [f"{c[row_idx]:.17g}" for c in cols] + [f"{u[row_idx]:.17g}"]
-            lines.append(",".join(vals))
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    delta = cfg.deltas[0]
+    op, result, err = study.solve_row(cfg, study.admitted_case(cfg), delta)
+    mesh = op.mesh
+    if cfg.out_csv:
+        np.savetxt(cfg.out_csv, np.column_stack([mesh.interior_points,
+                                                 result.minimizer.values]),
+                   fmt="%.17g", delimiter=",", comments="",
+                   header=",".join("xyz"[:mesh.dim]) + ",u")
     print(f"delta {delta:.6g}  nodes {mesh.n_interior}  "
           f"energy {result.energy:.6g}  grad {result.gradient_norm:.6g}  "
           f"iterations {result.iterations}  converged {result.converged}  "
@@ -148,26 +127,17 @@ def _cmd_solve(args):
 
 
 def _cmd_eigen(args):
-    from .spectra import EigenProblem, solve_eigen
     cfg = _load_config(args)
     if cfg.eigen_modes < 1:
         raise ConfigError("eigen requires eigen_modes >= 1 in the config",
                           field="eigen_modes", value=cfg.eigen_modes)
-    delta, mesh, kernel_r, spec = _single_delta_setup(cfg)
-    op = assembly.assemble(mesh, kernel_r, spec, delta, 2.0,
-                           np.zeros(mesh.n_boundary))
+    # one zero-datum operator, so both mass models share its layer factor
+    op = study.row_operator(cfg, cfg.deltas[0])
     masses = (["L2", "nonlocalW"] if cfg.eigen_mass == "both"
               else [cfg.eigen_mass])
     lines = ["mode,lambda,residual,mass_model,delta,h"]
-    from .minimize import SolveOptions
-    opts = SolveOptions(tol=1e-9, max_iter=max(cfg.solver.max_iter, 2000),
-                        seed=cfg.seed)
     for mass in masses:
-        w_kernel = None
-        if mass == "nonlocalW":
-            w_kernel = normalize_w(kernel_by_id(cfg.kernel_w), mesh.dim)
-        prob = EigenProblem(op, mass, cfg.eigen_modes, W=w_kernel)
-        res = solve_eigen(prob, opts)
+        res = study.solve_modes(cfg, op, mass)
         for mode in range(cfg.eigen_modes):
             lines.append(",".join([
                 str(mode + 1), f"{res.eigenvalues[mode]:.17g}",
@@ -203,9 +173,6 @@ def _cmd_sweep(args):
 
 def _cmd_compare(args):
     cfg = _load_config(args)
-    if not cfg.variants:
-        raise ConfigError("compare requires a nonempty variants list",
-                          field="variants")
     report = study.compare_penalties(cfg, cfg.variants)
     _print_report(report)
     for key, dists in report.environment["pairwise_l2_distances"].items():
@@ -216,9 +183,10 @@ def _cmd_compare(args):
 
 def _cmd_probe(args):
     cfg = _load_config(args)
-    delta, mesh, _, spec = _single_delta_setup(cfg)
-    khat = kernel_by_id(cfg.kernel_khat)
-    report = study.coercivity_probe(mesh, spec, khat, delta,
+    delta = cfg.deltas[0]
+    mesh, spec = study.mesh_and_penalty(cfg, delta)
+    report = study.coercivity_probe(mesh, spec,
+                                    kernel_by_id(cfg.kernel_khat), delta,
                                     cfg.trials, cfg.seed)
     print(f"variant {report.variant}  delta {report.delta:.6g}  "
           f"trials {report.trials}  skipped {report.skipped}  "

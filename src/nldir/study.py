@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import assembly
-from .assembly import MANUFACTURED, PenaltySpec, boundary_data, lp_norm
+from .assembly import MANUFACTURED, PenaltySpec, lp_norm
 from .errors import ConfigError, NldirError
 from .geometry import build_mesh
-from .kernels import kernel_by_id, sigma_r
+from .kernels import kernel_by_id, normalize_w, sigma_r
 from .minimize import SolveOptions, solve_p_energy, solve_quadratic
 
 _TINY = 1e-300
@@ -178,25 +178,64 @@ def _shape_dim(shape: dict) -> int:
     return 1 if "interval" in shape else 2
 
 
-def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
-    t0 = time.perf_counter()
-    h = delta / cfg.ratio
-    mesh = build_mesh(cfg.shape, h)
-    kernel_r = kernel_by_id(cfg.kernel_r)
-    spec = PenaltySpec(cfg.variant, kernel_by_id(cfg.kernel_k),
-                       cfg.shi_delta_sq_prefactor)
-    a = boundary_data(mesh, case.datum)
-    op = assembly.assemble(mesh, kernel_r, spec, delta, cfg.p, a)
+def admitted_case(cfg: StudyConfig) -> ManufacturedCase:
+    """The config's manufactured case; ConfigError when it has no exact
+    solution for the shape's dimension at exponent p."""
+    case = manufactured_case(cfg.case)
+    dim = _shape_dim(cfg.shape)
+    if not case.admits(dim, cfg.p):
+        raise ConfigError("manufactured case does not admit this setup",
+                          case=case.id, dim=dim, p=cfg.p)
+    return case
+
+
+def mesh_and_penalty(cfg: StudyConfig, delta):
+    """The mesh (h = delta / ratio) and penalty of one horizon."""
+    return (build_mesh(cfg.shape, delta / cfg.ratio),
+            PenaltySpec(cfg.variant, kernel_by_id(cfg.kernel_k),
+                        cfg.shi_delta_sq_prefactor))
+
+
+def row_operator(cfg: StudyConfig, delta, datum=None):
+    """The energy of one horizon at exponent cfg.p, with the boundary
+    datum as assembly.boundary_data resolves it (None: zero)."""
+    mesh, spec = mesh_and_penalty(cfg, delta)
+    return assembly.assemble(mesh, kernel_by_id(cfg.kernel_r), spec, delta,
+                             cfg.p, datum)
+
+
+def solve_row(cfg: StudyConfig, case, delta):
+    """One horizon's operator for the case's datum, its minimizer's
+    SolveResult (deflated CG at p = 2, Newton-CG otherwise) and the
+    minimizer's L2 error against the case's exact solution."""
+    op = row_operator(cfg, delta, case.datum)
     solve = solve_quadratic if cfg.p == 2.0 else solve_p_energy
     result = solve(op, cfg.solver)
-    u = result.minimizer.values
+    error = result.minimizer.values - case.exact(op.mesh.interior_points)
+    return op, result, lp_norm(op.mesh, error, 2.0)
 
-    exact_vals = case.exact(mesh.interior_points)
-    l2_error = lp_norm(mesh, u - exact_vals, 2.0)
+
+def solve_modes(cfg: StudyConfig, op, mass):
+    """The cfg.eigen_modes smallest eigenpairs of a zero-datum operator
+    under one mass model (nonlocalW: the normalized kernel_w), solved to
+    tol 1e-9 in at most 2,000 LOBPCG blocks seeded by cfg.seed."""
+    from .spectra import _EIGEN_DEFAULTS, EigenProblem, solve_eigen
+    w_kernel = None
+    if mass == "nonlocalW":
+        w_kernel = normalize_w(kernel_by_id(cfg.kernel_w), op.mesh.dim)
+    prob = EigenProblem(op, mass, cfg.eigen_modes, W=w_kernel)
+    return solve_eigen(prob, replace(_EIGEN_DEFAULTS, seed=cfg.seed))
+
+
+def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
+    t0 = time.perf_counter()
+    op, result, l2_error = solve_row(cfg, case, delta)
+    mesh, u = op.mesh, result.minimizer.values
+
     trace = assembly.trace_matrix(mesh, kernel_by_id(cfg.kernel_khat), delta,
                                   op.stencil)
     trace_norm = float(np.sqrt(np.sum(
-        mesh.boundary_weights * (trace @ u - a.values) ** 2)))
+        mesh.boundary_weights * (trace @ u - op.a) ** 2)))
     grad_int = float(np.sum(mesh.interior_weights
                             * case.grad_power(mesh.interior_points, cfg.p)))
     ratio_to_limit = (result.energy / (sigma * grad_int)
@@ -204,18 +243,10 @@ def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
 
     eigen_lambdas = None
     if cfg.eigen_modes > 0:
-        from .kernels import normalize_w
-        from .spectra import EigenProblem, solve_eigen
         # the datum enters only the affine part, so the stencil and the
         # penalty arrays of op serve the zero-datum stiffness unchanged
-        op0 = op.twin(a=np.zeros(mesh.n_boundary))
-        mass = cfg.eigen_mass if cfg.eigen_mass != "both" else "L2"
-        w_kernel = None
-        if mass == "nonlocalW":
-            w_kernel = normalize_w(kernel_by_id(cfg.kernel_w), mesh.dim)
-        prob = EigenProblem(op0, mass, cfg.eigen_modes, W=w_kernel)
-        eig = solve_eigen(prob, SolveOptions(tol=1e-9, max_iter=2000,
-                                             seed=cfg.seed))
+        eig = solve_modes(cfg, op.twin(a=np.zeros(mesh.n_boundary)),
+                          cfg.eigen_mass)
         eigen_lambdas = tuple(float(v) for v in eig.eigenvalues)
 
     row = SweepRow(delta=delta, h=mesh.h, penalty=cfg.variant, p=cfg.p,
@@ -240,12 +271,12 @@ def run_delta_sweep(cfg: StudyConfig) -> StudyReport:
 
 
 def _sweep_with_fields(cfg: StudyConfig, keep_fields: bool):
-    case = manufactured_case(cfg.case)
-    dim = _shape_dim(cfg.shape)
-    if not case.admits(dim, cfg.p):
-        raise ConfigError("manufactured case does not admit this setup",
-                          case=case.id, dim=dim, p=cfg.p)
-    sigma = sigma_r(kernel_by_id(cfg.kernel_r), cfg.p, dim).value
+    case = admitted_case(cfg)
+    if cfg.eigen_modes > 0 and cfg.eigen_mass == "both":
+        raise ConfigError("a sweep row solves one mass model",
+                          field="eigen_mass", value=cfg.eigen_mass)
+    sigma = sigma_r(kernel_by_id(cfg.kernel_r), cfg.p,
+                    _shape_dim(cfg.shape)).value
 
     def one(delta):
         try:

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import nldir
+from nldir import study
 from nldir.cli import dispatch
-from nldir.study import CSV_HEADER
+from nldir.study import CSV_HEADER, StudyConfig
 
 
 def write_config(tmp_path, **overrides):
@@ -321,6 +322,39 @@ def test_solve_writes_field_csv(tmp_path, capsys):
     assert len(u0) >= 17   # full precision written
 
 
+def test_solve_rejects_the_case_the_sweep_rejects(tmp_path, capsys):
+    # x^2 - y^2 is the minimizer at p = 2 only, so its error at p = 3
+    # would measure nothing; solve refuses it as the sweep does
+    path = write_config(tmp_path, shape={"rect": [[0.0, 0.0], [1.0, 1.0]]},
+                        case="harmonic_x2_minus_y2", p=3.0)
+    payloads = []
+    for command in ("solve", "sweep"):
+        assert dispatch([command, "--config", str(path)]) == 1
+        payloads.append(json.loads(capsys.readouterr().err.strip()))
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["error"] == "ConfigError"
+    assert (payloads[0]["case"], payloads[0]["dim"], payloads[0]["p"]) \
+        == ("harmonic_x2_minus_y2", 2, 3.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"shape": {"rect": [[0.0, 0.0], [1.0, 1.0]]},
+     "case": "harmonic_x2_minus_y2"},
+    {"p": 3.0, "solver": {"tol": 1e-8}},
+])
+def test_solve_field_is_the_sweep_minimizer(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    out = tmp_path / "field.csv"
+    assert dispatch(["solve", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = StudyConfig.from_dict(json.loads(path.read_text()))
+    _, [(_, u, mesh)] = study._sweep_with_fields(cfg, keep_fields=True)
+    written = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(written, np.column_stack([mesh.interior_points,
+                                                    u]))
+
+
 # ----------------------------------------------------------------- eigen
 
 def test_eigen_csv_both_masses(tmp_path, capsys):
@@ -344,6 +378,32 @@ def test_eigen_requires_modes_in_config(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["field"] == "eigen_modes"
+
+
+def test_eigen_l2_lambdas_are_the_sweep_rows(tmp_path, capsys):
+    # the row twins its datum operator to zero data; the command
+    # assembles zero data directly; both solve with the same budget
+    path = write_config(tmp_path, eigen_modes=2, eigen_mass="both")
+    out = tmp_path / "modes.csv"
+    assert dispatch(["eigen", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    lambdas = [float(line.split(",")[1])
+               for line in out.read_text().splitlines()[1:]
+               if line.split(",")[3] == "L2"]
+    cfg = StudyConfig.from_dict(dict(json.loads(path.read_text()),
+                                     eigen_mass="L2"))
+    row, = study.run_delta_sweep(cfg).rows
+    assert lambdas == list(row.eigen_lambdas)
+
+
+def test_eigen_at_p3_gives_the_sweep_rows_error(tmp_path, capsys):
+    path = write_config(tmp_path, eigen_modes=1, p=3.0)
+    assert dispatch(["eigen", "--config", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "SolverError"
+    row, = study.run_delta_sweep(
+        StudyConfig.from_dict(json.loads(path.read_text()))).rows
+    assert row.error == f"SolverError: {payload['message']}"
 
 
 # --------------------------------------------------------------- compare

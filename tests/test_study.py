@@ -229,6 +229,18 @@ def test_eigen_rows_carry_lambdas():
     assert 0.0 < row.eigen_lambdas[0] < row.eigen_lambdas[1]
 
 
+@pytest.mark.parametrize("run", [
+    run_delta_sweep, lambda cfg: compare_penalties(cfg, ["product"])],
+    ids=["sweep", "compare"])
+def test_sweep_rejects_both_mass_models(run):
+    # a row records one eigenvalue list; "both" belongs to the eigen command
+    cfg = StudyConfig(shape={"interval": [0.0, 1.0]}, deltas=(0.2,),
+                      case="zero", eigen_modes=1, eigen_mass="both")
+    with pytest.raises(ConfigError) as info:
+        run(cfg)
+    assert info.value.info["field"] == "eigen_mass"
+
+
 def test_eigen_row_reuses_the_row_operator(monkeypatch):
     # the zero-datum stiffness and the trace matrix share the row
     # operator's stencil, so the row builds one lattice stencil
