@@ -32,12 +32,13 @@ For every p the interior energy, its gradient and its Hessian-vector
 product are per-offset slice sums on the lattice's bounding grid: no
 pair list and no Hessian matrix is built. For p = 2 the operator also
 carries a quadratic form F(u) = u^T A u - 2 l^T u + c0: the interior
-form (applied as one real-FFT convolution of the per-offset weights
-minus the row sums), a penalty diagonal and per-boundary-node rank-one
-terms, never dense. The boundary layer L, where A differs from the
-translation-invariant stencil, is solved exactly (through the sparse
-A[:, L]) and the rest by a DST: as a symmetric preconditioner, and as
-the deflated conjugate-gradient step of minimize.solve_quadratic.
+form, a penalty diagonal and per-boundary-node rank-one terms, never
+dense. Off the boundary layer L a row of A is the translation-invariant
+stencil, which the DST-II tau-matrix P_tau applies exactly; on L it is
+a row of the sparse layer columns B = A[:, L]. So A u is P_tau u with
+its L entries replaced by B^T u, and the same two pieces, P_tau^-1 and
+an exact solve on L, give a symmetric preconditioner and the deflated
+conjugate-gradient step of minimize.solve_quadratic.
 """
 
 import functools
@@ -244,29 +245,24 @@ def _stencil_matrix(stencil, weights, diagonal):
     return _on_nodes(grid, stencil)
 
 
-def _convolution(stencil, weights):
-    """The map v -> sum over signed offsets o of weights[k(o)] v(. + o)
-    on the mesh's nodes, v zero off the mesh: one real-FFT convolution
-    over the bounding grid padded by the stencil's reach, so that no
-    wrap-around reaches a node. The kernel is even, so its transform is
-    real and the map is symmetric."""
-    from scipy.fft import irfftn, next_fast_len, rfftn
-    shape = stencil.shape
-    reach = np.abs(stencil.offsets).max(axis=0)
-    padded = tuple(next_fast_len(int(n + r), real=True)
-                   for n, r in zip(shape, reach))
-    kernel = np.zeros(padded)
-    for o, w in zip(stencil.offsets, weights):
-        kernel[tuple(o % padded)] += w
-        kernel[tuple(-o % padded)] += w
-    symbol = rfftn(kernel).real
-    sites = np.ravel_multi_index(np.unravel_index(stencil.sites, shape),
-                                 padded)
+def _dst_map(stencil, symbol, combine):
+    """r -> the gather of idst(combine(dst(r), symbol)): r scattered onto
+    the stencil's bounding grid (zero off the mesh), an orthonormal
+    DST-II, combined with the tau symbol (np.multiply applies P_tau,
+    np.divide solves with it), transformed back. A closure over the
+    grid, the sites and the symbol, so a cached map keeps no operator
+    alive (an operator -> map -> operator cycle would outlive its last
+    reference until the cycle collector runs)."""
+    from scipy.fft import dstn, idstn
+    shape, sites = stencil.shape, stencil.sites
 
-    def apply(v):
-        grid = np.zeros(padded)
-        grid.ravel()[sites] = v
-        return irfftn(rfftn(grid) * symbol, s=padded).ravel()[sites]
+    def apply(r):
+        grid = np.zeros(shape)
+        grid.ravel()[sites] = r
+        spectrum = dstn(grid, type=2, norm="ortho", overwrite_x=True)
+        combine(spectrum, symbol, out=spectrum)
+        return idstn(spectrum, type=2, norm="ortho",
+                     overwrite_x=True).ravel()[sites]
 
     return apply
 
@@ -276,14 +272,14 @@ class EnergyOperator:
 
     Construct with assemble(); the instance is immutable in use. For
     p = 2, apply_quadratic/linear_term/constant_term expose the
-    quadratic form. The pieces that only some paths read (the
-    convolution, the DST solve, the layer blocks and their factor) are
+    quadratic form. The pieces that only some paths read (the tau
+    symbol, the DST solve, the layer columns and the layer factor) are
     built on first use, once per operator.
     """
 
     # first-use caches; scaled() and twin() drop them, as they read the
     # weights or the exponent
-    _CACHES = ("_neighbors", "_tau_solve", "_two_level")
+    _CACHES = ("_symbol", "_tau_solve", "_layer_columns", "_layer_factor")
 
     def __init__(self, mesh, delta, p, spec, a_values, stencil, offset_w,
                  pen_indptr, pen_indices, pen_rowid, pen_coef, pen_pref):
@@ -368,21 +364,16 @@ class EnergyOperator:
         return self._p2
 
     def apply_quadratic(self, u):
-        """A @ u for the p = 2 form."""
+        """A @ u for the p = 2 form: P_tau u with its entries on the
+        boundary layer L replaced by B^T u. A row off L is the full
+        stencil with no penalty, which P_tau applies exactly, and
+        (A u)_L = B^T u as A is symmetric; no layer factor is read, so a
+        singular A_LL does not matter here."""
         self._require_p2()
-        return self._apply(_field_values(self.mesh, u))
-
-    @functools.cached_property
-    def _neighbors(self):
-        """v -> sum over signed offsets o of 2 w(o) v(. + o): the
-        off-diagonal interior form, which only apply_quadratic reads."""
-        return _convolution(self.stencil, 2.0 * self.offset_w)
-
-    def _apply(self, v):
-        diag, _, _, lowrank = self._p2
-        out = self._rowsum * v - self._neighbors(v) + diag * v
-        if lowrank is not None:
-            out += self._rank_one_apply(lowrank, v)
+        v = _field_values(self.mesh, u)
+        nodes, _, bt = self._layer_columns
+        out = _dst_map(self.stencil, self._symbol, np.multiply)(v)
+        out[nodes] = bt @ v
         return out
 
     def _rank_one_apply(self, scale, v):
@@ -416,12 +407,13 @@ class EnergyOperator:
         translation-invariant stencil that P_tau^-1 inverts, so A - P_tau
         lives on L x L and the iteration counts no longer grow as delta
         falls. As z1 lives on L, A z1 = B z1_L and (A z2)_L = B^T z2 with
-        B = A[:, L]. It reads the pieces of _two_level.
+        B = A[:, L]. It reads _layer_columns and _layer_factor.
         """
         tau = self._tau_solve
         if self._p2 is None:
             return tau
-        nodes, b, bt, lu = self._two_level
+        nodes, b, bt = self._layer_columns
+        lu = self._layer_factor
 
         def apply(r):
             z1 = lu.solve(r[nodes])
@@ -449,12 +441,13 @@ class EnergyOperator:
         site beyond the mesh, so (A y)_i = r_i there: A y is r with its
         L entries replaced by c, and A z = A y - B w without a matvec.
         As (A z)_L = r_L, the residuals stay zero on L up to rounding.
-        One DST solve and one layer solve per step, from the pieces of
-        _two_level.
+        One DST solve and one layer solve per step, from _layer_columns
+        and _layer_factor.
         """
         ell = self.linear_term
         tau = self._tau_solve
-        nodes, b, bt, lu = self._two_level
+        nodes, b, bt = self._layer_columns
+        lu = self._layer_factor
         x0 = np.zeros(self.mesh.n_interior)
         x0[nodes] = lu.solve(ell[nodes])
         r0 = ell - b @ x0[nodes]
@@ -472,22 +465,27 @@ class EnergyOperator:
         return x0, r0, step
 
     @functools.cached_property
-    def _two_level(self):
+    def _layer_columns(self):
         """The layer nodes, B from _layer and B^T (a CSC view of B's
-        arrays, so no copy), and the factor of A_LL (scipy splu)."""
+        arrays, so no copy)."""
+        nodes, b = self._layer()
+        return nodes, b, b.T
+
+    @functools.cached_property
+    def _layer_factor(self):
+        """The factor (scipy splu) of A_LL, B's layer rows; A_LL itself
+        is not kept."""
         from scipy.sparse.linalg import splu
-        nodes, a_ll, b = self._layer()
-        lu = splu(a_ll, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        return nodes, b, b.T, lu
+        nodes, b, _ = self._layer_columns
+        return splu(b[nodes].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     def _layer(self):
-        """The boundary layer of the p = 2 form and its blocks: the nodes
-        missing a neighbor at some offset of nonzero weight (their rows
-        differ from the full stencil) plus every node a penalty row
-        touches, ascending; A_LL (CSC); and the layer columns
-        B = A[:, L] (n x |L|, CSR, read from the pair sites at the layer
-        nodes), whose layer rows are A_LL. Neither stores zeros."""
+        """The boundary layer of the p = 2 form and its columns: the
+        nodes missing a neighbor at some offset of nonzero weight (their
+        rows differ from the full stencil) plus every node a penalty row
+        touches, ascending; and B = A[:, L] (n x |L|, CSR, read from the
+        pair sites at the layer nodes), which stores no zeros."""
         diag, _, _, lowrank = self._require_p2()
         n = self.mesh.n_interior
         size, sites = self._starts.shape[1], self.stencil.sites
@@ -521,53 +519,46 @@ class EnergyOperator:
                               shape=(self.mesh.n_boundary, n))
             block = (block + k.T @ (sp.diags(lowrank) @ k[:, nodes])).tocsr()
         block.eliminate_zeros()
-        return nodes, block[nodes].tocsc(), block
+        return nodes, block
 
     @functools.cached_property
-    def _tau_solve(self):
-        """r -> P_tau^-1 r, with P_tau the Dirichlet tau-matrix of the
-        interior p = 2 stencil at this horizon; usable for any exponent
-        (pair weights rescale by delta^(p-2)).
+    def _symbol(self):
+        """The symbol of P_tau, the Dirichlet tau-matrix of the interior
+        p = 2 stencil at this horizon; usable for any exponent (pair
+        weights rescale by delta^(p-2)).
 
         The interior nodes sit on a uniform lattice with equal weights,
         so away from the boundary the interior form is a convolution
         stencil. Its per-offset weights w(o) give the symbol
         lambda(theta) = sum_o 2 w(o) (1 - prod_a cos(theta_a o_a))
         over all signed offsets o, taken at theta_a = pi k / n_a,
-        k = 1..n_a, on the n_1 x ... bounding grid. Applying P_tau^-1
-        scatters r onto that grid (zero off the mesh), runs an
-        orthonormal DST-II, divides by the symbol, transforms back and
-        gathers, so P_tau^-1 is symmetric positive definite. The grid
-        and the nodes' sites on it are the stencil's, which assemble()
-        certified as a lattice with equal weights. The penalty terms are
-        left out. Raises SolverError (reason "symbol_not_positive")
-        when the symbol is not positive.
+        k = 1..n_a, on the n_1 x ... bounding grid of the stencil, which
+        assemble() certified as a lattice with equal weights. The DST-II
+        diagonalizes P_tau, so a row whose stencil stays on the mesh is
+        the interior form's row. The penalty terms are left out.
         """
-        from scipy.fft import dstn, idstn
-        shape, sites = self.stencil.shape, self.stencil.sites
+        shape = self.stencil.shape
         # each half-offset o stands for o and -o
         coef = 4.0 * self.offset_w * self.delta ** (self.p - 2.0)
         cosines = [np.cos(np.outer(np.pi * np.arange(1, n + 1) / n, o))
                    for n, o in zip(shape, self.stencil.offsets.T)]
         # sum over groups g of coef_g prod_a cosines[a][k_a, g]
         axes = "ijk"[:self.mesh.dim]
-        lam = coef.sum() - np.einsum(
+        return coef.sum() - np.einsum(
             ",".join(["g"] + [a + "g" for a in axes]) + "->" + axes,
             coef, *cosines)
+
+    @functools.cached_property
+    def _tau_solve(self):
+        """r -> P_tau^-1 r, symmetric positive definite. Raises
+        SolverError (reason "symbol_not_positive") when the symbol is
+        not positive."""
+        lam = self._symbol
         if not np.min(lam) > 0.0:
             raise SolverError("preconditioner symbol is not positive",
                               reason="symbol_not_positive",
                               min_symbol=float(np.min(lam)))
-
-        def apply(r):
-            grid = np.zeros(shape)
-            grid.ravel()[sites] = r
-            spectrum = dstn(grid, type=2, norm="ortho", overwrite_x=True)
-            spectrum /= lam
-            return idstn(spectrum, type=2, norm="ortho",
-                         overwrite_x=True).ravel()[sites]
-
-        return apply
+        return _dst_map(self.stencil, lam, np.divide)
 
     # -- direct evaluation ---------------------------------------------
 

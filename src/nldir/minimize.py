@@ -31,7 +31,6 @@ _START_TOL = 1e-8  # the tightest tolerance the p = 2 start is solved to
 class SolveOptions:
     tol: float = 1e-10
     max_iter: int = 20000
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:

@@ -224,7 +224,7 @@ def solve_modes(cfg: StudyConfig, op, mass):
     if mass == "nonlocalW":
         w_kernel = normalize_w(kernel_by_id(cfg.kernel_w), op.mesh.dim)
     prob = EigenProblem(op, mass, cfg.eigen_modes, W=w_kernel)
-    return solve_eigen(prob, replace(_EIGEN_DEFAULTS, seed=cfg.seed))
+    return solve_eigen(prob, _EIGEN_DEFAULTS, seed=cfg.seed)
 
 
 def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):

@@ -15,6 +15,9 @@ sum (1/delta^p) sum_{i!=j} q_i q_j k_delta(|x_i-x_j|) |u_i-u_j|^p and
 all five boundary penalties as stated in the assembly module.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -311,10 +314,10 @@ def test_scaled_quadratic_form_consistent():
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_scaled_operator_never_reads_stale_pair_lists(p):
-    # the per-offset pair weights of the slices, and the convolution
-    # built on first use, scale with the operator: one scaled after its
-    # caches exist must not keep the unscaled weights its __dict__ copy
-    # carries
+    # the per-offset pair weights of the slices, and the tau symbol and
+    # the layer columns built on first use, scale with the operator: one
+    # scaled after its caches exist must not keep the unscaled weights
+    # its __dict__ copy carries
     rng = np.random.default_rng(67)
     u = rng.standard_normal(L_SHAPE.n_interior)
     v = rng.standard_normal(L_SHAPE.n_interior)
@@ -322,7 +325,9 @@ def test_scaled_operator_never_reads_stale_pair_lists(p):
     for built_first in (False, True):
         op = make_op(L_SHAPE, "product", 0.3, p=p, seed=71)
         if built_first:
-            _ = op._neighbors
+            _ = op._symbol
+            if p == 2.0:
+                _ = op._layer_columns
         sc = op.scaled(f)
         assert rel(sc.energy(u), f * op.energy(u)) <= 1e-14
         g = f * op.gradient(u)
@@ -363,6 +368,29 @@ def test_scaled_operator_never_reads_a_stale_factor(p):
             (z, az), (sz, saz) = step(r), sstep(r)
             assert np.linalg.norm(sz - z / f) <= 1e-12 * np.linalg.norm(z / f)
             assert np.linalg.norm(saz - az) <= 1e-12 * np.linalg.norm(az)
+
+
+def test_operator_is_freed_without_the_cycle_collector():
+    # the first-use caches (the tau symbol, the DST solve, the layer
+    # columns and factor) hold arrays and closures over arrays, never
+    # the operator, so dropping the last reference frees it at once
+    rng = np.random.default_rng(79)
+    u = rng.standard_normal(L_SHAPE.n_interior)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for variant, p in (("product", 2.0), ("pointwise", 3.0)):
+            op = make_op(L_SHAPE, variant, 0.3, p=p, seed=71)
+            op.preconditioner()(u)
+            if op.p == 2.0:
+                op.apply_quadratic(u)
+                op.deflated_cg()
+            ref = weakref.ref(op)
+            del op
+            assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_scaled_rejects_nonpositive_factor():

@@ -235,6 +235,38 @@ def test_config_unknown_field_named(tmp_path, capsys):
     assert payload["field"] == "horizon"
 
 
+def test_solver_seed_is_refused(tmp_path, capsys):
+    # the eigen start block is seeded by the top-level seed alone, so a
+    # seed among the solver options would be accepted and ignored
+    path = write_config(tmp_path, solver={"tol": 1e-8, "seed": 7})
+    assert dispatch(["sweep", "--config", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == "seed"
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {}),
+    ("eigen", {"case": "zero", "eigen_modes": 2, "eigen_mass": "both"}),
+    ("probe-coercivity", {"case": "zero", "trials": 10}),
+])
+def test_single_delta_commands_run_the_first_delta(tmp_path, capsys,
+                                                   command, overrides):
+    # solve, eigen and probe-coercivity run deltas[0] and ignore the
+    # rest of the list: stdout and the written file are the same as for
+    # a config listing the first delta alone
+    outputs = []
+    for deltas in ([0.2, 0.1], [0.2]):
+        run = tmp_path / str(len(deltas))
+        run.mkdir()
+        path = write_config(run, deltas=deltas, **overrides)
+        out = run / "out"
+        assert dispatch([command, "--config", str(path),
+                         "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_text()))
+    assert outputs[0] == outputs[1]
+
+
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"shape": {"interval": [0.0, 1.0]},

@@ -102,6 +102,22 @@ def dense_penalty(op):
     return dense
 
 
+def dense_penalty_form(op):
+    """The p = 2 penalty's matrix, dense: sum_b pref_b k_b k_b^T
+    (rank-one) or diag(sum_b pref_b k_b) (diagonal), each kernel row
+    k_b[j] = q_j G(|x_b - x_j|) from coordinate distances."""
+    mesh = op.mesh
+    base = op.spec.kernel
+    if op.variant in ("wang", "shi"):
+        base = antiderivative_kernel(base)
+    dist = np.linalg.norm(mesh.boundary_points[:, None]
+                          - mesh.interior_points[None], axis=2)
+    k = mesh.interior_weights * kernel_at(base, op.delta, mesh.dim, dist)
+    if op.rank_one:
+        return k.T @ (op.pen_pref[:, None] * k)
+    return np.diag(op.pen_pref @ k)
+
+
 def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -116,8 +132,14 @@ def densify(apply, n):
 
 
 def interior_form(op):
-    """v -> A_int v: the row sums less the FFT convolution."""
-    return lambda v: op._rowsum * v - op._neighbors(v)
+    """v -> A_int v as half the p = 2 Hessian, per offset slice, of op
+    with every penalty prefactor zero: no layer column is read."""
+    free = EnergyOperator(op.mesh, op.delta, 2.0, op.spec, op.a, op.stencil,
+                          op.offset_w, op.pen_indptr, op.pen_indices,
+                          op.pen_rowid, op.pen_coef,
+                          np.zeros_like(op.pen_pref))
+    hess = free.hessian(np.zeros(op.mesh.n_interior))
+    return lambda v: 0.5 * hess(v)
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -149,9 +171,9 @@ def test_operator_tables_match_the_search_oracle(name, ratio):
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_fft_interior_form_matches_the_stencil_matrix(name, ratio):
-    # the matrix-free interior form against the sparse matrix built
-    # from the same per-offset weights; on "wide" two offsets share a
-    # flat step of the bounding grid, which the convolution never sees
+    # the matrix-free interior form (per offset slice) against the
+    # sparse matrix built from the same per-offset weights; on "wide"
+    # two offsets share a flat step of the bounding grid
     mesh = MESHES[name]
     op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
                   ratio * mesh.h, 2.0, "linear_x")
@@ -159,6 +181,27 @@ def test_fft_interior_form_matches_the_stencil_matrix(name, ratio):
     assert_close(densify(interior_form(op), mesh.n_interior), want.toarray())
     v = np.random.default_rng(5).standard_normal(mesh.n_interior)
     assert_close(interior_form(op)(v), want @ v)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_apply_quadratic_matches_the_double_loop_and_dense_penalty(name,
+                                                                   ratio):
+    # A u is P_tau u off the boundary layer and B^T u on it; densified,
+    # it must be the O(N^2) double loop's interior matrix over coordinate
+    # distances plus the dense penalty matrix, for every variant
+    mesh = MESHES[name]
+    delta = ratio * mesh.h
+    pts, q = mesh.interior_points, mesh.interior_weights
+    dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    w = np.outer(q, q) * kernel_at(QUARTIC, delta, mesh.dim, dist) / delta**2
+    np.fill_diagonal(w, 0.0)
+    want_int = 2.0 * (np.diag(w.sum(axis=1)) - w)
+    for spec in LAYER_SPECS:
+        datum = None if spec.variant in ZERO_DATA_VARIANTS else "linear_x"
+        op = assemble(mesh, QUARTIC, spec, delta, 2.0, datum)
+        want = want_int + dense_penalty_form(op)
+        assert_close(densify(op.apply_quadratic, mesh.n_interior), want)
 
 
 def penalty_only(op):
@@ -249,37 +292,35 @@ def coo_layer(op):
 @pytest.mark.parametrize("name", MESHES)
 def test_layer_blocks_equal_a_coo_build_bit_for_bit(name, ratio):
     # _layer writes B^T row by row and lets scipy transpose it; the
-    # arrays of B and A_LL must be those of the COO build
+    # arrays of B must be those of the COO build
     mesh = MESHES[name]
     for spec in LAYER_SPECS:
         datum = None if spec.variant in ZERO_DATA_VARIANTS else "linear_x"
         op = assemble(mesh, QUARTIC, spec, ratio * mesh.h, 2.0, datum)
-        nodes, a_ll, b = op._layer()
+        nodes, b = op._layer()
         want_nodes, want_b = coo_layer(op)
         assert np.array_equal(nodes, want_nodes)
-        for got, want in ((b, want_b), (a_ll, want_b[nodes].tocsc())):
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, part), getattr(want, part))
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(b, part), getattr(want_b, part))
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_layer_columns_equal_the_operator_on_the_layer(name, ratio):
     # B = A[:, L] read from the stencil's pair sites at the layer nodes,
-    # against the matrix-free operator applied to the layer's unit
-    # vectors; A_LL, which the preconditioner factors, is B's layer rows
+    # against half the p = 2 Hessian, applied per offset slice with no
+    # layer column, on the layer's unit vectors
     mesh = MESHES[name]
     for spec in LAYER_SPECS:
         datum = None if spec.variant in ZERO_DATA_VARIANTS else "linear_x"
         op = assemble(mesh, QUARTIC, spec, ratio * mesh.h, 2.0, datum)
-        nodes, a_ll, b = op._layer()
+        nodes, b = op._layer()
+        hess = op.hessian(np.zeros(mesh.n_interior))
         unit = np.eye(mesh.n_interior)[nodes]
         assert b.shape == (mesh.n_interior, len(nodes))
-        assert_close(b.toarray(), np.column_stack([op._apply(e)
+        assert_close(b.toarray(), np.column_stack([0.5 * hess(e)
                                                    for e in unit]))
-        assert np.array_equal(a_ll.toarray(), b[nodes].toarray())
         assert_no_stored_zeros(b)
-        assert_no_stored_zeros(a_ll)
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -296,7 +337,7 @@ def test_deflated_cg_residual_is_the_true_residual(name, ratio):
                       ratio * mesh.h, 2.0, "linear_x")
         ell = op.linear_term
         scale = np.linalg.norm(ell)
-        nodes = op._two_level[0]
+        nodes = op._layer_columns[0]
         x, r, step = op.deflated_cg()
         assert np.linalg.norm(r[nodes]) <= 1e-12 * scale
         for iteration, (x, r) in enumerate(_cg_iterates(x, r, step), 1):
@@ -342,9 +383,9 @@ def test_zero_weight_ties_are_not_stored():
     starts = stencil.pair_starts()
     assert op._starts.sum() == starts[op.offset_w != 0.0].sum() \
         == starts.sum() - starts[ties].sum()
-    nodes, a_ll, _ = op._layer()
-    assert_no_stored_zeros(a_ll)
-    assert a_ll.shape == (len(nodes), len(nodes)) \
+    nodes, b = op._layer()
+    assert_no_stored_zeros(b)
+    assert b.shape == (mesh.n_interior, len(nodes)) \
         and len(nodes) < mesh.n_interior
 
 

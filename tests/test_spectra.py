@@ -123,8 +123,8 @@ def test_solve_eigen_deterministic():
 def test_seed_does_not_change_the_spectrum():
     op = stiffness(INTERVAL, 0.1)
     prob = EigenProblem(op, "L2", k=2)
-    r1 = solve_eigen(prob, SolveOptions(tol=1e-9, max_iter=2000, seed=0))
-    r2 = solve_eigen(prob, SolveOptions(tol=1e-9, max_iter=2000, seed=123))
+    r1 = solve_eigen(prob, SolveOptions(tol=1e-9, max_iter=2000), seed=0)
+    r2 = solve_eigen(prob, SolveOptions(tol=1e-9, max_iter=2000), seed=123)
     assert np.allclose(r1.eigenvalues, r2.eigenvalues, rtol=1e-7)
 
 
@@ -163,7 +163,7 @@ def test_certified_modes_raise_no_solver_warning():
     # certified residual test
     mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.05 / 4.0)
     op = stiffness(mesh, 0.05)
-    opts = SolveOptions(tol=1e-9, max_iter=20000, seed=0)
+    opts = SolveOptions(tol=1e-9, max_iter=20000)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         results = [solve_eigen(EigenProblem(op, "L2", 3), opts),
