@@ -21,15 +21,14 @@ from .kernels import (CUBIC, QUARTIC, WENDLAND, KernelSpec, ScaledKernel,
                       kernel_mass, minorant_kernel, normalize_w, scale_kernel,
                       scaled_mass, sigma_r, tabulated_kernel, validate_kernel)
 from .geometry import DomainMesh, NeighborTable, build_mesh, neighbor_pairs
-from .assembly import (BoundaryData, EnergyOperator, Field, PenaltySpec,
-                       assemble, boundary_data, lp_norm, mollify,
-                       w_mass_matrix)
+from .assembly import (BoundaryData, EnergyOperator, Field,
+                       ManufacturedCase, PenaltySpec, assemble,
+                       boundary_data, lp_norm, mollify, w_mass_matrix)
 from .minimize import SolveOptions, SolveResult, solve_p_energy, solve_quadratic
 from .spectra import (EigenProblem, EigenResult, MassComparison,
                       compare_mass_models, dense_eigen, solve_eigen)
-from .study import (CoercivityReport, ManufacturedCase, StudyConfig,
-                    StudyReport, SweepRow, coercivity_probe,
-                    compare_penalties, manufactured_case,
+from .study import (CoercivityReport, StudyConfig, StudyReport, SweepRow,
+                    coercivity_probe, compare_penalties, manufactured_case,
                     report_csv_text, report_json_dict, run_delta_sweep)
 
 __all__ = [

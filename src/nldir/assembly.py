@@ -30,14 +30,14 @@ dirac_diagonal is pointwise.
 
 For every p the interior energy, its gradient and its Hessian-vector
 product are per-offset slice sums on the lattice's bounding grid: no
-pair list and no Hessian matrix is built. For p = 2 the operator also
-carries a quadratic form F(u) = u^T A u - 2 l^T u + c0: the interior
-form, a penalty diagonal and per-boundary-node rank-one terms, never
-dense. Off the boundary layer L a row of A is the translation-invariant
-stencil, which the DST-II tau-matrix P_tau applies exactly; on L it is
-a row of the sparse layer columns B = A[:, L]. So A u is P_tau u with
-its L entries replaced by B^T u, and the same two pieces, P_tau^-1 and
-an exact solve on L, give a symmetric preconditioner and the deflated
+pair list and no Hessian matrix is built. At p = 2 the energy is
+F(u) = u^T A u - 2 l^T u + c0, l being -1/2 the penalty gradient at 0
+and c0 the penalty energy at 0; A is never dense. Off the boundary
+layer L a row of A is the translation-invariant stencil, which the
+DST-II tau-matrix P_tau applies exactly; on L it is a row of the
+sparse layer columns B = A[:, L]. So A u is P_tau u with its L entries
+replaced by B^T u, and the same two pieces, P_tau^-1 and an exact
+solve on L, give a symmetric preconditioner and the deflated
 conjugate-gradient step of minimize.solve_quadratic.
 """
 
@@ -68,12 +68,8 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.mesh.n_interior,):
-            raise AssemblyError("field length does not match the mesh",
-                                expected=self.mesh.n_interior,
-                                got=list(vals.shape))
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values",
+                           _field_values(self.mesh, self.values))
 
     @classmethod
     def zero(cls, mesh):
@@ -88,60 +84,73 @@ class BoundaryData:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.mesh.n_boundary,):
-            raise AssemblyError("boundary data length does not match the mesh",
-                                expected=self.mesh.n_boundary,
-                                got=list(vals.shape))
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _field_values(
+            self.mesh, self.values, BoundaryData))
 
 
-# The manufactured local solutions, each written once in closed form on
-# an (n, dim) point array: id -> (u, |grad u|^2, dims, exponents), where
-# None admits every dimension or every p > 1. The affine entries solve
-# the local p-Laplace problem for every p, the harmonic ones for p = 2.
-MANUFACTURED = {
-    "zero": (lambda x: np.zeros(len(x)), lambda x: np.zeros(len(x)),
-             None, None),
-    "linear_x": (lambda x: x[:, 0].copy(), lambda x: np.ones(len(x)),
-                 None, None),
-    "harmonic_x2_minus_y2": (lambda x: x[:, 0] ** 2 - x[:, 1] ** 2,
-                             lambda x: 4 * x[:, 0] ** 2 + 4 * x[:, 1] ** 2,
-                             (2,), (2.0,)),
-    "harmonic_xy": (lambda x: x[:, 0] * x[:, 1],
-                    lambda x: x[:, 0] ** 2 + x[:, 1] ** 2, (2,), (2.0,)),
-}
+@dataclass(frozen=True)
+class ManufacturedCase:
+    """A boundary datum, by id, and the exact solution of the local limit
+    problem it induces, in closed form on an (n, dim) point array. The
+    affine entries solve it for every p, the harmonic ones for p = 2."""
+
+    id: str
+    dims: tuple  # None means any dimension
+    exponents: tuple  # None means any p > 1
+    exact: object  # callable points -> values
+    grad_sq: object  # callable points -> |grad u*|^2 values
+
+    def admits(self, dim: int, p: float) -> bool:
+        return ((self.dims is None or dim in self.dims)
+                and (self.exponents is None or p in self.exponents))
+
+    def grad_power(self, points, p):
+        """|grad u*|^p at the points."""
+        return self.grad_sq(points) ** (p / 2.0)
+
+
+MANUFACTURED = {case.id: case for case in (
+    ManufacturedCase("zero", None, None, lambda x: np.zeros(len(x)),
+                     lambda x: np.zeros(len(x))),
+    ManufacturedCase("linear_x", None, None, lambda x: x[:, 0].copy(),
+                     lambda x: np.ones(len(x))),
+    ManufacturedCase("harmonic_x2_minus_y2", (2,), (2.0,),
+                     lambda x: x[:, 0] ** 2 - x[:, 1] ** 2,
+                     lambda x: 4 * x[:, 0] ** 2 + 4 * x[:, 1] ** 2),
+    ManufacturedCase("harmonic_xy", (2,), (2.0,),
+                     lambda x: x[:, 0] * x[:, 1],
+                     lambda x: x[:, 0] ** 2 + x[:, 1] ** 2),
+)}
 
 
 def boundary_data(mesh: DomainMesh, spec) -> BoundaryData:
     """Resolve a boundary datum: None or "zero" for homogeneous data, a
     manufactured solution of MANUFACTURED by id, "csv:<path>" with one
-    value per boundary node, or an explicit array. A missing or
-    malformed CSV file raises AssemblyError naming the path."""
+    value per boundary node, or BoundaryData or values. A missing,
+    malformed or wrong-length CSV file raises AssemblyError naming the
+    path."""
     if spec is None:
         return BoundaryData(mesh, np.zeros(mesh.n_boundary))
-    if isinstance(spec, BoundaryData):
-        if spec.mesh is not mesh:
-            raise AssemblyError("boundary data bound to a different mesh")
-        return spec
     if isinstance(spec, str):
         if spec in MANUFACTURED:
-            exact, _, dims, _ = MANUFACTURED[spec]
-            if dims is not None and mesh.dim not in dims:
+            case = MANUFACTURED[spec]
+            if case.dims is not None and mesh.dim not in case.dims:
                 raise ConfigError("datum does not admit this shape's dimension",
                                   field="datum", datum=spec, dim=mesh.dim,
-                                  dims=list(dims))
-            return BoundaryData(mesh, exact(mesh.boundary_points))
+                                  dims=list(case.dims))
+            return BoundaryData(mesh, case.exact(mesh.boundary_points))
         if spec.startswith("csv:"):
+            path = spec[4:]
             try:
-                vals = np.loadtxt(spec[4:], dtype=float, ndmin=1)
-            except (OSError, ValueError) as exc:
+                return BoundaryData(mesh, np.loadtxt(path, dtype=float,
+                                                     ndmin=1))
+            except (OSError, ValueError, AssemblyError) as exc:
                 raise AssemblyError(f"cannot read boundary datum: {exc}",
-                                    path=spec[4:]) from exc
-            return BoundaryData(mesh, vals)
+                                    path=path, **getattr(exc, "info", {})
+                                    ) from exc
         raise ConfigError("unknown boundary datum", field="datum", datum=spec,
                           catalog=list(MANUFACTURED) + ["csv:<path>"])
-    return BoundaryData(mesh, np.asarray(spec, dtype=float))
+    return BoundaryData(mesh, _field_values(mesh, spec, BoundaryData))
 
 
 @dataclass(frozen=True)
@@ -165,15 +174,19 @@ def lp_norm(mesh: DomainMesh, values, p: float = 2.0) -> float:
     return float(np.sum(mesh.interior_weights * np.abs(v) ** p) ** (1.0 / p))
 
 
-def _field_values(op_mesh, u, what="field"):
-    if isinstance(u, Field):
-        if u.mesh is not op_mesh:
+def _field_values(mesh, u, kind=Field):
+    """The values of u, a Field (kind Field) or BoundaryData (kind
+    BoundaryData) of this mesh or an array of matching length."""
+    n, what = ((mesh.n_interior, "field") if kind is Field
+               else (mesh.n_boundary, "boundary data"))
+    if isinstance(u, kind):
+        if u.mesh is not mesh:
             raise AssemblyError(f"{what} bound to a different mesh")
         return u.values
     v = np.asarray(u, dtype=float)
-    if v.shape != (op_mesh.n_interior,):
+    if v.shape != (n,):
         raise AssemblyError(f"{what} length does not match the mesh",
-                            expected=op_mesh.n_interior, got=list(v.shape))
+                            expected=n, got=list(v.shape))
     return v
 
 
@@ -270,19 +283,17 @@ def _dst_map(stencil, symbol, combine):
 class EnergyOperator:
     """Assembled discrete energy: evaluable and differentiable in u.
 
-    Construct with assemble(); the instance is immutable in use. For
-    p = 2, apply_quadratic/linear_term/constant_term expose the
-    quadratic form. The pieces that only some paths read (the tau
-    symbol, the DST solve, the layer columns and the layer factor) are
-    built on first use, once per operator.
+    Construct with assemble(). An operator is its tables: mesh, delta,
+    p, penalty spec, datum, stencil, offset weights and penalty tables;
+    it is immutable in use. Everything else is derived from them on
+    first use, once per operator: for p = 2 the linear and constant
+    terms of the quadratic form, and the tau symbol, the DST solve, the
+    layer columns and the layer factor. scaled() and twin() build a new
+    operator from new tables, so no cache outlives the tables it read.
     """
 
-    # first-use caches; scaled() and twin() drop them, as they read the
-    # weights or the exponent
-    _CACHES = ("_symbol", "_tau_solve", "_layer_columns", "_layer_factor")
-
     def __init__(self, mesh, delta, p, spec, a_values, stencil, offset_w,
-                 pen_indptr, pen_indices, pen_rowid, pen_coef, pen_pref):
+                 pen_indices, pen_rowid, pen_coef, pen_pref):
         self.mesh = mesh
         self.delta = float(delta)
         self.p = float(p)
@@ -294,7 +305,6 @@ class EnergyOperator:
         # every pair of nodes the k-th half-offset apart
         self.stencil = stencil
         self.offset_w = offset_w
-        self.pen_indptr = pen_indptr
         self.pen_indices = pen_indices
         self.pen_rowid = pen_rowid
         self.pen_coef = pen_coef
@@ -306,9 +316,6 @@ class EnergyOperator:
         self._steps = stencil.flat_offsets[keep]
         self._starts = stencil.pair_starts()[keep]
         self._w2 = 2.0 * offset_w[keep]
-        self._p2 = None
-        if self.p == 2.0:
-            self._build_quadratic()
 
     def _to_ends(self, pieces, second=np.add):
         """Per-node sums over the pairs of the nonzero-weight offsets: a
@@ -334,34 +341,10 @@ class EnergyOperator:
 
     # -- quadratic form ------------------------------------------------
 
-    def _build_quadratic(self):
-        n = self.mesh.n_interior
-        # each pair (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so
-        # A_int v = rowsum * v - sum over signed offsets o of 2 w(o) v(. + o)
-        self._rowsum = self._to_ends(w2 * start for w2, start
-                                     in zip(self._w2, self._starts))
-        pref, coef = self.pen_pref, self.pen_coef
-        idx, rowid = self.pen_indices, self.pen_rowid
-        if self.rank_one:
-            # pref_b (k_b . u - t_b)^2 with t_b = a_b s_b; pref is the
-            # rank-one coefficient per boundary node
-            target = self.a * self.pen_sums
-            ell = np.bincount(idx, weights=coef * (pref * target)[rowid],
-                              minlength=n)
-            self._p2 = (np.zeros(n), ell, float(np.sum(pref * target**2)),
-                        pref)
-        else:
-            cpen = pref[rowid] * coef
-            a_j = self.a[rowid]
-            self._p2 = (np.bincount(idx, weights=cpen, minlength=n),
-                        np.bincount(idx, weights=cpen * a_j, minlength=n),
-                        float(np.sum(cpen * a_j**2)), None)
-
-    def _require_p2(self):
-        if self._p2 is None:
+    def _require_quadratic(self):
+        if self.p != 2.0:
             raise AssemblyError("quadratic form is only assembled for p = 2",
                                 p=self.p)
-        return self._p2
 
     def apply_quadratic(self, u):
         """A @ u for the p = 2 form: P_tau u with its entries on the
@@ -369,7 +352,7 @@ class EnergyOperator:
         stencil with no penalty, which P_tau applies exactly, and
         (A u)_L = B^T u as A is symmetric; no layer factor is read, so a
         singular A_LL does not matter here."""
-        self._require_p2()
+        self._require_quadratic()
         v = _field_values(self.mesh, u)
         nodes, _, bt = self._layer_columns
         out = _dst_map(self.stencil, self._symbol, np.multiply)(v)
@@ -384,13 +367,18 @@ class EnergyOperator:
         return np.bincount(idx, weights=self.pen_coef * (scale * t)[rowid],
                            minlength=self.mesh.n_interior)
 
-    @property
+    @functools.cached_property
     def linear_term(self):
-        return self._require_p2()[1]
+        """l of the p = 2 form: -1/2 the penalty gradient at 0, where the
+        interior gradient is 0."""
+        self._require_quadratic()
+        return -0.5 * self._penalty_gradient(np.zeros(self.mesh.n_interior))
 
-    @property
+    @functools.cached_property
     def constant_term(self):
-        return self._require_p2()[2]
+        """c0 of the p = 2 form: the penalty energy at 0."""
+        self._require_quadratic()
+        return self.penalty_energy(np.zeros(self.mesh.n_interior))
 
     def preconditioner(self):
         """r -> M r, the symmetric positive definite map that Newton-CG
@@ -410,7 +398,7 @@ class EnergyOperator:
         B = A[:, L]. It reads _layer_columns and _layer_factor.
         """
         tau = self._tau_solve
-        if self._p2 is None:
+        if self.p != 2.0:
             return tau
         nodes, b, bt = self._layer_columns
         lu = self._layer_factor
@@ -485,15 +473,18 @@ class EnergyOperator:
         nodes missing a neighbor at some offset of nonzero weight (their
         rows differ from the full stencil) plus every node a penalty row
         touches, ascending; and B = A[:, L] (n x |L|, CSR, read from the
-        pair sites at the layer nodes), which stores no zeros."""
-        diag, _, _, lowrank = self._require_p2()
+        pair sites at the layer nodes), which stores no zeros. Each pair
+        (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so the diagonal is
+        the row sum of 2 w plus the diagonal penalty."""
+        self._require_quadratic()
         n = self.mesh.n_interior
+        idx, rowid = self.pen_indices, self.pen_rowid
         size, sites = self._starts.shape[1], self.stencil.sites
         full = np.ones(size, dtype=bool)  # every offset links it both ways
         for f, start in zip(self._steps, self._starts):
             full &= start & np.concatenate([np.zeros(f, bool), start[:-f]])
         in_layer = ~full[sites]
-        in_layer[self.pen_indices] = True
+        in_layer[idx] = True
         nodes = np.flatnonzero(in_layer)
         m = len(nodes)
         node_of = np.full(size, -1)
@@ -503,7 +494,12 @@ class EnergyOperator:
         # neighbors f sites down and up (-1 where no pair links them, a
         # pair starting at s linking s and s + f); scipy's counting
         # transpose to B's CSR leaves each row's columns ascending
-        cols, vals = [nodes], [self._rowsum[nodes] + diag[nodes]]
+        diag = self._to_ends(w2 * start for w2, start
+                             in zip(self._w2, self._starts))[nodes]
+        if not self.rank_one:
+            diag += np.bincount(idx, weights=self.pen_pref[rowid]
+                                * self.pen_coef, minlength=n)[nodes]
+        cols, vals = [nodes], [diag]
         for f, w2, start in zip(self._steps, self._w2, self._starts):
             cols += [np.where((at >= f) & start[at - f], node_of[at - f], -1),
                      np.where(start[at], node_of[(at + f) % size], -1)]
@@ -513,11 +509,11 @@ class EnergyOperator:
         indptr = np.concatenate([[0], np.cumsum(linked.sum(axis=1))])
         block = sp.csr_matrix((vals[linked], cols[linked], indptr),
                               shape=(m, n)).T.tocsr()
-        if lowrank is not None:
-            k = sp.csr_matrix((self.pen_coef, (self.pen_rowid,
-                                               self.pen_indices)),
+        if self.rank_one:
+            k = sp.csr_matrix((self.pen_coef, (rowid, idx)),
                               shape=(self.mesh.n_boundary, n))
-            block = (block + k.T @ (sp.diags(lowrank) @ k[:, nodes])).tocsr()
+            block = (block + k.T @ (sp.diags(self.pen_pref)
+                                    @ k[:, nodes])).tocsr()
         block.eliminate_zeros()
         return nodes, block
 
@@ -582,7 +578,7 @@ class EnergyOperator:
         if a is None:
             a_b = self.a
         else:
-            a_b = _field_values_boundary(self.mesh, a)
+            a_b = _field_values(self.mesh, a, BoundaryData)
             _require_admitted_data(self.variant, a_b)
         if self.rank_one:
             return float(np.sum(self.pen_pref
@@ -602,15 +598,20 @@ class EnergyOperator:
         g = self._to_ends((p * w2 * _signed_power(d, p - 1.0) for w2, d
                            in zip(self._w2, self._differences(v))),
                           np.subtract)
-        coef, rowid, idx = self.pen_coef, self.pen_rowid, self.pen_indices
+        return g + self._penalty_gradient(v)
+
+    def _penalty_gradient(self, v):
+        """Gradient of penalty_energy at the values v."""
+        p, coef = self.p, self.pen_coef
+        idx, rowid = self.pen_indices, self.pen_rowid
         if self.rank_one:
             scale = self.pen_pref * p * _signed_power(self._inner(v, self.a),
                                                       p - 1.0)
-            return g - np.bincount(idx, weights=coef * scale[rowid],
-                                   minlength=len(v))
+            return -np.bincount(idx, weights=coef * scale[rowid],
+                                minlength=len(v))
         dv = v[idx] - self.a[rowid]
-        return g + np.bincount(idx, weights=self.pen_pref[rowid] * coef * p
-                               * _signed_power(dv, p - 1.0), minlength=len(v))
+        return np.bincount(idx, weights=self.pen_pref[rowid] * coef * p
+                           * _signed_power(dv, p - 1.0), minlength=len(v))
 
     def hessian(self, u):
         """v -> H v, the Hessian at u with no matrix: per offset slice
@@ -646,28 +647,20 @@ class EnergyOperator:
         """A new operator whose energy is factor times this one."""
         if not factor > 0:
             raise AssemblyError("scale factor must be positive", factor=factor)
-        return self._derived(offset_w=self.offset_w * factor,
-                             pen_pref=self.pen_pref * factor,
-                             _w2=self._w2 * factor)
+        return EnergyOperator(self.mesh, self.delta, self.p, self.spec,
+                              self.a, self.stencil, self.offset_w * factor,
+                              self.pen_indices, self.pen_rowid,
+                              self.pen_coef, self.pen_pref * factor)
 
     def twin(self, p=None, a=None):
         """This operator's tables with exponent p and datum values a. The
         weights keep their delta^-p, so a p = 2 twin is delta^(2-p) times
         assemble()'s p = 2 operator, with the same minimizer."""
-        return self._derived(p=self.p if p is None else float(p),
-                             a=self.a if a is None else a)
-
-    def _derived(self, **fields):
-        """A copy with fields replaced, caches dropped, p = 2 form rebuilt."""
-        out = object.__new__(EnergyOperator)
-        out.__dict__.update(self.__dict__)
-        for name in self._CACHES:
-            out.__dict__.pop(name, None)
-        out.__dict__.update(fields)
-        out._p2 = None
-        if out.p == 2.0:
-            out._build_quadratic()
-        return out
+        return EnergyOperator(self.mesh, self.delta,
+                              self.p if p is None else p, self.spec,
+                              self.a if a is None else a, self.stencil,
+                              self.offset_w, self.pen_indices,
+                              self.pen_rowid, self.pen_coef, self.pen_pref)
 
 
 def _signed_power(d, e):
@@ -683,18 +676,6 @@ def _floored_power(d, e):
     return np.maximum(d, 1e-10 * top if top > 0.0 else 1.0) ** e
 
 
-def _field_values_boundary(mesh, a):
-    if isinstance(a, BoundaryData):
-        if a.mesh is not mesh:
-            raise AssemblyError("boundary data bound to a different mesh")
-        return a.values
-    v = np.asarray(a, dtype=float)
-    if v.shape != (mesh.n_boundary,):
-        raise AssemblyError("boundary data length does not match the mesh",
-                            expected=mesh.n_boundary, got=list(v.shape))
-    return v
-
-
 def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
              delta: float, p: float = 2.0, a=None) -> EnergyOperator:
     """Assemble the discrete energy on a mesh.
@@ -707,8 +688,8 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     when their kernels share a support: the kernel R is evaluated once
     per half-offset. No exponent lists pairs: the energy, gradient,
     Hessian and boundary layer read the stencil's per-offset pair sites,
-    and the p = 2 interior form is a convolution of the per-offset
-    weights.
+    and the p = 2 form applies as the DST tau stencil off the boundary
+    layer plus the sparse layer columns on it.
     """
     if not delta > 0:
         raise AssemblyError("horizon must be positive", delta=delta)
@@ -738,8 +719,7 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
         base = antiderivative_kernel(spec.kernel)
     else:
         base = spec.kernel
-    indptr, indices, rowid, coef = _boundary_tables(mesh, base, delta,
-                                                   stencil)
+    _, indices, rowid, coef = _boundary_tables(mesh, base, delta, stencil)
     w_b = mesh.boundary_weights
     if spec.variant == "wang":
         _, _, wrow, wcoef = _boundary_tables(
@@ -761,7 +741,7 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
         pref = w_b / delta**p
 
     return EnergyOperator(mesh, delta, p, spec, a_vals, stencil, offset_w,
-                          indptr, indices, rowid, coef, pref)
+                          indices, rowid, coef, pref)
 
 
 def mollify(mesh: DomainMesh, khat: KernelSpec, delta: float, u):

@@ -13,6 +13,7 @@ stopping test, and every result names its stop_reason.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,12 @@ class SolveOptions:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
+        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < 1.0):
             raise ConfigError("tol must lie in (0, 1)", field="tol",
                               tol=self.tol)
-        if self.max_iter < 1:
+        if isinstance(self.max_iter, bool) \
+                or not isinstance(self.max_iter, numbers.Integral) \
+                or self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1", field="max_iter",
                               max_iter=self.max_iter)
 

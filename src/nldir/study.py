@@ -10,11 +10,12 @@ time column. Error trends are asserted by the callers (tests), not
 here; rates are reported as information only.
 
 The manufactured catalog is this laboratory's own choice of closed-form
-local solutions (assembly.MANUFACTURED, which also supplies the boundary
+local solutions (assembly.MANUFACTURED, whose ids are also boundary
 data); the test suite checks that each solves its local problem.
 """
 
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -22,7 +23,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import assembly
-from .assembly import MANUFACTURED, PenaltySpec, lp_norm
+from .assembly import (MANUFACTURED, ManufacturedCase, PenaltySpec,
+                       lp_norm)
 from .errors import ConfigError, NldirError
 from .geometry import build_mesh
 from .kernels import kernel_by_id, normalize_w, sigma_r
@@ -32,6 +34,7 @@ _TINY = 1e-300
 _PROBE_BLOCK = 1 << 20  # field values per block of coercivity probes (8 MiB)
 
 CSV_HEADER = "delta,h,penalty,p,l2_error,trace_norm,energy,sigma_r,seconds"
+_KINDS = {float: numbers.Real, int: numbers.Integral}
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,28 @@ class StudyConfig:
     out_json: str = None
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas",
-                           tuple(float(d) for d in self.deltas))
+        # each value must have its field's type (a float field takes any
+        # real number, an int field any integer, neither a bool); deltas
+        # and variants become tuples
+        for name, fld in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            if fld.type is tuple:
+                try:
+                    value = tuple(float(v) if name == "deltas" else v
+                                  for v in value)
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{name} must be a list", field=name,
+                                      got=repr(value)) from None
+                object.__setattr__(self, name, value)
+                continue
+            if value is None and fld.default is None:
+                continue
+            kind = _KINDS.get(fld.type, fld.type)
+            if not isinstance(value, kind) \
+                    or isinstance(value, bool) is not (kind is bool):
+                raise ConfigError(f"{name} has the wrong type", field=name,
+                                  expected=fld.type.__name__,
+                                  got=type(value).__name__)
         if not self.deltas:
             raise ConfigError("need at least one delta", field="deltas")
         if any(d2 >= d1 for d1, d2 in zip(self.deltas, self.deltas[1:])):
@@ -85,10 +108,12 @@ class StudyConfig:
         if self.threads < 1:
             raise ConfigError("threads must be at least 1", field="threads",
                               value=self.threads)
-        object.__setattr__(self, "variants", tuple(self.variants))
 
     @classmethod
     def from_dict(cls, data: dict):
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object", field="config",
+                              got=type(data).__name__)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -136,39 +161,11 @@ class StudyReport:
 # -- manufactured catalog ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManufacturedCase:
-    """A boundary datum together with the exact solution of the local
-    limit problem it induces."""
-
-    id: str
-    datum: str
-    dims: tuple  # None means any dimension
-    exponents: tuple  # None means any p > 1
-    exact: object  # callable points -> values
-    grad_sq: object  # callable points -> |grad u*|^2 values
-
-    def admits(self, dim: int, p: float) -> bool:
-        if self.dims is not None and dim not in self.dims:
-            return False
-        if self.exponents is not None and p not in self.exponents:
-            return False
-        return True
-
-    def grad_power(self, points, p):
-        """|grad u*|^p at the points."""
-        return self.grad_sq(points) ** (p / 2.0)
-
-
-_CATALOG = {cid: ManufacturedCase(cid, cid, dims, exps, exact, grad_sq)
-            for cid, (exact, grad_sq, dims, exps) in MANUFACTURED.items()}
-
-
 def manufactured_case(case_id: str) -> ManufacturedCase:
-    if case_id not in _CATALOG:
+    if case_id not in MANUFACTURED:
         raise ConfigError("unknown manufactured case", case=case_id,
-                          catalog=sorted(_CATALOG))
-    return _CATALOG[case_id]
+                          catalog=sorted(MANUFACTURED))
+    return MANUFACTURED[case_id]
 
 
 # -- sweeps --------------------------------------------------------------
@@ -208,7 +205,7 @@ def solve_row(cfg: StudyConfig, case, delta):
     """One horizon's operator for the case's datum, its minimizer's
     SolveResult (deflated CG at p = 2, Newton-CG otherwise) and the
     minimizer's L2 error against the case's exact solution."""
-    op = row_operator(cfg, delta, case.datum)
+    op = row_operator(cfg, delta, case.id)
     solve = solve_quadratic if cfg.p == 2.0 else solve_p_energy
     result = solve(op, cfg.solver)
     error = result.minimizer.values - case.exact(op.mesh.interior_points)

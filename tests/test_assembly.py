@@ -316,8 +316,7 @@ def test_scaled_quadratic_form_consistent():
 def test_scaled_operator_never_reads_stale_pair_lists(p):
     # the per-offset pair weights of the slices, and the tau symbol and
     # the layer columns built on first use, scale with the operator: one
-    # scaled after its caches exist must not keep the unscaled weights
-    # its __dict__ copy carries
+    # scaled after its caches exist must not read the unscaled weights
     rng = np.random.default_rng(67)
     u = rng.standard_normal(L_SHAPE.n_interior)
     v = rng.standard_normal(L_SHAPE.n_interior)
@@ -597,6 +596,16 @@ def test_boundary_data_malformed_csv_names_the_path(tmp_path):
     with pytest.raises(AssemblyError) as exc:
         boundary_data(INTERVAL, f"csv:{path}")
     assert exc.value.info["path"] == str(path)
+
+
+def test_boundary_data_wrong_length_csv_names_the_path(tmp_path):
+    path = tmp_path / "datum.csv"
+    np.savetxt(path, np.zeros(INTERVAL.n_boundary + 1))
+    with pytest.raises(AssemblyError) as exc:
+        boundary_data(INTERVAL, f"csv:{path}")
+    assert exc.value.info["path"] == str(path)
+    assert exc.value.info["expected"] == INTERVAL.n_boundary
+    assert exc.value.info["got"] == [INTERVAL.n_boundary + 1]
 
 
 def test_boundary_data_foreign_mesh_rejected():

@@ -245,6 +245,32 @@ def test_solver_seed_is_refused(tmp_path, capsys):
     assert payload["field"] == "seed"
 
 
+@pytest.mark.parametrize("config, field", [
+    (5, "config"),
+    ([{"a": 1}], "config"),
+    ({"solver": 5}, "solver"),
+    ({"deltas": 0.1}, "deltas"),
+    ({"threads": "2"}, "threads"),
+    ({"ratio": "4"}, "ratio"),
+    ({"p": "3"}, "p"),
+    ({"kernel_r": 5}, "kernel_r"),
+    ({"shi_delta_sq_prefactor": "yes"}, "shi_delta_sq_prefactor"),
+    ({"solver": {"tol": "1e-8"}}, "tol"),
+])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, config, field):
+    # a value of the wrong JSON type exits 1 with a ConfigError naming
+    # its field, not with a Python traceback or a silently accepted value
+    if isinstance(config, dict):
+        path = write_config(tmp_path, **config)
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+    assert dispatch(["sweep", "--config", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert payload["field"] == field
+
+
 @pytest.mark.parametrize("command, overrides", [
     ("solve", {}),
     ("eigen", {"case": "zero", "eigen_modes": 2, "eigen_mass": "both"}),

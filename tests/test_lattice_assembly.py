@@ -131,13 +131,27 @@ def densify(apply, n):
     return np.column_stack([apply(e) for e in eye])
 
 
+def row_sums(op):
+    """Per node, the sum of 2 w over the pairs it is in: the diagonal of
+    the interior form, from the per-offset weights and pair sites."""
+    n = op.mesh.n_interior
+    sites = op.stencil.sites
+    node_of = np.full(op._starts.shape[1], -1)
+    node_of[sites] = np.arange(n)
+    out = np.zeros(n)
+    for f, w2, start in zip(op._steps, op._w2, op._starts):
+        first = np.flatnonzero(start)
+        np.add.at(out, node_of[first], w2)
+        np.add.at(out, node_of[first + f], w2)
+    return out
+
+
 def interior_form(op):
     """v -> A_int v as half the p = 2 Hessian, per offset slice, of op
     with every penalty prefactor zero: no layer column is read."""
     free = EnergyOperator(op.mesh, op.delta, 2.0, op.spec, op.a, op.stencil,
-                          op.offset_w, op.pen_indptr, op.pen_indices,
-                          op.pen_rowid, op.pen_coef,
-                          np.zeros_like(op.pen_pref))
+                          op.offset_w, op.pen_indices, op.pen_rowid,
+                          op.pen_coef, np.zeros_like(op.pen_pref))
     hess = free.hessian(np.zeros(op.mesh.n_interior))
     return lambda v: 0.5 * hess(v)
 
@@ -177,7 +191,7 @@ def test_fft_interior_form_matches_the_stencil_matrix(name, ratio):
     mesh = MESHES[name]
     op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
                   ratio * mesh.h, 2.0, "linear_x")
-    want = _stencil_matrix(op.stencil, -2.0 * op.offset_w, op._rowsum)
+    want = _stencil_matrix(op.stencil, -2.0 * op.offset_w, row_sums(op))
     assert_close(densify(interior_form(op), mesh.n_interior), want.toarray())
     v = np.random.default_rng(5).standard_normal(mesh.n_interior)
     assert_close(interior_form(op)(v), want @ v)
@@ -207,9 +221,8 @@ def test_apply_quadratic_matches_the_double_loop_and_dense_penalty(name,
 def penalty_only(op):
     """op with every interior weight zero: its penalty terms alone."""
     return EnergyOperator(op.mesh, op.delta, op.p, op.spec, op.a, op.stencil,
-                          np.zeros_like(op.offset_w), op.pen_indptr,
-                          op.pen_indices, op.pen_rowid, op.pen_coef,
-                          op.pen_pref)
+                          np.zeros_like(op.offset_w), op.pen_indices,
+                          op.pen_rowid, op.pen_coef, op.pen_pref)
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -260,17 +273,21 @@ def coo_layer(op):
     penalty row) and B = A[:, L] from a COO triplet list of the stencil
     entries at the layer nodes plus the rank-one block, which scipy
     sums and sorts into CSR."""
-    diag, _, _, lowrank = op._p2
     n = op.mesh.n_interior
+    idx, rowid = op.pen_indices, op.pen_rowid
+    diag = row_sums(op)
+    if not op.rank_one:
+        diag += np.bincount(idx, weights=op.pen_pref[rowid] * op.pen_coef,
+                            minlength=n)
     in_layer = op._to_ends(op._starts) < 2 * len(op._steps)
-    in_layer[op.pen_indices] = True
+    in_layer[idx] = True
     nodes = np.flatnonzero(in_layer)
     sites = op.stencil.sites
     node_of = np.full(op._starts.shape[1], -1)
     node_of[sites] = np.arange(n)
     at = sites[nodes]
     rows, cols = [nodes], [np.arange(len(nodes))]
-    vals = [op._rowsum[nodes] + diag[nodes]]
+    vals = [diag[nodes]]
     for f, w2, start in zip(op._steps, op._w2, op._starts):
         for other, first in ((at + f, at), (at - f, at - f)):
             hit = np.flatnonzero(start[np.maximum(first, 0)] & (first >= 0))
@@ -280,10 +297,10 @@ def coo_layer(op):
     block = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
                                                   np.concatenate(cols))),
                           shape=(n, len(nodes)))
-    if lowrank is not None:
-        k = sp.csr_matrix((op.pen_coef, (op.pen_rowid, op.pen_indices)),
+    if op.rank_one:
+        k = sp.csr_matrix((op.pen_coef, (rowid, idx)),
                           shape=(op.mesh.n_boundary, n))
-        block = (block + k.T @ (sp.diags(lowrank) @ k[:, nodes])).tocsr()
+        block = (block + k.T @ (sp.diags(op.pen_pref) @ k[:, nodes])).tocsr()
     block.eliminate_zeros()
     return nodes, block
 
@@ -302,6 +319,27 @@ def test_layer_blocks_equal_a_coo_build_bit_for_bit(name, ratio):
         assert np.array_equal(nodes, want_nodes)
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(b, part), getattr(want_b, part))
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_affine_terms_are_the_penalty_at_zero(name, ratio):
+    # l and c0 are derived on first use from the penalty alone: l is
+    # -1/2 the gradient at 0 (where the interior gradient is exactly 0)
+    # and c0 the energy at 0; a zero-datum twin of an operator whose
+    # terms exist derives its own, which vanish
+    mesh = MESHES[name]
+    zero = np.zeros(mesh.n_interior)
+    for spec in LAYER_SPECS:
+        datum = None if spec.variant in ZERO_DATA_VARIANTS else "linear_x"
+        op = assemble(mesh, QUARTIC, spec, ratio * mesh.h, 2.0, datum)
+        assert np.array_equal(op.linear_term, -0.5 * op.gradient(zero))
+        e0 = op.energy(zero)
+        assert abs(op.constant_term - e0) <= 1e-15 * abs(e0)
+        if datum is not None:
+            assert np.any(op.linear_term != 0.0) and op.constant_term > 0.0
+        twin = op.twin(a=np.zeros(mesh.n_boundary))
+        assert not np.any(twin.linear_term) and twin.constant_term == 0.0
 
 
 @pytest.mark.parametrize("ratio", RATIOS)

@@ -312,8 +312,8 @@ def test_preconditioner_refuses_a_nonpositive_symbol():
     op = make_op(SQUARE, "product", 0.5, a="harmonic_xy")
     flat = EnergyOperator(
         op.mesh, op.delta, op.p, op.spec, op.a, op.stencil,
-        np.zeros_like(op.offset_w), op.pen_indptr, op.pen_indices,
-        op.pen_rowid, op.pen_coef, op.pen_pref)
+        np.zeros_like(op.offset_w), op.pen_indices, op.pen_rowid,
+        op.pen_coef, op.pen_pref)
     with pytest.raises(SolverError) as exc:
         flat.preconditioner()
     assert exc.value.info["reason"] == "symbol_not_positive"

@@ -153,7 +153,7 @@ def test_boundary_data_is_the_exact_solution(shape):
     for cid in CASE_IDS:
         case = manufactured_case(cid)
         if case.admits(mesh.dim, 2.0):
-            assert np.array_equal(boundary_data(mesh, case.datum).values,
+            assert np.array_equal(boundary_data(mesh, case.id).values,
                                   case.exact(mesh.boundary_points)), cid
 
 
