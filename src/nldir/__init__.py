@@ -18,8 +18,8 @@ from .errors import (AssemblyError, ConfigError, KernelError, MassFormError,
                      SolverError)
 from .kernels import (CUBIC, QUARTIC, WENDLAND, KernelSpec, ScaledKernel,
                       antiderivative_kernel, eval_scaled, kernel_by_id,
-                      kernel_mass, minorant_kernel, normalize_w, scale_kernel,
-                      scaled_mass, sigma_r, tabulated_kernel, validate_kernel)
+                      kernel_mass, minorant_kernel, normalize_w, scaled_mass,
+                      sigma_r, tabulated_kernel, validate_kernel)
 from .geometry import DomainMesh, NeighborTable, build_mesh, neighbor_pairs
 from .assembly import (BoundaryData, EnergyOperator, Field,
                        ManufacturedCase, PenaltySpec, assemble,
@@ -37,7 +37,7 @@ __all__ = [
     "MeshError", "AssemblyError", "SolverError", "MassFormError",
     "MollifierError",
     "KernelSpec", "ScaledKernel", "eval_scaled", "QUARTIC", "CUBIC",
-    "WENDLAND", "tabulated_kernel", "minorant_kernel", "scale_kernel",
+    "WENDLAND", "tabulated_kernel", "minorant_kernel",
     "kernel_by_id", "antiderivative_kernel", "sigma_r", "kernel_mass",
     "scaled_mass", "normalize_w", "validate_kernel",
     "DomainMesh", "NeighborTable", "build_mesh", "neighbor_pairs",

@@ -200,11 +200,21 @@ def _require_valid(kernel: KernelSpec):
             conditions=[c.condition for c in report.failures()])
 
 
-def _require_admitted_data(variant, a_vals):
+def _admitted(mesh, variant, p, a):
+    """The values of the datum a (BoundaryData of this mesh or one value
+    per boundary node) once p > 1, p = 2 for the quadratic-only
+    variants, and zero data for the zero-datum variants are checked."""
+    if not p > 1:
+        raise AssemblyError("exponent must exceed 1", p=p)
+    if p != 2.0 and variant in QUADRATIC_ONLY_VARIANTS:
+        raise AssemblyError(f"variant '{variant}' is defined for p = 2 only",
+                            variant=variant, p=p)
+    a_vals = _field_values(mesh, a, BoundaryData)
     if variant in ZERO_DATA_VARIANTS and np.any(a_vals != 0.0):
         raise AssemblyError(
             f"variant '{variant}' admits only zero boundary data",
             variant=variant)
+    return a_vals
 
 
 def _boundary_tables(mesh, base: KernelSpec, delta, stencil):
@@ -575,11 +585,8 @@ class EnergyOperator:
     def penalty_energy(self, u, a=None) -> float:
         """Boundary penalty at u; a defaults to the assembled datum."""
         v = _field_values(self.mesh, u)
-        if a is None:
-            a_b = self.a
-        else:
-            a_b = _field_values(self.mesh, a, BoundaryData)
-            _require_admitted_data(self.variant, a_b)
+        a_b = (self.a if a is None
+               else _admitted(self.mesh, self.variant, self.p, a))
         if self.rank_one:
             return float(np.sum(self.pen_pref
                                 * np.abs(self._inner(v, a_b)) ** self.p))
@@ -653,13 +660,15 @@ class EnergyOperator:
                               self.pen_coef, self.pen_pref * factor)
 
     def twin(self, p=None, a=None):
-        """This operator's tables with exponent p and datum values a. The
-        weights keep their delta^-p, so a p = 2 twin is delta^(2-p) times
-        assemble()'s p = 2 operator, with the same minimizer."""
-        return EnergyOperator(self.mesh, self.delta,
-                              self.p if p is None else p, self.spec,
-                              self.a if a is None else a, self.stencil,
-                              self.offset_w, self.pen_indices,
+        """This operator's tables with exponent p and datum values a,
+        checked as assemble() checks them. The weights keep their
+        delta^-p, so a p = 2 twin is delta^(2-p) times assemble()'s
+        p = 2 operator, with the same minimizer."""
+        p = self.p if p is None else p
+        a = _admitted(self.mesh, self.variant, p,
+                      self.a if a is None else a)
+        return EnergyOperator(self.mesh, self.delta, p, self.spec, a,
+                              self.stencil, self.offset_w, self.pen_indices,
                               self.pen_rowid, self.pen_coef, self.pen_pref)
 
 
@@ -696,17 +705,10 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     if delta < 2.0 * mesh.h * (1.0 - 1e-12):
         raise AssemblyError("horizon must be at least two cells wide",
                             delta=delta, h=mesh.h)
-    if not p > 1:
-        raise AssemblyError("exponent must exceed 1", p=p)
-    if p != 2.0 and spec.variant in QUADRATIC_ONLY_VARIANTS:
-        raise AssemblyError(
-            f"variant '{spec.variant}' is defined for p = 2 only",
-            variant=spec.variant, p=p)
+    a_vals = _admitted(mesh, spec.variant, p, boundary_data(mesh, a))
     _require_valid(R)
     if spec.kernel is not R:
         _require_valid(spec.kernel)
-    a_vals = boundary_data(mesh, a).values
-    _require_admitted_data(spec.variant, a_vals)
 
     # interior pairs, one weight per half-offset (the weights are equal)
     stencil = lattice_stencil(mesh, R.support * delta)

@@ -112,8 +112,21 @@ def build_mesh(shape, h) -> DomainMesh:
                     supported=["interval", "rect", "polygon"])
 
 
+def _coordinates(kind, spec, admits, what):
+    """The descriptor's coordinates as a float array whose shape the
+    predicate admits; MeshError naming the shape kind otherwise."""
+    try:
+        v = np.asarray(spec, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or not admits(v.shape) or not np.all(np.isfinite(v)):
+        raise MeshError(f"{kind} needs {what}", kind=kind, spec=repr(spec))
+    return v
+
+
 def _interval_mesh(spec, h):
-    a, b = float(spec[0]), float(spec[1])
+    a, b = (float(c) for c in _coordinates(
+        "interval", spec, lambda s: s == (2,), "two finite end points [a, b]"))
     if not b > a:
         raise MeshError("degenerate interval", a=a, b=b)
     if h >= b - a:
@@ -131,8 +144,9 @@ def _interval_mesh(spec, h):
 
 
 def _rect_mesh(spec, h):
-    (x0, y0), (x1, y1) = spec
-    x0, y0, x1, y1 = float(x0), float(y0), float(x1), float(y1)
+    x0, y0, x1, y1 = (float(c) for c in _coordinates(
+        "rect", spec, lambda s: s == (2, 2),
+        "two finite corners [[x0, y0], [x1, y1]]").ravel())
     if not (x1 > x0 and y1 > y0):
         raise MeshError("degenerate rectangle", corners=[[x0, y0], [x1, y1]])
     if h >= min(x1 - x0, y1 - y0):
@@ -162,10 +176,9 @@ def _rect_mesh(spec, h):
 
 
 def _polygon_mesh(spec, h):
-    verts = np.asarray(spec, dtype=float)
-    if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-        raise MeshError("polygon needs at least 3 (x, y) vertices",
-                        shape=list(np.shape(spec)))
+    verts = _coordinates("polygon", spec,
+                         lambda s: len(s) == 2 and s[0] >= 3 and s[1] == 2,
+                         "at least 3 finite (x, y) vertices")
     area = _shoelace(verts)
     scale = float(np.max(np.ptp(verts, axis=0)))
     if abs(area) <= 1e-12 * scale**2:

@@ -11,7 +11,10 @@ rho > r*delta. This keeps the squared/unsquared convention out of call
 sites.
 
 Built-in profiles: "quartic" (1-s)_+^2, "cubic" (1-s)_+^3, and
-"wendland" (1-sqrt(s))_+^4 (4 sqrt(s)+1). The wendland bump is the one
+"wendland" (1-sqrt(s))_+^4 (4 sqrt(s)+1). Quartic, cubic and every
+minorant are one closed-form family, scale * (knot - s)_+^m, with
+their upper antiderivatives; wendland, which is not a power of
+(1 - s), is written out by hand. The wendland bump is the one
 profile here whose radial function is positive definite in dimensions
 up to 3, which matters when a profile is used as the mass kernel W; the
 quartic and cubic profiles produce indefinite mass forms on fine grids.
@@ -85,39 +88,22 @@ def eval_scaled(kernel: ScaledKernel, rho):
     return np.where(rho <= base.support * delta, vals, 0.0)
 
 
-def _positive_part_power(s, power):
-    t = 1.0 - np.minimum(s, 1.0)
-    return t**power
+def _power_family(label, scale, knot, m):
+    """scale * t**m with t = knot - min(s, knot), support sqrt(knot),
+    with its closed-form upper antiderivatives scale * t**(m+1)/(m+1)
+    and scale * t**(m+2)/((m+1)(m+2))."""
+    def member(divisor, power):
+        def profile(s):
+            t = knot - np.minimum(np.asarray(s, dtype=float), knot)
+            return scale * t**power / divisor
+        return profile
 
-
-def _quartic(s):
-    s = np.asarray(s, dtype=float)
-    return _positive_part_power(s, 2)
-
-
-def _quartic_bar(s):
-    s = np.asarray(s, dtype=float)
-    return _positive_part_power(s, 3) / 3.0
-
-
-def _quartic_bbar(s):
-    s = np.asarray(s, dtype=float)
-    return _positive_part_power(s, 4) / 12.0
-
-
-def _cubic(s):
-    s = np.asarray(s, dtype=float)
-    return _positive_part_power(s, 3)
-
-
-def _cubic_bar(s):
-    s = np.asarray(s, dtype=float)
-    return _positive_part_power(s, 4) / 4.0
-
-
-def _cubic_bbar(s):
-    s = np.asarray(s, dtype=float)
-    return _positive_part_power(s, 5) / 20.0
+    r = float(np.sqrt(knot))
+    return KernelSpec(
+        label, member(1, m), r,
+        _anti=KernelSpec(label + "_bar", member(m + 1, m + 1), r,
+                         _anti=KernelSpec(label + "_bbar",
+                                          member((m + 1) * (m + 2), m + 2), r)))
 
 
 def _wendland(s):
@@ -139,15 +125,9 @@ def _wendland_bbar(s):
     return v**6 * (2.0 / 3.0 + v * (-10.0 / 7.0 + v * (29.0 / 28.0 + v * (-16.0 / 63.0))))
 
 
-QUARTIC = KernelSpec(
-    "quartic", _quartic, 1.0,
-    _anti=KernelSpec("quartic_bar", _quartic_bar, 1.0,
-                     _anti=KernelSpec("quartic_bbar", _quartic_bbar, 1.0)))
+QUARTIC = _power_family("quartic", 1.0, 1.0, 2)
 
-CUBIC = KernelSpec(
-    "cubic", _cubic, 1.0,
-    _anti=KernelSpec("cubic_bar", _cubic_bar, 1.0,
-                     _anti=KernelSpec("cubic_bbar", _cubic_bbar, 1.0)))
+CUBIC = _power_family("cubic", 1.0, 1.0, 3)
 
 WENDLAND = KernelSpec(
     "wendland", _wendland, 1.0,
@@ -155,10 +135,19 @@ WENDLAND = KernelSpec(
                      _anti=KernelSpec("wendland_bbar", _wendland_bbar, 1.0)))
 
 
-def tabulated_kernel(path, label=None):
+def _interpolated(label, grid, values):
+    """Linear interpolation of values on the increasing grid, zero
+    beyond its last point, which is the squared support radius."""
+    def profile(s):
+        return np.interp(np.asarray(s, dtype=float), grid, values, right=0.0)
+
+    return KernelSpec(label, profile, float(np.sqrt(grid[-1])))
+
+
+def tabulated_kernel(path):
     """Read a profile from a two-column CSV (s, value), strictly
     increasing in s. Values are linearly interpolated; the profile is
-    zero beyond the last sample. The default label is the catalog id
+    zero beyond the last sample. Labelled with its catalog id
     "tabulated:<path>"."""
     try:
         data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
@@ -175,13 +164,7 @@ def tabulated_kernel(path, label=None):
         bad = int(np.nonzero(np.diff(grid) <= 0)[0][0])
         raise KernelError("tabulated kernel grid must be strictly increasing",
                           path=str(path), row=bad + 1)
-
-    def profile(s, _grid=grid, _vals=vals):
-        s = np.asarray(s, dtype=float)
-        return np.interp(s, _grid, _vals, right=0.0)
-
-    return KernelSpec(label or f"tabulated:{path}", profile,
-                      float(np.sqrt(grid[-1])))
+    return _interpolated(f"tabulated:{path}", grid, vals)
 
 
 def minorant_kernel(base: KernelSpec, c2: float):
@@ -196,38 +179,8 @@ def minorant_kernel(base: KernelSpec, c2: float):
     if c1 <= 0:
         raise KernelError("base profile vanishes at the minorant knot",
                           kernel=base.label, c2=c2)
-    scale = c1 / c2**2
-
-    def profile(s, _c2=c2, _scale=scale):
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= _c2, _scale * (s - _c2) ** 2, 0.0)
-
-    def bar(s, _c2=c2, _scale=scale):
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= _c2, _scale * (_c2 - s) ** 3 / 3.0, 0.0)
-
-    def bbar(s, _c2=c2, _scale=scale):
-        s = np.asarray(s, dtype=float)
-        return np.where(s <= _c2, _scale * (_c2 - s) ** 4 / 12.0, 0.0)
-
-    r = float(np.sqrt(c2))
-    name = f"minorant:{base.label}:{float(c2)!r}"
-    return KernelSpec(name, profile, r,
-                      _anti=KernelSpec(name + "_bar", bar, r,
-                                       _anti=KernelSpec(name + "_bbar", bbar, r)))
-
-
-def scale_kernel(kernel: KernelSpec, factor: float):
-    """Multiply a profile by a positive constant, preserving any
-    registered antiderivative chain."""
-    if not factor > 0:
-        raise KernelError("scale factor must be positive", factor=factor)
-    anti = scale_kernel(kernel._anti, factor) if kernel._anti is not None else None
-
-    def profile(s, _p=kernel.profile, _c=factor):
-        return _c * _p(np.asarray(s, dtype=float))
-
-    return KernelSpec(f"{kernel.label}_x{factor:g}", profile, kernel.support, _anti=anti)
+    return _power_family(f"minorant:{base.label}:{float(c2)!r}",
+                         c1 / c2**2, c2, 2)
 
 
 def kernel_by_id(spec_id: str) -> KernelSpec:
@@ -264,12 +217,7 @@ def antiderivative_kernel(kernel: KernelSpec) -> KernelSpec:
     vals = kernel.profile(grid)
     seg = 0.5 * (vals[:-1] + vals[1:]) * np.diff(grid)
     upper = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-
-    def profile(s, _grid=grid, _upper=upper):
-        s = np.asarray(s, dtype=float)
-        return np.interp(s, _grid, _upper, right=0.0)
-
-    return KernelSpec(kernel.label + "_bar", profile, kernel.support)
+    return _interpolated(kernel.label + "_bar", grid, upper)
 
 
 class QuadResult(NamedTuple):
@@ -360,9 +308,12 @@ def normalize_w(kernel: KernelSpec, dim: int, rel_tol: float = 1e-10) -> KernelS
     if mass <= _TINY:
         raise KernelError("cannot normalize a zero-mass profile",
                           kernel=kernel.label, mass=mass)
-    out = scale_kernel(kernel, 1.0 / mass)
-    return KernelSpec(kernel.label + "_normalized", out.profile, out.support,
-                      _anti=out._anti)
+    factor = 1.0 / mass
+
+    def profile(s):
+        return factor * kernel.profile(np.asarray(s, dtype=float))
+
+    return KernelSpec(kernel.label + "_normalized", profile, kernel.support)
 
 
 @dataclass(frozen=True)
@@ -407,14 +358,16 @@ def validate_kernel(kernel: KernelSpec, samples: int = 257) -> ValidationReport:
     scale = max(float(np.max(np.abs(v_in))), _TINY)
     checks = []
 
-    # nonnegativity
+    # nonnegativity; a non-finite sample fails it too
     all_s = np.concatenate([inside, beyond])
     all_v = np.concatenate([v_in, v_out])
-    neg = np.nonzero(all_v < -1e-12 * scale)[0]
+    finite = np.isfinite(all_v)
+    neg = np.nonzero(~finite | (all_v < -1e-12 * scale))[0]
     if neg.size:
         i = int(neg[0])
+        sign = "< 0" if finite[i] else "is not finite"
         checks.append(CheckResult("nonnegative", False,
-                                  f"profile({all_s[i]:.6g}) = {all_v[i]:.3e} < 0",
+                                  f"profile({all_s[i]:.6g}) = {all_v[i]:.3e} {sign}",
                                   float(all_s[i])))
     else:
         checks.append(CheckResult("nonnegative", True, "profile >= 0 at all samples"))

@@ -517,6 +517,24 @@ def test_zero_data_variants_reject_nonzero_datum(variant):
                           a=np.ones(INTERVAL.n_boundary))
 
 
+@pytest.mark.parametrize("variant, change", [
+    ("wang", {"p": 3.0}),
+    ("dirac_diagonal", {"a": np.ones(2)}),
+    ("product", {"p": 0.5}),
+    ("product", {"a": np.ones(7)}),
+])
+def test_twin_checks_what_assemble_checks(variant, change):
+    # a twin's exponent and datum pass assemble()'s checks, so a bad one
+    # is refused at once instead of in a later energy() call
+    spec = PenaltySpec(variant, QUARTIC)
+    with pytest.raises(AssemblyError):
+        assemble(INTERVAL, QUARTIC, spec, 0.3, p=change.get("p", 2.0),
+                 a=change.get("a"))
+    op = assemble(INTERVAL, QUARTIC, spec, 0.3)
+    with pytest.raises(AssemblyError):
+        op.twin(**change)
+
+
 def test_assemble_rejects_invalid_kernel():
     tent = KernelSpec("tent", lambda s: np.maximum(1.0 - np.asarray(s), 0.0),
                       1.0)

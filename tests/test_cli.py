@@ -186,6 +186,34 @@ def test_validate_kernel_flags_increasing_tabulation(tmp_path, capsys):
     assert any("K2" in c for c in payload["conditions"])
 
 
+@pytest.mark.parametrize("rows", ["0,1\n0.5,nan\n1,0\n",
+                                  "0,inf\n0.5,0.25\n1,0\n"])
+def test_non_finite_tabulation_fails_validation_and_solve(tmp_path, capsys,
+                                                          rows):
+    # a NaN or infinite sample fails the nonnegative condition, and a
+    # solve with that kernel as R stops at assembly's kernel check
+    # instead of reaching the solver with a NaN symbol
+    path = tmp_path / "bad.csv"
+    path.write_text(rows)
+    with np.errstate(invalid="ignore"):
+        code = dispatch(["validate-kernel", "--kernel", f"tabulated:{path}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.count("PASS") == 4
+    assert captured.out.startswith("FAIL nonnegative:")
+    payload = json.loads(captured.err.strip())
+    assert payload["error"] == "KernelError"
+    assert payload["conditions"] == ["nonnegative"]
+
+    config = write_config(tmp_path, kernel_r=f"tabulated:{path}")
+    with np.errstate(invalid="ignore"):
+        code = dispatch(["solve", "--config", str(config)])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert code == 1
+    assert payload["error"] == "AssemblyError"
+    assert payload["conditions"] == ["nonnegative"]
+
+
 # ------------------------------------------------------------ usage errors
 
 def test_no_arguments_is_usage_error(capsys):
@@ -269,6 +297,24 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, config, field):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "ConfigError"
     assert payload["field"] == field
+
+
+@pytest.mark.parametrize("shape", [
+    {"interval": "ab"},
+    {"interval": [0]},
+    {"interval": [0, "x"]},
+    {"rect": 5},
+    {"rect": [[0, 0], [1]]},
+    {"polygon": [[0, 0], [1, 0], [1]]},
+])
+def test_malformed_shape_is_a_mesh_error(tmp_path, capsys, shape):
+    # coordinates that are not numbers of the shape's layout exit 1 with
+    # a MeshError naming the shape kind, not with a Python traceback
+    path = write_config(tmp_path, shape=shape)
+    assert dispatch(["solve", "--config", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "MeshError"
+    assert payload["kind"] == next(iter(shape))
 
 
 @pytest.mark.parametrize("command, overrides", [

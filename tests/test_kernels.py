@@ -30,8 +30,8 @@ import pytest
 from nldir import (CUBIC, QUARTIC, WENDLAND, KernelError, KernelSpec,
                    QuadratureError, ScaledKernel, antiderivative_kernel,
                    eval_scaled, kernel_by_id, kernel_mass, minorant_kernel,
-                   normalize_w, scale_kernel, scaled_mass, sigma_r,
-                   tabulated_kernel, validate_kernel)
+                   normalize_w, scaled_mass, sigma_r, tabulated_kernel,
+                   validate_kernel)
 
 SIGMA_QUARTIC_1D = 16.0 / 105.0
 SIGMA_QUARTIC_2D = np.pi / 24.0
@@ -132,6 +132,31 @@ def test_antiderivative_closed_forms():
     assert abs(antiderivative_kernel(cbar)(0.0) - 0.05) <= 1e-15
 
 
+def test_power_family_is_the_written_out_chain():
+    # quartic, cubic and every minorant are scale * (knot - s)_+^m with
+    # closed-form upper antiderivatives; the expressions below are the
+    # profiles written out one by one, and they agree bit for bit on a
+    # grid that runs past the knot
+    s = np.linspace(0.0, 1.5, 30001)
+    t = 1.0 - np.minimum(s, 1.0)
+    chains = [(QUARTIC, "quartic", 1.0, [t**2, t**3 / 3.0, t**4 / 12.0]),
+              (CUBIC, "cubic", 1.0, [t**3, t**4 / 4.0, t**5 / 20.0])]
+    for base, c2 in ((QUARTIC, 0.3), (CUBIC, 0.5), (WENDLAND, 0.123456789)):
+        scale = float(base(c2)) / c2**2
+        inside = s <= c2
+        chains.append((minorant_kernel(base, c2),
+                       f"minorant:{base.label}:{c2!r}", float(np.sqrt(c2)),
+                       [np.where(inside, scale * (s - c2) ** 2, 0.0),
+                        np.where(inside, scale * (c2 - s) ** 3 / 3.0, 0.0),
+                        np.where(inside, scale * (c2 - s) ** 4 / 12.0, 0.0)]))
+    for kernel, label, support, profiles in chains:
+        for suffix, expected in zip(("", "_bar", "_bbar"), profiles):
+            assert kernel.label == label + suffix
+            assert kernel.support == support
+            assert np.array_equal(kernel(s), expected)
+            kernel = antiderivative_kernel(kernel)
+
+
 def test_wendland_antiderivative_values():
     wbar = antiderivative_kernel(WENDLAND)
     wbb = antiderivative_kernel(wbar)
@@ -140,12 +165,15 @@ def test_wendland_antiderivative_values():
 
 
 def test_antiderivative_matches_numerical_integral():
-    # independent check of the closed forms: Kbar(s) = int_s^{r^2} K
+    # independent check of the closed forms: Kbar(s) = int_s^{r^2} K,
+    # and Kbbar, the antiderivative of Kbar, the same way
     rng = np.random.default_rng(11)
-    for base in (QUARTIC, CUBIC, WENDLAND):
+    bases = [QUARTIC, CUBIC, WENDLAND, minorant_kernel(CUBIC, 0.4)]
+    for base in bases + [antiderivative_kernel(k) for k in bases]:
         bar = antiderivative_kernel(base)
-        for s0 in rng.uniform(0.0, 1.0, 20):
-            grid = np.linspace(s0, 1.0, 20001)
+        r2 = base.support**2
+        for s0 in rng.uniform(0.0, r2, 20):
+            grid = np.linspace(s0, r2, 20001)
             ref = np.trapezoid(base(grid), grid)
             assert abs(bar(float(s0)) - ref) <= 1e-7 * max(ref, 1e-3)
 
@@ -226,15 +254,6 @@ def test_minorant_kernel_rejects_bad_touch_point():
         minorant_kernel(QUARTIC, 0.0)
 
 
-def test_scale_kernel_scales_mass_linearly():
-    k2 = scale_kernel(QUARTIC, 2.5)
-    assert abs(kernel_mass(k2, 1).value - 2.5 * MASS_QUARTIC_1D) <= 1e-8
-    # antiderivative chain survives scaling
-    assert abs(antiderivative_kernel(k2)(0.0) - 2.5 / 3.0) <= 1e-14
-    with pytest.raises(KernelError):
-        scale_kernel(QUARTIC, -1.0)
-
-
 def test_normalize_w_unit_mass():
     for dim in (1, 2):
         for base in (QUARTIC, WENDLAND):
@@ -285,6 +304,23 @@ def test_validate_kernel_flags_nonmonotone(tmp_path):
     report = validate_kernel(tabulated_kernel(str(path)))
     failed = {c.condition for c in report.failures()}
     assert "K2 monotone" in failed
+
+
+@pytest.mark.parametrize("rows", ["0,1\n0.5,nan\n1,0\n",
+                                  "0,inf\n0.5,0.25\n1,0\n"])
+def test_validate_kernel_flags_non_finite_samples(tmp_path, rows):
+    # a NaN or an infinite sample fails nonnegativity at its s; the
+    # other four conditions are still reported
+    path = tmp_path / "bad.csv"
+    path.write_text(rows)
+    kernel = tabulated_kernel(str(path))
+    with np.errstate(invalid="ignore"):
+        report = validate_kernel(kernel)
+    assert len(report.checks) == 5
+    failed = report.failures()
+    assert [c.condition for c in failed] == ["nonnegative"]
+    assert "is not finite" in failed[0].detail
+    assert not np.isfinite(kernel(failed[0].location))
 
 
 def test_validate_kernel_flags_support_violation():
