@@ -190,16 +190,6 @@ def _field_values(mesh, u, kind=Field):
     return v
 
 
-def _require_valid(kernel: KernelSpec):
-    report = validate_kernel(kernel)
-    if not report.passed:
-        raise AssemblyError(
-            "kernel failed validation: "
-            + "; ".join(f"{c.condition}: {c.detail}" for c in report.failures()),
-            kernel=kernel.label,
-            conditions=[c.condition for c in report.failures()])
-
-
 def _admitted(mesh, variant, p, a):
     """The values of the datum a (BoundaryData of this mesh or one value
     per boundary node) once p > 1, p = 2 for the quadratic-only
@@ -266,6 +256,18 @@ def _stencil_matrix(stencil, weights, diagonal):
     grid = sp.dia_matrix((data, np.concatenate([flat, -flat, [0]])),
                          shape=(size, size)).tocsr()
     return _on_nodes(grid, stencil)
+
+
+def _cosine_sum(stencil, coef, angles):
+    """sum_g coef_g prod_a cos(theta_a o_g,a) over the half-offsets o_g,
+    on the tensor grid of the per-axis angles theta_a in angles. Radial
+    weights are symmetric under each axis reflection, so this is the
+    stencil's lattice symbol."""
+    cosines = [np.cos(np.outer(theta, o))
+               for theta, o in zip(angles, stencil.offsets.T)]
+    axes = "ijk"[:len(cosines)]
+    return np.einsum(",".join(["g"] + [a + "g" for a in axes]) + "->" + axes,
+                     coef, *cosines)
 
 
 def _dst_map(stencil, symbol, combine):
@@ -531,28 +533,20 @@ class EnergyOperator:
     def _symbol(self):
         """The symbol of P_tau, the Dirichlet tau-matrix of the interior
         p = 2 stencil at this horizon; usable for any exponent (pair
-        weights rescale by delta^(p-2)).
-
-        The interior nodes sit on a uniform lattice with equal weights,
-        so away from the boundary the interior form is a convolution
-        stencil. Its per-offset weights w(o) give the symbol
-        lambda(theta) = sum_o 2 w(o) (1 - prod_a cos(theta_a o_a))
-        over all signed offsets o, taken at theta_a = pi k / n_a,
-        k = 1..n_a, on the n_1 x ... bounding grid of the stencil, which
-        assemble() certified as a lattice with equal weights. The DST-II
-        diagonalizes P_tau, so a row whose stencil stays on the mesh is
-        the interior form's row. The penalty terms are left out.
+        weights rescale by delta^(p-2)): lambda(theta) = sum_o 2 w(o)
+        (1 - prod_a cos(theta_a o_a)) over all signed offsets o, at
+        theta_a = pi k / n_a, k = 1..n_a, on the stencil's n_1 x ...
+        bounding grid. On the lattice with equal weights that assemble()
+        certified, the interior form is a convolution stencil away from
+        the boundary and the DST-II diagonalizes P_tau, so a row whose
+        stencil stays on the mesh is the interior form's row. The penalty
+        terms are left out.
         """
-        shape = self.stencil.shape
         # each half-offset o stands for o and -o
         coef = 4.0 * self.offset_w * self.delta ** (self.p - 2.0)
-        cosines = [np.cos(np.outer(np.pi * np.arange(1, n + 1) / n, o))
-                   for n, o in zip(shape, self.stencil.offsets.T)]
-        # sum over groups g of coef_g prod_a cosines[a][k_a, g]
-        axes = "ijk"[:self.mesh.dim]
-        return coef.sum() - np.einsum(
-            ",".join(["g"] + [a + "g" for a in axes]) + "->" + axes,
-            coef, *cosines)
+        return coef.sum() - _cosine_sum(
+            self.stencil, coef,
+            [np.pi * np.arange(1, n + 1) / n for n in self.stencil.shape])
 
     @functools.cached_property
     def _tau_solve(self):
@@ -706,9 +700,9 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
         raise AssemblyError("horizon must be at least two cells wide",
                             delta=delta, h=mesh.h)
     a_vals = _admitted(mesh, spec.variant, p, boundary_data(mesh, a))
-    _require_valid(R)
+    validate_kernel(R).require()
     if spec.kernel is not R:
-        _require_valid(spec.kernel)
+        validate_kernel(spec.kernel).require()
 
     # interior pairs, one weight per half-offset (the weights are equal)
     stencil = lattice_stencil(mesh, R.support * delta)
@@ -797,10 +791,34 @@ def w_mass_matrix(mesh: DomainMesh, W: KernelSpec, delta: float):
     """Sparse symmetric mass form B[i,j] = q_i q_j W_delta(|x_i-x_j|),
     diagonal included, built per lattice offset; exact zeros are not
     stored."""
+    stencil, c, k0 = _w_stencil(mesh, W, delta)
+    q = mesh.interior_weights
+    return _stencil_matrix(stencil, c, q * q * k0)
+
+
+def _w_stencil(mesh, W, delta):
+    """The W mass form's lattice stencil, its offset weights
+    c_k = q^2 W_delta(|o_k|) (q the equal node weight) and W_delta(0)."""
     stencil = lattice_stencil(mesh, W.support * delta)
     scaled = ScaledKernel(W, delta, mesh.dim)
-    q = mesh.interior_weights
-    k0 = float(eval_scaled(scaled, np.asarray(0.0)))
-    return _stencil_matrix(
-        stencil, q[0] * q[0] * eval_scaled(scaled, stencil.lengths),
-        q * q * k0)
+    q = mesh.interior_weights[0]
+    return (stencil, q * q * eval_scaled(scaled, stencil.lengths),
+            float(eval_scaled(scaled, np.asarray(0.0))))
+
+
+def w_mass_floor(mesh: DomainMesh, W: KernelSpec, delta: float) -> float:
+    """A lower bound on the smallest eigenvalue of w_mass_matrix. On any
+    lattice mesh, polygons included, B is a principal section of the
+    multilevel Toeplitz form of c_0 = q^2 W_delta(0) and _w_stencil's c_k,
+    so lambda_min(B) >= min f (Grenander & Szego, 1958), f = c_0 +
+    sum_k 2 c_k prod_a cos(theta_a o_k,a). That minimum is taken on
+    4 n_a + 1 angles per axis of [0, pi]^d (f is even in each theta_a),
+    less M sum_a (pi / (4 n_a))^2 / 8, M = sum_k 2 |c_k| |o_k|^2 >= |f''|."""
+    stencil, c, k0 = _w_stencil(mesh, W, delta)
+    cells = np.pi / (4.0 * np.asarray(stencil.shape))
+    lowest = float(_cosine_sum(stencil, 2.0 * c, [
+        cell * np.arange(4 * n + 1)
+        for cell, n in zip(cells, stencil.shape)]).min())
+    curvature = 2.0 * np.abs(c) @ np.sum(stencil.offsets ** 2, axis=1)
+    q = mesh.interior_weights[0]
+    return q * q * k0 + lowest - curvature * float(cells @ cells) / 8.0

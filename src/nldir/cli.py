@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import study
-from .errors import ConfigError, KernelError, NldirError
+from .errors import ConfigError, NldirError
 from .kernels import kernel_by_id, sigma_r, validate_kernel
 from .study import StudyConfig
 
@@ -96,17 +96,12 @@ def _cmd_sigma(args):
 
 
 def _cmd_validate_kernel(args):
-    kernel = kernel_by_id(args.kernel)
-    report = validate_kernel(kernel)
+    report = validate_kernel(kernel_by_id(args.kernel))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.condition}: {check.detail}")
-    if report.passed:
-        return 0
-    err = KernelError("kernel failed validation", kernel=kernel.label,
-                      conditions=[c.condition for c in report.failures()])
-    print(json.dumps(err.payload()), file=sys.stderr)
-    return 1
+    report.require()
+    return 0
 
 
 def _cmd_solve(args):

@@ -39,7 +39,7 @@ class ConfigError(NldirError):
 
 
 class KernelError(NldirError):
-    """Kernel construction or catalog lookup failure."""
+    """Kernel construction, catalog lookup or validation failure."""
 
 
 class QuadratureError(NldirError):

@@ -336,7 +336,16 @@ class ValidationReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
+    def require(self):
+        """Raise KernelError naming the failed conditions, if any."""
+        bad = self.failures()
+        if bad:
+            raise KernelError("kernel failed validation: " + "; ".join(
+                f"{c.condition}: {c.detail}" for c in bad),
+                kernel=self.kernel, conditions=[c.condition for c in bad])
 
+
+@np.errstate(invalid="ignore")  # a non-finite sample's differences are NaN
 def validate_kernel(kernel: KernelSpec, samples: int = 257) -> ValidationReport:
     """Sampled checks of the kernel conditions: nonnegativity, monotone
     decrease (K2), compact support with a continuous edge (K3), and a

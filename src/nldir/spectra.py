@@ -6,7 +6,8 @@ started from a seeded Gaussian n x k block, so the modes are found
 together and come back mass-orthonormal without deflation. Two mass
 models: "L2" (diagonal quadrature weights) and "nonlocalW" (double-sum
 kernel form); orthogonality for the normalized path is taken in the
-same kernel inner product as its unit constraint.
+same kernel inner product as its unit constraint. A lower bound on the
+mass form's smallest eigenvalue certifies it before any solve.
 
 A and the preconditioner are applied column by column. The
 preconditioner is the stiffness operator's two-level map
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import EnergyOperator, Field, w_mass_matrix
+from .assembly import EnergyOperator, Field, w_mass_floor, w_mass_matrix
 from .errors import MassFormError, SolverError
 from .kernels import KernelSpec
 from .minimize import SolveOptions
@@ -35,8 +36,9 @@ _DROP = 1e-14
 
 class EigenProblem:
     """Stiffness (a p = 2 operator with zero affine part) plus a mass
-    model and a mode count. Verifies at construction that the mass form
-    is positive definite to tolerance (smallest Ritz value > 1e-8)."""
+    model and a mode count. Refuses with MassFormError (payload
+    min_symbol) a mass form whose lower bound on its smallest eigenvalue
+    (L2: the least weight; nonlocalW: w_mass_floor) is not > 1e-8."""
 
     def __init__(self, stiffness: EnergyOperator, mass: str = "L2",
                  k: int = 1, W: KernelSpec = None):
@@ -63,16 +65,16 @@ class EigenProblem:
         mesh = stiffness.mesh
         if mass == "L2":
             self._b_mat = sp.diags(mesh.interior_weights, format="csr")
-            min_ritz = float(np.min(mesh.interior_weights))
+            floor = float(np.min(mesh.interior_weights))
         else:
             if W is None:
                 raise SolverError("nonlocalW mass requires a kernel W")
             self._b_mat = w_mass_matrix(mesh, W, stiffness.delta)
-            min_ritz = self._smallest_mass_ritz()
-        if not min_ritz > 1e-8:
+            floor = w_mass_floor(mesh, W, stiffness.delta)
+        if not floor > 1e-8:
             raise MassFormError(
                 "mass form is not positive definite to tolerance",
-                mass=mass, smallest_ritz=min_ritz,
+                mass=mass, min_symbol=floor,
                 kernel=None if W is None else W.label)
 
     def apply_mass(self, v):
@@ -81,17 +83,6 @@ class EigenProblem:
 
     def apply_stiffness(self, v):
         return self.stiffness.apply_quadratic(v)
-
-    def _smallest_mass_ritz(self):
-        """Smallest eigenvalue estimate of the mass form via the same
-        block solve with identity metric and a diag(B) preconditioner."""
-        diag = np.abs(self._b_mat.diagonal())
-        diag = np.where(diag > _DROP, diag, 1.0)
-        lam, _, _, _ = _smallest_modes(
-            self.apply_mass, None, lambda r: r / diag,
-            self.stiffness.mesh.n_interior, 1, tol=1e-6, max_iter=500,
-            seed=1)
-        return float(lam[0])
 
 
 @dataclass(frozen=True)
@@ -115,46 +106,34 @@ def _columns(apply):
     return lambda block: np.column_stack([apply(v) for v in block.T])
 
 
-def _smallest_modes(apply_a, apply_b, precond, n, k, tol, max_iter, seed):
-    """The k smallest eigenpairs of A x = lambda B x (B = I when apply_b
-    is None) from one block LOBPCG solve; apply_a and apply_b act on
-    n x k blocks, precond maps one residual r to P^-1 r. Returns
-    (eigenvalues ascending, n x k vectors, residual norms
-    |A x - lambda B x|, block iterations run, at most max_iter)."""
-    from scipy.sparse.linalg import lobpcg
-    blocks = 0
-    apply_m = _columns(precond)
-
-    def counted_m(block):
-        nonlocal blocks
-        blocks += 1
-        return apply_m(block)
-
-    x0 = np.random.default_rng(seed).standard_normal((n, k))
-    lam, x = lobpcg(apply_a, x0, B=apply_b, M=counted_m, largest=False,
-                    tol=tol, maxiter=max_iter)
-    order = np.argsort(lam, kind="stable")
-    lam, x = lam[order], x[:, order]
-    bx = x if apply_b is None else apply_b(x)
-    resid = np.linalg.norm(apply_a(x) - bx * lam, axis=0)
-    return lam, x, resid, min(blocks, max_iter)
-
-
 _EIGEN_DEFAULTS = SolveOptions(tol=1e-9, max_iter=2000)
 
 
 def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS,
                 seed: int = 0) -> EigenResult:
     """First k eigenpairs, ascending, mass-orthonormal, from one block
-    solve whose start block is seeded by seed. Residual target per mode
-    is tol * max(|lambda|, 1); a mode that misses it when the budget of
-    opts.max_iter block iterations runs out is returned flagged
+    LOBPCG solve whose start block is seeded by seed. Residual target per
+    mode is tol * max(|lambda|, 1); a mode that misses it when the budget
+    of opts.max_iter block iterations runs out is returned flagged
     non-converged."""
+    from scipy.sparse.linalg import lobpcg
     op = prob.stiffness
-    lams, xs, resids, blocks = _smallest_modes(
-        _columns(prob.apply_stiffness), prob.apply_mass,
-        op.preconditioner(), op.mesh.n_interior, prob.k, opts.tol,
-        opts.max_iter, seed)
+    apply_a = _columns(prob.apply_stiffness)
+    apply_m = _columns(op.preconditioner())
+    blocks = 0
+
+    def counted_m(block):
+        nonlocal blocks
+        blocks += 1
+        return apply_m(block)
+
+    x0 = np.random.default_rng(seed).standard_normal(
+        (op.mesh.n_interior, prob.k))
+    lams, xs = lobpcg(apply_a, x0, B=prob.apply_mass, M=counted_m,
+                      largest=False, tol=opts.tol, maxiter=opts.max_iter)
+    order = np.argsort(lams, kind="stable")
+    lams, xs = lams[order], xs[:, order]
+    resids = np.linalg.norm(apply_a(xs) - prob.apply_mass(xs) * lams, axis=0)
     fields = []
     for x in np.ascontiguousarray(xs.T):
         # deterministic sign: entry of largest magnitude positive
@@ -165,7 +144,7 @@ def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS,
         eigenvalues=lams, eigenfields=tuple(fields), residuals=resids,
         converged=tuple(bool(r <= opts.tol * max(abs(lam), 1.0))
                         for lam, r in zip(lams, resids)),
-        iterations=(blocks,) * prob.k,
+        iterations=(min(blocks, opts.max_iter),) * prob.k,
         mass_model=prob.mass, delta=op.delta, h=op.mesh.h)
 
 
@@ -173,9 +152,7 @@ def dense_eigen(prob: EigenProblem, k: int = None):
     """Full symmetric generalized eigendecomposition on a densified
     operator; intended as an independent oracle at small node counts.
     Returns (eigenvalues, eigenvectors) columns ascending."""
-    n = prob.stiffness.mesh.n_interior
-    eye = np.eye(n)
-    a = np.column_stack([prob.apply_stiffness(eye[:, i]) for i in range(n)])
+    a = _columns(prob.apply_stiffness)(np.eye(prob.stiffness.mesh.n_interior))
     evals, evecs = scipy.linalg.eigh(a, prob._b_mat.toarray())
     kk = prob.k if k is None else k
     return evals[:kk], evecs[:, :kk]

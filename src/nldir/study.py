@@ -27,7 +27,7 @@ from .assembly import (MANUFACTURED, ManufacturedCase, PenaltySpec,
                        lp_norm)
 from .errors import ConfigError, NldirError
 from .geometry import build_mesh
-from .kernels import kernel_by_id, normalize_w, sigma_r
+from .kernels import kernel_by_id, normalize_w, sigma_r, validate_kernel
 from .minimize import SolveOptions, solve_p_energy, solve_quadratic
 
 _TINY = 1e-300
@@ -272,8 +272,9 @@ def _sweep_with_fields(cfg: StudyConfig, keep_fields: bool):
     if cfg.eigen_modes > 0 and cfg.eigen_mass == "both":
         raise ConfigError("a sweep row solves one mass model",
                           field="eigen_mass", value=cfg.eigen_mass)
-    sigma = sigma_r(kernel_by_id(cfg.kernel_r), cfg.p,
-                    _shape_dim(cfg.shape)).value
+    R = kernel_by_id(cfg.kernel_r)
+    validate_kernel(R).require()  # before sigma_r can spend its budget
+    sigma = sigma_r(R, cfg.p, _shape_dim(cfg.shape)).value
 
     def one(delta):
         try:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from nldir import (AssemblyError, BoundaryData, ConfigError, EnergyOperator,
-                   Field, MollifierError, PenaltySpec, assemble,
+                   Field, KernelError, MollifierError, PenaltySpec, assemble,
                    boundary_data, build_mesh, lp_norm, mollify, w_mass_matrix)
 from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS, trace_matrix
 from nldir.kernels import QUARTIC, WENDLAND, KernelSpec, normalize_w
@@ -538,7 +538,7 @@ def test_twin_checks_what_assemble_checks(variant, change):
 def test_assemble_rejects_invalid_kernel():
     tent = KernelSpec("tent", lambda s: np.maximum(1.0 - np.asarray(s), 0.0),
                       1.0)
-    with pytest.raises(AssemblyError) as exc:
+    with pytest.raises(KernelError) as exc:
         assemble(INTERVAL, tent, PenaltySpec("product", tent), 0.3)
     assert "conditions" in exc.value.info
 

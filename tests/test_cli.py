@@ -191,12 +191,11 @@ def test_validate_kernel_flags_increasing_tabulation(tmp_path, capsys):
 def test_non_finite_tabulation_fails_validation_and_solve(tmp_path, capsys,
                                                           rows):
     # a NaN or infinite sample fails the nonnegative condition, and a
-    # solve with that kernel as R stops at assembly's kernel check
-    # instead of reaching the solver with a NaN symbol
+    # solve with that kernel as R stops at assembly's kernel check, with
+    # the same error, instead of reaching the solver with a NaN symbol
     path = tmp_path / "bad.csv"
     path.write_text(rows)
-    with np.errstate(invalid="ignore"):
-        code = dispatch(["validate-kernel", "--kernel", f"tabulated:{path}"])
+    code = dispatch(["validate-kernel", "--kernel", f"tabulated:{path}"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out.count("PASS") == 4
@@ -206,11 +205,10 @@ def test_non_finite_tabulation_fails_validation_and_solve(tmp_path, capsys,
     assert payload["conditions"] == ["nonnegative"]
 
     config = write_config(tmp_path, kernel_r=f"tabulated:{path}")
-    with np.errstate(invalid="ignore"):
-        code = dispatch(["solve", "--config", str(config)])
+    code = dispatch(["solve", "--config", str(config)])
     payload = json.loads(capsys.readouterr().err.strip())
     assert code == 1
-    assert payload["error"] == "AssemblyError"
+    assert payload["error"] == "KernelError"
     assert payload["conditions"] == ["nonnegative"]
 
 

@@ -24,6 +24,8 @@ radius s, supported on s <= support**2):
     wendland at 0: 1/7 and 5/252
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -310,11 +312,12 @@ def test_validate_kernel_flags_nonmonotone(tmp_path):
                                   "0,inf\n0.5,0.25\n1,0\n"])
 def test_validate_kernel_flags_non_finite_samples(tmp_path, rows):
     # a NaN or an infinite sample fails nonnegativity at its s; the
-    # other four conditions are still reported
+    # other four conditions are still reported, and no numpy warning is
     path = tmp_path / "bad.csv"
     path.write_text(rows)
     kernel = tabulated_kernel(str(path))
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = validate_kernel(kernel)
     assert len(report.checks) == 5
     failed = report.failures()

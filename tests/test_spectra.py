@@ -16,7 +16,10 @@ from nldir import (EigenProblem, EigenResult, EnergyOperator, MassFormError,
                    PenaltySpec,
                    SolveOptions, SolverError, assemble, build_mesh,
                    compare_mass_models, dense_eigen, solve_eigen)
-from nldir.kernels import QUARTIC, WENDLAND, KernelSpec, normalize_w
+from nldir.assembly import w_mass_floor, w_mass_matrix
+from nldir.geometry import lattice_stencil
+from nldir.kernels import (CUBIC, QUARTIC, WENDLAND, KernelSpec,
+                           ScaledKernel, eval_scaled, normalize_w)
 
 SIGMA_1D = 16.0 / 105.0
 SIGMA_2D = np.pi / 24.0
@@ -240,8 +243,52 @@ def test_indefinite_w_kernel_is_refused():
     op = stiffness(INTERVAL, 0.1)
     with pytest.raises(MassFormError) as exc:
         EigenProblem(op, "nonlocalW", k=1, W=QUARTIC)
-    assert exc.value.info["smallest_ritz"] <= 1e-8
+    assert exc.value.info["min_symbol"] <= 1e-8
     assert exc.value.info["kernel"] == "quartic"
+
+
+def _symbol_min(mesh, W, delta, points):
+    """min over theta in [0, pi]^d, on points * n_a + 1 angles per axis,
+    of the stencil's symbol c_0 + 2 Re sum_k c_k exp(i theta . o_k), with
+    c = q^2 W_delta(|o|) and o_k the half-offsets."""
+    stencil = lattice_stencil(mesh, W.support * delta)
+    scaled = ScaledKernel(W, delta, mesh.dim)
+    q2 = mesh.interior_weights[0] ** 2
+    c = q2 * eval_scaled(scaled, stencil.lengths)
+    waves = [np.exp(1j * np.outer(np.linspace(0.0, np.pi, n * points + 1), o))
+             for n, o in zip(stencil.shape, stencil.offsets.T)]
+    axes = "ijk"[:mesh.dim]
+    f = np.einsum(",".join(["k"] + [a + "k" for a in axes]) + "->" + axes,
+                  c, *waves).real
+    return q2 * float(eval_scaled(scaled, np.asarray(0.0))) + 2.0 * f.min()
+
+
+@pytest.mark.parametrize("kernel", [QUARTIC, CUBIC, WENDLAND],
+                         ids=lambda k: k.label)
+@pytest.mark.parametrize("mesh, delta", [(INTERVAL, 0.1), (SQUARE, 0.3),
+                                         (L_SHAPE, 0.25), (PENTAGON, 0.24)],
+                         ids=["interval", "square", "l_shape", "pentagon"])
+def test_w_mass_floor_bounds_the_smallest_eigenvalue(mesh, delta, kernel):
+    # a principal section of a Toeplitz form has no eigenvalue below its
+    # symbol's minimum, and the floor lies below that minimum as well,
+    # here taken on a grid 64 times the bounding grid's per axis
+    W = normalize_w(kernel, mesh.dim)
+    floor = w_mass_floor(mesh, W, delta)
+    dense = np.linalg.eigvalsh(w_mass_matrix(mesh, W, delta).toarray())
+    assert floor <= dense[0]
+    assert floor <= _symbol_min(mesh, W, delta, 64)
+
+
+def test_indefinite_w_mass_at_ratio_8_is_refused():
+    # the cubic W mass form on the unit square at delta = 0.05, ratio 8,
+    # has a sine mode of negative Rayleigh quotient; a Ritz estimate of
+    # its smallest eigenvalue came out positive and accepted it
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.05 / 8.0)
+    with pytest.raises(MassFormError) as exc:
+        EigenProblem(stiffness(mesh, 0.05), "nonlocalW", k=2,
+                     W=normalize_w(CUBIC, 2))
+    assert exc.value.info["min_symbol"] < 0.0
+    assert exc.value.info["kernel"] == "cubic_normalized"
 
 
 # ------------------------------------------------------------- validation

@@ -14,7 +14,8 @@ import json
 import numpy as np
 import pytest
 
-from nldir import (ConfigError, EigenProblem, PenaltySpec, SolveOptions,
+from nldir import (ConfigError, EigenProblem, KernelError, PenaltySpec,
+                   SolveOptions,
                    StudyConfig, StudyReport, assemble, boundary_data,
                    build_mesh, coercivity_probe, compare_penalties,
                    manufactured_case, report_csv_text, report_json_dict,
@@ -194,6 +195,23 @@ def test_failing_row_is_recorded_not_raised():
     assert bad.l2_error is None
     assert good.error is None
     assert rep.ok_rows() == [good]
+
+
+def test_sweep_validates_r_before_sigma_r(tmp_path, monkeypatch):
+    # sigma_r on a NaN tabulation runs its quadrature ladder to the node
+    # budget and fails with a QuadratureError; the sweep refuses R first
+    path = tmp_path / "nan.csv"
+    path.write_text("0,1\n0.5,nan\n1,0\n")
+
+    def no_sigma(*args, **kwargs):
+        raise AssertionError("sigma_r ran on an invalid kernel")
+
+    monkeypatch.setattr(study, "sigma_r", no_sigma)
+    cfg = StudyConfig(shape={"interval": [0.0, 1.0]}, deltas=(0.2,),
+                      case="linear_x", kernel_r=f"tabulated:{path}")
+    with pytest.raises(KernelError) as exc:
+        run_delta_sweep(cfg)
+    assert exc.value.info["conditions"] == ["nonnegative"]
 
 
 def test_sweep_deterministic_modulo_seconds():
