@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .errors import AssemblyError, ConfigError, MollifierError, SolverError
 from .geometry import DomainMesh, lattice_stencil
@@ -292,6 +293,44 @@ def _dst_map(stencil, symbol, combine):
     return apply
 
 
+class _LayerFactor:
+    """A_LL = P^T U^T U P for the layer block A_LL (CSR): P is the
+    reverse Cuthill-McKee order (Cuthill & McKee, 1969; George & Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981),
+    in which the ring of layer nodes has a bandwidth kd of a few stencil
+    widths whatever delta is, and U is LAPACK's upper banded Cholesky
+    factor (dpbtrf), kept as its kd + 1 diagonals. solve(r) is
+    A_LL^-1 r: two banded triangular solves (dpbtrs). A leading minor of
+    P A_LL P^T that is not positive raises SolverError (reason
+    "layer_not_positive_definite", its order as minor)."""
+
+    def __init__(self, a):
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+        perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(len(perm))
+        # entry (i, j), i <= j, of P A P^T goes to row kd - (j - i) of
+        # column j of LAPACK's upper band storage
+        rows = np.repeat(inv, np.diff(a.indptr))
+        cols = inv[a.indices]
+        gap = cols - rows
+        upper = np.flatnonzero(gap >= 0)
+        kd = int(gap.max())
+        band = np.zeros((len(perm), kd + 1))
+        band[cols[upper], kd - gap[upper]] = a.data[upper]
+        factor, info = lapack.dpbtrf(band.T, overwrite_ab=True)
+        if info > 0:
+            raise SolverError("boundary layer block is not positive "
+                              "definite",
+                              reason="layer_not_positive_definite",
+                              minor=info, n_layer=len(perm))
+        self.perm, self.inv, self.factor = perm, inv, factor
+
+    def solve(self, r):
+        x, _ = lapack.dpbtrs(self.factor, r[self.perm], overwrite_b=True)
+        return x[self.inv]
+
+
 class EnergyOperator:
     """Assembled discrete energy: evaluable and differentiable in u.
 
@@ -407,19 +446,22 @@ class EnergyOperator:
         translation-invariant stencil that P_tau^-1 inverts, so A - P_tau
         lives on L x L and the iteration counts no longer grow as delta
         falls. As z1 lives on L, A z1 = B z1_L and (A z2)_L = B^T z2 with
-        B = A[:, L]. It reads _layer_columns and _layer_factor.
+        B = A[:, L], so an apply is one DST pair and two layer solves
+        (four banded triangular solves). It reads _layer_columns and
+        _layer_factor, which refuses an A_LL that is not positive
+        definite.
         """
         tau = self._tau_solve
         if self.p != 2.0:
             return tau
         nodes, b, bt = self._layer_columns
-        lu = self._layer_factor
+        factor = self._layer_factor
 
         def apply(r):
-            z1 = lu.solve(r[nodes])
+            z1 = factor.solve(r[nodes])
             z = tau(r - b @ z1)
             z[nodes] += z1
-            z[nodes] += lu.solve(r[nodes] - bt @ z)
+            z[nodes] += factor.solve(r[nodes] - bt @ z)
             return z
 
         return apply
@@ -441,21 +483,22 @@ class EnergyOperator:
         site beyond the mesh, so (A y)_i = r_i there: A y is r with its
         L entries replaced by c, and A z = A y - B w without a matvec.
         As (A z)_L = r_L, the residuals stay zero on L up to rounding.
-        One DST solve and one layer solve per step, from _layer_columns
-        and _layer_factor.
+        One DST solve and one layer solve (two banded triangular solves)
+        per step, from _layer_columns and _layer_factor, which refuses
+        an A_LL that is not positive definite before any step runs.
         """
         ell = self.linear_term
         tau = self._tau_solve
         nodes, b, bt = self._layer_columns
-        lu = self._layer_factor
+        factor = self._layer_factor
         x0 = np.zeros(self.mesh.n_interior)
-        x0[nodes] = lu.solve(ell[nodes])
+        x0[nodes] = factor.solve(ell[nodes])
         r0 = ell - b @ x0[nodes]
 
         def step(r):
             y = tau(r)
             c = bt @ y
-            w = lu.solve(c - r[nodes])
+            w = factor.solve(c - r[nodes])
             az = r.copy()
             az[nodes] = c
             az -= b @ w
@@ -473,12 +516,10 @@ class EnergyOperator:
 
     @functools.cached_property
     def _layer_factor(self):
-        """The factor (scipy splu) of A_LL, B's layer rows; A_LL itself
-        is not kept."""
-        from scipy.sparse.linalg import splu
+        """The banded Cholesky factor (_LayerFactor) of A_LL, B's layer
+        rows; A_LL itself is not kept."""
         nodes, b, _ = self._layer_columns
-        return splu(b[nodes].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        return _LayerFactor(b[nodes])
 
     def _layer(self):
         """The boundary layer of the p = 2 form and its columns: the

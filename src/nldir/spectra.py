@@ -11,8 +11,10 @@ mass form's smallest eigenvalue certifies it before any solve.
 
 A and the preconditioner are applied column by column. The
 preconditioner is the stiffness operator's two-level map
-(EnergyOperator.preconditioner: the boundary layer solved exactly, the
-rest by the grid-stencil DST), built once per solve. scipy stops a
+(EnergyOperator.preconditioner: the boundary layer solved exactly by
+its banded Cholesky factor, the rest by the grid-stencil DST), built
+once per solve; a stiffness whose layer block is not positive definite
+is refused there with SolverError. scipy stops a
 column on the absolute test |r| <= tol; after the solve each mode's
 residual |A x - lambda B x| is recomputed, and the mode is flagged
 converged when that is at most tol * max(|lambda|, 1).

@@ -361,6 +361,36 @@ def test_layer_columns_equal_the_operator_on_the_layer(name, ratio):
         assert_no_stored_zeros(b)
 
 
+def assert_layer_solve_is_dense_solve(op, seed):
+    nodes, b, _ = op._layer_columns
+    r = np.random.default_rng(seed).standard_normal(len(nodes))
+    want = np.linalg.solve(b[nodes].toarray(), r)
+    got = op._layer_factor.solve(r)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_layer_factor_solves_as_a_dense_solve(name, ratio):
+    # the banded Cholesky factor of A_LL in reverse Cuthill-McKee order,
+    # its solve mapped back through the inverse permutation, against
+    # numpy's dense solve for every variant
+    mesh = MESHES[name]
+    for seed, spec in enumerate(LAYER_SPECS):
+        datum = None if spec.variant in ZERO_DATA_VARIANTS else "linear_x"
+        op = assemble(mesh, QUARTIC, spec, ratio * mesh.h, 2.0, datum)
+        assert_layer_solve_is_dense_solve(op, seed)
+
+
+def test_layer_factor_solves_as_a_dense_solve_at_ratio_8():
+    # the widest band: a polygon layer at delta/h = 8
+    mesh = build_mesh({"polygon": PENTAGON}, 0.04)
+    for seed, variant in enumerate(("product", "pointwise")):
+        op = assemble(mesh, QUARTIC, PenaltySpec(variant, QUARTIC),
+                      8.0 * mesh.h, 2.0, "linear_x")
+        assert_layer_solve_is_dense_solve(op, seed)
+
+
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_deflated_cg_residual_is_the_true_residual(name, ratio):

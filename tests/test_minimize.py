@@ -320,6 +320,22 @@ def test_preconditioner_refuses_a_nonpositive_symbol():
     assert exc.value.info["min_symbol"] <= 0.0
 
 
+@pytest.mark.parametrize("variant", ["product", "pointwise"])
+def test_an_indefinite_layer_block_is_refused(variant):
+    # a negated penalty makes the energy indefinite, with a positive
+    # interior symbol; the layer's Cholesky factor must refuse it, or CG
+    # would certify a saddle point
+    op = make_op(build_mesh(UNIT_SQUARE, 0.025), variant, 0.1, a="linear_x")
+    flipped = EnergyOperator(
+        op.mesh, op.delta, op.p, op.spec, op.a, op.stencil, op.offset_w,
+        op.pen_indices, op.pen_rowid, op.pen_coef, -op.pen_pref)
+    for build in (solve_quadratic, EnergyOperator.preconditioner):
+        with pytest.raises(SolverError) as exc:
+            build(flipped)
+        assert exc.value.info["reason"] == "layer_not_positive_definite"
+        assert 1 <= exc.value.info["minor"] <= exc.value.info["n_layer"]
+
+
 # ------------------------------------------------------------ Newton-CG
 
 def test_newton_agrees_with_pcg_at_p2():
