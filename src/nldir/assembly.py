@@ -5,21 +5,24 @@ The functional has an interior part
     (1/delta^p) sum_{i != j} q_i q_j R_delta(|x_i - x_j|) |u_i - u_j|^p
 
 (ordered pairs, so every unordered pair counts twice) plus one of five
-boundary penalty variants, each of one of two forms. With the kernel
-row k_b[j] = q_j G_delta(|x_b - x_j|) and its sum s_b, boundary node b
-with weight w_b and datum a_b adds
+boundary penalty variants, all one form: over the rows r of one sparse
+table K, with row sums s_r, boundary nodes b_r and prefactors pref_r,
+the sum of pref_r |a_{b_r} s_r - K_r . u|^p. With the kernel row
+k_b[j] = q_j G_delta(|x_b - x_j|) and its sum s_b, boundary node b with
+weight w_b and datum a_b has the row k_b or, per stored k_b[j], the row
+e_j with pref_r = pref_b k_b[j], and so adds
 
-    rank-one : pref_b |k_b . u - a_b s_b|^p
-    diagonal : pref_b sum_j k_b[j] |u_j - a_b|^p
+    per node  : pref_b |k_b . u - a_b s_b|^p
+    per entry : pref_b sum_j k_b[j] |u_j - a_b|^p
 
 where G is the penalty kernel K or Kbar, its upper antiderivative:
 
-    variant         form      kernel  prefactor pref_b          data  p
-    product         rank-one  K       w_b / delta^p             any   > 1
-    pointwise       diagonal  K       w_b / delta^p             any   > 1
-    dirac_diagonal  diagonal  K       w_b / delta^p             zero  2
-    wang            rank-one  Kbar    2 w_b / (delta^2 wbb_b)   any   2
-    shi             diagonal  Kbar    4 w_b / mu_b              zero  2
+    variant         rows       kernel  prefactor pref_b          data  p
+    product         per node   K       w_b / delta^p             any   > 1
+    pointwise       per entry  K       w_b / delta^p             any   > 1
+    dirac_diagonal  per entry  K       w_b / delta^p             zero  2
+    wang            per node   Kbar    2 w_b / (delta^2 wbb_b)   any   2
+    shi             per entry  Kbar    4 w_b / mu_b              zero  2
 
 Here wbb_b = sum_j q_j Kbarbar_delta(|x_b - x_j|) and
 mu_b = min(2 delta, max(delta^2, d(x_b))) = min(2 delta, delta^2) at
@@ -55,7 +58,7 @@ from .kernels import (KernelSpec, ScaledKernel, antiderivative_kernel,
 
 VARIANTS = ("product", "pointwise", "dirac_diagonal", "wang", "shi")
 ZERO_DATA_VARIANTS = ("dirac_diagonal", "shi")
-RANK_ONE_VARIANTS = ("product", "wang")
+PER_NODE_VARIANTS = ("product", "wang")
 QUADRATIC_ONLY_VARIANTS = ("dirac_diagonal", "wang", "shi")
 
 _TINY = 1e-300
@@ -209,9 +212,9 @@ def _admitted(mesh, variant, p, a):
 
 
 def _boundary_tables(mesh, base: KernelSpec, delta, stencil):
-    """CSR boundary-to-interior coefficients q_j * k_delta(|x_b - x_j|).
-    stencil, a lattice_stencil of this mesh, is reused when its radius
-    is the kernel's support radius; otherwise one is built."""
+    """(M x N) CSR boundary-to-interior coefficients q_j k_delta(|x_b -
+    x_j|). stencil, a lattice_stencil of this mesh, is reused when its
+    radius is the kernel's support radius; otherwise one is built."""
     if stencil is None or stencil.radius != base.support * delta:
         stencil = lattice_stencil(mesh, base.support * delta)
     indptr, indices = stencil.boundary_indptr, stencil.boundary_indices
@@ -220,7 +223,8 @@ def _boundary_tables(mesh, base: KernelSpec, delta, stencil):
                           - mesh.interior_points[indices], axis=1)
     scaled = ScaledKernel(base, delta, mesh.dim)
     coef = mesh.interior_weights[indices] * eval_scaled(scaled, dist)
-    return indptr, indices, rowid, coef
+    return sp.csr_matrix((coef, indices, indptr),
+                         shape=(mesh.n_boundary, mesh.n_interior))
 
 
 def _on_nodes(grid_matrix, stencil):
@@ -344,24 +348,25 @@ class EnergyOperator:
     """
 
     def __init__(self, mesh, delta, p, spec, a_values, stencil, offset_w,
-                 pen_indices, pen_rowid, pen_coef, pen_pref):
+                 pen, pen_node, pen_pref):
         self.mesh = mesh
         self.delta = float(delta)
         self.p = float(p)
         self.spec = spec
         self.variant = spec.variant
-        self.rank_one = spec.variant in RANK_ONE_VARIANTS
         self.a = a_values
         # offset_w[k] = q^2 R_delta(|o_k|) / delta^p is the weight of
         # every pair of nodes the k-th half-offset apart
         self.stencil = stencil
         self.offset_w = offset_w
-        self.pen_indices = pen_indices
-        self.pen_rowid = pen_rowid
-        self.pen_coef = pen_coef
+        # the penalty sum_r pen_pref[r] |a[pen_node[r]] s_r - K_r . u|^p
+        # over the rows K_r of the CSR table pen, s_r their sums
+        self.pen = pen
+        self.pen_node = pen_node
         self.pen_pref = pen_pref
-        self.pen_sums = np.bincount(pen_rowid, weights=pen_coef,
-                                    minlength=mesh.n_boundary)
+        self._pen_row = np.repeat(np.arange(pen.shape[0]),
+                                  np.diff(pen.indptr))
+        self._pen_sums = self._rows_dot(np.ones(mesh.n_interior))
         # per nonzero-weight offset: flat step, pair start sites, 2 w
         keep = offset_w != 0.0
         self._steps = stencil.flat_offsets[keep]
@@ -409,14 +414,6 @@ class EnergyOperator:
         out = _dst_map(self.stencil, self._symbol, np.multiply)(v)
         out[nodes] = bt @ v
         return out
-
-    def _rank_one_apply(self, scale, v):
-        """sum_b scale_b k_b (k_b . v): the rank-one penalty terms."""
-        idx, rowid = self.pen_indices, self.pen_rowid
-        t = np.bincount(rowid, weights=self.pen_coef * v[idx],
-                        minlength=self.mesh.n_boundary)
-        return np.bincount(idx, weights=self.pen_coef * (scale * t)[rowid],
-                           minlength=self.mesh.n_interior)
 
     @functools.cached_property
     def linear_term(self):
@@ -528,16 +525,15 @@ class EnergyOperator:
         touches, ascending; and B = A[:, L] (n x |L|, CSR, read from the
         pair sites at the layer nodes), which stores no zeros. Each pair
         (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so the diagonal is
-        the row sum of 2 w plus the diagonal penalty."""
+        the row sum of 2 w; the penalty adds K^T diag(pref) K[:, L]."""
         self._require_quadratic()
         n = self.mesh.n_interior
-        idx, rowid = self.pen_indices, self.pen_rowid
         size, sites = self._starts.shape[1], self.stencil.sites
         full = np.ones(size, dtype=bool)  # every offset links it both ways
         for f, start in zip(self._steps, self._starts):
             full &= start & np.concatenate([np.zeros(f, bool), start[:-f]])
         in_layer = ~full[sites]
-        in_layer[idx] = True
+        in_layer[self.pen.indices] = True
         nodes = np.flatnonzero(in_layer)
         m = len(nodes)
         node_of = np.full(size, -1)
@@ -549,9 +545,6 @@ class EnergyOperator:
         # transpose to B's CSR leaves each row's columns ascending
         diag = self._to_ends(w2 * start for w2, start
                              in zip(self._w2, self._starts))[nodes]
-        if not self.rank_one:
-            diag += np.bincount(idx, weights=self.pen_pref[rowid]
-                                * self.pen_coef, minlength=n)[nodes]
         cols, vals = [nodes], [diag]
         for f, w2, start in zip(self._steps, self._w2, self._starts):
             cols += [np.where((at >= f) & start[at - f], node_of[at - f], -1),
@@ -562,11 +555,8 @@ class EnergyOperator:
         indptr = np.concatenate([[0], np.cumsum(linked.sum(axis=1))])
         block = sp.csr_matrix((vals[linked], cols[linked], indptr),
                               shape=(m, n)).T.tocsr()
-        if self.rank_one:
-            k = sp.csr_matrix((self.pen_coef, (rowid, idx)),
-                              shape=(self.mesh.n_boundary, n))
-            block = (block + k.T @ (sp.diags(self.pen_pref)
-                                    @ k[:, nodes])).tocsr()
+        k = self.pen
+        block = (block + k.T @ (sp.diags(self.pen_pref) @ k[:, nodes])).tocsr()
         block.eliminate_zeros()
         return nodes, block
 
@@ -603,11 +593,21 @@ class EnergyOperator:
 
     # -- direct evaluation ---------------------------------------------
 
+    def _rows_dot(self, v):
+        """K_r . v per penalty row (bincount beats pen @ v twofold)."""
+        return np.bincount(self._pen_row,
+                           weights=self.pen.data * v[self.pen.indices],
+                           minlength=len(self.pen_node))
+
+    def _rows_sum(self, t):
+        """sum_r t_r K_r, one value per interior node."""
+        return np.bincount(self.pen.indices,
+                           weights=self.pen.data * t[self._pen_row],
+                           minlength=self.mesh.n_interior)
+
     def _inner(self, v, a_b):
-        """Rank-one residuals a_b s_b - k_b . v, one per boundary node."""
-        return a_b * self.pen_sums - np.bincount(
-            self.pen_rowid, weights=self.pen_coef * v[self.pen_indices],
-            minlength=self.mesh.n_boundary)
+        """Penalty residuals a_{b_r} s_r - K_r . v, one per row."""
+        return a_b[self.pen_node] * self._pen_sums - self._rows_dot(v)
 
     def interior_energy(self, u) -> float:
         """Ordered-pair double sum of kernel-weighted p-th power
@@ -622,12 +622,8 @@ class EnergyOperator:
         v = _field_values(self.mesh, u)
         a_b = (self.a if a is None
                else _admitted(self.mesh, self.variant, self.p, a))
-        if self.rank_one:
-            return float(np.sum(self.pen_pref
-                                * np.abs(self._inner(v, a_b)) ** self.p))
-        idx, rowid = self.pen_indices, self.pen_rowid
-        vals = self.pen_coef * np.abs(v[idx] - a_b[rowid]) ** self.p
-        return float(np.sum(self.pen_pref[rowid] * vals))
+        return float(np.sum(self.pen_pref
+                            * np.abs(self._inner(v, a_b)) ** self.p))
 
     def energy(self, u) -> float:
         return self.interior_energy(u) + self.penalty_energy(u)
@@ -644,42 +640,26 @@ class EnergyOperator:
 
     def _penalty_gradient(self, v):
         """Gradient of penalty_energy at the values v."""
-        p, coef = self.p, self.pen_coef
-        idx, rowid = self.pen_indices, self.pen_rowid
-        if self.rank_one:
-            scale = self.pen_pref * p * _signed_power(self._inner(v, self.a),
-                                                      p - 1.0)
-            return -np.bincount(idx, weights=coef * scale[rowid],
-                                minlength=len(v))
-        dv = v[idx] - self.a[rowid]
-        return np.bincount(idx, weights=self.pen_pref[rowid] * coef * p
-                           * _signed_power(dv, p - 1.0), minlength=len(v))
+        p = self.p
+        return -self._rows_sum(self.pen_pref * p * _signed_power(
+            self._inner(v, self.a), p - 1.0))
 
     def hessian(self, u):
         """v -> H v, the Hessian at u with no matrix: per offset slice
-        2 p (p - 1) w_k |Delta_k u|^(p-2), plus p (p - 1) pref_b times
-        |inner_b|^(p-2) k_b k_b^T (rank-one) or k_b[j] |u_j - a_b|^(p-2)
-        on the diagonal, each |.| floored as in _floored_power."""
+        2 p (p - 1) w_k |Delta_k u|^(p-2), plus per penalty row
+        p (p - 1) pref_r |inner_r|^(p-2) K_r K_r^T (diagonal for a row
+        of one entry), each |.| floored as in _floored_power."""
         v = _field_values(self.mesh, u)
         c, e = self.p * (self.p - 1.0), self.p - 2.0
         slices = [c * w2 * _floored_power(d, e)
                   for w2, d in zip(self._w2, self._differences(v))]
-        idx, rowid = self.pen_indices, self.pen_rowid
-        if self.rank_one:
-            scale = c * self.pen_pref * _floored_power(self._inner(v, self.a),
-                                                       e)
-        else:
-            diag = np.bincount(idx, minlength=self.mesh.n_interior,
-                               weights=c * self.pen_pref[rowid] * self.pen_coef
-                               * _floored_power(v[idx] - self.a[rowid], e))
+        scale = c * self.pen_pref * _floored_power(self._inner(v, self.a), e)
 
         def apply(w):
             out = self._to_ends((s * d for s, d
                                  in zip(slices, self._differences(w))),
                                 np.subtract)
-            if self.rank_one:
-                return out + self._rank_one_apply(scale, w)
-            return out + diag * w
+            return out + self._rows_sum(scale * self._rows_dot(w))
 
         return apply
 
@@ -691,8 +671,7 @@ class EnergyOperator:
             raise AssemblyError("scale factor must be positive", factor=factor)
         return EnergyOperator(self.mesh, self.delta, self.p, self.spec,
                               self.a, self.stencil, self.offset_w * factor,
-                              self.pen_indices, self.pen_rowid,
-                              self.pen_coef, self.pen_pref * factor)
+                              self.pen, self.pen_node, self.pen_pref * factor)
 
     def twin(self, p=None, a=None):
         """This operator's tables with exponent p and datum values a,
@@ -703,8 +682,8 @@ class EnergyOperator:
         a = _admitted(self.mesh, self.variant, p,
                       self.a if a is None else a)
         return EnergyOperator(self.mesh, self.delta, p, self.spec, a,
-                              self.stencil, self.offset_w, self.pen_indices,
-                              self.pen_rowid, self.pen_coef, self.pen_pref)
+                              self.stencil, self.offset_w, self.pen,
+                              self.pen_node, self.pen_pref)
 
 
 def _signed_power(d, e):
@@ -756,12 +735,11 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
         base = antiderivative_kernel(spec.kernel)
     else:
         base = spec.kernel
-    _, indices, rowid, coef = _boundary_tables(mesh, base, delta, stencil)
+    table = _boundary_tables(mesh, base, delta, stencil)
     w_b = mesh.boundary_weights
     if spec.variant == "wang":
-        _, _, wrow, wcoef = _boundary_tables(
-            mesh, antiderivative_kernel(base), delta, stencil)
-        wbb = np.bincount(wrow, weights=wcoef, minlength=mesh.n_boundary)
+        wbb = _boundary_tables(mesh, antiderivative_kernel(base), delta,
+                               stencil) @ np.ones(mesh.n_interior)
         if np.any(wbb <= 0.0):
             bad = int(np.nonzero(wbb <= 0.0)[0][0])
             raise AssemblyError(
@@ -777,8 +755,14 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     else:  # product, pointwise, dirac_diagonal (p = 2)
         pref = w_b / delta**p
 
+    node = np.arange(mesh.n_boundary)
+    if spec.variant not in PER_NODE_VARIANTS:
+        # a row e_j per stored k_b[j], its weight moved into the prefactor
+        node = np.repeat(node, np.diff(table.indptr))
+        pref = pref[node] * table.data
+        table = sp.identity(mesh.n_interior, format="csr")[table.indices]
     return EnergyOperator(mesh, delta, p, spec, a_vals, stencil, offset_w,
-                          indices, rowid, coef, pref)
+                          table, node, pref)
 
 
 def mollify(mesh: DomainMesh, khat: KernelSpec, delta: float, u):
@@ -815,51 +799,53 @@ def trace_matrix(mesh: DomainMesh, khat: KernelSpec, delta: float,
     lattice_stencil of this mesh such as an operator's, is reused when
     its radius is Khat's support. A vanishing omega_b raises
     MollifierError naming the node."""
-    indptr, indices, rowid, coef = _boundary_tables(mesh, khat, delta,
-                                                   stencil)
-    omega = np.bincount(rowid, weights=coef, minlength=mesh.n_boundary)
+    table = _boundary_tables(mesh, khat, delta, stencil)
+    omega = table @ np.ones(mesh.n_interior)
     if np.any(omega <= _TINY):
         bad = int(np.nonzero(omega <= _TINY)[0][0])
         raise MollifierError(
             "mollifier weight vanishes at a boundary node",
             node=bad, position=mesh.boundary_points[bad].tolist(),
             radius=khat.support * delta)
-    return sp.csr_matrix((coef / omega[rowid], indices, indptr),
-                         shape=(mesh.n_boundary, mesh.n_interior))
+    table.data /= np.repeat(omega, np.diff(table.indptr))
+    return table
 
 
-def w_mass_matrix(mesh: DomainMesh, W: KernelSpec, delta: float):
+def w_mass_matrix(mesh: DomainMesh, W: KernelSpec, delta: float,
+                  stencil=None):
     """Sparse symmetric mass form B[i,j] = q_i q_j W_delta(|x_i-x_j|),
     diagonal included, built per lattice offset; exact zeros are not
-    stored."""
-    stencil, c, k0 = _w_stencil(mesh, W, delta)
-    q = mesh.interior_weights
-    return _stencil_matrix(stencil, c, q * q * k0)
+    stored. stencil is reused as in _w_stencil."""
+    stencil, c, c0 = _w_stencil(mesh, W, delta, stencil)
+    return _stencil_matrix(stencil, c, np.full(mesh.n_interior, c0))
 
 
-def _w_stencil(mesh, W, delta):
-    """The W mass form's lattice stencil, its offset weights
-    c_k = q^2 W_delta(|o_k|) (q the equal node weight) and W_delta(0)."""
-    stencil = lattice_stencil(mesh, W.support * delta)
+def _w_stencil(mesh, W, delta, stencil=None):
+    """The W mass form's lattice stencil (stencil, such as an operator's,
+    when its radius is W's support), its offset weights
+    c_k = q^2 W_delta(|o_k|) and c_0 = q^2 W_delta(0), q the node weight."""
+    if stencil is None or stencil.radius != W.support * delta:
+        stencil = lattice_stencil(mesh, W.support * delta)
     scaled = ScaledKernel(W, delta, mesh.dim)
     q = mesh.interior_weights[0]
     return (stencil, q * q * eval_scaled(scaled, stencil.lengths),
-            float(eval_scaled(scaled, np.asarray(0.0))))
+            q * q * float(eval_scaled(scaled, np.asarray(0.0))))
 
 
-def w_mass_floor(mesh: DomainMesh, W: KernelSpec, delta: float) -> float:
+def w_mass_floor(mesh: DomainMesh, W: KernelSpec, delta: float,
+                 stencil=None) -> float:
     """A lower bound on the smallest eigenvalue of w_mass_matrix. On any
     lattice mesh, polygons included, B is a principal section of the
-    multilevel Toeplitz form of c_0 = q^2 W_delta(0) and _w_stencil's c_k,
-    so lambda_min(B) >= min f (Grenander & Szego, 1958), f = c_0 +
+    multilevel Toeplitz form of _w_stencil's c_0 and c_k, so
+    lambda_min(B) >= min f (Grenander & Szego, 1958), f = c_0 +
     sum_k 2 c_k prod_a cos(theta_a o_k,a). That minimum is taken on
     4 n_a + 1 angles per axis of [0, pi]^d (f is even in each theta_a),
-    less M sum_a (pi / (4 n_a))^2 / 8, M = sum_k 2 |c_k| |o_k|^2 >= |f''|."""
-    stencil, c, k0 = _w_stencil(mesh, W, delta)
+    less M sum_a (pi / (4 n_a))^2 / 8, M = sum_k 2 |c_k| |o_k|^2 >= |f''|.
+    stencil is reused as in _w_stencil."""
+    stencil, c, c0 = _w_stencil(mesh, W, delta, stencil)
     cells = np.pi / (4.0 * np.asarray(stencil.shape))
     lowest = float(_cosine_sum(stencil, 2.0 * c, [
         cell * np.arange(4 * n + 1)
         for cell, n in zip(cells, stencil.shape)]).min())
     curvature = 2.0 * np.abs(c) @ np.sum(stencil.offsets ** 2, axis=1)
-    q = mesh.interior_weights[0]
-    return q * q * k0 + lowest - curvature * float(cells @ cells) / 8.0
+    return c0 + lowest - curvature * float(cells @ cells) / 8.0

@@ -26,7 +26,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import EnergyOperator, Field, w_mass_floor, w_mass_matrix
+from .assembly import (EnergyOperator, Field, _w_stencil, w_mass_floor,
+                       w_mass_matrix)
 from .errors import MassFormError, SolverError
 from .kernels import KernelSpec
 from .minimize import SolveOptions
@@ -39,8 +40,11 @@ _DROP = 1e-14
 class EigenProblem:
     """Stiffness (a p = 2 operator with zero affine part) plus a mass
     model and a mode count. Refuses with MassFormError (payload
-    min_symbol) a mass form whose lower bound on its smallest eigenvalue
-    (L2: the least weight; nonlocalW: w_mass_floor) is not > 1e-8."""
+    min_symbol, scale) a mass form whose lower bound on its smallest
+    eigenvalue is not > 1e-8 times a Gershgorin bound on its largest,
+    which caps its condition number at 1e8: for L2 the least and the
+    largest weight, for nonlocalW w_mass_floor and c_0 + sum_k 2 |c_k|
+    on one W stencil (the stiffness's when the radii agree)."""
 
     def __init__(self, stiffness: EnergyOperator, mass: str = "L2",
                  k: int = 1, W: KernelSpec = None):
@@ -65,18 +69,22 @@ class EigenProblem:
         self.k = int(k)
         self.W = W
         mesh = stiffness.mesh
+        delta = stiffness.delta
         if mass == "L2":
             self._b_mat = sp.diags(mesh.interior_weights, format="csr")
             floor = float(np.min(mesh.interior_weights))
+            scale = float(np.max(mesh.interior_weights))
         else:
             if W is None:
                 raise SolverError("nonlocalW mass requires a kernel W")
-            self._b_mat = w_mass_matrix(mesh, W, stiffness.delta)
-            floor = w_mass_floor(mesh, W, stiffness.delta)
-        if not floor > 1e-8:
+            stencil, c, c0 = _w_stencil(mesh, W, delta, stiffness.stencil)
+            self._b_mat = w_mass_matrix(mesh, W, delta, stencil)
+            floor = w_mass_floor(mesh, W, delta, stencil)
+            scale = c0 + 2.0 * float(np.sum(np.abs(c)))
+        if not floor > 1e-8 * scale:
             raise MassFormError(
                 "mass form is not positive definite to tolerance",
-                mass=mass, min_symbol=floor,
+                mass=mass, min_symbol=floor, scale=scale,
                 kernel=None if W is None else W.label)
 
     def apply_mass(self, v):

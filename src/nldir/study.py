@@ -216,12 +216,12 @@ def solve_modes(cfg: StudyConfig, op, mass):
     """The cfg.eigen_modes smallest eigenpairs of a zero-datum operator
     under one mass model (nonlocalW: the normalized kernel_w), solved to
     tol 1e-9 in at most 2,000 LOBPCG blocks seeded by cfg.seed."""
-    from .spectra import _EIGEN_DEFAULTS, EigenProblem, solve_eigen
+    from .spectra import EigenProblem, solve_eigen
     w_kernel = None
     if mass == "nonlocalW":
         w_kernel = normalize_w(kernel_by_id(cfg.kernel_w), op.mesh.dim)
     prob = EigenProblem(op, mass, cfg.eigen_modes, W=w_kernel)
-    return solve_eigen(prob, _EIGEN_DEFAULTS, seed=cfg.seed)
+    return solve_eigen(prob, seed=cfg.seed)
 
 
 def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):

@@ -123,18 +123,22 @@ def test_energies_match_double_loop(variant, mesh, delta):
     assert rel(op.energy(u), want) <= 1e-12
 
 
-@pytest.mark.parametrize("variant,p", [("product", 3.0), ("pointwise", 2.5),
-                                     ("product", 1.5), ("pointwise", 1.5)])
-def test_general_p_matches_double_loop(variant, p):
+@pytest.mark.parametrize("variant,p,mesh,delta", [
+    ("product", 3.0, INTERVAL, 0.3), ("pointwise", 2.5, INTERVAL, 0.3),
+    ("product", 1.5, INTERVAL, 0.3), ("pointwise", 1.5, INTERVAL, 0.3),
+    ("product", 3.0, SQUARE, 0.5), ("pointwise", 3.0, SQUARE, 0.5)],
+    ids=["product-3.0", "pointwise-2.5", "product-1.5", "pointwise-1.5",
+         "product-3.0-square", "pointwise-3.0-square"])
+def test_general_p_matches_double_loop(variant, p, mesh, delta):
     rng = np.random.default_rng(5)
-    u = rng.standard_normal(INTERVAL.n_interior)
-    a = rng.uniform(-1.0, 1.0, INTERVAL.n_boundary)
-    op = assemble(INTERVAL, QUARTIC, PenaltySpec(variant, QUARTIC), 0.3,
+    u = rng.standard_normal(mesh.n_interior)
+    a = rng.uniform(-1.0, 1.0, mesh.n_boundary)
+    op = assemble(mesh, QUARTIC, PenaltySpec(variant, QUARTIC), delta,
                   p=p, a=a)
     assert rel(op.interior_energy(u),
-               naive_interior(INTERVAL, 0.3, p, u)) <= 1e-12
+               naive_interior(mesh, delta, p, u)) <= 1e-12
     assert rel(op.penalty_energy(u),
-               naive_penalty(INTERVAL, 0.3, p, variant, u, a)) <= 1e-12
+               naive_penalty(mesh, delta, p, variant, u, a)) <= 1e-12
 
 
 def test_shi_alternate_prefactor_divides_by_delta_sq():

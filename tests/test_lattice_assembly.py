@@ -18,8 +18,8 @@ import scipy.sparse as sp
 
 from nldir import (EnergyOperator, MeshError, PenaltySpec, assemble,
                    build_mesh, neighbor_pairs, w_mass_matrix)
-from nldir.assembly import (VARIANTS, ZERO_DATA_VARIANTS, _stencil_matrix,
-                            trace_matrix)
+from nldir.assembly import (PER_NODE_VARIANTS, VARIANTS, ZERO_DATA_VARIANTS,
+                            _stencil_matrix, trace_matrix)
 from nldir.geometry import lattice_stencil
 from nldir.kernels import (QUARTIC, KernelSpec, ScaledKernel,
                            antiderivative_kernel, eval_scaled)
@@ -83,7 +83,8 @@ def oracle_pref(mesh, spec, delta, p):
         bbar = antiderivative_kernel(antiderivative_kernel(spec.kernel))
         wbb = oracle_boundary(mesh, bbar, delta).sum(axis=1)
         return 2.0 * w_b / (delta**2 * wbb)
-    return 4.0 * w_b / min(2.0 * delta, delta**2)
+    shi = 4.0 * w_b / min(2.0 * delta, delta**2)
+    return shi / delta**2 if spec.shi_delta_sq_prefactor else shi
 
 
 def double_loop(pairs, u, p):
@@ -96,16 +97,11 @@ def double_loop(pairs, u, p):
                              axis=1))
 
 
-def dense_penalty(op):
-    dense = np.zeros((op.mesh.n_boundary, op.mesh.n_interior))
-    dense[op.pen_rowid, op.pen_indices] = op.pen_coef
-    return dense
-
-
 def dense_penalty_form(op):
     """The p = 2 penalty's matrix, dense: sum_b pref_b k_b k_b^T
-    (rank-one) or diag(sum_b pref_b k_b) (diagonal), each kernel row
-    k_b[j] = q_j G(|x_b - x_j|) from coordinate distances."""
+    (per-node rows) or diag(sum_b pref_b k_b) (per-entry rows), each
+    kernel row k_b[j] = q_j G(|x_b - x_j|) from coordinate distances
+    and pref_b from oracle_pref."""
     mesh = op.mesh
     base = op.spec.kernel
     if op.variant in ("wang", "shi"):
@@ -113,9 +109,10 @@ def dense_penalty_form(op):
     dist = np.linalg.norm(mesh.boundary_points[:, None]
                           - mesh.interior_points[None], axis=2)
     k = mesh.interior_weights * kernel_at(base, op.delta, mesh.dim, dist)
-    if op.rank_one:
-        return k.T @ (op.pen_pref[:, None] * k)
-    return np.diag(op.pen_pref @ k)
+    pref = oracle_pref(mesh, op.spec, op.delta, 2.0)
+    if op.variant in PER_NODE_VARIANTS:
+        return k.T @ (pref[:, None] * k)
+    return np.diag(pref @ k)
 
 
 def assert_close(got, want):
@@ -150,8 +147,8 @@ def interior_form(op):
     """v -> A_int v as half the p = 2 Hessian, per offset slice, of op
     with every penalty prefactor zero: no layer column is read."""
     free = EnergyOperator(op.mesh, op.delta, 2.0, op.spec, op.a, op.stencil,
-                          op.offset_w, op.pen_indices, op.pen_rowid,
-                          op.pen_coef, np.zeros_like(op.pen_pref))
+                          op.offset_w, op.pen, op.pen_node,
+                          np.zeros_like(op.pen_pref))
     hess = free.hessian(np.zeros(op.mesh.n_interior))
     return lambda v: 0.5 * hess(v)
 
@@ -178,8 +175,20 @@ def test_operator_tables_match_the_search_oracle(name, ratio):
         base = spec.kernel
         if variant in ("wang", "shi"):
             base = antiderivative_kernel(base)
-        assert_close(dense_penalty(op), oracle_boundary(mesh, base, delta))
-        assert_close(op.pen_pref, oracle_pref(mesh, spec, delta, p))
+        want_k = oracle_boundary(mesh, base, delta)
+        want_pref = oracle_pref(mesh, spec, delta, p)
+        if variant in PER_NODE_VARIANTS:
+            # one row k_b per boundary node
+            assert np.array_equal(op.pen_node, np.arange(mesh.n_boundary))
+            assert_close(op.pen.toarray(), want_k)
+            assert_close(op.pen_pref, want_pref)
+        else:
+            # one row e_j per stored k_b[j], weighted pref_b k_b[j]
+            assert np.array_equal(op.pen.indptr, np.arange(op.pen.nnz + 1))
+            assert np.all(op.pen.data == 1.0)
+            got = np.zeros_like(want_k)
+            got[op.pen_node, op.pen.indices] = op.pen_pref
+            assert_close(got, want_pref[:, None] * want_k)
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -221,8 +230,8 @@ def test_apply_quadratic_matches_the_double_loop_and_dense_penalty(name,
 def penalty_only(op):
     """op with every interior weight zero: its penalty terms alone."""
     return EnergyOperator(op.mesh, op.delta, op.p, op.spec, op.a, op.stencil,
-                          np.zeros_like(op.offset_w), op.pen_indices,
-                          op.pen_rowid, op.pen_coef, op.pen_pref)
+                          np.zeros_like(op.offset_w), op.pen, op.pen_node,
+                          op.pen_pref)
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -271,14 +280,15 @@ LAYER_SPECS = [PenaltySpec(v, QUARTIC) for v in VARIANTS] \
 def coo_layer(op):
     """The layer nodes (a pair count below the full stencil's, or a
     penalty row) and B = A[:, L] from a COO triplet list of the stencil
-    entries at the layer nodes plus the rank-one block, which scipy
-    sums and sorts into CSR."""
+    entries at the layer nodes, with a per-entry penalty on the
+    diagonal, plus the per-node block from a COO rebuild of the
+    penalty table, which scipy sums and sorts into CSR."""
     n = op.mesh.n_interior
-    idx, rowid = op.pen_indices, op.pen_rowid
+    idx = op.pen.indices
+    per_node = op.variant in PER_NODE_VARIANTS
     diag = row_sums(op)
-    if not op.rank_one:
-        diag += np.bincount(idx, weights=op.pen_pref[rowid] * op.pen_coef,
-                            minlength=n)
+    if not per_node:
+        diag += np.bincount(idx, weights=op.pen_pref, minlength=n)
     in_layer = op._to_ends(op._starts) < 2 * len(op._steps)
     in_layer[idx] = True
     nodes = np.flatnonzero(in_layer)
@@ -297,9 +307,9 @@ def coo_layer(op):
     block = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
                                                   np.concatenate(cols))),
                           shape=(n, len(nodes)))
-    if op.rank_one:
-        k = sp.csr_matrix((op.pen_coef, (rowid, idx)),
-                          shape=(op.mesh.n_boundary, n))
+    if per_node:
+        rowid = np.repeat(np.arange(op.pen.shape[0]), np.diff(op.pen.indptr))
+        k = sp.csr_matrix((op.pen.data, (rowid, idx)), shape=op.pen.shape)
         block = (block + k.T @ (sp.diags(op.pen_pref) @ k[:, nodes])).tocsr()
     block.eliminate_zeros()
     return nodes, block

@@ -18,7 +18,7 @@ from nldir import (ConfigError, EigenProblem, EnergyOperator, Field,
                    SolverError, StudyConfig, assemble, build_mesh, lp_norm,
                    run_delta_sweep, solve_eigen, solve_p_energy,
                    solve_quadratic)
-from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS
+from nldir.assembly import PER_NODE_VARIANTS, VARIANTS, ZERO_DATA_VARIANTS
 from nldir.kernels import QUARTIC
 
 COARSE = build_mesh({"interval": [0.0, 1.0]}, 0.1)
@@ -205,10 +205,11 @@ def test_preconditioner_is_symmetric_positive_definite(mesh, delta):
     # the spectrum of M A is that of C^T M C with A = C C^T. On SQUARE
     # at delta = 0.5 the boundary layer is the whole mesh and M = A^-1;
     # elsewhere it is a strict subset. Off the layer the form is the
-    # stencil the DST solve inverts; a diagonal penalty outweighs the
-    # DST-II's reflected couplings on the layer, so M A >= 1. A rank-one
-    # penalty (one rank per boundary node) cannot, and M A dips below 1,
-    # at worst by 2.3e-4 on these meshes. The largest value is 2.4.
+    # stencil the DST solve inverts; a penalty of per-entry rows (a
+    # diagonal) outweighs the DST-II's reflected couplings on the layer,
+    # so M A >= 1. Per-node rows (one rank per boundary node) cannot,
+    # and M A dips below 1, at worst by 2.3e-4 on these meshes. The
+    # largest value is 2.4.
     for spec in PENALTIES:
         op = assemble(mesh, QUARTIC, spec, delta)
         pinv = densify_preconditioner(op)
@@ -217,7 +218,7 @@ def test_preconditioner_is_symmetric_positive_definite(mesh, delta):
         chol = np.linalg.cholesky(densify(op))
         spectrum = np.linalg.eigvalsh(chol.T @ (0.5 * (pinv + pinv.T))
                                       @ chol)
-        floor = 1.0 - (1e-3 if op.rank_one else 1e-10)
+        floor = 1.0 - (1e-3 if op.variant in PER_NODE_VARIANTS else 1e-10)
         assert floor <= spectrum[0] and spectrum[-1] <= 4.0, spec
 
 
@@ -312,8 +313,7 @@ def test_preconditioner_refuses_a_nonpositive_symbol():
     op = make_op(SQUARE, "product", 0.5, a="harmonic_xy")
     flat = EnergyOperator(
         op.mesh, op.delta, op.p, op.spec, op.a, op.stencil,
-        np.zeros_like(op.offset_w), op.pen_indices, op.pen_rowid,
-        op.pen_coef, op.pen_pref)
+        np.zeros_like(op.offset_w), op.pen, op.pen_node, op.pen_pref)
     with pytest.raises(SolverError) as exc:
         flat.preconditioner()
     assert exc.value.info["reason"] == "symbol_not_positive"
@@ -328,7 +328,7 @@ def test_an_indefinite_layer_block_is_refused(variant):
     op = make_op(build_mesh(UNIT_SQUARE, 0.025), variant, 0.1, a="linear_x")
     flipped = EnergyOperator(
         op.mesh, op.delta, op.p, op.spec, op.a, op.stencil, op.offset_w,
-        op.pen_indices, op.pen_rowid, op.pen_coef, -op.pen_pref)
+        op.pen, op.pen_node, -op.pen_pref)
     for build in (solve_quadratic, EnergyOperator.preconditioner):
         with pytest.raises(SolverError) as exc:
             build(flipped)

@@ -291,6 +291,29 @@ def test_indefinite_w_mass_at_ratio_8_is_refused():
     assert exc.value.info["kernel"] == "cubic_normalized"
 
 
+def test_positive_w_mass_at_ratio_8_is_accepted_and_certified():
+    # B scales like h^d: the wendland W mass form on the unit square at
+    # delta = 0.05, ratio 8, has a floor of 4.9e-9, below an absolute
+    # 1e-8 but far above 1e-8 times its Gershgorin bound 3.9e-5
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.05 / 8.0)
+    prob = EigenProblem(stiffness(mesh, 0.05), "nonlocalW", k=1,
+                        W=normalize_w(WENDLAND, 2))
+    floor = w_mass_floor(mesh, prob.W, 0.05)
+    assert 0.0 < floor < 1e-8
+    res = solve_eigen(prob)
+    assert res.converged == (True,)
+
+
+def test_mass_form_refusal_names_its_gershgorin_bound():
+    # the floor is compared with 1e-8 times c_0 + sum_k 2 |c_k|, which on
+    # a mesh with a full-stencil node is B's largest absolute row sum
+    with pytest.raises(MassFormError) as exc:
+        EigenProblem(stiffness(INTERVAL, 0.1), "nonlocalW", k=1, W=QUARTIC)
+    dense = w_mass_matrix(INTERVAL, QUARTIC, 0.1).toarray()
+    want = np.abs(dense).sum(axis=1).max()
+    assert abs(exc.value.info["scale"] - want) <= 1e-13 * want
+
+
 # ------------------------------------------------------------- validation
 
 def test_eigenproblem_rejects_bad_input():

@@ -20,7 +20,7 @@ from nldir import (ConfigError, EigenProblem, KernelError, PenaltySpec,
                    build_mesh, coercivity_probe, compare_penalties,
                    manufactured_case, report_csv_text, report_json_dict,
                    run_delta_sweep, solve_eigen)
-from nldir.kernels import QUARTIC, KernelSpec, kernel_by_id
+from nldir.kernels import QUARTIC, KernelSpec, kernel_by_id, normalize_w
 from nldir import study
 from nldir.study import CSV_HEADER
 
@@ -260,28 +260,33 @@ def test_sweep_rejects_both_mass_models(run):
 
 
 def test_eigen_row_reuses_the_row_operator(monkeypatch):
-    # the zero-datum stiffness and the trace matrix share the row
-    # operator's stencil, so the row builds one lattice stencil
-    cfg = StudyConfig(shape={"interval": [0.0, 1.0]}, deltas=(0.2,),
-                      case="linear_x", eigen_modes=1)
-    calls = []
+    # the zero-datum stiffness, the trace matrix and the W mass form
+    # (kernel_w has the stiffness's support) share the row operator's
+    # stencil, so the row builds one lattice stencil
     build = study.assembly.lattice_stencil
+    for mass in ("L2", "nonlocalW"):
+        cfg = StudyConfig(shape={"interval": [0.0, 1.0]}, deltas=(0.2,),
+                          case="linear_x", eigen_modes=1, eigen_mass=mass)
+        calls = []
 
-    def counted(mesh, radius):
-        calls.append(radius)
-        return build(mesh, radius)
+        def counted(mesh, radius):
+            calls.append(radius)
+            return build(mesh, radius)
 
-    monkeypatch.setattr(study.assembly, "lattice_stencil", counted)
-    row = run_delta_sweep(cfg).ok_rows()[0]
-    assert len(calls) == 1
-    monkeypatch.undo()
-    mesh = build_mesh(cfg.shape, 0.2 / cfg.ratio)
-    op0 = assemble(mesh, kernel_by_id(cfg.kernel_r),
-                   PenaltySpec(cfg.variant, kernel_by_id(cfg.kernel_k)),
-                   0.2, cfg.p, np.zeros(mesh.n_boundary))
-    eig = solve_eigen(EigenProblem(op0, "L2", 1),
-                      SolveOptions(tol=1e-9, max_iter=2000), seed=cfg.seed)
-    assert row.eigen_lambdas == tuple(float(v) for v in eig.eigenvalues)
+        monkeypatch.setattr(study.assembly, "lattice_stencil", counted)
+        row = run_delta_sweep(cfg).ok_rows()[0]
+        assert len(calls) == 1, mass
+        monkeypatch.undo()
+        mesh = build_mesh(cfg.shape, 0.2 / cfg.ratio)
+        op0 = assemble(mesh, kernel_by_id(cfg.kernel_r),
+                       PenaltySpec(cfg.variant, kernel_by_id(cfg.kernel_k)),
+                       0.2, cfg.p, np.zeros(mesh.n_boundary))
+        W = (None if mass == "L2"
+             else normalize_w(kernel_by_id(cfg.kernel_w), mesh.dim))
+        eig = solve_eigen(EigenProblem(op0, mass, 1, W=W),
+                          SolveOptions(tol=1e-9, max_iter=2000),
+                          seed=cfg.seed)
+        assert row.eigen_lambdas == tuple(float(v) for v in eig.eigenvalues)
 
 
 def test_square_p2_row_solves_without_a_matvec(monkeypatch):
