@@ -129,31 +129,20 @@ MANUFACTURED = {case.id: case for case in (
 
 def boundary_data(mesh: DomainMesh, spec) -> BoundaryData:
     """Resolve a boundary datum: None or "zero" for homogeneous data, a
-    manufactured solution of MANUFACTURED by id, "csv:<path>" with one
-    value per boundary node, or BoundaryData or values. A missing,
-    malformed or wrong-length CSV file raises AssemblyError naming the
-    path."""
+    manufactured solution of MANUFACTURED by id, or BoundaryData or
+    values, one per boundary node."""
     if spec is None:
         return BoundaryData(mesh, np.zeros(mesh.n_boundary))
     if isinstance(spec, str):
-        if spec in MANUFACTURED:
-            case = MANUFACTURED[spec]
-            if case.dims is not None and mesh.dim not in case.dims:
-                raise ConfigError("datum does not admit this shape's dimension",
-                                  field="datum", datum=spec, dim=mesh.dim,
-                                  dims=list(case.dims))
-            return BoundaryData(mesh, case.exact(mesh.boundary_points))
-        if spec.startswith("csv:"):
-            path = spec[4:]
-            try:
-                return BoundaryData(mesh, np.loadtxt(path, dtype=float,
-                                                     ndmin=1))
-            except (OSError, ValueError, AssemblyError) as exc:
-                raise AssemblyError(f"cannot read boundary datum: {exc}",
-                                    path=path, **getattr(exc, "info", {})
-                                    ) from exc
-        raise ConfigError("unknown boundary datum", field="datum", datum=spec,
-                          catalog=list(MANUFACTURED) + ["csv:<path>"])
+        if spec not in MANUFACTURED:
+            raise ConfigError("unknown boundary datum", field="datum",
+                              datum=spec, catalog=list(MANUFACTURED))
+        case = MANUFACTURED[spec]
+        if case.dims is not None and mesh.dim not in case.dims:
+            raise ConfigError("datum does not admit this shape's dimension",
+                              field="datum", datum=spec, dim=mesh.dim,
+                              dims=list(case.dims))
+        return BoundaryData(mesh, case.exact(mesh.boundary_points))
     return BoundaryData(mesh, _field_values(mesh, spec, BoundaryData))
 
 

@@ -9,6 +9,7 @@ machine files carry 17.
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -63,10 +64,14 @@ def _load_config(args) -> StudyConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError("config file not found", path=args.config)
+        raise ConfigError("config file not found", field="config",
+                          path=args.config)
     except json.JSONDecodeError as exc:
-        raise ConfigError("config file is not valid JSON",
+        raise ConfigError("config file is not valid JSON", field="config",
                           path=args.config, detail=str(exc))
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8
+        raise ConfigError("cannot read config file", field="config",
+                          path=args.config, detail=str(exc)) from None
     cfg = StudyConfig.from_dict(data)
     threads = args.threads
     if threads is None and os.environ.get("NLDIR_THREADS"):
@@ -110,10 +115,12 @@ def _cmd_solve(args):
     op, result, err = study.solve_row(cfg, study.admitted_case(cfg), delta)
     mesh = op.mesh
     if cfg.out_csv:
-        np.savetxt(cfg.out_csv, np.column_stack([mesh.interior_points,
-                                                 result.minimizer.values]),
+        text = io.StringIO()
+        np.savetxt(text, np.column_stack([mesh.interior_points,
+                                          result.minimizer.values]),
                    fmt="%.17g", delimiter=",", comments="",
                    header=",".join("xyz"[:mesh.dim]) + ",u")
+        study.write_output(cfg.out_csv, text.getvalue(), "out_csv")
     print(f"delta {delta:.6g}  nodes {mesh.n_interior}  "
           f"energy {result.energy:.6g}  grad {result.gradient_norm:.6g}  "
           f"iterations {result.iterations}  converged {result.converged}  "
@@ -142,8 +149,7 @@ def _cmd_eigen(args):
                   f"{res.eigenvalues[mode]:.6g} residual "
                   f"{res.residuals[mode]:.6g}")
     if cfg.out_csv:
-        with open(cfg.out_csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        study.write_output(cfg.out_csv, "\n".join(lines) + "\n", "out_csv")
     return 0
 
 
@@ -192,9 +198,9 @@ def _cmd_probe(args):
                    "min_ratio": report.min_ratio, "c_n": report.c_n,
                    "ratios": [None if np.isinf(r) else r
                               for r in report.ratios]}
-        path = cfg.out_json or cfg.out_csv
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+        field = "out_json" if cfg.out_json else "out_csv"
+        study.write_output(getattr(cfg, field),
+                           json.dumps(payload, indent=1), field)
     return 0
 
 

@@ -6,9 +6,10 @@ Interior nodes are cell centers with the cell measure as quadrature
 weight. For intervals and rectangles the cell count per axis is rounded
 so the weights sum to the exact measure; polygons use a bounding-box
 grid with a center-inside indicator, which carries an O(h) geometric
-error by construction. Boundary quadrature is the two endpoints in 1D
-and midpoints of segments of length <= h in 2D, with outward unit
-normals.
+error by construction. build_mesh records the lattice it lays the
+cells out on, which lattice_stencil checks and reads. Boundary
+quadrature is the two endpoints in 1D and midpoints of segments of
+length <= h in 2D, with outward unit normals.
 
 Shape descriptors follow the config convention:
 {"interval": [a, b]} | {"rect": [[x0, y0], [x1, y1]]} |
@@ -33,6 +34,9 @@ class DomainMesh:
     boundary_points: np.ndarray   # (M, dim)
     boundary_weights: np.ndarray  # (M,)
     boundary_normals: np.ndarray  # (M, dim) outward unit normals
+    # (sites, shape, origin, spacing) of the cell grid, as build_mesh
+    # lays it out (see _cells); None for a point cloud
+    lattice: tuple = None
 
     @property
     def n_interior(self):
@@ -48,19 +52,20 @@ def _freeze(*arrays):
         a.setflags(write=False)
 
 
-def _segment_midpoints(p0, p1, h):
-    """Split segment p0->p1 into pieces of length <= h; midpoints,
-    weights (piece lengths), and the outward normal for CCW orientation."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    length = float(np.linalg.norm(p1 - p0))
-    m = max(1, int(np.ceil(length / h - 1e-12)))
-    t = (np.arange(m) + 0.5) / m
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    w = np.full(m, length / m)
-    tangent = (p1 - p0) / length
-    normal = np.array([tangent[1], -tangent[0]])
-    return pts, w, np.tile(normal, (m, 1))
+def _closed_polyline(verts, h):
+    """Boundary quadrature of the closed CCW polyline through verts: each
+    side split into pieces of length <= h, their midpoints, weights
+    (piece lengths) and outward normals (the rotated tangents)."""
+    pts, w, normals = [], [], []
+    for p0, p1 in zip(verts, np.roll(verts, -1, axis=0)):
+        length = float(np.linalg.norm(p1 - p0))
+        m = max(1, int(np.ceil(length / h - 1e-12)))
+        t = (np.arange(m) + 0.5) / m
+        pts.append(p0[None, :] + t[:, None] * (p1 - p0)[None, :])
+        w.append(np.full(m, length / m))
+        tangent = (p1 - p0) / length
+        normals.append(np.tile([tangent[1], -tangent[0]], (m, 1)))
+    return np.vstack(pts), np.concatenate(w), np.vstack(normals)
 
 
 def _shoelace(verts):
@@ -124,6 +129,35 @@ def _coordinates(kind, spec, admits, what):
     return v
 
 
+def _cells(axes, h, cell, inside=None):
+    """Interior quadrature on the grid of per-axis center coordinates:
+    the centers in C order (those `inside` keeps, when given), the cell
+    measure as weights, and their lattice (sites, shape, origin,
+    spacing) on the grid's box trimmed to the rows that hold nodes. The
+    origin is the first kept coordinate per axis and the spacing the
+    coordinate span over the index span, or h on an axis of one row."""
+    pts = np.column_stack([g.ravel()
+                           for g in np.meshgrid(*axes, indexing="ij")])
+    grid = [len(a) for a in axes]
+    keep = np.ones(grid, dtype=bool)
+    if inside is not None:
+        keep = inside(pts).reshape(grid)
+        pts = pts[keep.ravel()]
+    if len(pts) == 0:
+        raise MeshError("no cell centers fall inside the polygon", h=h)
+    rows = [np.flatnonzero(np.moveaxis(keep, axis, 0).any(
+        axis=tuple(range(1, keep.ndim)))) for axis in range(keep.ndim)]
+    lo, hi = [r[0] for r in rows], [r[-1] for r in rows]
+    box = keep[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
+    sites, shape = np.flatnonzero(box), box.shape
+    origin = np.array([g[a] for g, a in zip(axes, lo)])
+    spacing = np.array([(g[b] - g[a]) / (b - a) if b > a else h
+                        for g, a, b in zip(axes, lo, hi)])
+    qw = np.full(len(pts), cell)
+    _freeze(pts, qw, sites, origin, spacing)
+    return pts, qw, (sites, shape, origin, spacing)
+
+
 def _interval_mesh(spec, h):
     a, b = (float(c) for c in _coordinates(
         "interval", spec, lambda s: s == (2,), "two finite end points [a, b]"))
@@ -134,13 +168,13 @@ def _interval_mesh(spec, h):
                         h=h, length=b - a)
     n = max(1, round((b - a) / h))
     he = (b - a) / n
-    pts = (a + (np.arange(n) + 0.5) * he)[:, None]
-    qw = np.full(n, he)
+    pts, qw, lattice = _cells([a + (np.arange(n) + 0.5) * he], he, he)
     bpts = np.array([[a], [b]])
     bw = np.array([1.0, 1.0])
     bn = np.array([[-1.0], [1.0]])
-    _freeze(pts, qw, bpts, bw, bn)
-    return DomainMesh(1, {"interval": [a, b]}, he, pts, qw, bpts, bw, bn)
+    _freeze(bpts, bw, bn)
+    return DomainMesh(1, {"interval": [a, b]}, he, pts, qw, bpts, bw, bn,
+                      lattice)
 
 
 def _rect_mesh(spec, h):
@@ -155,24 +189,15 @@ def _rect_mesh(spec, h):
     nx = max(1, round((x1 - x0) / h))
     ny = max(1, round((y1 - y0) / h))
     hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
-    gx = x0 + (np.arange(nx) + 0.5) * hx
-    gy = y0 + (np.arange(ny) + 0.5) * hy
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    qw = np.full(nx * ny, hx * hy)
-    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    bpts, bw, bn = [], [], []
-    for i in range(4):  # CCW so the rotated tangent points outward
-        p, w, nrm = _segment_midpoints(corners[i], corners[(i + 1) % 4], h)
-        bpts.append(p)
-        bw.append(w)
-        bn.append(nrm)
-    bpts = np.vstack(bpts)
-    bw = np.concatenate(bw)
-    bn = np.vstack(bn)
-    _freeze(pts, qw, bpts, bw, bn)
+    pts, qw, lattice = _cells([x0 + (np.arange(nx) + 0.5) * hx,
+                               y0 + (np.arange(ny) + 0.5) * hy],
+                              max(hx, hy), hx * hy)
+    # CCW so the rotated tangent points outward
+    bpts, bw, bn = _closed_polyline(
+        np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]), h)
+    _freeze(bpts, bw, bn)
     return DomainMesh(2, {"rect": [[x0, y0], [x1, y1]]}, max(hx, hy),
-                      pts, qw, bpts, bw, bn)
+                      pts, qw, bpts, bw, bn, lattice)
 
 
 def _polygon_mesh(spec, h):
@@ -197,73 +222,43 @@ def _polygon_mesh(spec, h):
     if h >= scale:
         raise MeshError("cell size must be below the polygon extent",
                         h=h, extent=scale)
-    xmin, ymin = verts.min(axis=0)
-    xmax, ymax = verts.max(axis=0)
-    gx = xmin + h * (np.arange(int(np.ceil((xmax - xmin) / h))) + 0.5)
-    gy = ymin + h * (np.arange(int(np.ceil((ymax - ymin) / h))) + 0.5)
-    X, Y = np.meshgrid(gx, gy, indexing="ij")
-    cand = np.column_stack([X.ravel(), Y.ravel()])
-    inside = _points_in_polygon(cand, verts)
-    pts = cand[inside]
-    if pts.shape[0] == 0:
-        raise MeshError("no cell centers fall inside the polygon", h=h)
-    qw = np.full(pts.shape[0], h * h)
-    bpts, bw, bn = [], [], []
-    for i in range(nv):
-        p, w, nrm = _segment_midpoints(verts[i], verts[(i + 1) % nv], h)
-        bpts.append(p)
-        bw.append(w)
-        bn.append(nrm)
-    bpts = np.vstack(bpts)
-    bw = np.concatenate(bw)
-    bn = np.vstack(bn)
-    pts = np.ascontiguousarray(pts)
-    _freeze(pts, qw, bpts, bw, bn)
-    return DomainMesh(2, {"polygon": verts.tolist()}, h, pts, qw, bpts, bw, bn)
+    low, high = verts.min(axis=0), verts.max(axis=0)
+    pts, qw, lattice = _cells(
+        [a + h * (np.arange(int(np.ceil((b - a) / h))) + 0.5)
+         for a, b in zip(low, high)],
+        h, h * h, lambda cand: _points_in_polygon(cand, verts))
+    bpts, bw, bn = _closed_polyline(verts, h)
+    _freeze(bpts, bw, bn)
+    return DomainMesh(2, {"polygon": verts.tolist()}, h, pts, qw, bpts, bw,
+                      bn, lattice)
 
 
 def _lattice(mesh: DomainMesh):
-    """The axis-aligned grid whose cell centers the interior nodes are:
-    each node's site on the C-ordered bounding box of that grid, the
-    box's shape, its origin and its per-axis spacing. Per axis the
-    smallest gap between node coordinates finds the indices; the
-    spacing reported is the coordinate span over the index span, which
-    rounding shifts far less. An axis with a single row of nodes
-    reports the mesh's h. Raises MeshError when a node is off the grid,
-    two nodes share a cell, or a weight is not the cell measure."""
+    """The lattice build_mesh recorded (see _cells), checked against the
+    nodes, not inferred from them. MeshError when there is none, the
+    site and node counts differ, a node lies more than 1e-6 cell off its
+    site, two nodes share one, or a weight is not the cell measure (with
+    an axis of one row, whose spacing is h, the weights must be equal)."""
+    if mesh.lattice is None:
+        raise MeshError("the mesh records no lattice; build it with "
+                        "build_mesh")
+    sites, shape, origin, spacing = mesh.lattice
     pts = mesh.interior_points
-    index = np.zeros(pts.shape, dtype=np.int64)
-    origin = pts.min(axis=0)
-    spacing = np.full(mesh.dim, float(mesh.h))
-    cell = 1.0
-    for axis in range(mesh.dim):
-        coords = np.sort(pts[:, axis])
-        gaps = np.diff(coords)
-        gaps = gaps[gaps > 0]
-        if gaps.size == 0:
-            cell = None  # one row: this axis's spacing is not observable
-            continue
-        gap = float(np.min(gaps))
-        steps = (pts[:, axis] - origin[axis]) / gap
-        index[:, axis] = np.rint(steps)
-        if np.max(np.abs(steps - index[:, axis])) > 1e-6:
+    if len(sites) != len(pts):
+        raise MeshError("the lattice has a site count other than the "
+                        "node count", sites=len(sites), nodes=len(pts))
+    for axis, index in enumerate(np.unravel_index(sites, shape)):
+        steps = (pts[:, axis] - origin[axis]) / spacing[axis]
+        if np.max(np.abs(steps - index)) > 1e-6:
             raise MeshError("interior nodes are off a uniform lattice",
-                            axis=axis, spacing=gap)
-        spacing[axis] = (coords[-1] - coords[0]) / index[:, axis].max()
-        if cell is not None:
-            cell *= spacing[axis]
-    # the weights pin the spacing: a node moved by a fraction of a cell
-    # would otherwise pass as a node of a finer grid. Without an
-    # observable cell measure they must still be equal.
-    if cell is None:
-        cell = float(mesh.interior_weights[0])
+                            axis=axis, spacing=spacing[axis])
+    if np.bincount(sites).max() > 1:
+        raise MeshError("two interior nodes share a lattice cell")
+    cell = (float(np.prod(spacing)) if min(shape) > 1
+            else float(mesh.interior_weights[0]))
     if np.max(np.abs(mesh.interior_weights - cell)) > 1e-9 * cell:
         raise MeshError("interior weights are not the lattice cell measure",
                         cell=cell)
-    shape = tuple(int(k) for k in index.max(axis=0) + 1)
-    sites = np.ravel_multi_index(tuple(index.T), shape)
-    if np.bincount(sites).max() > 1:
-        raise MeshError("two interior nodes share a lattice cell")
     return sites, shape, origin, spacing
 
 
@@ -321,9 +316,10 @@ def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
     kernel that vanishes at its support gives weight 0. Boundary nodes lie
     off the lattice; each one tests the cells of the window of about
     (2 radius / spacing + 1)^dim cells around it and keeps the nodes
-    with |x_b - x_j|^2 <= radius^2. Raises MeshError when the mesh is
-    not a lattice: a node off the grid, two nodes in one cell, or a
-    weight other than the cell measure."""
+    with |x_b - x_j|^2 <= radius^2. The lattice is the one build_mesh
+    recorded; MeshError when there is none or the nodes no longer fit
+    it: a count other than the sites', a node off its site, two nodes
+    in one cell, or a weight other than the cell measure."""
     if not radius > 0:
         raise MeshError("radius must be positive", radius=radius)
     sites, shape, origin, spacing = _lattice(mesh)

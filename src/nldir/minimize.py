@@ -110,9 +110,10 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     the step r -> (z, A z) that _cg_iterates runs. Stops when the
     residual is small both relative to l and relative to the energy
     scale, tested at x0 too (0 iterations), with stop_reason
-    "gradient". Exhausting the budget returns the last iterate with
-    stop_reason "max_iter", flagged non-converged; max_iterate_norm
-    counts x0.
+    "gradient": a zero l stops at x0 = 0 once the layer factor has
+    certified A_LL positive definite. Exhausting the budget returns the
+    last iterate with stop_reason "max_iter", flagged non-converged;
+    max_iterate_norm counts x0.
     """
     if op.p != 2.0:
         raise SolverError("quadratic solve requires an operator with p = 2",
@@ -120,9 +121,6 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     ell = op.linear_term
     c0 = op.constant_term
     ell_norm = float(np.linalg.norm(ell))
-    if ell_norm == 0.0:
-        x = np.zeros(op.mesh.n_interior)
-        return _finish(op, x, 0, opts, lp_norm(op.mesh, x, op.p), "gradient")
 
     def small(x, r):
         # F(x) via r = l - A x: x^T A x = x.(l - r)

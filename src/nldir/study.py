@@ -19,6 +19,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -35,6 +36,11 @@ _PROBE_BLOCK = 1 << 20  # field values per block of coercivity probes (8 MiB)
 
 CSV_HEADER = "delta,h,penalty,p,l2_error,trace_norm,energy,sigma_r,seconds"
 _KINDS = {float: numbers.Real, int: numbers.Integral}
+
+
+def _has_type(value, typ):
+    kind = _KINDS.get(typ, typ)
+    return isinstance(value, kind) and isinstance(value, bool) is (kind is bool)
 
 
 @dataclass(frozen=True)
@@ -66,23 +72,24 @@ class StudyConfig:
     def __post_init__(self):
         # each value must have its field's type (a float field takes any
         # real number, an int field any integer, neither a bool); deltas
-        # and variants become tuples
+        # and variants become tuples, the deltas of floats
         for name, fld in self.__dataclass_fields__.items():
             value = getattr(self, name)
             if fld.type is tuple:
                 try:
-                    value = tuple(float(v) if name == "deltas" else v
-                                  for v in value)
-                except (TypeError, ValueError):
+                    value = tuple(value)
+                except TypeError:
+                    value = None
+                if value is None or name == "deltas" and not all(
+                        _has_type(v, float) for v in value):
                     raise ConfigError(f"{name} must be a list", field=name,
-                                      got=repr(value)) from None
-                object.__setattr__(self, name, value)
+                                      got=repr(getattr(self, name)))
+                object.__setattr__(self, name, tuple(map(float, value))
+                                   if name == "deltas" else value)
                 continue
             if value is None and fld.default is None:
                 continue
-            kind = _KINDS.get(fld.type, fld.type)
-            if not isinstance(value, kind) \
-                    or isinstance(value, bool) is not (kind is bool):
+            if not _has_type(value, fld.type):
                 raise ConfigError(f"{name} has the wrong type", field=name,
                                   expected=fld.type.__name__,
                                   got=type(value).__name__)
@@ -108,6 +115,9 @@ class StudyConfig:
         if self.threads < 1:
             raise ConfigError("threads must be at least 1", field="threads",
                               value=self.threads)
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative", field="seed",
+                              value=self.seed)
 
     @classmethod
     def from_dict(cls, data: dict):
@@ -224,7 +234,7 @@ def solve_modes(cfg: StudyConfig, op, mass):
     return solve_eigen(prob, seed=cfg.seed)
 
 
-def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
+def _run_row(cfg: StudyConfig, case, delta, sigma):
     t0 = time.perf_counter()
     op, result, l2_error = solve_row(cfg, case, delta)
     mesh, u = op.mesh, result.minimizer.values
@@ -255,19 +265,20 @@ def _run_row(cfg: StudyConfig, case, delta, sigma, keep_field=False):
                    iterations=result.iterations,
                    stop_reason=result.stop_reason,
                    eigen_lambdas=eigen_lambdas)
-    return (row, u if keep_field else None, mesh)
+    return row, u, mesh
 
 
 def run_delta_sweep(cfg: StudyConfig) -> StudyReport:
     """One row per delta; a failing row records its reason and the
     remaining rows still run. Output files are written when the config
     names them."""
-    report, _ = _sweep_with_fields(cfg, keep_fields=False)
+    report, _ = _sweep_with_fields(cfg)
     _write_outputs(report, cfg)
     return report
 
 
-def _sweep_with_fields(cfg: StudyConfig, keep_fields: bool):
+def _sweep_with_fields(cfg: StudyConfig):
+    """The sweep's report and {delta: (field, mesh)} of its solved rows."""
     case = admitted_case(cfg)
     if cfg.eigen_modes > 0 and cfg.eigen_mass == "both":
         raise ConfigError("a sweep row solves one mass model",
@@ -278,7 +289,7 @@ def _sweep_with_fields(cfg: StudyConfig, keep_fields: bool):
 
     def one(delta):
         try:
-            return _run_row(cfg, case, delta, sigma, keep_field=keep_fields)
+            return _run_row(cfg, case, delta, sigma)
         except NldirError as exc:
             h = delta / cfg.ratio
             return (SweepRow(delta=delta, h=h, penalty=cfg.variant, p=cfg.p,
@@ -305,10 +316,9 @@ def _sweep_with_fields(cfg: StudyConfig, keep_fields: bool):
         "shape": cfg.shape,
         "version": _version(),
     }
-    report = StudyReport(rows=rows, environment=env)
-    fields = [(row.delta, u, mesh) for row, u, mesh in outcomes
-              if u is not None]
-    return report, fields
+    return StudyReport(rows, env), {row.delta: (u, mesh)
+                                    for row, u, mesh in outcomes
+                                    if u is not None}
 
 
 def _version():
@@ -379,31 +389,20 @@ def compare_penalties(cfg: StudyConfig, variants) -> StudyReport:
     variants = list(variants)
     if not variants:
         raise ConfigError("need at least one variant", field="variants")
-    all_rows = []
-    fields_by_variant = {}
-    env = None
+    rows, fields = [], {}
     for var in variants:
-        sub = replace(cfg, variant=var, variants=())
-        report, fields = _sweep_with_fields(sub, keep_fields=True)
-        all_rows.extend(report.rows)
-        fields_by_variant[var] = {d: (u, mesh) for d, u, mesh in fields}
-        env = report.environment
+        report, fields[var] = _sweep_with_fields(
+            replace(cfg, variant=var, variants=()))
+        rows.extend(report.rows)
     distances = {}
-    for ai in range(len(variants)):
-        for bi in range(ai + 1, len(variants)):
-            va, vb = variants[ai], variants[bi]
-            key = f"{va}|{vb}"
-            per_delta = {}
-            for d in cfg.deltas:
-                if d in fields_by_variant[va] and d in fields_by_variant[vb]:
-                    ua, mesh = fields_by_variant[va][d]
-                    ub, _ = fields_by_variant[vb][d]
-                    per_delta[repr(d)] = lp_norm(mesh, ua - ub, 2.0)
-            distances[key] = per_delta
-    env = dict(env or {})
-    env["variants"] = variants
-    env["pairwise_l2_distances"] = distances
-    merged = StudyReport(rows=tuple(all_rows), environment=env)
+    for va, vb in combinations(variants, 2):
+        distances[f"{va}|{vb}"] = {
+            repr(d): lp_norm(fields[va][d][1],
+                             fields[va][d][0] - fields[vb][d][0], 2.0)
+            for d in cfg.deltas if d in fields[va] and d in fields[vb]}
+    merged = StudyReport(rows=tuple(rows), environment=dict(
+        report.environment, variants=variants,
+        pairwise_l2_distances=distances))
     _write_outputs(merged, cfg)
     return merged
 
@@ -445,10 +444,21 @@ def report_json_dict(report: StudyReport) -> dict:
     return {"rows": rows, "environment": report.environment}
 
 
+def write_output(path, text: str, field: str):
+    """Write text to path as UTF-8. ConfigError naming the config field
+    that holds the path when the file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write output file", field=field, path=path,
+                          detail=str(exc)) from None
+
+
 def _write_outputs(report: StudyReport, cfg: StudyConfig):
     if cfg.out_csv:
-        with open(cfg.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(report_csv_text(report))
+        write_output(cfg.out_csv, report_csv_text(report), "out_csv")
     if cfg.out_json:
-        with open(cfg.out_json, "w", encoding="utf-8") as fh:
-            json.dump(report_json_dict(report), fh, indent=1)
+        write_output(cfg.out_json,
+                     json.dumps(report_json_dict(report), indent=1),
+                     "out_json")

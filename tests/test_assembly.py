@@ -597,39 +597,6 @@ def test_boundary_data_unknown_name_lists_catalog():
     assert "linear_x" in exc.value.info["catalog"]
 
 
-def test_boundary_data_from_csv(tmp_path):
-    path = tmp_path / "datum.csv"
-    vals = np.linspace(-1.0, 1.0, INTERVAL.n_boundary)
-    np.savetxt(path, vals)
-    got = boundary_data(INTERVAL, f"csv:{path}")
-    assert np.allclose(got.values, vals)
-
-
-def test_boundary_data_missing_csv_names_the_path(tmp_path):
-    path = tmp_path / "absent.csv"
-    with pytest.raises(AssemblyError) as exc:
-        boundary_data(INTERVAL, f"csv:{path}")
-    assert exc.value.info["path"] == str(path)
-
-
-def test_boundary_data_malformed_csv_names_the_path(tmp_path):
-    path = tmp_path / "datum.csv"
-    path.write_text("0.5\nnot-a-number\n", encoding="utf-8")
-    with pytest.raises(AssemblyError) as exc:
-        boundary_data(INTERVAL, f"csv:{path}")
-    assert exc.value.info["path"] == str(path)
-
-
-def test_boundary_data_wrong_length_csv_names_the_path(tmp_path):
-    path = tmp_path / "datum.csv"
-    np.savetxt(path, np.zeros(INTERVAL.n_boundary + 1))
-    with pytest.raises(AssemblyError) as exc:
-        boundary_data(INTERVAL, f"csv:{path}")
-    assert exc.value.info["path"] == str(path)
-    assert exc.value.info["expected"] == INTERVAL.n_boundary
-    assert exc.value.info["got"] == [INTERVAL.n_boundary + 1]
-
-
 def test_boundary_data_foreign_mesh_rejected():
     other = build_mesh({"interval": [0.0, 1.0]}, 0.1)
     datum = BoundaryData(other, np.zeros(other.n_boundary))

@@ -282,19 +282,60 @@ def test_solver_seed_is_refused(tmp_path, capsys):
     ({"kernel_r": 5}, "kernel_r"),
     ({"shi_delta_sq_prefactor": "yes"}, "shi_delta_sq_prefactor"),
     ({"solver": {"tol": "1e-8"}}, "tol"),
+    ({"seed": -1}, "seed"),
+    ({"deltas": [True]}, "deltas"),
+    ({"deltas": ["0.1"]}, "deltas"),
+    (b"{\xff}", "config"),  # not UTF-8
+    (None, "config"),  # the config path is a directory
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, config, field):
-    # a value of the wrong JSON type exits 1 with a ConfigError naming
-    # its field, not with a Python traceback or a silently accepted value
+    # a value of the wrong JSON type or range, or a config file that
+    # cannot be read, exits 1 with a ConfigError naming its field, not
+    # with a Python traceback or a silently accepted value
     if isinstance(config, dict):
         path = write_config(tmp_path, **config)
+    elif config is None:
+        path = tmp_path
     else:
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_bytes(config if isinstance(config, bytes)
+                         else json.dumps(config).encode())
     assert dispatch(["sweep", "--config", str(path)]) == 1
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "ConfigError"
     assert payload["field"] == field
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert dispatch(["sweep", "--config", str(path), "--seed", "-1"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (payload["error"], payload["field"]) == ("ConfigError", "seed")
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {}),
+    ("sweep", {}),
+    ("sweep", {"out_json": "missing/rows.json"}),
+    ("compare", {"variants": ["product", "pointwise"]}),
+    ("eigen", {"case": "zero", "eigen_modes": 1}),
+    ("probe-coercivity", {"case": "zero", "trials": 10}),
+])
+def test_unwritable_output_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                             command, overrides):
+    # an output path in a missing directory exits 1 with a ConfigError
+    # naming the config field and the path, not with a traceback
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, **overrides)
+    argv = [command, "--config", str(path)]
+    field, out = "out_json", overrides.get("out_json")
+    if out is None:
+        field, out = "out_csv", "missing/out.csv"
+        argv += ["--out", out]
+    assert dispatch(argv) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert (payload["error"], payload["field"], payload["path"]) \
+        == ("ConfigError", field, out)
 
 
 @pytest.mark.parametrize("shape", [
@@ -451,7 +492,8 @@ def test_solve_field_is_the_sweep_minimizer(tmp_path, capsys, overrides):
     assert dispatch(["solve", "--config", str(path), "--out", str(out)]) == 0
     capsys.readouterr()
     cfg = StudyConfig.from_dict(json.loads(path.read_text()))
-    _, [(_, u, mesh)] = study._sweep_with_fields(cfg, keep_fields=True)
+    _, fields = study._sweep_with_fields(cfg)
+    u, mesh = fields[cfg.deltas[0]]
     written = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(written, np.column_stack([mesh.interior_points,
                                                     u]))

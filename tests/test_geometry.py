@@ -310,14 +310,30 @@ def test_lattice_index_rebuilds_the_nodes(shape, h, grid):
 
 @pytest.mark.parametrize("shift", [0.1, 0.0123456789, -1.0])
 def test_lattice_index_refuses_off_lattice_nodes(shift):
-    # a shift by a tenth of a cell fits a 10x finer grid, whose cell
-    # measure no longer matches the weights; a shift by -1 cell puts
-    # node 5 on node 4
+    # the replaced mesh keeps the lattice build_mesh recorded, so each
+    # shift moves node 5 off its recorded site, by -1 cell onto the
+    # point of node 4
     mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)
     pts = mesh.interior_points.copy()
     pts[5, 1] += shift * mesh.h
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match="off a uniform lattice"):
         lattice_stencil(replace(mesh, interior_points=pts), mesh.h)
+
+
+def test_lattice_stencil_needs_the_recorded_lattice():
+    # no lattice is inferred from coordinates: a hand-built mesh on the
+    # very nodes of a grid has none, and a mesh that drops a node no
+    # longer fits the one its builder recorded
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.125)
+    by_hand = DomainMesh(2, mesh.shape, mesh.h, mesh.interior_points,
+                         mesh.interior_weights, mesh.boundary_points,
+                         mesh.boundary_weights, mesh.boundary_normals)
+    with pytest.raises(MeshError, match="records no lattice"):
+        lattice_stencil(by_hand, mesh.h)
+    dropped = replace(mesh, interior_points=mesh.interior_points[:63])
+    with pytest.raises(MeshError, match="site count") as exc:
+        lattice_stencil(dropped, mesh.h)
+    assert exc.value.info == {"sites": 64, "nodes": 63}
 
 
 def test_neighbor_radius_is_inclusive():

@@ -320,12 +320,15 @@ def test_preconditioner_refuses_a_nonpositive_symbol():
     assert exc.value.info["min_symbol"] <= 0.0
 
 
-@pytest.mark.parametrize("variant", ["product", "pointwise"])
-def test_an_indefinite_layer_block_is_refused(variant):
+@pytest.mark.parametrize("variant, datum", [
+    ("product", "linear_x"), ("pointwise", "linear_x"),
+    ("product", "zero"), ("pointwise", "zero")],
+    ids=["product", "pointwise", "product-zero", "pointwise-zero"])
+def test_an_indefinite_layer_block_is_refused(variant, datum):
     # a negated penalty makes the energy indefinite, with a positive
     # interior symbol; the layer's Cholesky factor must refuse it, or CG
-    # would certify a saddle point
-    op = make_op(build_mesh(UNIT_SQUARE, 0.025), variant, 0.1, a="linear_x")
+    # would certify a saddle point, at zero datum its start x = 0
+    op = make_op(build_mesh(UNIT_SQUARE, 0.025), variant, 0.1, a=datum)
     flipped = EnergyOperator(
         op.mesh, op.delta, op.p, op.spec, op.a, op.stencil, op.offset_w,
         op.pen, op.pen_node, -op.pen_pref)

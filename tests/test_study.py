@@ -67,6 +67,9 @@ def test_config_from_dict_names_unknown_field():
     dict(deltas=(0.2,), eigen_modes=-1),
     dict(deltas=(0.2,), eigen_mass="diag"),
     dict(deltas=(0.2,), threads=0),
+    dict(deltas=(0.2,), seed=-1),
+    dict(deltas=(True,)),
+    dict(deltas=("0.1",)),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
