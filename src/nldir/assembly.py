@@ -201,18 +201,15 @@ def _admitted(mesh, variant, p, a):
 
 
 def _boundary_tables(mesh, base: KernelSpec, delta, stencil):
-    """(M x N) CSR boundary-to-interior coefficients q_j k_delta(|x_b -
-    x_j|). stencil, a lattice_stencil of this mesh, is reused when its
-    radius is the kernel's support radius; otherwise one is built."""
+    """(M x N) CSR q_j k_delta(|x_b - x_j|) on the stencil's recorded pair
+    lengths; stencil, a lattice_stencil of this mesh, is reused when its
+    radius is the kernel's support radius, else one is built."""
     if stencil is None or stencil.radius != base.support * delta:
         stencil = lattice_stencil(mesh, base.support * delta)
-    indptr, indices = stencil.boundary_indptr, stencil.boundary_indices
-    rowid = np.repeat(np.arange(mesh.n_boundary), np.diff(indptr))
-    dist = np.linalg.norm(mesh.boundary_points[rowid]
-                          - mesh.interior_points[indices], axis=1)
-    scaled = ScaledKernel(base, delta, mesh.dim)
-    coef = mesh.interior_weights[indices] * eval_scaled(scaled, dist)
-    return sp.csr_matrix((coef, indices, indptr),
+    indices = stencil.boundary_indices
+    coef = mesh.interior_weights[indices] * eval_scaled(
+        ScaledKernel(base, delta, mesh.dim), stencil.boundary_lengths)
+    return sp.csr_matrix((coef, indices, stencil.boundary_indptr),
                          shape=(mesh.n_boundary, mesh.n_interior))
 
 
@@ -511,10 +508,10 @@ class EnergyOperator:
         """The boundary layer of the p = 2 form and its columns: the
         nodes missing a neighbor at some offset of nonzero weight (their
         rows differ from the full stencil) plus every node a penalty row
-        touches, ascending; and B = A[:, L] (n x |L|, CSR, read from the
-        pair sites at the layer nodes), which stores no zeros. Each pair
-        (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so the diagonal is
-        the row sum of 2 w; the penalty adds K^T diag(pref) K[:, L]."""
+        touches, ascending; and B = A[:, L] (n x |L|, CSR, read from the pair
+        sites at the layer nodes via node_of), which stores no zeros. Each pair
+        (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so the diagonal is the row
+        sum of 2 w; the penalty adds K^T diag(pref) K[:, L]."""
         self._require_quadratic()
         n = self.mesh.n_interior
         size, sites = self._starts.shape[1], self.stencil.sites
@@ -524,9 +521,7 @@ class EnergyOperator:
         in_layer = ~full[sites]
         in_layer[self.pen.indices] = True
         nodes = np.flatnonzero(in_layer)
-        m = len(nodes)
-        node_of = np.full(size, -1)
-        node_of[sites] = np.arange(n)
+        m, node_of = len(nodes), self.stencil.node_of
         at = sites[nodes]
         # B^T in CSR, a row per layer node: the node, then per offset its
         # neighbors f sites down and up (-1 where no pair links them, a

@@ -13,7 +13,7 @@ length <= h in 2D, with outward unit normals.
 
 Shape descriptors follow the config convention:
 {"interval": [a, b]} | {"rect": [[x0, y0], [x1, y1]]} |
-{"polygon": [[x, y], ...]}.
+{"polygon": [[x, y], ...]}, with no vertex repeated in a row.
 """
 
 from dataclasses import dataclass
@@ -206,6 +206,10 @@ def _polygon_mesh(spec, h):
                          "at least 3 finite (x, y) vertices")
     area = _shoelace(verts)
     scale = float(np.max(np.ptp(verts, axis=0)))
+    side = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+    if np.min(side) <= 1e-12 * scale:  # e.g. a closed ring's last side
+        raise MeshError("degenerate polygon: repeated vertex",
+                        edge=int(np.argmin(side)))
     if abs(area) <= 1e-12 * scale**2:
         raise MeshError("degenerate polygon: zero area", area=area)
     if area < 0:
@@ -272,8 +276,9 @@ class LatticeStencil:
     lengths. Two nodes are neighbors exactly when their lattice indices
     differ by one of them. `sites` places each interior node on the
     C-ordered bounding grid of shape `shape`; a polygon's nodes are a
-    mask on that grid. Boundary-to-interior neighbors are CSR lists with
-    ascending node indices per boundary node."""
+    mask on that grid, and `node_of` maps each site to its node or -1.
+    Boundary-to-interior neighbors are CSR lists with ascending node
+    indices per boundary node, `boundary_lengths` their |x_b - x_j|."""
 
     radius: float
     shape: tuple
@@ -282,6 +287,8 @@ class LatticeStencil:
     lengths: np.ndarray
     boundary_indptr: np.ndarray
     boundary_indices: np.ndarray
+    boundary_lengths: np.ndarray
+    node_of: np.ndarray
 
     @property
     def flat_offsets(self):
@@ -292,8 +299,7 @@ class LatticeStencil:
     def pair_starts(self):
         """(K, G) booleans on the flattened grid of G sites: entry
         [k, s] says that sites s and s + offsets[k] both hold nodes."""
-        mask = np.zeros(self.shape, dtype=bool)
-        mask.ravel()[self.sites] = True
+        mask = (self.node_of >= 0).reshape(self.shape)
         starts = np.zeros((len(self.offsets),) + self.shape, dtype=bool)
         for out, o in zip(starts, self.offsets):
             src = tuple(slice(max(0, -k), n - max(0, k))
@@ -316,7 +322,8 @@ def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
     kernel that vanishes at its support gives weight 0. Boundary nodes lie
     off the lattice; each one tests the cells of the window of about
     (2 radius / spacing + 1)^dim cells around it and keeps the nodes
-    with |x_b - x_j|^2 <= radius^2. The lattice is the one build_mesh
+    with |x_b - x_j|^2 <= radius^2 (summed per axis), whose square roots
+    are its boundary_lengths. The lattice is the one build_mesh
     recorded; MeshError when there is none or the nodes no longer fit
     it: a count other than the sites', a node off its site, two nodes
     in one cell, or a weight other than the cell measure."""
@@ -346,19 +353,19 @@ def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
         cand = (cand[:, :, None] * n + idx[:, None, :]).reshape(m, -1)
         inside = (inside[:, :, None]
                   & ((idx >= 0) & (idx < n))[:, None, :]).reshape(m, -1)
-    node_of_site = np.full(int(np.prod(shape)), -1, dtype=np.int64)
-    node_of_site[sites] = np.arange(len(sites))
+    node_of = np.full(int(np.prod(shape)), -1, dtype=np.int64)
+    node_of[sites] = np.arange(len(sites))
+    # rows ascend, and so do a row's window sites and nodes: CSR order
     rows, cols = np.nonzero(inside)
-    nodes = node_of_site[cand[rows, cols]]
+    nodes = node_of[cand[rows, cols]]
     rows, nodes = rows[nodes >= 0], nodes[nodes >= 0]
-    hit = np.sum((bpts[rows] - pts[nodes]) ** 2, axis=1) <= radius * radius
-    key = np.sort(rows[hit] * len(sites) + nodes[hit])
-    brow, bidx = np.divmod(key, len(sites))
-    bptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(brow, minlength=m), out=bptr[1:])
-    _freeze(sites, half, lengths, bptr, bidx)
+    sq = sum((bpts[rows, a] - pts[nodes, a]) ** 2 for a in range(mesh.dim))
+    hit = sq <= radius * radius
+    bidx, blen = nodes[hit], np.sqrt(sq[hit])
+    bptr = np.searchsorted(rows[hit], np.arange(m + 1))
+    _freeze(sites, half, lengths, bptr, bidx, blen, node_of)
     return LatticeStencil(float(radius), shape, sites, half, lengths,
-                          bptr, bidx)
+                          bptr, bidx, blen, node_of)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import EnergyOperator, Field, lp_norm
+from .assembly import EnergyOperator, Field
 from .errors import ConfigError, SolverError
 
 _TINY = 1e-300
@@ -56,24 +56,25 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The final iterate, its energy and gradient norm recomputed there
+    (see _finish), the steps taken, the gradient test and the stop."""
+
     minimizer: Field
     energy: float
     gradient_norm: float
     iterations: int
     converged: bool
-    max_iterate_norm: float
     stop_reason: str  # "gradient", "max_iter" or "line_search_stall"
 
 
-def _finish(op, x, iterations, opts, max_norm, stop_reason):
+def _finish(op, x, iterations, opts, stop_reason):
     """Recompute energy and gradient at the final iterate so the
     converged flag is exact, not inherited from solver recurrences."""
     energy = op.energy(x)
     gradient_norm = float(np.linalg.norm(op.gradient(x)))
     converged = gradient_norm <= opts.tol * (1.0 + abs(energy))
-    max_norm = max(max_norm, lp_norm(op.mesh, x, op.p))
     return SolveResult(Field(op.mesh, x.copy()), energy, gradient_norm,
-                       iterations, converged, max_norm, stop_reason)
+                       iterations, converged, stop_reason)
 
 
 def _cg_iterates(x, r, step):
@@ -112,8 +113,7 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     scale, tested at x0 too (0 iterations), with stop_reason
     "gradient": a zero l stops at x0 = 0 once the layer factor has
     certified A_LL positive definite. Exhausting the budget returns the
-    last iterate with stop_reason "max_iter", flagged non-converged;
-    max_iterate_norm counts x0.
+    last iterate with stop_reason "max_iter", flagged non-converged.
     """
     if op.p != 2.0:
         raise SolverError("quadratic solve requires an operator with p = 2",
@@ -130,14 +130,12 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
                 and 2.0 * r_norm <= opts.tol * (1.0 + abs(f_val)))
 
     x, r, step = op.deflated_cg()
-    max_norm = lp_norm(op.mesh, x, op.p)
     iterations = 0
     if not small(x, r):
         for iterations, (x, r) in enumerate(_cg_iterates(x, r, step), 1):
-            max_norm = max(max_norm, lp_norm(op.mesh, x, op.p))
             if small(x, r) or iterations == opts.max_iter:
                 break
-    return _finish(op, x, iterations, opts, max_norm,
+    return _finish(op, x, iterations, opts,
                    "gradient" if small(x, r) else "max_iter")
 
 
@@ -157,7 +155,6 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions(),
         x = np.array(x0.values if isinstance(x0, Field) else x0, dtype=float)
     precond = op.preconditioner()
     energy, g = op.energy(x), op.gradient(x)
-    max_norm = lp_norm(op.mesh, x, op.p)
     for iterations in itertools.count():
         g_norm = float(np.linalg.norm(g))
         small = g_norm <= opts.tol * (1.0 + abs(energy))
@@ -186,5 +183,4 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions(),
             break
         x, energy = x + t * s, e_trial
         g = op.gradient(x)
-        max_norm = max(max_norm, lp_norm(op.mesh, x, op.p))
-    return _finish(op, x, iterations, opts, max_norm, reason)
+    return _finish(op, x, iterations, opts, reason)

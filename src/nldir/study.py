@@ -344,10 +344,10 @@ def coercivity_probe(mesh, spec: PenaltySpec, khat, delta: float,
                      trials: int, seed: int = 0) -> CoercivityReport:
     """Minimum over random probe fields of
     penalty_energy(u) / ||smoothed trace of u||^2 with zero datum.
-    Probes where both sides vanish are skipped. c_n rescales the
-    minimum by delta^2 (all variants carry delta^-2 at p = 2), giving
-    a number comparable across horizons. The fields are drawn one trial
-    at a time and smoothed in blocks of at most _PROBE_BLOCK values."""
+    Probes where both sides vanish are skipped. c_n rescales the minimum
+    by the variant's power of delta (4 for shi_delta_sq_prefactor shi, 2
+    for the rest at p = 2), comparable across horizons. The fields are
+    drawn a trial at a time, smoothed in blocks of <= _PROBE_BLOCK values."""
     if trials < 10:
         raise ConfigError("need at least 10 trials", field="trials",
                           trials=trials)
@@ -374,9 +374,10 @@ def coercivity_probe(mesh, spec: PenaltySpec, khat, delta: float,
     if not ratios:
         raise ConfigError("all probes were degenerate", trials=trials)
     min_ratio = float(min(ratios))
+    power = 4 if spec.variant == "shi" and spec.shi_delta_sq_prefactor else 2
     return CoercivityReport(variant=spec.variant, delta=delta, trials=trials,
                             skipped=skipped, min_ratio=min_ratio,
-                            c_n=min_ratio * delta**2, ratios=tuple(ratios))
+                            c_n=min_ratio * delta**power, ratios=tuple(ratios))
 
 
 # -- variant comparison ----------------------------------------------------

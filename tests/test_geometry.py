@@ -200,6 +200,18 @@ def test_self_intersection_error_names_edges():
     assert "self-intersecting" in str(exc.value)
 
 
+@pytest.mark.parametrize("verts,edge", [
+    # a closed ring, as GeoJSON writes it: the last side has length 0
+    ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], 4),
+    # a vertex listed twice in a row
+    ([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 1),
+])
+def test_repeated_vertex_is_refused(verts, edge):
+    with pytest.raises(MeshError, match="repeated vertex") as exc:
+        build_mesh({"polygon": verts}, 0.1)
+    assert exc.value.info["edge"] == edge
+
+
 # ------------------------------------------------------------ neighbor_pairs
 
 def test_neighbor_example_radius_03():

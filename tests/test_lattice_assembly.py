@@ -505,10 +505,29 @@ def test_stencil_boundary_lists_equal_the_search(name):
         assert np.array_equal(got.boundary_indices, want.boundary_indices)
 
 
+@pytest.mark.parametrize("name", MESHES)
+def test_stencil_records_pair_lengths_and_node_map(name):
+    # the recorded lengths are the coordinate distances bit for bit, the
+    # CSR rows ascend strictly, and node_of inverts sites
+    mesh = MESHES[name]
+    for ratio in (1.0, 2.0, 3.3, 4.0, 8.0):
+        st = lattice_stencil(mesh, ratio * mesh.h)
+        ptr, idx = st.boundary_indptr, st.boundary_indices
+        rows = np.repeat(np.arange(mesh.n_boundary), np.diff(ptr))
+        dist = np.linalg.norm(mesh.boundary_points[rows]
+                              - mesh.interior_points[idx], axis=1)
+        assert st.boundary_lengths.dtype == dist.dtype
+        assert np.array_equal(st.boundary_lengths, dist), ratio
+        assert all(np.all(np.diff(idx[a:b]) > 0)
+                   for a, b in zip(ptr[:-1], ptr[1:])), ratio
+        want = np.full(len(st.node_of), -1)
+        want[st.sites] = np.arange(mesh.n_interior)
+        assert np.array_equal(st.node_of, want)
+
+
 def stencil_pairs(stencil):
     """Unordered node pairs (i, j) the stencil's half-offsets join."""
-    node = np.full(int(np.prod(stencil.shape)), -1)
-    node[stencil.sites] = np.arange(len(stencil.sites))
+    node = stencil.node_of
     pairs = set()
     for start, f in zip(stencil.pair_starts(), stencil.flat_offsets):
         sites = np.nonzero(start)[0]

@@ -405,13 +405,17 @@ def test_coercivity_interval_fixture():
     assert rep.c_n == pytest.approx(rep.min_ratio * 0.04, rel=1e-12)
 
 
-def test_coercivity_cn_stable_under_horizon_halving():
+@pytest.mark.parametrize("spec", [
+    PenaltySpec("product", QUARTIC),
+    # carries delta^-4, so c_n must rescale by delta^4
+    PenaltySpec("shi", QUARTIC, shi_delta_sq_prefactor=True),
+], ids=["product", "shi_prefactor"])
+def test_coercivity_cn_stable_under_horizon_halving(spec):
     reports = []
     for delta in (0.2, 0.1):
         mesh = build_mesh({"interval": [0.0, 1.0]}, delta / 4.0)
-        reports.append(coercivity_probe(
-            mesh, PenaltySpec("product", QUARTIC), QUARTIC, delta,
-            trials=20, seed=7))
+        reports.append(coercivity_probe(mesh, spec, QUARTIC, delta,
+                                        trials=20, seed=7))
     ratio = reports[1].c_n / reports[0].c_n
     assert 0.5 <= ratio <= 2.0
 
