@@ -75,10 +75,6 @@ class Field:
         object.__setattr__(self, "values",
                            _field_values(self.mesh, self.values))
 
-    @classmethod
-    def zero(cls, mesh):
-        return cls(mesh, np.zeros(mesh.n_interior))
-
 
 @dataclass(frozen=True)
 class BoundaryData:

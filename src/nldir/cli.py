@@ -11,7 +11,6 @@ machine files carry 17.
 import argparse
 import io
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -35,7 +34,7 @@ def _parser():
         sp.add_argument("--config", help="JSON experiment config")
         sp.add_argument("--out", help="override the primary output path")
         sp.add_argument("--threads", type=int,
-                        help="worker count (env NLDIR_THREADS as fallback)")
+                        help="override the config's row thread count")
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--verbose", action="store_true")
         return sp
@@ -73,17 +72,8 @@ def _load_config(args) -> StudyConfig:
         raise ConfigError("cannot read config file", field="config",
                           path=args.config, detail=str(exc)) from None
     cfg = StudyConfig.from_dict(data)
-    threads = args.threads
-    if threads is None and os.environ.get("NLDIR_THREADS"):
-        try:
-            threads = int(os.environ["NLDIR_THREADS"])
-        except ValueError:
-            raise ConfigError("NLDIR_THREADS must be an integer",
-                              value=os.environ["NLDIR_THREADS"])
-    if threads is None and "threads" not in data:
-        threads = os.cpu_count() or 1
-    if threads is not None:
-        cfg = replace(cfg, threads=threads)
+    if args.threads is not None:
+        cfg = replace(cfg, threads=args.threads)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out:

@@ -10,7 +10,9 @@ import numpy as np
 
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not np.isfinite(value):
+        return repr(value)  # JSON has no NaN or Infinity
     if isinstance(value, np.ndarray):
         if value.size <= 32:
             return value.tolist()

@@ -172,8 +172,9 @@ def minorant_kernel(base: KernelSpec, c2: float):
     (c1/c2**2)*(s-c2)**2 on [0, c2] with c1 = base.profile(c2), zero
     beyond. Lies below any nonincreasing base profile on its support.
     Labelled with its catalog id "minorant:<base label>:<c2>"."""
-    if not 0 < c2 <= base.support**2:
-        raise KernelError("minorant parameter must lie inside the base support",
+    if not 0 < c2 <= base.support**2 or c2 * c2 == 0.0:  # divides c1 below
+        raise KernelError("minorant parameter must lie inside the base "
+                          "support and have a nonzero square",
                           kernel=base.label, c2=c2, support=base.support)
     c1 = float(base.profile(np.asarray(c2, dtype=float)))
     if c1 <= 0:
@@ -279,8 +280,8 @@ def sigma_r(kernel: KernelSpec, p: float, dim: int,
     Raises QuadratureError (carrying the last two extrapolants) when the
     node budget runs out first.
     """
-    if not p > 1:
-        raise KernelError("exponent must exceed 1", p=p)
+    if not 1 < p < math.inf:
+        raise KernelError("exponent must be finite and exceed 1", p=p)
     return _radial_moment(lambda r: kernel.profile(r * r), kernel.support,
                           dim, p, rel_tol, budget, f"sigma_R({kernel.label})")
 
@@ -346,7 +347,7 @@ class ValidationReport:
 
 
 @np.errstate(invalid="ignore")  # a non-finite sample's differences are NaN
-def validate_kernel(kernel: KernelSpec, samples: int = 257) -> ValidationReport:
+def validate_kernel(kernel: KernelSpec) -> ValidationReport:
     """Sampled checks of the kernel conditions: nonnegativity, monotone
     decrease (K2), compact support with a continuous edge (K3), and a
     difference-quotient smoothness proxy for C1 regularity (K1).
@@ -357,8 +358,7 @@ def validate_kernel(kernel: KernelSpec, samples: int = 257) -> ValidationReport:
     against the overall slope scale (well-resolved tabulations) also
     pass. Failures are report entries, never exceptions.
     """
-    if samples < 2:
-        raise KernelError("need at least 2 validation samples", samples=samples)
+    samples = 257
     r2 = kernel.support**2
     inside = np.linspace(0.0, r2, samples)
     beyond = r2 * np.linspace(1.0, 2.0, 65)[1:]

@@ -139,20 +139,17 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
                    "gradient" if small(x, r) else "max_iter")
 
 
-def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions(),
-                   x0=None) -> SolveResult:
-    """Damped inexact Newton-CG for any p > 1, from x0 or else from the
-    minimizer of op.twin(p=2.0). Each step runs CG on H s = -g with
+def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions()
+                   ) -> SolveResult:
+    """Damped inexact Newton-CG for any p > 1, from the minimizer of
+    op.twin(p=2.0). Each step runs CG on H s = -g with
     M = op.preconditioner() and H = op.hessian(x) until |r| <= eta |g|,
     eta = min(0.5, |g|^(1/2)), then an Armijo backtracking. Stops on the
     gradient test ("gradient"), after max_iter steps ("max_iter"), or
     when no step down to 1e-12 lowers the energy ("line_search_stall"),
     which a p < 2 row may reach where |.|^(p-2) is unbounded."""
-    if x0 is None:
-        x = solve_quadratic(op.twin(p=2.0), SolveOptions(
-            tol=max(opts.tol, _START_TOL))).minimizer.values
-    else:
-        x = np.array(x0.values if isinstance(x0, Field) else x0, dtype=float)
+    x = solve_quadratic(op.twin(p=2.0), SolveOptions(
+        tol=max(opts.tol, _START_TOL))).minimizer.values
     precond = op.preconditioner()
     energy, g = op.energy(x), op.gradient(x)
     for iterations in itertools.count():

@@ -15,6 +15,7 @@ data); the test suite checks that each solves its local problem.
 """
 
 import json
+import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -71,8 +72,8 @@ class StudyConfig:
 
     def __post_init__(self):
         # each value must have its field's type (a float field takes any
-        # real number, an int field any integer, neither a bool); deltas
-        # and variants become tuples, the deltas of floats
+        # finite real number, an int field any integer, neither a bool);
+        # deltas and variants become tuples, the deltas of finite floats
         for name, fld in self.__dataclass_fields__.items():
             value = getattr(self, name)
             if fld.type is tuple:
@@ -86,13 +87,14 @@ class StudyConfig:
                                       got=repr(getattr(self, name)))
                 object.__setattr__(self, name, tuple(map(float, value))
                                    if name == "deltas" else value)
-                continue
-            if value is None and fld.default is None:
-                continue
-            if not _has_type(value, fld.type):
+            elif not (value is None and fld.default is None
+                      or _has_type(value, fld.type)):
                 raise ConfigError(f"{name} has the wrong type", field=name,
                                   expected=fld.type.__name__,
                                   got=type(value).__name__)
+            if not all(map(math.isfinite, self.deltas if name == "deltas"
+                           else (value,) if fld.type is float else ())):
+                raise ConfigError(f"{name} must be finite", field=name)
         if not self.deltas:
             raise ConfigError("need at least one delta", field="deltas")
         if any(d2 >= d1 for d1, d2 in zip(self.deltas, self.deltas[1:])):
@@ -106,6 +108,14 @@ class StudyConfig:
                               field="ratio", ratio=self.ratio)
         if not self.p > 1.0:
             raise ConfigError("exponent must exceed 1", field="p", p=self.p)
+        for name, names in (("variant", (self.variant,)),
+                            ("variants", self.variants)):
+            if any(v not in assembly.VARIANTS for v in names) \
+                    or len(set(names)) < len(names):
+                raise ConfigError(f"{name} must name distinct penalty "
+                                  "variants", field=name,
+                                  value=getattr(self, name),
+                                  supported=list(assembly.VARIANTS))
         if self.eigen_modes < 0:
             raise ConfigError("eigen_modes must be nonnegative",
                               field="eigen_modes", value=self.eigen_modes)

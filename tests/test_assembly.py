@@ -559,7 +559,6 @@ def test_field_and_data_length_checks():
         BoundaryData(INTERVAL, np.zeros(5))
     f = Field(INTERVAL, INTERVAL.interior_points[:, 0] ** 2)
     assert f.values[0] == pytest.approx(0.05 ** 2)
-    assert np.all(Field.zero(INTERVAL).values == 0.0)
 
 
 def test_operator_rejects_foreign_field():

@@ -6,6 +6,7 @@ significant digits; files carry 17.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -163,6 +164,25 @@ def test_sigma_bad_exponent_is_domain_error(capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"]
 
 
+def _strict_json(text):
+    # JSON proper has no NaN or Infinity, which json.loads would accept
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("kernel, p", [
+    ("quartic", "inf"),  # would run the ladder to its node budget
+    ("quartic", "nan"),
+    ("minorant:quartic:1e-300", "2"),  # the knot's square underflows
+])
+def test_sigma_refusal_is_strict_json(capsys, kernel, p):
+    code = dispatch(["sigma", "--kernel", kernel, "--p", p, "--dim", "1"])
+    assert code == 1
+    assert _strict_json(capsys.readouterr().err.strip())["error"] \
+        == "KernelError"
+
+
 # -------------------------------------------------------- validate-kernel
 
 def test_validate_kernel_passes_quartic(capsys):
@@ -287,6 +307,12 @@ def test_solver_seed_is_refused(tmp_path, capsys):
     ({"deltas": ["0.1"]}, "deltas"),
     (b"{\xff}", "config"),  # not UTF-8
     (None, "config"),  # the config path is a directory
+    ({"p": math.inf}, "p"),  # json.dumps writes Infinity and NaN
+    ({"deltas": [0.2, math.nan]}, "deltas"),
+    ({"ratio": math.inf}, "ratio"),
+    ({"variant": "nope"}, "variant"),
+    ({"variants": ["product", "nope"]}, "variants"),
+    ({"variants": ["product", "product"]}, "variants"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, config, field):
     # a value of the wrong JSON type or range, or a config file that
@@ -378,37 +404,30 @@ def test_single_delta_commands_run_the_first_delta(tmp_path, capsys,
     assert outputs[0] == outputs[1]
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
+def test_threads_default_is_the_config_default(tmp_path, capsys,
+                                               monkeypatch):
+    # a config without threads runs its rows serially: the CLI neither
+    # reads the environment nor counts CPUs
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"shape": {"interval": [0.0, 1.0]},
                                 "deltas": [0.2], "case": "linear_x"}))
     monkeypatch.setenv("NLDIR_THREADS", "3")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     code = dispatch(["sweep", "--config", str(path), "--verbose"])
     captured = capsys.readouterr()
     assert code == 0
     line = next(l for l in captured.err.splitlines() if l.startswith("config:"))
-    assert json.loads(line[len("config:"):])["threads"] == 3
+    assert json.loads(line[len("config:"):])["threads"] == 1
 
 
-def test_threads_flag_beats_env(tmp_path, capsys, monkeypatch):
-    path = write_config(tmp_path)
-    monkeypatch.setenv("NLDIR_THREADS", "3")
+def test_threads_flag_beats_config(tmp_path, capsys):
+    path = write_config(tmp_path, threads=3)
     code = dispatch(["sweep", "--config", str(path), "--threads", "2",
                      "--verbose"])
     captured = capsys.readouterr()
     assert code == 0
     line = next(l for l in captured.err.splitlines() if l.startswith("config:"))
     assert json.loads(line[len("config:"):])["threads"] == 2
-
-
-def test_threads_env_must_be_integer(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"shape": {"interval": [0.0, 1.0]},
-                                "deltas": [0.2], "case": "linear_x"}))
-    monkeypatch.setenv("NLDIR_THREADS", "many")
-    code = dispatch(["sweep", "--config", str(path)])
-    assert code == 1
-    assert "NLDIR_THREADS" in json.loads(capsys.readouterr().err.strip())["message"]
 
 
 def test_seed_override_visible_in_verbose(tmp_path, capsys):

@@ -24,6 +24,7 @@ radius s, supported on s <= support**2):
     wendland at 0: 1/7 and 5/252
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -85,6 +86,8 @@ def test_sigma_rejects_bad_exponent_and_dim():
         sigma_r(QUARTIC, 1.0, 1)
     with pytest.raises(KernelError):
         sigma_r(QUARTIC, 2.0, 4)
+    with pytest.raises(KernelError):
+        sigma_r(QUARTIC, math.inf, 1)  # would exhaust the node budget
 
 
 def test_sigma_budget_exhaustion_carries_extrapolants():
@@ -254,6 +257,8 @@ def test_minorant_kernel_rejects_bad_touch_point():
         minorant_kernel(QUARTIC, 1.5)
     with pytest.raises(KernelError):
         minorant_kernel(QUARTIC, 0.0)
+    with pytest.raises(KernelError):
+        minorant_kernel(QUARTIC, 1e-300)  # c2**2 underflows to zero
 
 
 def test_normalize_w_unit_mass():

@@ -370,11 +370,14 @@ def test_newton_energy_monotone_in_budget():
 
 
 def test_newton_warm_start_at_minimum_stops_immediately():
+    # a p = 2 operator is its own twin, so Newton starts at the minimizer
     op = make_op(COARSE, "product", 0.3, a="linear_x")
-    quad = solve_quadratic(op, SolveOptions(tol=1e-12))
-    res = solve_p_energy(op, SolveOptions(tol=1e-6), x0=quad.minimizer)
+    opts = SolveOptions(tol=1e-6)
+    res = solve_p_energy(op, opts)
     assert res.iterations == 0
-    assert res.converged
+    assert res.converged and res.stop_reason == "gradient"
+    assert np.array_equal(res.minimizer.values,
+                          solve_quadratic(op, opts).minimizer.values)
 
 
 def test_newton_is_deterministic():

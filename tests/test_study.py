@@ -70,6 +70,12 @@ def test_config_from_dict_names_unknown_field():
     dict(deltas=(0.2,), seed=-1),
     dict(deltas=(True,)),
     dict(deltas=("0.1",)),
+    dict(deltas=(0.2,), p=float("inf")),
+    dict(deltas=(0.2, float("nan"))),
+    dict(deltas=(0.2,), ratio=float("inf")),
+    dict(deltas=(0.2,), variant="nope"),
+    dict(deltas=(0.2,), variants=("product", "nope")),
+    dict(deltas=(0.2,), variants=("product", "product")),
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
