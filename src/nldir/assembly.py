@@ -249,12 +249,15 @@ def _cosine_sum(stencil, coef, angles):
     """sum_g coef_g prod_a cos(theta_a o_g,a) over the half-offsets o_g,
     on the tensor grid of the per-axis angles theta_a in angles. Radial
     weights are symmetric under each axis reflection, so this is the
-    stencil's lattice symbol."""
+    stencil's lattice symbol. coef is folded into the first axis's
+    cosines, then each further axis contracts over g as a matrix
+    product (einsum's path), not as a loop over the whole grid."""
     cosines = [np.cos(np.outer(theta, o))
                for theta, o in zip(angles, stencil.offsets.T)]
     axes = "ijk"[:len(cosines)]
     return np.einsum(",".join(["g"] + [a + "g" for a in axes]) + "->" + axes,
-                     coef, *cosines)
+                     coef, *cosines,
+                     optimize=["einsum_path"] + [(0, 1)] * len(cosines))
 
 
 def _dst_map(stencil, symbol, combine):
@@ -285,10 +288,11 @@ class _LayerFactor:
     Computer Solution of Large Sparse Positive Definite Systems, 1981),
     in which the ring of layer nodes has a bandwidth kd of a few stencil
     widths whatever delta is, and U is LAPACK's upper banded Cholesky
-    factor (dpbtrf), kept as its kd + 1 diagonals. solve(r) is
-    A_LL^-1 r: two banded triangular solves (dpbtrs). A leading minor of
-    P A_LL P^T that is not positive raises SolverError (reason
-    "layer_not_positive_definite", its order as minor)."""
+    factor (dpbtrf), kept as its kd + 1 diagonals and filled by one
+    scatter of the entries on or above the diagonal of P A_LL P^T.
+    solve(r) is A_LL^-1 r: two banded triangular solves (dpbtrs). A
+    leading minor of P A_LL P^T that is not positive raises SolverError
+    (reason "layer_not_positive_definite", its order as minor)."""
 
     def __init__(self, a):
         from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -300,7 +304,7 @@ class _LayerFactor:
         rows = np.repeat(inv, np.diff(a.indptr))
         cols = inv[a.indices]
         gap = cols - rows
-        upper = np.flatnonzero(gap >= 0)
+        upper = gap >= 0
         kd = int(gap.max())
         band = np.zeros((len(perm), kd + 1))
         band[cols[upper], kd - gap[upper]] = a.data[upper]
@@ -504,41 +508,69 @@ class EnergyOperator:
         """The boundary layer of the p = 2 form and its columns: the
         nodes missing a neighbor at some offset of nonzero weight (their
         rows differ from the full stencil) plus every node a penalty row
-        touches, ascending; and B = A[:, L] (n x |L|, CSR, read from the pair
-        sites at the layer nodes via node_of), which stores no zeros. Each pair
-        (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so the diagonal is the row
-        sum of 2 w; the penalty adds K^T diag(pref) K[:, L]."""
+        touches, ascending; and B = A[:, L] (n x |L|, CSR, each row's
+        columns ascending), which stores no zeros. Each pair (i, j, w)
+        adds 2 w (u_i - u_j)^2 to u^T A u, so a layer node's stencil
+        column S holds -2 w at each linked neighbor and their sum on the
+        diagonal, read by one (|L| x K) gather at the node's site and the
+        sites f up and down. The penalty P = K^T diag(pref) K lives on
+        L x L, as every column of K is a layer node. One sparse product
+        writes B^T = Y Z, Y^T = [diag(pref) K[:, L]; I], Z = [K; S^T]:
+        each entry is P's sum over the penalty rows in ascending order
+        plus S's entry, as the sum P + S gives it, with exact zeros
+        dropped; the counting transpose to B sorts each row."""
         self._require_quadratic()
-        n = self.mesh.n_interior
-        size, sites = self._starts.shape[1], self.stencil.sites
-        full = np.ones(size, dtype=bool)  # every offset links it both ways
+        sites, node_of = self.stencil.sites, self.stencil.node_of
+        full = np.ones(len(node_of), dtype=bool)  # linked both ways per offset
         for f, start in zip(self._steps, self._starts):
-            full &= start & np.concatenate([np.zeros(f, bool), start[:-f]])
+            full &= start
+            full[f:] &= start[:-f]
+            full[:f] = False
         in_layer = ~full[sites]
         in_layer[self.pen.indices] = True
         nodes = np.flatnonzero(in_layer)
-        m, node_of = len(nodes), self.stencil.node_of
-        at = sites[nodes]
-        # B^T in CSR, a row per layer node: the node, then per offset its
-        # neighbors f sites down and up (-1 where no pair links them, a
-        # pair starting at s linking s and s + f); scipy's counting
-        # transpose to B's CSR leaves each row's columns ascending
-        diag = self._to_ends(w2 * start for w2, start
-                             in zip(self._w2, self._starts))[nodes]
-        cols, vals = [nodes], [diag]
-        for f, w2, start in zip(self._steps, self._w2, self._starts):
-            cols += [np.where((at >= f) & start[at - f], node_of[at - f], -1),
-                     np.where(start[at], node_of[(at + f) % size], -1)]
-            vals += [np.full(m, -w2)] * 2
-        cols, vals = np.stack(cols, axis=1), np.stack(vals, axis=1)
-        linked = cols >= 0
-        indptr = np.concatenate([[0], np.cumsum(linked.sum(axis=1))])
-        block = sp.csr_matrix((vals[linked], cols[linked], indptr),
-                              shape=(m, n)).T.tocsr()
-        k = self.pen
-        block = (block + k.T @ (sp.diags(self.pen_pref) @ k[:, nodes])).tocsr()
-        block.eliminate_zeros()
-        return nodes, block
+        m, k, at = len(nodes), len(self._steps), sites[nodes][:, None]
+        # per layer node (row) and offset (column): is the node a pair's
+        # first site, linked to the site f up, or its second, linked to
+        # the site f down (a pair starting at s links s and s + f)
+        ups, downs = at + self._steps, at - self._steps
+        row = len(node_of) * np.arange(k)
+        up = self._starts.take(at + row)
+        down = self._starts.take(downs + row, mode="clip") & (downs >= 0)
+        diag = np.zeros(m)
+        for w2, first, second in zip(self._w2, up.T, down.T):
+            diag += w2 * first  # per offset, first site then second
+            diag += w2 * second
+        # Z, its stencil rows written in place: the node, then a slot per
+        # offset and direction holding -2 w at its site's node, or 0 when
+        # unlinked (at node 0 when the site holds none)
+        pen = self.pen
+        width, n_pen = 2 * k + 1, pen.nnz
+        data = np.empty(n_pen + m * width)
+        cols = np.empty(len(data), dtype=pen.indices.dtype)
+        data[:n_pen], cols[:n_pen] = pen.data, pen.indices
+        vals = data[n_pen:].reshape(m, width)
+        vals[:, 0] = diag
+        np.multiply(-self._w2, up, out=vals[:, 1:k + 1])
+        np.multiply(-self._w2, down, out=vals[:, k + 1:])
+        near = cols[n_pen:].reshape(m, width)
+        near[:, 0] = nodes
+        near[:, 1:k + 1] = node_of.take(ups, mode="clip")
+        near[:, k + 1:] = node_of.take(downs, mode="clip")
+        np.maximum(near, 0, out=near)
+        step = np.arange(1, m + 1, dtype=pen.indptr.dtype)
+        z = sp.csr_matrix((data, cols, np.concatenate(
+            [pen.indptr, n_pen + width * step])),
+            shape=(pen.shape[0] + m, self.mesh.n_interior))
+        layer_of = np.empty(len(in_layer), dtype=pen.indices.dtype)
+        layer_of[nodes] = np.arange(m)
+        y = sp.csr_matrix((
+            np.concatenate([self.pen_pref[self._pen_row] * pen.data,
+                            np.ones(m)]),
+            np.concatenate([layer_of[pen.indices], layer_of[nodes]]),
+            np.concatenate([pen.indptr, n_pen + step])),
+            shape=(pen.shape[0] + m, m)).T.tocsr()
+        return nodes, (y @ z).T.tocsr()
 
     @functools.cached_property
     def _symbol(self):
@@ -551,7 +583,8 @@ class EnergyOperator:
         certified, the interior form is a convolution stencil away from
         the boundary and the DST-II diagonalizes P_tau, so a row whose
         stencil stays on the mesh is the interior form's row. The penalty
-        terms are left out.
+        terms are left out. The cosine sum is one _cosine_sum contraction
+        over the half-offsets.
         """
         # each half-offset o stands for o and -o
         coef = 4.0 * self.offset_w * self.delta ** (self.p - 2.0)

@@ -257,11 +257,12 @@ def _radial_moment(radial, radius, dim, p, rel_tol, budget, what):
     support radius `radius`: the sphere moment
     int_{S^(dim-1)} |w_1|^p dw = 2 pi^((dim-1)/2) G((p+1)/2) / G((dim+p)/2)
     times the 1D integral int_0^radius radial(r) r^(p+dim-1) dr, which
-    the midpoint ladder evaluates on n nodes."""
+    the midpoint ladder evaluates on n nodes. The Gamma ratio is taken
+    through log-Gamma, as each Gamma overflows above p of about 341."""
     if dim not in (1, 2, 3):
         raise KernelError("dimension must be 1, 2 or 3", dim=dim)
-    sphere = (2.0 * math.pi ** ((dim - 1) / 2.0) * math.gamma((p + 1.0) / 2.0)
-              / math.gamma((dim + p) / 2.0))
+    sphere = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.exp(
+        math.lgamma((p + 1.0) / 2.0) - math.lgamma((dim + p) / 2.0))
 
     def estimate(n):
         h = radius / n

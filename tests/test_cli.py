@@ -151,6 +151,15 @@ def test_sigma_quartic_3d(capsys):
     assert capsys.readouterr().out.strip() == "0.106382"  # 32 pi / 945
 
 
+def test_sigma_at_a_large_exponent(capsys):
+    # p = 1000 overflows each Gamma of the sphere moment, not their ratio
+    code = dispatch(["sigma", "--kernel", "quartic", "--p", "1e3",
+                     "--dim", "1"])
+    assert code == 0
+    value = float(capsys.readouterr().out.strip())
+    assert math.isfinite(value) and value > 0.0
+
+
 def test_sigma_unknown_kernel_gives_json_error(capsys):
     code = dispatch(["sigma", "--kernel", "gauss", "--p", "2", "--dim", "1"])
     assert code == 1

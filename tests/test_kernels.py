@@ -90,6 +90,18 @@ def test_sigma_rejects_bad_exponent_and_dim():
         sigma_r(QUARTIC, math.inf, 1)  # would exhaust the node budget
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sigma_at_a_large_exponent_is_finite(dim):
+    # each Gamma of the sphere moment overflows above p of about 341,
+    # their ratio does not; in 1D the quartic moment is
+    # 2 (1/1001 - 2/1003 + 1/1005) = 16 / (1001 1003 1005)
+    res = sigma_r(QUARTIC, 1000.0, dim)
+    assert math.isfinite(res.value) and res.value > 0.0
+    if dim == 1:
+        exact = 16.0 / (1001.0 * 1003.0 * 1005.0)
+        assert abs(res.value - exact) <= 1e-7 * exact
+
+
 def test_sigma_budget_exhaustion_carries_extrapolants():
     with pytest.raises(QuadratureError) as err:
         sigma_r(QUARTIC, 2, 2, rel_tol=1e-14, budget=5000)

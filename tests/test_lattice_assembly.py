@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from nldir import (EnergyOperator, MeshError, PenaltySpec, assemble,
                    build_mesh, neighbor_pairs, w_mass_matrix)
 from nldir.assembly import (PER_NODE_VARIANTS, VARIANTS, ZERO_DATA_VARIANTS,
-                            _stencil_matrix, trace_matrix)
+                            _cosine_sum, _stencil_matrix, trace_matrix)
 from nldir.geometry import lattice_stencil
 from nldir.kernels import (QUARTIC, KernelSpec, ScaledKernel,
                            antiderivative_kernel, eval_scaled)
@@ -315,12 +315,7 @@ def coo_layer(op):
     return nodes, block
 
 
-@pytest.mark.parametrize("ratio", RATIOS)
-@pytest.mark.parametrize("name", MESHES)
-def test_layer_blocks_equal_a_coo_build_bit_for_bit(name, ratio):
-    # _layer writes B^T row by row and lets scipy transpose it; the
-    # arrays of B must be those of the COO build
-    mesh = MESHES[name]
+def assert_layer_is_the_coo_build(mesh, ratio):
     for spec in LAYER_SPECS:
         datum = None if spec.variant in ZERO_DATA_VARIANTS else "linear_x"
         op = assemble(mesh, QUARTIC, spec, ratio * mesh.h, 2.0, datum)
@@ -329,6 +324,23 @@ def test_layer_blocks_equal_a_coo_build_bit_for_bit(name, ratio):
         assert np.array_equal(nodes, want_nodes)
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(b, part), getattr(want_b, part))
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_layer_blocks_equal_a_coo_build_bit_for_bit(name, ratio):
+    # _layer writes B^T as one sparse product, the penalty's sum before
+    # the stencil entry, and lets scipy transpose it; the arrays of B
+    # must be those of the COO build ("wide" has two offsets sharing a
+    # flat step)
+    assert_layer_is_the_coo_build(MESHES[name], ratio)
+
+
+def test_layer_blocks_equal_a_coo_build_bit_for_bit_at_ratio_8():
+    # the widest gather: a polygon layer at delta/h = 8, with many
+    # offsets and the layer factor's widest band
+    assert_layer_is_the_coo_build(build_mesh({"polygon": PENTAGON}, 0.04),
+                                  8.0)
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -399,6 +411,36 @@ def test_layer_factor_solves_as_a_dense_solve_at_ratio_8():
         op = assemble(mesh, QUARTIC, PenaltySpec(variant, QUARTIC),
                       8.0 * mesh.h, 2.0, "linear_x")
         assert_layer_solve_is_dense_solve(op, seed)
+
+
+def cosine_sum_loop(stencil, coef, angles):
+    """sum_g coef_g prod_a cos(theta_a o_g,a), one offset at a time, on
+    the tensor grid of the per-axis angles."""
+    thetas = np.meshgrid(*angles, indexing="ij")
+    out = np.zeros(thetas[0].shape)
+    for c, offset in zip(coef, stencil.offsets):
+        term = np.full(out.shape, c)
+        for theta, o in zip(thetas, offset):
+            term = term * np.cos(theta * o)
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("ratio", (4.0, 8.0))
+@pytest.mark.parametrize("name", ("interval", "square", "l_shape"))
+def test_cosine_sum_matches_a_per_offset_loop(name, ratio):
+    # the symbol's angles pi k / n_a and w_mass_floor's pi k / (4 n_a),
+    # with signed weights of unequal size per offset
+    mesh = MESHES[name]
+    stencil = lattice_stencil(mesh, ratio * mesh.h)
+    coef = np.random.default_rng(5).standard_normal(len(stencil.offsets))
+    for angles in ([np.pi * np.arange(1, n + 1) / n for n in stencil.shape],
+                   [np.pi / (4 * n) * np.arange(4 * n + 1)
+                    for n in stencil.shape]):
+        want = cosine_sum_loop(stencil, coef, angles)
+        got = _cosine_sum(stencil, coef, angles)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(coef))
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
