@@ -350,9 +350,8 @@ class EnergyOperator:
         self.pen = pen
         self.pen_node = pen_node
         self.pen_pref = pen_pref
-        self._pen_row = np.repeat(np.arange(pen.shape[0]),
-                                  np.diff(pen.indptr))
-        self._pen_sums = self._rows_dot(np.ones(mesh.n_interior))
+        self._pen_t = pen.T  # K^T as a CSC view of pen's arrays, no copy
+        self._pen_sums = pen @ np.ones(mesh.n_interior)
         # per nonzero-weight offset: flat step, pair start sites, 2 w
         keep = offset_w != 0.0
         self._steps = stencil.flat_offsets[keep]
@@ -565,8 +564,8 @@ class EnergyOperator:
         layer_of = np.empty(len(in_layer), dtype=pen.indices.dtype)
         layer_of[nodes] = np.arange(m)
         y = sp.csr_matrix((
-            np.concatenate([self.pen_pref[self._pen_row] * pen.data,
-                            np.ones(m)]),
+            np.concatenate([np.repeat(self.pen_pref, np.diff(pen.indptr))
+                            * pen.data, np.ones(m)]),
             np.concatenate([layer_of[pen.indices], layer_of[nodes]]),
             np.concatenate([pen.indptr, n_pen + step])),
             shape=(pen.shape[0] + m, m)).T.tocsr()
@@ -606,21 +605,9 @@ class EnergyOperator:
 
     # -- direct evaluation ---------------------------------------------
 
-    def _rows_dot(self, v):
-        """K_r . v per penalty row (bincount beats pen @ v twofold)."""
-        return np.bincount(self._pen_row,
-                           weights=self.pen.data * v[self.pen.indices],
-                           minlength=len(self.pen_node))
-
-    def _rows_sum(self, t):
-        """sum_r t_r K_r, one value per interior node."""
-        return np.bincount(self.pen.indices,
-                           weights=self.pen.data * t[self._pen_row],
-                           minlength=self.mesh.n_interior)
-
-    def _inner(self, v, a_b):
-        """Penalty residuals a_{b_r} s_r - K_r . v, one per row."""
-        return a_b[self.pen_node] * self._pen_sums - self._rows_dot(v)
+    def _inner(self, v):
+        """Penalty residuals a_{b_r} s_r - K_r . v per row (K v = pen @ v)."""
+        return self.a[self.pen_node] * self._pen_sums - self.pen @ v
 
     def interior_energy(self, u) -> float:
         """Ordered-pair double sum of kernel-weighted p-th power
@@ -630,13 +617,10 @@ class EnergyOperator:
         return float(sum(w2 * (d @ d if p == 2.0 else np.sum(np.abs(d) ** p))
                          for w2, d in zip(self._w2, self._differences(v))))
 
-    def penalty_energy(self, u, a=None) -> float:
-        """Boundary penalty at u; a defaults to the assembled datum."""
+    def penalty_energy(self, u) -> float:
+        """Boundary penalty at u, datum self.a; twin(a=...) for another."""
         v = _field_values(self.mesh, u)
-        a_b = (self.a if a is None
-               else _admitted(self.mesh, self.variant, self.p, a))
-        return float(np.sum(self.pen_pref
-                            * np.abs(self._inner(v, a_b)) ** self.p))
+        return float(np.sum(self.pen_pref * np.abs(self._inner(v)) ** self.p))
 
     def energy(self, u) -> float:
         return self.interior_energy(u) + self.penalty_energy(u)
@@ -652,27 +636,28 @@ class EnergyOperator:
         return g + self._penalty_gradient(v)
 
     def _penalty_gradient(self, v):
-        """Gradient of penalty_energy at the values v."""
+        """Gradient of penalty_energy at the values v: -sum_r t_r K_r,
+        t_r = p pref_r |inner_r|^(p-1) sign(inner_r), as pen.T @ t."""
         p = self.p
-        return -self._rows_sum(self.pen_pref * p * _signed_power(
-            self._inner(v, self.a), p - 1.0))
+        return -(self._pen_t @ (self.pen_pref * p * _signed_power(
+            self._inner(v), p - 1.0)))
 
     def hessian(self, u):
         """v -> H v, the Hessian at u with no matrix: per offset slice
-        2 p (p - 1) w_k |Delta_k u|^(p-2), plus per penalty row
-        p (p - 1) pref_r |inner_r|^(p-2) K_r K_r^T (diagonal for a row
-        of one entry), each |.| floored as in _floored_power."""
+        2 p (p - 1) w_k |Delta_k u|^(p-2), plus pen.T @ (t * (pen @ v))
+        with t_r = p (p - 1) pref_r |inner_r|^(p-2), each |.| floored as
+        in _floored_power."""
         v = _field_values(self.mesh, u)
         c, e = self.p * (self.p - 1.0), self.p - 2.0
         slices = [c * w2 * _floored_power(d, e)
                   for w2, d in zip(self._w2, self._differences(v))]
-        scale = c * self.pen_pref * _floored_power(self._inner(v, self.a), e)
+        scale = c * self.pen_pref * _floored_power(self._inner(v), e)
 
         def apply(w):
             out = self._to_ends((s * d for s, d
                                  in zip(slices, self._differences(w))),
                                 np.subtract)
-            return out + self._rows_sum(scale * self._rows_dot(w))
+            return out + self._pen_t @ (scale * (self.pen @ w))
 
         return apply
 
@@ -779,18 +764,14 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
 
 
 def mollify(mesh: DomainMesh, khat: KernelSpec, delta: float, u):
-    """Kernel-smoothed field: at each node x,
-    sum_j q_j Khat_delta(|x - x_j|) u_j / omega(x) with omega the same
-    sum over 1. Returns values at the interior nodes and at the
-    boundary nodes. A vanishing omega (support narrower than the mesh)
-    raises MollifierError naming the node."""
+    """Kernel-smoothed field sum_j q_j Khat_delta(|x - x_j|) u_j / omega(x)
+    at the interior nodes x (w_mass_matrix for Khat over its row sums,
+    omega = sum over 1; q_i cancels) and the boundary nodes
+    (trace_matrix). A vanishing omega raises MollifierError naming the
+    node."""
     v = _field_values(mesh, u)
     stencil = lattice_stencil(mesh, khat.support * delta)
-    scaled = ScaledKernel(khat, delta, mesh.dim)
-    q = mesh.interior_weights
-    k0 = float(eval_scaled(scaled, np.asarray(0.0)))
-    smooth = _stencil_matrix(
-        stencil, q[0] * eval_scaled(scaled, stencil.lengths), q * k0)
+    smooth = w_mass_matrix(mesh, khat, delta, stencil)
     omega = smooth @ np.ones(mesh.n_interior)
     numer = smooth @ v
     if np.any(omega <= _TINY):

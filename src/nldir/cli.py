@@ -43,7 +43,6 @@ def _parser():
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--rel-tol", type=float, default=1e-8)
 
     sp = add("validate-kernel", "run the kernel admissibility checks")
     sp.add_argument("--kernel", required=True)
@@ -84,8 +83,7 @@ def _load_config(args) -> StudyConfig:
 
 
 def _cmd_sigma(args):
-    value = sigma_r(kernel_by_id(args.kernel), args.p, args.dim,
-                    rel_tol=args.rel_tol).value
+    value = sigma_r(kernel_by_id(args.kernel), args.p, args.dim).value
     print(f"{value:.6g}")
     return 0
 

@@ -280,8 +280,8 @@ def test_shift_covariance_hundred_cases():
             u = rng.standard_normal(SQUARE.n_interior)
             a = rng.uniform(-1.0, 1.0, SQUARE.n_boundary)
             c = float(rng.uniform(-10.0, 10.0))
-            e0 = op.interior_energy(u) + op.penalty_energy(u, a=a)
-            e1 = op.interior_energy(u + c) + op.penalty_energy(u + c, a=a + c)
+            e0 = op.twin(a=a).energy(u)
+            e1 = op.twin(a=a + c).energy(u + c)
             assert rel(e1, e0) <= 1e-11
             cases += 1
     assert cases >= 100
@@ -446,6 +446,18 @@ def test_trace_matrix_block_matches_mollify(mesh, delta):
             assert rel(traces[b, k], kb @ block[:, k] / kb.sum()) <= 1e-12
 
 
+@pytest.mark.parametrize("mesh, delta", [(INTERVAL, 0.3), (SQUARE, 0.5),
+                                         (L_SHAPE, 0.3)])
+def test_mollify_is_the_row_normalized_mass_matrix(mesh, delta):
+    # the interior smoothing is w_mass_matrix with kernel Khat over its
+    # row sums: the node weight q_i of B[i, j] = q_i q_j Khat cancels
+    u = np.random.default_rng(101).standard_normal(mesh.n_interior)
+    mass = w_mass_matrix(mesh, QUARTIC, delta)
+    want = (mass @ u) / (mass @ np.ones(mesh.n_interior))
+    got = mollify(mesh, QUARTIC, delta, u)[0].values
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_trace_matrix_boundary_starvation_names_node():
     with pytest.raises(MollifierError) as exc:
         trace_matrix(INTERVAL, QUARTIC, 0.05)   # radius 0.05 = first gap
@@ -517,8 +529,7 @@ def test_zero_data_variants_reject_nonzero_datum(variant):
         assemble(INTERVAL, QUARTIC, spec, 0.3, a="linear_x")
     op = assemble(INTERVAL, QUARTIC, spec, 0.3)
     with pytest.raises(AssemblyError):
-        op.penalty_energy(np.zeros(INTERVAL.n_interior),
-                          a=np.ones(INTERVAL.n_boundary))
+        op.twin(a=np.ones(INTERVAL.n_boundary))
 
 
 @pytest.mark.parametrize("variant, change", [
@@ -537,6 +548,22 @@ def test_twin_checks_what_assemble_checks(variant, change):
     op = assemble(INTERVAL, QUARTIC, spec, 0.3)
     with pytest.raises(AssemblyError):
         op.twin(**change)
+
+
+@pytest.mark.parametrize("variant, shi_delta_sq", [
+    (v, False) for v in VARIANTS] + [("shi", True)])
+def test_twin_datum_matches_a_fresh_assembly(variant, shi_delta_sq):
+    # twin(a=...) is the one way to change an operator's datum: its
+    # penalty energy is the one assemble(..., a=...) gives, bit for bit
+    rng = np.random.default_rng(113)
+    spec = PenaltySpec(variant, QUARTIC, shi_delta_sq)
+    op = assemble(SQUARE, QUARTIC, spec, 0.5)
+    for _ in range(5):
+        a = (np.zeros(SQUARE.n_boundary) if variant in ZERO_DATA_VARIANTS
+             else rng.uniform(-1.0, 1.0, SQUARE.n_boundary))
+        u = rng.standard_normal(SQUARE.n_interior)
+        fresh = assemble(SQUARE, QUARTIC, spec, 0.5, a=a)
+        assert op.twin(a=a).penalty_energy(u) == fresh.penalty_energy(u)
 
 
 def test_assemble_rejects_invalid_kernel():

@@ -258,6 +258,13 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_sigma_has_no_rel_tol_flag(capsys):
+    # sigma's midpoint ladder stops at the fixed tolerance 1e-8
+    assert dispatch(["sigma", "--kernel", "quartic", "--p", "2", "--dim",
+                     "1", "--rel-tol", "1e-6"]) == 2
+    assert "--rel-tol" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- config
 
 def test_missing_config_flag(capsys):
