@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 from .errors import (AssemblyError, ConfigError, KernelError, MassFormError,
                      MeshError, MollifierError, NldirError, QuadratureError,
                      SolverError)
-from .kernels import (CUBIC, QUARTIC, WENDLAND, KernelSpec, ScaledKernel,
+from .kernels import (CUBIC, QUARTIC, WENDLAND, KernelSpec,
                       antiderivative_kernel, eval_scaled, kernel_by_id,
                       kernel_mass, minorant_kernel, normalize_w, scaled_mass,
                       sigma_r, tabulated_kernel, validate_kernel)
@@ -36,7 +36,7 @@ __all__ = [
     "NldirError", "ConfigError", "KernelError", "QuadratureError",
     "MeshError", "AssemblyError", "SolverError", "MassFormError",
     "MollifierError",
-    "KernelSpec", "ScaledKernel", "eval_scaled", "QUARTIC", "CUBIC",
+    "KernelSpec", "eval_scaled", "QUARTIC", "CUBIC",
     "WENDLAND", "tabulated_kernel", "minorant_kernel",
     "kernel_by_id", "antiderivative_kernel", "sigma_r", "kernel_mass",
     "scaled_mass", "normalize_w", "validate_kernel",

@@ -53,8 +53,8 @@ from scipy.linalg import lapack
 
 from .errors import AssemblyError, ConfigError, MollifierError, SolverError
 from .geometry import DomainMesh, lattice_stencil
-from .kernels import (KernelSpec, ScaledKernel, antiderivative_kernel,
-                      eval_scaled, validate_kernel)
+from .kernels import (KernelSpec, antiderivative_kernel, eval_scaled,
+                      validate_kernel)
 
 VARIANTS = ("product", "pointwise", "dirac_diagonal", "wang", "shi")
 ZERO_DATA_VARIANTS = ("dirac_diagonal", "shi")
@@ -181,10 +181,10 @@ def _field_values(mesh, u, kind=Field):
 
 def _admitted(mesh, variant, p, a):
     """The values of the datum a (BoundaryData of this mesh or one value
-    per boundary node) once p > 1, p = 2 for the quadratic-only
+    per boundary node) once 1 < p < inf, p = 2 for the quadratic-only
     variants, and zero data for the zero-datum variants are checked."""
-    if not p > 1:
-        raise AssemblyError("exponent must exceed 1", p=p)
+    if not 1 < p < np.inf:
+        raise AssemblyError("exponent must be finite and exceed 1", p=p)
     if p != 2.0 and variant in QUADRATIC_ONLY_VARIANTS:
         raise AssemblyError(f"variant '{variant}' is defined for p = 2 only",
                             variant=variant, p=p)
@@ -204,7 +204,7 @@ def _boundary_tables(mesh, base: KernelSpec, delta, stencil):
         stencil = lattice_stencil(mesh, base.support * delta)
     indices = stencil.boundary_indices
     coef = mesh.interior_weights[indices] * eval_scaled(
-        ScaledKernel(base, delta, mesh.dim), stencil.boundary_lengths)
+        base, stencil.boundary_lengths, delta, mesh.dim)
     return sp.csr_matrix((coef, indices, stencil.boundary_indptr),
                          shape=(mesh.n_boundary, mesh.n_interior))
 
@@ -329,8 +329,9 @@ class EnergyOperator:
     it is immutable in use. Everything else is derived from them on
     first use, once per operator: for p = 2 the linear and constant
     terms of the quadratic form, and the tau symbol, the DST solve, the
-    layer columns and the layer factor. scaled() and twin() build a new
-    operator from new tables, so no cache outlives the tables it read.
+    layer columns and the layer factor. twin() and the constructor build
+    a new operator from new tables, so no cache outlives the tables it
+    read.
     """
 
     def __init__(self, mesh, delta, p, spec, a_values, stencil, offset_w,
@@ -663,14 +664,6 @@ class EnergyOperator:
 
     # -- transforms ------------------------------------------------------
 
-    def scaled(self, factor: float):
-        """A new operator whose energy is factor times this one."""
-        if not factor > 0:
-            raise AssemblyError("scale factor must be positive", factor=factor)
-        return EnergyOperator(self.mesh, self.delta, self.p, self.spec,
-                              self.a, self.stencil, self.offset_w * factor,
-                              self.pen, self.pen_node, self.pen_pref * factor)
-
     def twin(self, p=None, a=None):
         """This operator's tables with exponent p and datum values a,
         checked as assemble() checks them. The weights keep their
@@ -712,8 +705,9 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     and the p = 2 form applies as the DST tau stencil off the boundary
     layer plus the sparse layer columns on it.
     """
-    if not delta > 0:
-        raise AssemblyError("horizon must be positive", delta=delta)
+    if not 0 < delta < np.inf:
+        raise AssemblyError("horizon must be positive and finite",
+                            delta=delta)
     if delta < 2.0 * mesh.h * (1.0 - 1e-12):
         raise AssemblyError("horizon must be at least two cells wide",
                             delta=delta, h=mesh.h)
@@ -725,8 +719,8 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     # interior pairs, one weight per half-offset (the weights are equal)
     stencil = lattice_stencil(mesh, R.support * delta)
     q = mesh.interior_weights
-    offset_w = (q[0] * q[0] * eval_scaled(ScaledKernel(R, delta, mesh.dim),
-                                          stencil.lengths) / delta**p)
+    offset_w = (q[0] * q[0] * eval_scaled(R, stencil.lengths, delta, mesh.dim)
+                / delta**p)
 
     # penalty tables
     if spec.variant in ("wang", "shi"):
@@ -820,10 +814,9 @@ def _w_stencil(mesh, W, delta, stencil=None):
     c_k = q^2 W_delta(|o_k|) and c_0 = q^2 W_delta(0), q the node weight."""
     if stencil is None or stencil.radius != W.support * delta:
         stencil = lattice_stencil(mesh, W.support * delta)
-    scaled = ScaledKernel(W, delta, mesh.dim)
     q = mesh.interior_weights[0]
-    return (stencil, q * q * eval_scaled(scaled, stencil.lengths),
-            q * q * float(eval_scaled(scaled, np.asarray(0.0))))
+    return (stencil, q * q * eval_scaled(W, stencil.lengths, delta, mesh.dim),
+            q * q * float(eval_scaled(W, np.asarray(0.0), delta, mesh.dim)))
 
 
 def w_mass_floor(mesh: DomainMesh, W: KernelSpec, delta: float,

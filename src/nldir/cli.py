@@ -180,13 +180,14 @@ def _cmd_probe(args):
     print(f"variant {report.variant}  delta {report.delta:.6g}  "
           f"trials {report.trials}  skipped {report.skipped}  "
           f"min_ratio {report.min_ratio:.6g}  c_n {report.c_n:.6g}")
-    if cfg.out_json or cfg.out_csv:
+    # --out, stored as out_csv, wins over the config's out_json
+    field = "out_json" if cfg.out_json and not args.out else "out_csv"
+    if getattr(cfg, field):
         payload = {"variant": report.variant, "delta": report.delta,
                    "trials": report.trials, "skipped": report.skipped,
                    "min_ratio": report.min_ratio, "c_n": report.c_n,
                    "ratios": [None if np.isinf(r) else r
                               for r in report.ratios]}
-        field = "out_json" if cfg.out_json else "out_csv"
         study.write_output(getattr(cfg, field),
                            json.dumps(payload, indent=1), field)
     return 0

@@ -312,7 +312,7 @@ class LatticeStencil:
 
 def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
     """The interior offsets and boundary neighbors of a lattice mesh
-    within a positive radius, without a point search.
+    within a positive finite radius, without a point search.
 
     Tie rule: an offset o is in when |o * spacing| <= radius, decided
     once per offset from the lattice spacing, so all pairs at one offset
@@ -327,8 +327,8 @@ def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
     recorded; MeshError when there is none or the nodes no longer fit
     it: a count other than the sites', a node off its site, two nodes
     in one cell, or a weight other than the cell measure."""
-    if not radius > 0:
-        raise MeshError("radius must be positive", radius=radius)
+    if not 0 < radius < np.inf:
+        raise MeshError("radius must be positive and finite", radius=radius)
     sites, shape, origin, spacing = _lattice(mesh)
 
     reach = [min(int(radius // s) + 1, n - 1) for s, n in zip(spacing, shape)]

@@ -60,32 +60,16 @@ class KernelSpec:
         return self.profile(np.asarray(s, dtype=float))
 
 
-@dataclass(frozen=True)
-class ScaledKernel:
-    """A KernelSpec paired with a horizon delta and a dimension."""
-
-    base: KernelSpec
-    delta: float
-    dim: int
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise KernelError("horizon must be positive", delta=self.delta)
-        if self.dim not in (1, 2, 3):
-            raise KernelError("dimension must be 1, 2 or 3", dim=self.dim)
-
-    def __call__(self, rho):
-        return eval_scaled(self, rho)
-
-
-def eval_scaled(kernel: ScaledKernel, rho):
+def eval_scaled(kernel: KernelSpec, rho, delta: float, dim: int):
     """Evaluate delta**(-dim) * profile(rho**2/delta**2), zero beyond
     the scaled support radius r*delta."""
+    if not 0 < delta < math.inf:
+        raise KernelError("horizon must be positive and finite", delta=delta)
+    if dim not in (1, 2, 3):
+        raise KernelError("dimension must be 1, 2 or 3", dim=dim)
     rho = np.asarray(rho, dtype=float)
-    base, delta = kernel.base, kernel.delta
-    s = (rho / delta) ** 2
-    vals = base.profile(s) / delta**kernel.dim
-    return np.where(rho <= base.support * delta, vals, 0.0)
+    vals = kernel.profile((rho / delta) ** 2) / delta**dim
+    return np.where(rho <= kernel.support * delta, vals, 0.0)
 
 
 def _power_family(label, scale, knot, m):
@@ -298,8 +282,7 @@ def scaled_mass(kernel: KernelSpec, delta: float, dim: int,
                 rel_tol: float = 1e-8, budget: int = _BUDGET) -> QuadResult:
     """Mass of the scaled kernel over its support ball of radius
     r*delta; independent of delta up to quadrature error."""
-    scaled = ScaledKernel(kernel, delta, dim)
-    return _radial_moment(lambda r: eval_scaled(scaled, r),
+    return _radial_moment(lambda r: eval_scaled(kernel, r, delta, dim),
                           kernel.support * delta, dim, 0.0, rel_tol, budget,
                           f"scaled_mass({kernel.label})")
 

@@ -56,7 +56,7 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The final iterate, its energy and gradient norm recomputed there
+    """The final iterate, its energy and gradient norm evaluated there
     (see _finish), the steps taken, the gradient test and the stop."""
 
     minimizer: Field
@@ -67,11 +67,11 @@ class SolveResult:
     stop_reason: str  # "gradient", "max_iter" or "line_search_stall"
 
 
-def _finish(op, x, iterations, opts, stop_reason):
-    """Recompute energy and gradient at the final iterate so the
-    converged flag is exact, not inherited from solver recurrences."""
-    energy = op.energy(x)
-    gradient_norm = float(np.linalg.norm(op.gradient(x)))
+def _finish(op, x, energy, gradient, iterations, opts, stop_reason):
+    """The result at the final iterate x from op.energy(x) and
+    op.gradient(x), so the converged flag is exact, not inherited from
+    solver recurrences."""
+    gradient_norm = float(np.linalg.norm(gradient))
     converged = gradient_norm <= opts.tol * (1.0 + abs(energy))
     return SolveResult(Field(op.mesh, x.copy()), energy, gradient_norm,
                        iterations, converged, stop_reason)
@@ -135,7 +135,7 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
         for iterations, (x, r) in enumerate(_cg_iterates(x, r, step), 1):
             if small(x, r) or iterations == opts.max_iter:
                 break
-    return _finish(op, x, iterations, opts,
+    return _finish(op, x, op.energy(x), op.gradient(x), iterations, opts,
                    "gradient" if small(x, r) else "max_iter")
 
 
@@ -180,4 +180,4 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions()
             break
         x, energy = x + t * s, e_trial
         g = op.gradient(x)
-    return _finish(op, x, iterations, opts, reason)
+    return _finish(op, x, energy, g, iterations, opts, reason)

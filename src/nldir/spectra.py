@@ -91,9 +91,6 @@ class EigenProblem:
         """B @ v for a vector or an n x k block."""
         return self._b_mat @ v
 
-    def apply_stiffness(self, v):
-        return self.stiffness.apply_quadratic(v)
-
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -128,7 +125,7 @@ def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS,
     non-converged."""
     from scipy.sparse.linalg import lobpcg
     op = prob.stiffness
-    apply_a = _columns(prob.apply_stiffness)
+    apply_a = _columns(op.apply_quadratic)
     apply_m = _columns(op.preconditioner())
     blocks = 0
 
@@ -162,7 +159,8 @@ def dense_eigen(prob: EigenProblem, k: int = None):
     """Full symmetric generalized eigendecomposition on a densified
     operator; intended as an independent oracle at small node counts.
     Returns (eigenvalues, eigenvectors) columns ascending."""
-    a = _columns(prob.apply_stiffness)(np.eye(prob.stiffness.mesh.n_interior))
+    op = prob.stiffness
+    a = _columns(op.apply_quadratic)(np.eye(op.mesh.n_interior))
     evals, evecs = scipy.linalg.eigh(a, prob._b_mat.toarray())
     kk = prob.k if k is None else k
     return evals[:kk], evecs[:, :kk]

@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 
 from nldir import (AssemblyError, BoundaryData, ConfigError, EnergyOperator,
-                   Field, KernelError, MollifierError, PenaltySpec, assemble,
-                   boundary_data, build_mesh, lp_norm, mollify, w_mass_matrix)
+                   Field, KernelError, MeshError, MollifierError, PenaltySpec,
+                   assemble, boundary_data, build_mesh, lp_norm, mollify,
+                   w_mass_matrix)
 from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS, trace_matrix
 from nldir.kernels import QUARTIC, WENDLAND, KernelSpec, normalize_w
 
@@ -98,6 +99,13 @@ def make_op(mesh, variant, delta, p=2.0, a=None, seed=0):
         a = rng.uniform(-1.0, 1.0, mesh.n_boundary)
     spec = PenaltySpec(variant, QUARTIC)
     return assemble(mesh, QUARTIC, spec, delta, p=p, a=a)
+
+
+def scaled_operator(op, f):
+    """op's tables with its energy times f, built by the constructor."""
+    return EnergyOperator(op.mesh, op.delta, op.p, op.spec, op.a, op.stencil,
+                          op.offset_w * f, op.pen, op.pen_node,
+                          op.pen_pref * f)
 
 
 def rel(x, y):
@@ -296,7 +304,7 @@ def test_positive_scaling_hundred_cases():
         for _ in range(50):
             c = float(rng.uniform(0.1, 10.0))
             u = rng.standard_normal(INTERVAL.n_interior)
-            sc = op.scaled(c)
+            sc = scaled_operator(op, c)
             assert rel(sc.energy(u), c * op.energy(u)) <= 1e-12
             g0, g1 = op.gradient(u), sc.gradient(u)
             assert np.linalg.norm(g1 - c * g0) \
@@ -307,7 +315,7 @@ def test_positive_scaling_hundred_cases():
 
 def test_scaled_quadratic_form_consistent():
     op = make_op(SQUARE, "wang", 0.5, seed=59)
-    sc = op.scaled(3.7)
+    sc = scaled_operator(op, 3.7)
     rng = np.random.default_rng(61)
     u = rng.standard_normal(SQUARE.n_interior)
     assert rel(quadratic_energy(sc, u), 3.7 * quadratic_energy(op, u)) <= 1e-12
@@ -331,7 +339,7 @@ def test_scaled_operator_never_reads_stale_pair_lists(p):
             _ = op._symbol
             if p == 2.0:
                 _ = op._layer_columns
-        sc = op.scaled(f)
+        sc = scaled_operator(op, f)
         assert rel(sc.energy(u), f * op.energy(u)) <= 1e-14
         g = f * op.gradient(u)
         assert np.linalg.norm(sc.gradient(u) - g) <= 1e-14 * np.linalg.norm(g)
@@ -358,7 +366,7 @@ def test_scaled_operator_never_reads_a_stale_factor(p):
         op = make_op(L_SHAPE, "product", 0.3, p=p, seed=71)
         if built_first:
             op.preconditioner()
-        sc = op.scaled(f)
+        sc = scaled_operator(op, f)
         want = op.preconditioner()(r) / f
         got = sc.preconditioner()(r)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -394,13 +402,6 @@ def test_operator_is_freed_without_the_cycle_collector():
     finally:
         if was_enabled:
             gc.enable()
-
-
-def test_scaled_rejects_nonpositive_factor():
-    op = make_op(INTERVAL, "product", 0.3)
-    for bad in (0.0, -1.0):
-        with pytest.raises(AssemblyError):
-            op.scaled(bad)
 
 
 # ------------------------------------------------------------- mollifier
@@ -537,6 +538,8 @@ def test_zero_data_variants_reject_nonzero_datum(variant):
     ("dirac_diagonal", {"a": np.ones(2)}),
     ("product", {"p": 0.5}),
     ("product", {"a": np.ones(7)}),
+    # at p = inf every weight and prefactor would be inf, the energy NaN
+    ("product", {"p": np.inf}),
 ])
 def test_twin_checks_what_assemble_checks(variant, change):
     # a twin's exponent and datum pass assemble()'s checks, so a bad one
@@ -548,6 +551,16 @@ def test_twin_checks_what_assemble_checks(variant, change):
     op = assemble(INTERVAL, QUARTIC, spec, 0.3)
     with pytest.raises(AssemblyError):
         op.twin(**change)
+
+
+def test_an_infinite_horizon_is_refused():
+    # an infinite window has no cell count: refused before any stencil
+    spec = PenaltySpec("product", QUARTIC)
+    with pytest.raises(AssemblyError, match="finite") as exc:
+        assemble(INTERVAL, QUARTIC, spec, np.inf)
+    assert exc.value.info == {"delta": np.inf}
+    with pytest.raises(MeshError, match="finite"):
+        w_mass_matrix(INTERVAL, WENDLAND, np.inf)
 
 
 @pytest.mark.parametrize("variant, shi_delta_sq", [

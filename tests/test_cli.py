@@ -616,3 +616,23 @@ def test_probe_coercivity_reports_and_saves(tmp_path, capsys):
     assert doc["variant"] == "product"
     assert len(doc["ratios"]) == 10
     assert doc["min_ratio"] > 0
+
+
+def test_probe_coercivity_out_flag_wins_over_out_json(tmp_path):
+    # --out writes the report there; a config's out_json alone still
+    # gets it, as does an out_csv alone
+    cfg_json, flag_json = tmp_path / "cfg.json", tmp_path / "flag.json"
+    path = write_config(tmp_path, case="zero", trials=10,
+                        out_json=str(cfg_json))
+    assert dispatch(["probe-coercivity", "--config", str(path),
+                     "--out", str(flag_json)]) == 0
+    assert not cfg_json.exists()
+    report = json.loads(flag_json.read_text())
+    assert len(report["ratios"]) == 10
+    assert dispatch(["probe-coercivity", "--config", str(path)]) == 0
+    assert json.loads(cfg_json.read_text()) == report
+    csv_only = tmp_path / "csv_only.json"
+    path = write_config(tmp_path, case="zero", trials=10,
+                        out_csv=str(csv_only))
+    assert dispatch(["probe-coercivity", "--config", str(path)]) == 0
+    assert json.loads(csv_only.read_text()) == report

@@ -332,6 +332,14 @@ def test_lattice_index_refuses_off_lattice_nodes(shift):
         lattice_stencil(replace(mesh, interior_points=pts), mesh.h)
 
 
+def test_lattice_stencil_refuses_an_infinite_radius():
+    # an infinite window has no cell count to take
+    mesh = build_mesh({"interval": [0.0, 1.0]}, 0.1)
+    with pytest.raises(MeshError, match="finite") as exc:
+        lattice_stencil(mesh, np.inf)
+    assert exc.value.info == {"radius": np.inf}
+
+
 def test_lattice_stencil_needs_the_recorded_lattice():
     # no lattice is inferred from coordinates: a hand-built mesh on the
     # very nodes of a grid has none, and a mesh that drops a node no

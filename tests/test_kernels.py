@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from nldir import (CUBIC, QUARTIC, WENDLAND, KernelError, KernelSpec,
-                   QuadratureError, ScaledKernel, antiderivative_kernel,
+                   QuadratureError, antiderivative_kernel,
                    eval_scaled, kernel_by_id, kernel_mass, minorant_kernel,
                    normalize_w, scaled_mass, sigma_r, tabulated_kernel,
                    validate_kernel)
@@ -118,24 +118,29 @@ def test_kernel_mass_oracles():
 
 def test_eval_scaled_contract_values():
     # delta^-d profile(rho^2/delta^2), hard zero beyond radius r*delta
-    k1 = ScaledKernel(QUARTIC, 0.5, 1)
-    assert eval_scaled(k1, np.array(0.0)) == 2.0
-    assert eval_scaled(k1, np.array(0.6)) == 0.0
-    k2 = ScaledKernel(QUARTIC, 0.25, 2)
-    assert abs(eval_scaled(k2, np.array(0.125)) - 9.0) <= 1e-14
+    assert eval_scaled(QUARTIC, np.array(0.0), 0.5, 1) == 2.0
+    assert eval_scaled(QUARTIC, np.array(0.6), 0.5, 1) == 0.0
+    assert abs(eval_scaled(QUARTIC, np.array(0.125), 0.25, 2) - 9.0) <= 1e-14
 
 
 def test_eval_scaled_zero_beyond_scaled_support():
-    k = ScaledKernel(WENDLAND, 0.1, 2)
     rho = np.linspace(0.100001, 1.0, 57)
-    assert np.all(eval_scaled(k, rho) == 0.0)
+    assert np.all(eval_scaled(WENDLAND, rho, 0.1, 2) == 0.0)
 
 
 def test_scaled_kernel_rejects_bad_parameters():
     with pytest.raises(KernelError):
-        ScaledKernel(QUARTIC, 0.0, 1)
+        eval_scaled(QUARTIC, np.array(0.0), 0.0, 1)
     with pytest.raises(KernelError):
-        ScaledKernel(QUARTIC, 0.1, 0)
+        eval_scaled(QUARTIC, np.array(0.0), 0.1, 0)
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+def test_eval_scaled_refuses_a_non_finite_horizon(delta):
+    # an infinite horizon would scale every weight to 0
+    with pytest.raises(KernelError) as exc:
+        eval_scaled(QUARTIC, np.array([0.0, 0.5]), delta, 1)
+    assert "finite" in str(exc.value)
 
 
 def test_antiderivative_closed_forms():

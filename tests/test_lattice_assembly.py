@@ -21,8 +21,8 @@ from nldir import (EnergyOperator, MeshError, PenaltySpec, assemble,
 from nldir.assembly import (PER_NODE_VARIANTS, VARIANTS, ZERO_DATA_VARIANTS,
                             _cosine_sum, _stencil_matrix, trace_matrix)
 from nldir.geometry import lattice_stencil
-from nldir.kernels import (QUARTIC, KernelSpec, ScaledKernel,
-                           antiderivative_kernel, eval_scaled)
+from nldir.kernels import (QUARTIC, KernelSpec, antiderivative_kernel,
+                           eval_scaled)
 from nldir.minimize import _cg_iterates
 
 L_SHAPE = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
@@ -40,18 +40,14 @@ MESHES = {
 RATIOS = (4.0, 3.3)
 
 
-def kernel_at(kernel, delta, dim, dist):
-    return eval_scaled(ScaledKernel(kernel, delta, dim), dist)
-
-
 def oracle_pairs(mesh, kernel, delta, scale):
     """Dense symmetric q_i q_j k(|x_i - x_j|) * scale over the pairs of a
     k-d tree search, diagonal zero."""
     table = neighbor_pairs(mesh, kernel.support * delta)
     ii, jj = table.interior_pairs()
     pts, q = mesh.interior_points, mesh.interior_weights
-    w = q[ii] * q[jj] * kernel_at(kernel, delta, mesh.dim,
-                                  np.linalg.norm(pts[ii] - pts[jj], axis=1))
+    w = q[ii] * q[jj] * eval_scaled(
+        kernel, np.linalg.norm(pts[ii] - pts[jj], axis=1), delta, mesh.dim)
     dense = np.zeros((mesh.n_interior, mesh.n_interior))
     dense[ii, jj] = dense[jj, ii] = w * scale
     return dense
@@ -67,7 +63,7 @@ def oracle_boundary(mesh, kernel, delta):
                           - mesh.interior_points[cols], axis=1)
     dense = np.zeros((mesh.n_boundary, mesh.n_interior))
     dense[rows, cols] = (mesh.interior_weights[cols]
-                         * kernel_at(kernel, delta, mesh.dim, dist))
+                         * eval_scaled(kernel, dist, delta, mesh.dim))
     return dense
 
 
@@ -108,7 +104,7 @@ def dense_penalty_form(op):
         base = antiderivative_kernel(base)
     dist = np.linalg.norm(mesh.boundary_points[:, None]
                           - mesh.interior_points[None], axis=2)
-    k = mesh.interior_weights * kernel_at(base, op.delta, mesh.dim, dist)
+    k = mesh.interior_weights * eval_scaled(base, dist, op.delta, mesh.dim)
     pref = oracle_pref(mesh, op.spec, op.delta, 2.0)
     if op.variant in PER_NODE_VARIANTS:
         return k.T @ (pref[:, None] * k)
@@ -217,7 +213,7 @@ def test_apply_quadratic_matches_the_double_loop_and_dense_penalty(name,
     delta = ratio * mesh.h
     pts, q = mesh.interior_points, mesh.interior_weights
     dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
-    w = np.outer(q, q) * kernel_at(QUARTIC, delta, mesh.dim, dist) / delta**2
+    w = np.outer(q, q) * eval_scaled(QUARTIC, dist, delta, mesh.dim) / delta**2
     np.fill_diagonal(w, 0.0)
     want_int = 2.0 * (np.diag(w.sum(axis=1)) - w)
     for spec in LAYER_SPECS:
@@ -246,7 +242,7 @@ def test_grid_energy_and_gradient_match_pair_lists_and_double_loop(name,
     delta = ratio * mesh.h
     pts, q = mesh.interior_points, mesh.interior_weights
     dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
-    w = np.outer(q, q) * kernel_at(QUARTIC, delta, mesh.dim, dist)
+    w = np.outer(q, q) * eval_scaled(QUARTIC, dist, delta, mesh.dim)
     np.fill_diagonal(w, 0.0)
     u = np.random.default_rng(11).standard_normal(mesh.n_interior)
     for p, variant in itertools.product((2.0, 3.0), ("product", "pointwise")):
@@ -479,7 +475,7 @@ def test_trace_and_mass_match_the_search_oracle(name, ratio):
     assert_no_stored_zeros(trace)
     assert_close(trace.toarray(), coef / coef.sum(axis=1, keepdims=True))
     q = mesh.interior_weights
-    k0 = kernel_at(QUARTIC, delta, mesh.dim, 0.0)
+    k0 = eval_scaled(QUARTIC, 0.0, delta, mesh.dim)
     mass = w_mass_matrix(mesh, QUARTIC, delta)
     assert_no_stored_zeros(mass)
     assert_close(mass.toarray(), oracle_pairs(mesh, QUARTIC, delta, 1.0)

@@ -21,6 +21,8 @@ from nldir import (ConfigError, EigenProblem, EnergyOperator, Field,
 from nldir.assembly import PER_NODE_VARIANTS, VARIANTS, ZERO_DATA_VARIANTS
 from nldir.kernels import QUARTIC
 
+from test_assembly import scaled_operator
+
 COARSE = build_mesh({"interval": [0.0, 1.0]}, 0.1)
 FINE = build_mesh({"interval": [0.0, 1.0]}, 0.025)
 SQUARE = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.125)
@@ -103,7 +105,7 @@ def test_linear_datum_recovers_linear_profile():
 def test_scaling_energy_does_not_move_the_argmin():
     op = make_op(COARSE, "product", 0.3, a="linear_x")
     res0 = solve_quadratic(op, SolveOptions(tol=1e-12))
-    res1 = solve_quadratic(op.scaled(3.7), SolveOptions(tol=1e-12))
+    res1 = solve_quadratic(scaled_operator(op, 3.7), SolveOptions(tol=1e-12))
     assert np.max(np.abs(res1.minimizer.values - res0.minimizer.values)) \
         <= 1e-8
 
@@ -367,6 +369,27 @@ def test_newton_energy_monotone_in_budget():
             assert res.iterations == 1 and not res.converged
             assert res.stop_reason == "max_iter"
     assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
+
+
+def test_newton_evaluates_the_gradient_once_per_iterate(monkeypatch):
+    # the start and each accepted step take one gradient; the result
+    # reuses the last one instead of evaluating it again
+    op = make_op(COARSE, "product", 0.3, p=3.0, a="linear_x")
+    calls = []
+    gradient = EnergyOperator.gradient
+
+    def counted(self, u):
+        if self is op:
+            calls.append(1)
+        return gradient(self, u)
+
+    monkeypatch.setattr(EnergyOperator, "gradient", counted)
+    res = solve_p_energy(op, SolveOptions(tol=1e-8))
+    assert res.converged and res.iterations >= 2
+    assert len(calls) == res.iterations + 1
+    assert res.gradient_norm == float(np.linalg.norm(
+        gradient(op, res.minimizer.values)))
+    assert res.energy == op.energy(res.minimizer.values)
 
 
 def test_newton_warm_start_at_minimum_stops_immediately():

@@ -19,7 +19,9 @@ from nldir import (EigenProblem, EigenResult, EnergyOperator, MassFormError,
 from nldir.assembly import w_mass_floor, w_mass_matrix
 from nldir.geometry import lattice_stencil
 from nldir.kernels import (CUBIC, QUARTIC, WENDLAND, KernelSpec,
-                           ScaledKernel, eval_scaled, normalize_w)
+                           eval_scaled, normalize_w)
+
+from test_assembly import scaled_operator
 
 SIGMA_1D = 16.0 / 105.0
 SIGMA_2D = np.pi / 24.0
@@ -99,7 +101,7 @@ def test_eigen_result_invariants():
         # with zero data the quadratic energy is the Rayleigh numerator
         assert float(x @ op.apply_quadratic(x)) == pytest.approx(lam[i],
                                                                  rel=1e-8)
-        r = prob.apply_stiffness(x) - lam[i] * prob.apply_mass(x)
+        r = op.apply_quadratic(x) - lam[i] * prob.apply_mass(x)
         assert np.linalg.norm(r) <= 1e-9 * max(abs(lam[i]), 1.0) * 1.001
     assert res.mass_model == "L2"
     assert res.delta == 0.1
@@ -134,7 +136,7 @@ def test_seed_does_not_change_the_spectrum():
 def test_spectrum_scales_with_the_form():
     op = stiffness(INTERVAL, 0.1)
     res0 = solve_eigen(EigenProblem(op, "L2", k=2))
-    res1 = solve_eigen(EigenProblem(op.scaled(4.2), "L2", k=2))
+    res1 = solve_eigen(EigenProblem(scaled_operator(op, 4.2), "L2", k=2))
     assert np.allclose(res1.eigenvalues, 4.2 * res0.eigenvalues, rtol=1e-8)
     prob = EigenProblem(op, "L2", k=2)
     for i in range(2):
@@ -153,7 +155,7 @@ def test_budget_exhaustion_is_flagged(k):
     assert res.iterations == (3,) * k
     for i in range(k):
         x = res.eigenfields[i].values
-        r = prob.apply_stiffness(x) - res.eigenvalues[i] * prob.apply_mass(x)
+        r = op.apply_quadratic(x) - res.eigenvalues[i] * prob.apply_mass(x)
         assert res.residuals[i] == pytest.approx(np.linalg.norm(r),
                                                  rel=1e-12)
 
@@ -252,15 +254,15 @@ def _symbol_min(mesh, W, delta, points):
     of the stencil's symbol c_0 + 2 Re sum_k c_k exp(i theta . o_k), with
     c = q^2 W_delta(|o|) and o_k the half-offsets."""
     stencil = lattice_stencil(mesh, W.support * delta)
-    scaled = ScaledKernel(W, delta, mesh.dim)
     q2 = mesh.interior_weights[0] ** 2
-    c = q2 * eval_scaled(scaled, stencil.lengths)
+    c = q2 * eval_scaled(W, stencil.lengths, delta, mesh.dim)
     waves = [np.exp(1j * np.outer(np.linspace(0.0, np.pi, n * points + 1), o))
              for n, o in zip(stencil.shape, stencil.offsets.T)]
     axes = "ijk"[:mesh.dim]
     f = np.einsum(",".join(["k"] + [a + "k" for a in axes]) + "->" + axes,
                   c, *waves).real
-    return q2 * float(eval_scaled(scaled, np.asarray(0.0))) + 2.0 * f.min()
+    return q2 * float(eval_scaled(W, np.asarray(0.0), delta, mesh.dim)) \
+        + 2.0 * f.min()
 
 
 @pytest.mark.parametrize("kernel", [QUARTIC, CUBIC, WENDLAND],
