@@ -21,8 +21,7 @@ from .kernels import (CUBIC, QUARTIC, WENDLAND, KernelSpec,
                       kernel_mass, minorant_kernel, normalize_w, scaled_mass,
                       sigma_r, tabulated_kernel, validate_kernel)
 from .geometry import DomainMesh, NeighborTable, build_mesh, neighbor_pairs
-from .assembly import (BoundaryData, EnergyOperator, Field,
-                       ManufacturedCase, PenaltySpec, assemble,
+from .assembly import (EnergyOperator, ManufacturedCase, PenaltySpec, assemble,
                        boundary_data, lp_norm, mollify, w_mass_matrix)
 from .minimize import SolveOptions, SolveResult, solve_p_energy, solve_quadratic
 from .spectra import (EigenProblem, EigenResult, MassComparison,
@@ -41,7 +40,7 @@ __all__ = [
     "kernel_by_id", "antiderivative_kernel", "sigma_r", "kernel_mass",
     "scaled_mass", "normalize_w", "validate_kernel",
     "DomainMesh", "NeighborTable", "build_mesh", "neighbor_pairs",
-    "Field", "BoundaryData", "PenaltySpec", "EnergyOperator", "assemble",
+    "PenaltySpec", "EnergyOperator", "assemble",
     "boundary_data", "mollify", "w_mass_matrix", "lp_norm",
     "SolveOptions", "SolveResult", "solve_quadratic", "solve_p_energy",
     "EigenProblem", "EigenResult", "MassComparison", "solve_eigen",

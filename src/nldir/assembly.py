@@ -65,30 +65,6 @@ _TINY = 1e-300
 
 
 @dataclass(frozen=True)
-class Field:
-    """Values at the interior nodes of a particular mesh."""
-
-    mesh: DomainMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           _field_values(self.mesh, self.values))
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Dirichlet datum sampled at the boundary nodes of a mesh."""
-
-    mesh: DomainMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _field_values(
-            self.mesh, self.values, BoundaryData))
-
-
-@dataclass(frozen=True)
 class ManufacturedCase:
     """A boundary datum, by id, and the exact solution of the local limit
     problem it induces, in closed form on an (n, dim) point array. The
@@ -123,12 +99,11 @@ MANUFACTURED = {case.id: case for case in (
 )}
 
 
-def boundary_data(mesh: DomainMesh, spec) -> BoundaryData:
-    """Resolve a boundary datum: None or "zero" for homogeneous data, a
-    manufactured solution of MANUFACTURED by id, or BoundaryData or
-    values, one per boundary node."""
-    if spec is None:
-        return BoundaryData(mesh, np.zeros(mesh.n_boundary))
+def boundary_data(mesh: DomainMesh, spec) -> np.ndarray:
+    """Resolve a boundary datum to its values, one per boundary node:
+    None or "zero" for homogeneous data, a manufactured solution of
+    MANUFACTURED by id, or values as _field_values checks them."""
+    spec = "zero" if spec is None else spec
     if isinstance(spec, str):
         if spec not in MANUFACTURED:
             raise ConfigError("unknown boundary datum", field="datum",
@@ -138,8 +113,8 @@ def boundary_data(mesh: DomainMesh, spec) -> BoundaryData:
             raise ConfigError("datum does not admit this shape's dimension",
                               field="datum", datum=spec, dim=mesh.dim,
                               dims=list(case.dims))
-        return BoundaryData(mesh, case.exact(mesh.boundary_points))
-    return BoundaryData(mesh, _field_values(mesh, spec, BoundaryData))
+        return case.exact(mesh.boundary_points)
+    return _field_values(mesh, spec, boundary=True)
 
 
 @dataclass(frozen=True)
@@ -159,20 +134,20 @@ class PenaltySpec:
 
 def lp_norm(mesh: DomainMesh, values, p: float = 2.0) -> float:
     """Quadrature-weighted L^p norm over the interior nodes."""
-    v = np.asarray(values, dtype=float)
+    v = _field_values(mesh, values)
     return float(np.sum(mesh.interior_weights * np.abs(v) ** p) ** (1.0 / p))
 
 
-def _field_values(mesh, u, kind=Field):
-    """The values of u, a Field (kind Field) or BoundaryData (kind
-    BoundaryData) of this mesh or an array of matching length."""
-    n, what = ((mesh.n_interior, "field") if kind is Field
-               else (mesh.n_boundary, "boundary data"))
-    if isinstance(u, kind):
-        if u.mesh is not mesh:
-            raise AssemblyError(f"{what} bound to a different mesh")
-        return u.values
-    v = np.asarray(u, dtype=float)
+def _field_values(mesh, u, boundary=False):
+    """u as a float array of one value per interior (boundary, when
+    boundary is set) node; else AssemblyError naming that length."""
+    n, what = ((mesh.n_boundary, "boundary data") if boundary
+               else (mesh.n_interior, "field"))
+    try:
+        v = np.asarray(u, dtype=float)
+    except (TypeError, ValueError):
+        raise AssemblyError(f"{what} must be numeric", expected=n,
+                            got=type(u).__name__) from None
     if v.shape != (n,):
         raise AssemblyError(f"{what} length does not match the mesh",
                             expected=n, got=list(v.shape))
@@ -180,15 +155,16 @@ def _field_values(mesh, u, kind=Field):
 
 
 def _admitted(mesh, variant, p, a):
-    """The values of the datum a (BoundaryData of this mesh or one value
-    per boundary node) once 1 < p < inf, p = 2 for the quadratic-only
-    variants, and zero data for the zero-datum variants are checked."""
+    """A read-only copy of the datum a, one value per boundary node, once
+    1 < p < inf, p = 2 for the quadratic-only variants, and zero data for
+    the zero-datum variants are checked."""
     if not 1 < p < np.inf:
         raise AssemblyError("exponent must be finite and exceed 1", p=p)
     if p != 2.0 and variant in QUADRATIC_ONLY_VARIANTS:
         raise AssemblyError(f"variant '{variant}' is defined for p = 2 only",
                             variant=variant, p=p)
-    a_vals = _field_values(mesh, a, BoundaryData)
+    a_vals = _field_values(mesh, a, boundary=True).copy()
+    a_vals.setflags(write=False)
     if variant in ZERO_DATA_VARIANTS and np.any(a_vals != 0.0):
         raise AssemblyError(
             f"variant '{variant}' admits only zero boundary data",
@@ -325,13 +301,13 @@ class EnergyOperator:
     """Assembled discrete energy: evaluable and differentiable in u.
 
     Construct with assemble(). An operator is its tables: mesh, delta,
-    p, penalty spec, datum, stencil, offset weights and penalty tables;
-    it is immutable in use. Everything else is derived from them on
-    first use, once per operator: for p = 2 the linear and constant
-    terms of the quadratic form, and the tau symbol, the DST solve, the
-    layer columns and the layer factor. twin() and the constructor build
-    a new operator from new tables, so no cache outlives the tables it
-    read.
+    p, penalty spec, datum a (assemble's or twin's read-only copy),
+    stencil, offset weights and penalty tables; it is immutable in use.
+    Everything else is derived from them on first use, once per
+    operator: for p = 2 the linear and constant terms of the quadratic
+    form, and the tau symbol, the DST solve, the layer columns and the
+    layer factor. twin() and the constructor build a new operator from
+    new tables, so no cache outlives the tables it read.
     """
 
     def __init__(self, mesh, delta, p, spec, a_values, stencil, offset_w,
@@ -759,10 +735,10 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
 
 def mollify(mesh: DomainMesh, khat: KernelSpec, delta: float, u):
     """Kernel-smoothed field sum_j q_j Khat_delta(|x - x_j|) u_j / omega(x)
-    at the interior nodes x (w_mass_matrix for Khat over its row sums,
-    omega = sum over 1; q_i cancels) and the boundary nodes
-    (trace_matrix). A vanishing omega raises MollifierError naming the
-    node."""
+    as two arrays, at the interior nodes x (w_mass_matrix for Khat over
+    its row sums, omega = sum over 1; q_i cancels) and at the boundary
+    nodes (trace_matrix). A vanishing omega raises MollifierError naming
+    the node."""
     v = _field_values(mesh, u)
     stencil = lattice_stencil(mesh, khat.support * delta)
     smooth = w_mass_matrix(mesh, khat, delta, stencil)
@@ -775,7 +751,7 @@ def mollify(mesh: DomainMesh, khat: KernelSpec, delta: float, u):
             node=bad, position=mesh.interior_points[bad].tolist(),
             radius=khat.support * delta)
     trace = trace_matrix(mesh, khat, delta, stencil)
-    return Field(mesh, numer / omega), BoundaryData(mesh, trace @ v)
+    return numer / omega, trace @ v
 
 
 def trace_matrix(mesh: DomainMesh, khat: KernelSpec, delta: float,

@@ -105,7 +105,7 @@ def _cmd_solve(args):
     if cfg.out_csv:
         text = io.StringIO()
         np.savetxt(text, np.column_stack([mesh.interior_points,
-                                          result.minimizer.values]),
+                                          result.minimizer]),
                    fmt="%.17g", delimiter=",", comments="",
                    header=",".join("xyz"[:mesh.dim]) + ",u")
         study.write_output(cfg.out_csv, text.getvalue(), "out_csv")

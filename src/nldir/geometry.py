@@ -16,6 +16,7 @@ Shape descriptors follow the config convention:
 {"polygon": [[x, y], ...]}, with no vertex repeated in a row.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -129,6 +130,16 @@ def _coordinates(kind, spec, admits, what):
     return v
 
 
+def _cell_counts(h, spans, rounding):
+    """Per-axis cell counts max(1, rounding(span / h)); MeshError naming
+    h and the counts when their centers would not fit one numpy array."""
+    cells = [float(span) / float(h) for span in spans]
+    if not math.prod(cells) * 8 * len(cells) < np.iinfo(np.intp).max:
+        raise MeshError("cell size too small to lay out the mesh", h=h,
+                        cells=cells)
+    return [max(1, int(rounding(c))) for c in cells]
+
+
 def _cells(axes, h, cell, inside=None):
     """Interior quadrature on the grid of per-axis center coordinates:
     the centers in C order (those `inside` keeps, when given), the cell
@@ -166,7 +177,7 @@ def _interval_mesh(spec, h):
     if h >= b - a:
         raise MeshError("cell size must be below the interval length",
                         h=h, length=b - a)
-    n = max(1, round((b - a) / h))
+    n, = _cell_counts(h, [b - a], round)
     he = (b - a) / n
     pts, qw, lattice = _cells([a + (np.arange(n) + 0.5) * he], he, he)
     bpts = np.array([[a], [b]])
@@ -186,8 +197,7 @@ def _rect_mesh(spec, h):
     if h >= min(x1 - x0, y1 - y0):
         raise MeshError("cell size must be below the shortest side",
                         h=h, sides=[x1 - x0, y1 - y0])
-    nx = max(1, round((x1 - x0) / h))
-    ny = max(1, round((y1 - y0) / h))
+    nx, ny = _cell_counts(h, [x1 - x0, y1 - y0], round)
     hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
     pts, qw, lattice = _cells([x0 + (np.arange(nx) + 0.5) * hx,
                                y0 + (np.arange(ny) + 0.5) * hy],
@@ -228,8 +238,8 @@ def _polygon_mesh(spec, h):
                         h=h, extent=scale)
     low, high = verts.min(axis=0), verts.max(axis=0)
     pts, qw, lattice = _cells(
-        [a + h * (np.arange(int(np.ceil((b - a) / h))) + 0.5)
-         for a, b in zip(low, high)],
+        [a + h * (np.arange(n) + 0.5)
+         for a, n in zip(low, _cell_counts(h, high - low, np.ceil))],
         h, h * h, lambda cand: _points_in_polygon(cand, verts))
     bpts, bw, bn = _closed_polyline(verts, h)
     _freeze(bpts, bw, bn)

@@ -140,6 +140,9 @@ def tabulated_kernel(path):
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise KernelError("tabulated kernel needs two columns and at least two rows",
                           path=str(path), shape=list(data.shape))
+    if not np.all(np.isfinite(data)):
+        raise KernelError("tabulated kernel values must be finite", path=str(path),
+                          row=int(np.argmin(np.all(np.isfinite(data), axis=1))))
     grid, vals = data[:, 0], data[:, 1]
     if grid[0] < 0:
         raise KernelError("tabulated kernel grid must start at s >= 0",
@@ -242,11 +245,16 @@ def _radial_moment(radial, radius, dim, p, rel_tol, budget, what):
     int_{S^(dim-1)} |w_1|^p dw = 2 pi^((dim-1)/2) G((p+1)/2) / G((dim+p)/2)
     times the 1D integral int_0^radius radial(r) r^(p+dim-1) dr, which
     the midpoint ladder evaluates on n nodes. The Gamma ratio is taken
-    through log-Gamma, as each Gamma overflows above p of about 341."""
+    through log-Gamma, as each Gamma overflows above p of about 341 (a
+    KernelError names p where even a log-Gamma overflows)."""
     if dim not in (1, 2, 3):
         raise KernelError("dimension must be 1, 2 or 3", dim=dim)
-    sphere = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.exp(
-        math.lgamma((p + 1.0) / 2.0) - math.lgamma((dim + p) / 2.0))
+    try:
+        sphere = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.exp(
+            math.lgamma((p + 1.0) / 2.0) - math.lgamma((dim + p) / 2.0))
+    except OverflowError:
+        raise KernelError("sphere moment overflows at this exponent",
+                          p=p, dim=dim) from None
 
     def estimate(n):
         h = radius / n

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import EnergyOperator, Field
+from .assembly import EnergyOperator
 from .errors import ConfigError, SolverError
 
 _TINY = 1e-300
@@ -56,10 +56,10 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The final iterate, its energy and gradient norm evaluated there
+    """The final iterate (an array), its energy and gradient norm there
     (see _finish), the steps taken, the gradient test and the stop."""
 
-    minimizer: Field
+    minimizer: np.ndarray
     energy: float
     gradient_norm: float
     iterations: int
@@ -73,8 +73,8 @@ def _finish(op, x, energy, gradient, iterations, opts, stop_reason):
     solver recurrences."""
     gradient_norm = float(np.linalg.norm(gradient))
     converged = gradient_norm <= opts.tol * (1.0 + abs(energy))
-    return SolveResult(Field(op.mesh, x.copy()), energy, gradient_norm,
-                       iterations, converged, stop_reason)
+    return SolveResult(x.copy(), energy, gradient_norm, iterations,
+                       converged, stop_reason)
 
 
 def _cg_iterates(x, r, step):
@@ -149,7 +149,7 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     when no step down to 1e-12 lowers the energy ("line_search_stall"),
     which a p < 2 row may reach where |.|^(p-2) is unbounded."""
     x = solve_quadratic(op.twin(p=2.0), SolveOptions(
-        tol=max(opts.tol, _START_TOL))).minimizer.values
+        tol=max(opts.tol, _START_TOL))).minimizer
     precond = op.preconditioner()
     energy, g = op.energy(x), op.gradient(x)
     for iterations in itertools.count():
@@ -172,7 +172,7 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions()
         slope, t = float(g @ s), 1.0
         while slope < 0.0 and t >= _MIN_STEP:
             e_trial = op.energy(x + t * s)
-            if e_trial <= energy + _ARMIJO * t * slope:
+            if e_trial <= energy + _ARMIJO * t * slope and e_trial < energy:
                 break
             t *= _SHRINK
         else:

@@ -26,8 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import (EnergyOperator, Field, _w_stencil, w_mass_floor,
-                       w_mass_matrix)
+from .assembly import EnergyOperator, _w_stencil, w_mass_floor, w_mass_matrix
 from .errors import MassFormError, SolverError
 from .kernels import KernelSpec
 from .minimize import SolveOptions
@@ -94,8 +93,9 @@ class EigenProblem:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """iterations repeats, once per mode, the number of block iterations
-    of the one solve that produced all k modes (at most max_iter; 0 when
+    """eigenfields holds one array of interior-node values per mode;
+    iterations repeats, once per mode, the number of block iterations of
+    the one solve that produced all k modes (at most max_iter; 0 when
     n < 5 k, where scipy solves the problem densely instead)."""
 
     eigenvalues: np.ndarray
@@ -141,14 +141,11 @@ def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS,
     order = np.argsort(lams, kind="stable")
     lams, xs = lams[order], xs[:, order]
     resids = np.linalg.norm(apply_a(xs) - prob.apply_mass(xs) * lams, axis=0)
-    fields = []
-    for x in np.ascontiguousarray(xs.T):
-        # deterministic sign: entry of largest magnitude positive
-        if x[int(np.argmax(np.abs(x)))] < 0:
-            x = -x
-        fields.append(Field(op.mesh, x))
+    # deterministic sign: entry of largest magnitude positive
+    fields = tuple(-x if x[np.argmax(np.abs(x))] < 0 else x
+                   for x in np.ascontiguousarray(xs.T))
     return EigenResult(
-        eigenvalues=lams, eigenfields=tuple(fields), residuals=resids,
+        eigenvalues=lams, eigenfields=fields, residuals=resids,
         converged=tuple(bool(r <= opts.tol * max(abs(lam), 1.0))
                         for lam, r in zip(lams, resids)),
         iterations=(min(blocks, opts.max_iter),) * prob.k,

@@ -228,7 +228,7 @@ def solve_row(cfg: StudyConfig, case, delta):
     op = row_operator(cfg, delta, case.id)
     solve = solve_quadratic if cfg.p == 2.0 else solve_p_energy
     result = solve(op, cfg.solver)
-    error = result.minimizer.values - case.exact(op.mesh.interior_points)
+    error = result.minimizer - case.exact(op.mesh.interior_points)
     return op, result, lp_norm(op.mesh, error, 2.0)
 
 
@@ -247,7 +247,7 @@ def solve_modes(cfg: StudyConfig, op, mass):
 def _run_row(cfg: StudyConfig, case, delta, sigma):
     t0 = time.perf_counter()
     op, result, l2_error = solve_row(cfg, case, delta)
-    mesh, u = op.mesh, result.minimizer.values
+    mesh, u = op.mesh, result.minimizer
 
     trace = assembly.trace_matrix(mesh, kernel_by_id(cfg.kernel_khat), delta,
                                   op.stencil)

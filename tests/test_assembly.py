@@ -21,9 +21,9 @@ import weakref
 import numpy as np
 import pytest
 
-from nldir import (AssemblyError, BoundaryData, ConfigError, EnergyOperator,
-                   Field, KernelError, MeshError, MollifierError, PenaltySpec,
-                   assemble, boundary_data, build_mesh, lp_norm, mollify,
+from nldir import (AssemblyError, ConfigError, EnergyOperator, KernelError,
+                   MeshError, MollifierError, PenaltySpec, assemble,
+                   boundary_data, build_mesh, lp_norm, mollify,
                    w_mass_matrix)
 from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS, trace_matrix
 from nldir.kernels import QUARTIC, WENDLAND, KernelSpec, normalize_w
@@ -409,17 +409,17 @@ def test_operator_is_freed_without_the_cycle_collector():
 def test_mollify_reproduces_constants():
     u = np.full(SQUARE.n_interior, 2.5)
     smooth, trace = mollify(SQUARE, QUARTIC, 0.5, u)
-    assert np.allclose(smooth.values, 2.5, rtol=1e-13)
-    assert np.allclose(trace.values, 2.5, rtol=1e-13)
+    assert np.allclose(smooth, 2.5, rtol=1e-13)
+    assert np.allclose(trace, 2.5, rtol=1e-13)
 
 
 def test_mollify_linear_trace_near_datum():
     u = INTERVAL.interior_points[:, 0].copy()
     _, trace = mollify(INTERVAL, QUARTIC, 0.3, u)
     # kernel average of x over one-sided neighborhoods of 0 and 1
-    assert abs(trace.values[0] - 0.0) < 0.2
-    assert abs(trace.values[1] - 1.0) < 0.2
-    assert trace.values[0] < trace.values[1]
+    assert abs(trace[0] - 0.0) < 0.2
+    assert abs(trace[1] - 1.0) < 0.2
+    assert trace[0] < trace[1]
 
 
 def test_mollify_boundary_starvation_names_node():
@@ -437,7 +437,7 @@ def test_trace_matrix_block_matches_mollify(mesh, delta):
     traces = trace_matrix(mesh, QUARTIC, delta) @ block
     pts, q = mesh.interior_points, mesh.interior_weights
     for k in range(block.shape[1]):
-        want = mollify(mesh, QUARTIC, delta, block[:, k])[1].values
+        want = mollify(mesh, QUARTIC, delta, block[:, k])[1]
         assert np.max(np.abs(traces[:, k] - want)) \
             <= 1e-14 * np.max(np.abs(want))
         # independent closed-form reference, one boundary node at a time
@@ -455,7 +455,7 @@ def test_mollify_is_the_row_normalized_mass_matrix(mesh, delta):
     u = np.random.default_rng(101).standard_normal(mesh.n_interior)
     mass = w_mass_matrix(mesh, QUARTIC, delta)
     want = (mass @ u) / (mass @ np.ones(mesh.n_interior))
-    got = mollify(mesh, QUARTIC, delta, u)[0].values
+    got = mollify(mesh, QUARTIC, delta, u)[0]
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -593,19 +593,29 @@ def test_penalty_spec_rejects_unknown_variant():
 
 
 def test_field_and_data_length_checks():
-    with pytest.raises(AssemblyError):
-        Field(INTERVAL, np.zeros(3))
-    with pytest.raises(AssemblyError):
-        BoundaryData(INTERVAL, np.zeros(5))
-    f = Field(INTERVAL, INTERVAL.interior_points[:, 0] ** 2)
-    assert f.values[0] == pytest.approx(0.05 ** 2)
+    # nodal input is one number per node of the mesh; anything else, a
+    # non-numeric value included, is refused naming the expected length
+    op = make_op(INTERVAL, "product", 0.3)
+    n, m = INTERVAL.n_interior, INTERVAL.n_boundary
+    for expected, call in [
+            (n, lambda: op.energy(np.zeros(3))),
+            (n, lambda: op.energy("abc")),
+            (n, lambda: mollify(INTERVAL, QUARTIC, 0.3, [[1.0]])),
+            (n, lambda: lp_norm(INTERVAL, [1.0])),
+            (m, lambda: boundary_data(INTERVAL, np.zeros(5))),
+            (m, lambda: op.twin(a="linear_x")),
+            (m, lambda: assemble(INTERVAL, QUARTIC, op.spec, 0.3,
+                                 a={"x": 1}))]:
+        with pytest.raises(AssemblyError) as exc:
+            call()
+        assert exc.value.info["expected"] == expected
+    u = INTERVAL.interior_points[:, 0] ** 2
+    assert op.energy(u.tolist()) == op.energy(u)
+    assert boundary_data(INTERVAL, [0, 1]).tolist() == [0.0, 1.0]
 
 
 def test_operator_rejects_foreign_field():
     op = make_op(INTERVAL, "product", 0.3)
-    other = build_mesh({"interval": [0.0, 1.0]}, 0.1)
-    with pytest.raises(AssemblyError):
-        op.energy(Field(other, np.zeros(other.n_interior)))
     with pytest.raises(AssemblyError):
         op.energy(np.zeros(7))
 
@@ -613,15 +623,15 @@ def test_operator_rejects_foreign_field():
 # ------------------------------------------------------------ boundary data
 
 def test_boundary_data_catalog():
-    assert np.all(boundary_data(INTERVAL, None).values == 0.0)
-    assert np.all(boundary_data(INTERVAL, "zero").values == 0.0)
+    assert np.all(boundary_data(INTERVAL, None) == 0.0)
+    assert np.all(boundary_data(INTERVAL, "zero") == 0.0)
     lin = boundary_data(INTERVAL, "linear_x")
-    assert sorted(lin.values.tolist()) == [0.0, 1.0]
+    assert sorted(lin.tolist()) == [0.0, 1.0]
     harm = boundary_data(SQUARE, "harmonic_x2_minus_y2")
     pts = SQUARE.boundary_points
-    assert np.allclose(harm.values, pts[:, 0] ** 2 - pts[:, 1] ** 2)
+    assert np.allclose(harm, pts[:, 0] ** 2 - pts[:, 1] ** 2)
     xy = boundary_data(SQUARE, "harmonic_xy")
-    assert np.allclose(xy.values, pts[:, 0] * pts[:, 1])
+    assert np.allclose(xy, pts[:, 0] * pts[:, 1])
 
 
 def test_boundary_data_harmonic_needs_2d():
@@ -634,13 +644,6 @@ def test_boundary_data_unknown_name_lists_catalog():
         boundary_data(INTERVAL, "bessel")
     assert "catalog" in exc.value.info
     assert "linear_x" in exc.value.info["catalog"]
-
-
-def test_boundary_data_foreign_mesh_rejected():
-    other = build_mesh({"interval": [0.0, 1.0]}, 0.1)
-    datum = BoundaryData(other, np.zeros(other.n_boundary))
-    with pytest.raises(AssemblyError):
-        boundary_data(INTERVAL, datum)
 
 
 # ------------------------------------------------------------------- lp_norm

@@ -219,26 +219,55 @@ def test_validate_kernel_flags_increasing_tabulation(tmp_path, capsys):
                                   "0,inf\n0.5,0.25\n1,0\n"])
 def test_non_finite_tabulation_fails_validation_and_solve(tmp_path, capsys,
                                                           rows):
-    # a NaN or infinite sample fails the nonnegative condition, and a
-    # solve with that kernel as R stops at assembly's kernel check, with
-    # the same error, instead of reaching the solver with a NaN symbol
+    # a NaN or infinite sample is refused as the file is read, naming its
+    # row, so neither validate-kernel nor a solve (nor sigma, which would
+    # run its ladder to the node budget) gets a kernel to work on
     path = tmp_path / "bad.csv"
     path.write_text(rows)
-    code = dispatch(["validate-kernel", "--kernel", f"tabulated:{path}"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out.count("PASS") == 4
-    assert captured.out.startswith("FAIL nonnegative:")
-    payload = json.loads(captured.err.strip())
-    assert payload["error"] == "KernelError"
-    assert payload["conditions"] == ["nonnegative"]
-
+    row = 1 if "nan" in rows else 0
     config = write_config(tmp_path, kernel_r=f"tabulated:{path}")
-    code = dispatch(["solve", "--config", str(config)])
-    payload = json.loads(capsys.readouterr().err.strip())
+    for argv in (["validate-kernel", "--kernel", f"tabulated:{path}"],
+                 ["sigma", "--kernel", f"tabulated:{path}", "--p", "2",
+                  "--dim", "1"],
+                 ["solve", "--config", str(config)]):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        payload = _strict_json(captured.err.strip())
+        assert payload["error"] == "KernelError"
+        assert payload["row"] == row
+
+
+def test_an_overflowing_sphere_moment_is_a_kernel_error(tmp_path, capsys):
+    # at p = 1e308 the log-Gamma of the sphere moment overflows; sigma
+    # and a sweep (which computes sigma_R before its rows) refuse it
+    code = dispatch(["sigma", "--kernel", "quartic", "--p", "1e308",
+                     "--dim", "2"])
+    payload = _strict_json(capsys.readouterr().err.strip())
     assert code == 1
-    assert payload["error"] == "KernelError"
-    assert payload["conditions"] == ["nonnegative"]
+    assert payload["error"] == "KernelError" and payload["p"] == 1e308
+    config = write_config(tmp_path, p=1e308)
+    code = dispatch(["sweep", "--config", str(config)])
+    payload = _strict_json(capsys.readouterr().err.strip())
+    assert code == 1
+    assert payload["error"] == "KernelError" and payload["p"] == 1e308
+
+
+def test_a_cell_size_too_small_to_lay_out_is_a_mesh_error(tmp_path, capsys):
+    # delta = 1e-300 asks for about 4e300 cells: solve refuses it with a
+    # MeshError and a sweep records it as that row's error
+    config = write_config(tmp_path, deltas=[1e-300])
+    code = dispatch(["solve", "--config", str(config)])
+    payload = _strict_json(capsys.readouterr().err.strip())
+    assert code == 1
+    assert payload["error"] == "MeshError" and payload["h"] == 2.5e-301
+    rows = tmp_path / "rows.json"
+    config = write_config(tmp_path, deltas=[0.1, 1e-300], out_json=str(rows))
+    assert dispatch(["sweep", "--config", str(config)]) == 0
+    capsys.readouterr()
+    got = json.loads(rows.read_text())["rows"]
+    assert "error" not in got[0]
+    assert got[1]["error"].startswith("MeshError: ")
 
 
 # ------------------------------------------------------------ usage errors

@@ -192,6 +192,24 @@ def test_build_mesh_rejects_bad_input(shape, h):
         build_mesh(shape, h)
 
 
+@pytest.mark.parametrize("h", [1e-300, 5e-324])
+@pytest.mark.parametrize("shape", [
+    {"interval": [0.0, 1.0]},
+    {"rect": [[0.0, 0.0], [1.0, 1.0]]},
+    {"polygon": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
+                 [0.0, 1.0]]},
+])
+def test_a_cell_size_too_small_to_lay_out_is_refused(shape, h):
+    # about 1e300 cells per axis (infinitely many at 5e-324): refused
+    # before any array is allocated, naming h and the per-axis counts
+    with pytest.raises(MeshError, match="too small") as exc:
+        build_mesh(shape, h)
+    assert exc.value.info["h"] == h
+    cells = exc.value.info["cells"]
+    assert len(cells) == (1 if "interval" in shape else 2)
+    assert all(c > 1e299 for c in cells)
+
+
 def test_self_intersection_error_names_edges():
     # lopsided so the signed area stays nonzero and only the crossing trips
     bowtie = {"polygon": [[0.0, 0.0], [3.0, 1.0], [1.0, 0.0], [0.0, 2.0]]}

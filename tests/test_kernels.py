@@ -227,6 +227,17 @@ def test_tabulated_kernel_validation_errors(tmp_path):
         tabulated_kernel(str(bad_neg))
 
 
+@pytest.mark.parametrize("rows, row", [("0,1\n0.5,nan\n1,0\n", 1),
+                                       ("0,inf\n0.5,0.25\n1,0\n", 0),
+                                       ("0,1\n0.5,0.25\ninf,0\n", 2)])
+def test_tabulated_kernel_refuses_non_finite_values(tmp_path, rows, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(rows)
+    with pytest.raises(KernelError, match="finite") as exc:
+        tabulated_kernel(str(path))
+    assert exc.value.info["row"] == row
+
+
 def test_kernel_by_id_catalog():
     assert kernel_by_id("quartic") is QUARTIC
     assert kernel_by_id("cubic") is CUBIC
@@ -332,12 +343,15 @@ def test_validate_kernel_flags_nonmonotone(tmp_path):
 
 @pytest.mark.parametrize("rows", ["0,1\n0.5,nan\n1,0\n",
                                   "0,inf\n0.5,0.25\n1,0\n"])
-def test_validate_kernel_flags_non_finite_samples(tmp_path, rows):
-    # a NaN or an infinite sample fails nonnegativity at its s; the
-    # other four conditions are still reported, and no numpy warning is
-    path = tmp_path / "bad.csv"
-    path.write_text(rows)
-    kernel = tabulated_kernel(str(path))
+def test_validate_kernel_flags_non_finite_samples(rows):
+    # a NaN or an infinite sample of a profile (interpolated here, as
+    # tabulated_kernel refuses such a file) fails nonnegativity at its
+    # s; the other four conditions are still reported, and no numpy
+    # warning is
+    grid, vals = np.array([line.split(",") for line in rows.split()],
+                          dtype=float).T
+    kernel = KernelSpec("bad", lambda s: np.interp(s, grid, vals, right=0.0),
+                        1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = validate_kernel(kernel)

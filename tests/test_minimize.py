@@ -13,9 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nldir import (ConfigError, EigenProblem, EnergyOperator, Field,
-                   MeshError, PenaltySpec, SolveOptions, SolveResult,
-                   SolverError, StudyConfig, assemble, build_mesh, lp_norm,
+from nldir import (ConfigError, EigenProblem, EnergyOperator, MeshError,
+                   PenaltySpec, SolveOptions, SolveResult, SolverError,
+                   StudyConfig, assemble, build_mesh, lp_norm,
                    run_delta_sweep, solve_eigen, solve_p_energy,
                    solve_quadratic)
 from nldir.assembly import PER_NODE_VARIANTS, VARIANTS, ZERO_DATA_VARIANTS
@@ -55,10 +55,10 @@ def test_pcg_lands_on_dense_solution(variant):
     op = make_op(COARSE, variant, 0.3, a=a)
     res = solve_quadratic(op, SolveOptions(tol=1e-12))
     x_star = np.linalg.solve(densify(op), op.linear_term)
-    err = np.linalg.norm(res.minimizer.values - x_star) \
+    err = np.linalg.norm(res.minimizer - x_star) \
         / max(np.linalg.norm(x_star), 1e-300)
     if variant in ZERO_DATA_VARIANTS:
-        assert np.all(res.minimizer.values == 0.0)
+        assert np.all(res.minimizer == 0.0)
     else:
         assert err <= 1e-8
 
@@ -67,7 +67,7 @@ def test_pcg_dense_agreement_2d():
     op = make_op(SQUARE, "product", 0.5, a="harmonic_xy")
     res = solve_quadratic(op, SolveOptions(tol=1e-12))
     x_star = np.linalg.solve(densify(op), op.linear_term)
-    assert np.linalg.norm(res.minimizer.values - x_star) \
+    assert np.linalg.norm(res.minimizer - x_star) \
         <= 1e-8 * np.linalg.norm(x_star)
     assert res.converged
 
@@ -75,7 +75,7 @@ def test_pcg_dense_agreement_2d():
 def test_result_fields_are_recomputed_at_the_minimizer():
     op = make_op(COARSE, "product", 0.3, a="linear_x")
     res = solve_quadratic(op)
-    x = res.minimizer.values
+    x = res.minimizer
     assert res.energy == op.energy(x)
     assert res.gradient_norm == float(np.linalg.norm(op.gradient(x)))
     assert res.converged == (res.gradient_norm
@@ -86,7 +86,7 @@ def test_zero_datum_returns_zero_immediately():
     for variant in VARIANTS:
         op = make_op(COARSE, variant, 0.3, a=None)
         res = solve_quadratic(op)
-        assert np.all(res.minimizer.values == 0.0)
+        assert np.all(res.minimizer == 0.0)
         assert res.iterations == 0
         assert res.energy == 0.0
         assert res.converged
@@ -98,7 +98,7 @@ def test_linear_datum_recovers_linear_profile():
     res = solve_quadratic(op)
     assert res.converged
     exact = FINE.interior_points[:, 0]
-    err = lp_norm(FINE, res.minimizer.values - exact)
+    err = lp_norm(FINE, res.minimizer - exact)
     assert err <= 0.05
 
 
@@ -106,7 +106,7 @@ def test_scaling_energy_does_not_move_the_argmin():
     op = make_op(COARSE, "product", 0.3, a="linear_x")
     res0 = solve_quadratic(op, SolveOptions(tol=1e-12))
     res1 = solve_quadratic(scaled_operator(op, 3.7), SolveOptions(tol=1e-12))
-    assert np.max(np.abs(res1.minimizer.values - res0.minimizer.values)) \
+    assert np.max(np.abs(res1.minimizer - res0.minimizer)) \
         <= 1e-8
 
 
@@ -114,7 +114,7 @@ def test_pcg_is_deterministic():
     op = make_op(SQUARE, "product", 0.5, a="harmonic_x2_minus_y2")
     r1 = solve_quadratic(op)
     r2 = solve_quadratic(op)
-    assert np.array_equal(r1.minimizer.values, r2.minimizer.values)
+    assert np.array_equal(r1.minimizer, r2.minimizer)
     assert r1.iterations == r2.iterations
     assert r1.energy == r2.energy
 
@@ -127,7 +127,7 @@ def test_budget_exhaustion_flags_nonconvergence():
     assert res.iterations == 2
     assert not res.converged
     assert res.stop_reason == "max_iter"
-    assert np.all(np.isfinite(res.minimizer.values))
+    assert np.all(np.isfinite(res.minimizer))
 
 
 def test_quadratic_solver_requires_p2():
@@ -244,7 +244,7 @@ def test_pcg_dense_agreement_on_polygons(mesh, delta, variant):
     res = solve_quadratic(op, SolveOptions(tol=1e-12))
     x_star = np.linalg.solve(densify(op), op.linear_term)
     assert res.converged
-    assert np.linalg.norm(res.minimizer.values - x_star) \
+    assert np.linalg.norm(res.minimizer - x_star) \
         <= 1e-9 * np.linalg.norm(x_star)
 
 
@@ -338,14 +338,14 @@ def test_newton_agrees_with_pcg_at_p2():
     quad = solve_quadratic(op, opts)
     nl = solve_p_energy(op, opts)
     assert nl.converged
-    assert lp_norm(COARSE, nl.minimizer.values - quad.minimizer.values) \
+    assert lp_norm(COARSE, nl.minimizer - quad.minimizer) \
         <= 1e-4
 
 
 def test_p3_zero_datum_stays_at_zero():
     op = make_op(COARSE, "product", 0.3, p=3.0, a=None)
     res = solve_p_energy(op, SolveOptions(tol=1e-8))
-    assert np.all(res.minimizer.values == 0.0)
+    assert np.all(res.minimizer == 0.0)
     assert res.iterations == 0
     assert res.converged
 
@@ -354,7 +354,7 @@ def test_p3_linear_datum_recovers_linear_profile():
     op = make_op(FINE, "product", 0.1, p=3.0, a="linear_x")
     res = solve_p_energy(op, SolveOptions(tol=1e-8))
     exact = FINE.interior_points[:, 0]
-    assert lp_norm(FINE, res.minimizer.values - exact, p=2.0) <= 0.05
+    assert lp_norm(FINE, res.minimizer - exact, p=2.0) <= 0.05
     assert res.converged
     assert res.stop_reason == "gradient"
 
@@ -388,8 +388,8 @@ def test_newton_evaluates_the_gradient_once_per_iterate(monkeypatch):
     assert res.converged and res.iterations >= 2
     assert len(calls) == res.iterations + 1
     assert res.gradient_norm == float(np.linalg.norm(
-        gradient(op, res.minimizer.values)))
-    assert res.energy == op.energy(res.minimizer.values)
+        gradient(op, res.minimizer)))
+    assert res.energy == op.energy(res.minimizer)
 
 
 def test_newton_warm_start_at_minimum_stops_immediately():
@@ -399,15 +399,15 @@ def test_newton_warm_start_at_minimum_stops_immediately():
     res = solve_p_energy(op, opts)
     assert res.iterations == 0
     assert res.converged and res.stop_reason == "gradient"
-    assert np.array_equal(res.minimizer.values,
-                          solve_quadratic(op, opts).minimizer.values)
+    assert np.array_equal(res.minimizer,
+                          solve_quadratic(op, opts).minimizer)
 
 
 def test_newton_is_deterministic():
     op = make_op(COARSE, "pointwise", 0.3, p=2.5, a="linear_x")
     r1 = solve_p_energy(op, SolveOptions(tol=1e-8))
     r2 = solve_p_energy(op, SolveOptions(tol=1e-8))
-    assert np.array_equal(r1.minimizer.values, r2.minimizer.values)
+    assert np.array_equal(r1.minimizer, r2.minimizer)
     assert r1.iterations == r2.iterations
 
 
@@ -423,8 +423,8 @@ def test_p2_twin_has_the_p2_minimizer(variant, p):
     u = np.random.default_rng(83).standard_normal(mesh.n_interior)
     assert twin.energy(u) == pytest.approx(0.2 ** (2.0 - p) * quad.energy(u),
                                            rel=1e-13)
-    want = solve_quadratic(quad, SolveOptions(tol=1e-12)).minimizer.values
-    got = solve_quadratic(twin, SolveOptions(tol=1e-12)).minimizer.values
+    want = solve_quadratic(quad, SolveOptions(tol=1e-12)).minimizer
+    got = solve_quadratic(twin, SolveOptions(tol=1e-12)).minimizer
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -445,7 +445,7 @@ def test_p15_row_certifies_or_names_its_stall():
     mesh = build_mesh({"interval": [0.0, 1.0]}, 0.00625 / 4.0)
     op = make_op(mesh, "product", 0.00625, p=1.5, a="linear_x")
     res = solve_p_energy(op, SolveOptions(tol=1e-8))
-    x = res.minimizer.values
+    x = res.minimizer
     assert res.gradient_norm == float(np.linalg.norm(op.gradient(x)))
     assert res.energy == op.energy(x)
     if res.converged:
@@ -454,13 +454,48 @@ def test_p15_row_certifies_or_names_its_stall():
         assert res.stop_reason in ("line_search_stall", "max_iter")
 
 
+def test_newton_stalls_when_no_step_lowers_the_energy():
+    # at a gradient norm of about 1e-9 the Armijo margin 1e-4 t slope
+    # rounds away, so a step that leaves the energy unchanged must not
+    # count as a decrease: the solve names its stall instead of spending
+    # its whole budget on steps that change nothing
+    op = make_op(COARSE, "product", 0.3, p=3.0, a="linear_x")
+    res = solve_p_energy(op, SolveOptions(tol=1e-10, max_iter=200))
+    assert res.stop_reason == "line_search_stall"
+    assert not res.converged and res.iterations < 200
+    assert res.gradient_norm == float(np.linalg.norm(
+        op.gradient(res.minimizer)))
+
+
+def test_operator_owns_its_datum():
+    # assemble() and twin() keep a read-only copy of the datum, so the
+    # caller's array may change afterwards: the energy and the solve,
+    # whose linear term is cached on first use, keep the first datum
+    u = np.random.default_rng(131).standard_normal(LAYERED.n_interior)
+    a = LAYERED.boundary_points[:, 0] * LAYERED.boundary_points[:, 1]
+    b = a.copy()
+    op = make_op(LAYERED, "product", 0.2, a=a)
+    twin = make_op(LAYERED, "product", 0.2).twin(a=b)
+    energy = op.energy(u)
+    first = solve_quadratic(op)
+    a[:] = 1.0
+    b[:] = 1.0
+    for each in (op, twin):
+        assert each.energy(u) == energy
+        res = solve_quadratic(each)
+        assert res.converged and res.stop_reason == "gradient"
+        assert res.energy == first.energy
+        assert np.array_equal(res.minimizer, first.minimizer)
+    assert not op.a.flags.writeable and not twin.a.flags.writeable
+
+
 def test_iterates_stay_bounded_across_horizons():
     # minimizers approximate u(x) = x, so their norm must stay O(1)
     norms = []
     for delta in (0.2, 0.1, 0.05):
         mesh = build_mesh({"interval": [0.0, 1.0]}, delta / 4.0)
         op = make_op(mesh, "product", delta, a="linear_x")
-        norm = lp_norm(mesh, solve_quadratic(op).minimizer.values, 2.0)
+        norm = lp_norm(mesh, solve_quadratic(op).minimizer, 2.0)
         assert np.isfinite(norm)
         norms.append(norm)
     assert max(norms) <= 2.0
@@ -488,6 +523,7 @@ def test_result_is_frozen():
     op = make_op(COARSE, "product", 0.3, a="linear_x")
     res = solve_quadratic(op)
     assert isinstance(res, SolveResult)
-    assert isinstance(res.minimizer, Field)
+    assert isinstance(res.minimizer, np.ndarray)
+    assert res.minimizer.shape == (COARSE.n_interior,)
     with pytest.raises(AttributeError):
         res.energy = 0.0

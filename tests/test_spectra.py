@@ -40,7 +40,7 @@ def stiffness(mesh, delta, variant="product"):
 
 
 def gram(prob, res):
-    xs = np.column_stack([f.values for f in res.eigenfields])
+    xs = np.column_stack(res.eigenfields)
     bxs = np.column_stack([prob.apply_mass(xs[:, i])
                            for i in range(xs.shape[1])])
     return xs.T @ bxs
@@ -56,7 +56,7 @@ def test_interval_matches_dense_oracle():
     assert np.all(np.abs(res.eigenvalues - evals) <= 1e-8 * np.abs(evals))
     # simple spectrum: vectors line up after mass normalization
     for i in range(4):
-        x = res.eigenfields[i].values
+        x = res.eigenfields[i]
         y = evecs[:, i]
         y = y / np.sqrt(float(y @ prob.apply_mass(y)))
         assert abs(abs(float(x @ prob.apply_mass(y))) - 1.0) <= 1e-7
@@ -97,7 +97,7 @@ def test_eigen_result_invariants():
     assert np.max(np.abs(g - np.eye(3))) <= 1e-8
     assert all(res.converged)
     for i in range(3):
-        x = res.eigenfields[i].values
+        x = res.eigenfields[i]
         # with zero data the quadratic energy is the Rayleigh numerator
         assert float(x @ op.apply_quadratic(x)) == pytest.approx(lam[i],
                                                                  rel=1e-8)
@@ -112,7 +112,7 @@ def test_single_mode_unit_mass_norm():
     op = stiffness(INTERVAL, 0.1)
     prob = EigenProblem(op, "L2", k=1)
     res = solve_eigen(prob)
-    x = res.eigenfields[0].values
+    x = res.eigenfields[0]
     assert float(x @ prob.apply_mass(x)) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -122,7 +122,7 @@ def test_solve_eigen_deterministic():
     r1 = solve_eigen(prob)
     r2 = solve_eigen(prob)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-    assert np.array_equal(r1.eigenfields[0].values, r2.eigenfields[0].values)
+    assert np.array_equal(r1.eigenfields[0], r2.eigenfields[0])
 
 
 def test_seed_does_not_change_the_spectrum():
@@ -140,8 +140,8 @@ def test_spectrum_scales_with_the_form():
     assert np.allclose(res1.eigenvalues, 4.2 * res0.eigenvalues, rtol=1e-8)
     prob = EigenProblem(op, "L2", k=2)
     for i in range(2):
-        x0 = res0.eigenfields[i].values
-        x1 = res1.eigenfields[i].values
+        x0 = res0.eigenfields[i]
+        x1 = res1.eigenfields[i]
         assert abs(abs(float(x0 @ prob.apply_mass(x1))) - 1.0) <= 1e-7
 
 
@@ -154,7 +154,7 @@ def test_budget_exhaustion_is_flagged(k):
     assert np.all(np.isfinite(res.eigenvalues))
     assert res.iterations == (3,) * k
     for i in range(k):
-        x = res.eigenfields[i].values
+        x = res.eigenfields[i]
         r = op.apply_quadratic(x) - res.eigenvalues[i] * prob.apply_mass(x)
         assert res.residuals[i] == pytest.approx(np.linalg.norm(r),
                                                  rel=1e-12)

@@ -163,7 +163,7 @@ def test_boundary_data_is_the_exact_solution(shape):
     for cid in CASE_IDS:
         case = manufactured_case(cid)
         if case.admits(mesh.dim, 2.0):
-            assert np.array_equal(boundary_data(mesh, case.id).values,
+            assert np.array_equal(boundary_data(mesh, case.id),
                                   case.exact(mesh.boundary_points)), cid
 
 
@@ -207,10 +207,10 @@ def test_failing_row_is_recorded_not_raised():
 
 
 def test_sweep_validates_r_before_sigma_r(tmp_path, monkeypatch):
-    # sigma_r on a NaN tabulation runs its quadrature ladder to the node
-    # budget and fails with a QuadratureError; the sweep refuses R first
-    path = tmp_path / "nan.csv"
-    path.write_text("0,1\n0.5,nan\n1,0\n")
+    # sigma_r on an inadmissible kernel may spend its quadrature budget
+    # on a meaningless moment; the sweep refuses R first
+    path = tmp_path / "negative.csv"
+    path.write_text("0,1\n0.5,-0.5\n1,0\n")
 
     def no_sigma(*args, **kwargs):
         raise AssertionError("sigma_r ran on an invalid kernel")
@@ -220,7 +220,8 @@ def test_sweep_validates_r_before_sigma_r(tmp_path, monkeypatch):
                       case="linear_x", kernel_r=f"tabulated:{path}")
     with pytest.raises(KernelError) as exc:
         run_delta_sweep(cfg)
-    assert exc.value.info["conditions"] == ["nonnegative"]
+    assert exc.value.info["conditions"] == ["nonnegative", "K2 monotone",
+                                            "K1 smoothness"]
 
 
 def test_sweep_deterministic_modulo_seconds():
