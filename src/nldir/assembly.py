@@ -140,11 +140,16 @@ def lp_norm(mesh: DomainMesh, values, p: float = 2.0) -> float:
 
 def _field_values(mesh, u, boundary=False):
     """u as a float array of one value per interior (boundary, when
-    boundary is set) node; else AssemblyError naming that length."""
+    boundary is set) node; else AssemblyError naming that length. Complex
+    input is refused, not cast to its real part."""
     n, what = ((mesh.n_boundary, "boundary data") if boundary
                else (mesh.n_interior, "field"))
     try:
-        v = np.asarray(u, dtype=float)
+        v = np.asarray(u)
+        if np.iscomplexobj(v):
+            raise AssemblyError(f"{what} must be real", expected=n,
+                                got=str(v.dtype))
+        v = v.astype(float, copy=False)
     except (TypeError, ValueError):
         raise AssemblyError(f"{what} must be numeric", expected=n,
                             got=type(u).__name__) from None
@@ -156,8 +161,8 @@ def _field_values(mesh, u, boundary=False):
 
 def _admitted(mesh, variant, p, a):
     """A read-only copy of the datum a, one value per boundary node, once
-    1 < p < inf, p = 2 for the quadratic-only variants, and zero data for
-    the zero-datum variants are checked."""
+    1 < p < inf, p = 2 for the quadratic-only variants, finite values,
+    and zero data for the zero-datum variants are checked."""
     if not 1 < p < np.inf:
         raise AssemblyError("exponent must be finite and exceed 1", p=p)
     if p != 2.0 and variant in QUADRATIC_ONLY_VARIANTS:
@@ -165,6 +170,12 @@ def _admitted(mesh, variant, p, a):
                             variant=variant, p=p)
     a_vals = _field_values(mesh, a, boundary=True).copy()
     a_vals.setflags(write=False)
+    bad = np.flatnonzero(~np.isfinite(a_vals))
+    if bad.size:
+        node = int(bad[0])
+        raise AssemblyError("boundary data must be finite", node=node,
+                            point=mesh.boundary_points[node],
+                            value=float(a_vals[node]), count=int(bad.size))
     if variant in ZERO_DATA_VARIANTS and np.any(a_vals != 0.0):
         raise AssemblyError(
             f"variant '{variant}' admits only zero boundary data",

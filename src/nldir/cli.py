@@ -18,7 +18,8 @@ import numpy as np
 
 from . import study
 from .errors import ConfigError, NldirError
-from .kernels import kernel_by_id, sigma_r, validate_kernel
+from .kernels import kernel_by_id, normalize_w, sigma_r, validate_kernel
+from .spectra import compare_mass_models
 from .study import StudyConfig
 
 
@@ -123,11 +124,16 @@ def _cmd_eigen(args):
                           field="eigen_modes", value=cfg.eigen_modes)
     # one zero-datum operator, so both mass models share its layer factor
     op = study.row_operator(cfg, cfg.deltas[0])
-    masses = (["L2", "nonlocalW"] if cfg.eigen_mass == "both"
-              else [cfg.eigen_mass])
+    if cfg.eigen_mass == "both":
+        cmp = compare_mass_models(
+            op, normalize_w(kernel_by_id(cfg.kernel_w), op.mesh.dim),
+            cfg.eigen_modes, seed=cfg.seed)
+        results = (cmp.l2, cmp.w)
+    else:
+        results = (study.solve_modes(cfg, op, cfg.eigen_mass),)
     lines = ["mode,lambda,residual,mass_model,delta,h"]
-    for mass in masses:
-        res = study.solve_modes(cfg, op, mass)
+    for res in results:
+        mass = res.mass_model
         for mode in range(cfg.eigen_modes):
             lines.append(",".join([
                 str(mode + 1), f"{res.eigenvalues[mode]:.17g}",

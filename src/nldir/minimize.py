@@ -70,7 +70,10 @@ class SolveResult:
 def _finish(op, x, energy, gradient, iterations, opts, stop_reason):
     """The result at the final iterate x from op.energy(x) and
     op.gradient(x), so the converged flag is exact, not inherited from
-    solver recurrences."""
+    solver recurrences. Both are per-offset slice sums over the
+    stencil, computed apart from the DST symbol and the layer columns
+    that the solver iterated on: a wrong symbol or layer block moves
+    the iterate but cannot pass its own gradient test."""
     gradient_norm = float(np.linalg.norm(gradient))
     converged = gradient_norm <= opts.tol * (1.0 + abs(energy))
     return SolveResult(x.copy(), energy, gradient_norm, iterations,
@@ -114,6 +117,10 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     "gradient": a zero l stops at x0 = 0 once the layer factor has
     certified A_LL positive definite. Exhausting the budget returns the
     last iterate with stop_reason "max_iter", flagged non-converged.
+    The CG steps run on the DST symbol and the layer columns only; the
+    energy and gradient that certify the result (see _finish) cost one
+    pass of per-offset slice sums more, paid on purpose so a wrong
+    _symbol or _layer cannot certify its own answer.
     """
     if op.p != 2.0:
         raise SolverError("quadratic solve requires an operator with p = 2",
@@ -144,10 +151,13 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     """Damped inexact Newton-CG for any p > 1, from the minimizer of
     op.twin(p=2.0). Each step runs CG on H s = -g with
     M = op.preconditioner() and H = op.hessian(x) until |r| <= eta |g|,
-    eta = min(0.5, |g|^(1/2)), then an Armijo backtracking. Stops on the
-    gradient test ("gradient"), after max_iter steps ("max_iter"), or
-    when no step down to 1e-12 lowers the energy ("line_search_stall"),
-    which a p < 2 row may reach where |.|^(p-2) is unbounded."""
+    eta = min(0.5, |g|^(1/2)), then an Armijo backtracking that accepts a
+    step if it lowers the energy or, where it leaves the energy
+    unchanged to rounding, the gradient norm; only then is the trial
+    gradient evaluated, and it is carried forward. Stops on the gradient
+    test ("gradient"), after max_iter steps ("max_iter"), or when no
+    step down to 1e-12 lowers either ("line_search_stall"), which a
+    p < 2 row may reach where |.|^(p-2) is unbounded."""
     x = solve_quadratic(op.twin(p=2.0), SolveOptions(
         tol=max(opts.tol, _START_TOL))).minimizer
     precond = op.preconditioner()
@@ -171,13 +181,22 @@ def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions()
                 break
         slope, t = float(g @ s), 1.0
         while slope < 0.0 and t >= _MIN_STEP:
-            e_trial = op.energy(x + t * s)
-            if e_trial <= energy + _ARMIJO * t * slope and e_trial < energy:
-                break
+            trial = x + t * s
+            e_trial, g_trial = op.energy(trial), None
+            if e_trial <= energy + _ARMIJO * t * slope:
+                if e_trial < energy:
+                    break
+                # the energy change is at rounding level: a step that
+                # leaves the energy unchanged still counts if it lowers
+                # the gradient norm (Hager & Zhang, SIAM J. Optim. 16,
+                # 2005, switch to a derivative test there too)
+                g_trial = op.gradient(trial)
+                if np.linalg.norm(g_trial) < g_norm:
+                    break
             t *= _SHRINK
         else:
             reason = "line_search_stall"
             break
-        x, energy = x + t * s, e_trial
-        g = op.gradient(x)
+        x, energy = trial, e_trial
+        g = op.gradient(x) if g_trial is None else g_trial
     return _finish(op, x, energy, g, iterations, opts, reason)

@@ -8,6 +8,11 @@ models: "L2" (diagonal quadrature weights) and "nonlocalW" (double-sum
 kernel form); orthogonality for the normalized path is taken in the
 same kernel inner product as its unit constraint. A lower bound on the
 mass form's smallest eigenvalue certifies it before any solve.
+compare_mass_models solves nonlocalW as a continuation of L2: the W
+mass is a kernel smoothing of the L2 weights, so the L2 modes are a
+start block already close to the W modes, and LOBPCG, whose rate is
+set by the angle between its start block and the target subspace,
+needs far fewer blocks from them than from the seeded block.
 
 A and the preconditioner are applied column by column. The
 preconditioner is the stiffness operator's two-level map
@@ -67,6 +72,9 @@ class EigenProblem:
         self.mass = mass
         self.k = int(k)
         self.W = W
+        # one array per mode that solve_eigen starts from instead of the
+        # seeded block; only compare_mass_models sets it
+        self._start = None
         mesh = stiffness.mesh
         delta = stiffness.delta
         if mass == "L2":
@@ -96,7 +104,9 @@ class EigenResult:
     """eigenfields holds one array of interior-node values per mode;
     iterations repeats, once per mode, the number of block iterations of
     the one solve that produced all k modes (at most max_iter; 0 when
-    n < 5 k, where scipy solves the problem densely instead)."""
+    n < 5 k, where scipy solves the problem densely instead). For the
+    nonlocalW result of compare_mass_models it counts only the blocks of
+    the solve started from the L2 modes, not those of the L2 solve."""
 
     eigenvalues: np.ndarray
     eigenfields: tuple
@@ -119,7 +129,8 @@ _EIGEN_DEFAULTS = SolveOptions(tol=1e-9, max_iter=2000)
 def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS,
                 seed: int = 0) -> EigenResult:
     """First k eigenpairs, ascending, mass-orthonormal, from one block
-    LOBPCG solve whose start block is seeded by seed. Residual target per
+    LOBPCG solve whose start block is seeded by seed (for the nonlocalW
+    solve of compare_mass_models: the L2 modes). Residual target per
     mode is tol * max(|lambda|, 1); a mode that misses it when the budget
     of opts.max_iter block iterations runs out is returned flagged
     non-converged."""
@@ -134,8 +145,11 @@ def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS,
         blocks += 1
         return apply_m(block)
 
-    x0 = np.random.default_rng(seed).standard_normal(
-        (op.mesh.n_interior, prob.k))
+    if prob._start is None:
+        x0 = np.random.default_rng(seed).standard_normal(
+            (op.mesh.n_interior, prob.k))
+    else:  # a fresh block per solve: lobpcg may write into its start
+        x0 = np.column_stack(prob._start)
     lams, xs = lobpcg(apply_a, x0, B=prob.apply_mass, M=counted_m,
                       largest=False, tol=opts.tol, maxiter=opts.max_iter)
     order = np.argsort(lams, kind="stable")
@@ -173,12 +187,15 @@ class MassComparison:
 def compare_mass_models(stiffness: EnergyOperator, W: KernelSpec, k: int,
                         opts: SolveOptions = _EIGEN_DEFAULTS, seed: int = 0
                         ) -> MassComparison:
-    """Solve the same stiffness under both mass models, each from the
-    start block seeded by seed, and report the per-mode relative
-    eigenvalue gap |l_L2 - l_W| / l_L2."""
+    """Solve the same stiffness under both mass models and report the
+    per-mode relative eigenvalue gap |l_L2 - l_W| / l_L2. L2 starts from
+    the block seeded by seed, nonlocalW from the L2 eigenfields, so the
+    seed picks only the L2 start; each solve certifies its own residuals
+    against opts.tol."""
     res_l2 = solve_eigen(EigenProblem(stiffness, "L2", k), opts, seed)
-    res_w = solve_eigen(EigenProblem(stiffness, "nonlocalW", k, W=W), opts,
-                        seed)
+    prob_w = EigenProblem(stiffness, "nonlocalW", k, W=W)
+    prob_w._start = res_l2.eigenfields
+    res_w = solve_eigen(prob_w, opts, seed)
     denom = np.where(np.abs(res_l2.eigenvalues) > _DROP,
                      np.abs(res_l2.eigenvalues), 1.0)
     gaps = np.abs(res_l2.eigenvalues - res_w.eigenvalues) / denom

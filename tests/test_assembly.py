@@ -16,6 +16,7 @@ all five boundary penalties as stated in the assembly module.
 """
 
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -612,6 +613,40 @@ def test_field_and_data_length_checks():
     u = INTERVAL.interior_points[:, 0] ** 2
     assert op.energy(u.tolist()) == op.energy(u)
     assert boundary_data(INTERVAL, [0, 1]).tolist() == [0.0, 1.0]
+
+
+def test_complex_input_is_refused_not_cast_to_its_real_part():
+    # casting dropped the imaginary part: energy(1j * ones) read 0.0
+    op = make_op(INTERVAL, "product", 0.3)
+    n, m = INTERVAL.n_interior, INTERVAL.n_boundary
+    for expected, call in [
+            (n, lambda: op.energy(1j * np.ones(n))),
+            (n, lambda: op.gradient([1j] * n)),
+            (n, lambda: op.apply_quadratic(np.ones(n, dtype=complex))),
+            (m, lambda: op.twin(a=np.ones(m) + 0j)),
+            (m, lambda: assemble(INTERVAL, QUARTIC, op.spec, 0.3,
+                                 a=[1j, 0.0]))]:
+        with pytest.raises(AssemblyError, match="real") as exc:
+            call()
+        assert exc.value.info["expected"] == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_datum_is_refused_naming_its_node(bad):
+    # a NaN datum reached the solver, which spent its whole budget at
+    # energy NaN; it is refused where the datum is admitted instead
+    a = np.zeros(SQUARE.n_boundary)
+    a[[3, 9]] = bad
+    spec = PenaltySpec("product", QUARTIC)
+    op = assemble(SQUARE, QUARTIC, spec, 0.5)
+    for call in (lambda: assemble(SQUARE, QUARTIC, spec, 0.5, a=a),
+                 lambda: op.twin(a=a)):
+        with pytest.raises(AssemblyError, match="finite") as exc:
+            call()
+        info = exc.value.info
+        assert info["node"] == 3 and info["count"] == 2
+        assert np.array_equal(info["point"], SQUARE.boundary_points[3])
+        json.dumps(exc.value.payload(), allow_nan=False)
 
 
 def test_operator_rejects_foreign_field():

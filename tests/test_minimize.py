@@ -467,6 +467,25 @@ def test_newton_stalls_when_no_step_lowers_the_energy():
         op.gradient(res.minimizer)))
 
 
+def test_newton_accepts_a_step_that_lowers_only_the_gradient():
+    # near the minimizer a Newton step's energy change falls below the
+    # rounding of the energy; requiring a strict energy decrease then
+    # rejected every trial, and these rows stopped "line_search_stall"
+    # just above the gradient target
+    square = StudyConfig(shape=UNIT_SQUARE, deltas=(0.05,), ratio=4.0,
+                         p=3.0, case="linear_x", variant="product")
+    interval = StudyConfig(shape={"interval": [0.0, 1.0]},
+                           deltas=tuple(0.1 / 2 ** k for k in range(6)),
+                           ratio=4.0, p=3.0, case="linear_x",
+                           variant="pointwise")
+    for cfg in (square, interval):
+        rows = run_delta_sweep(cfg).rows
+        assert [r.error for r in rows] == [None] * len(cfg.deltas)
+        assert [(r.stop_reason, r.converged) for r in rows] == \
+            [("gradient", True)] * len(cfg.deltas)
+        assert all(r.iterations <= 10 for r in rows)
+
+
 def test_operator_owns_its_datum():
     # assemble() and twin() keep a read-only copy of the datum, so the
     # caller's array may change afterwards: the energy and the solve,

@@ -169,12 +169,13 @@ def test_certified_modes_raise_no_solver_warning():
     mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.05 / 4.0)
     op = stiffness(mesh, 0.05)
     opts = SolveOptions(tol=1e-9, max_iter=20000)
+    W = normalize_w(WENDLAND, 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        cmp = compare_mass_models(op, W, 3, opts)
         results = [solve_eigen(EigenProblem(op, "L2", 3), opts),
-                   solve_eigen(EigenProblem(op, "nonlocalW", 3,
-                                            W=normalize_w(WENDLAND, 2)),
-                               opts)]
+                   solve_eigen(EigenProblem(op, "nonlocalW", 3, W=W), opts),
+                   cmp.l2, cmp.w]
     assert not [w for w in caught if issubclass(w.category, UserWarning)]
     assert all(all(res.converged) for res in results)
 
@@ -239,6 +240,40 @@ def test_both_mass_models_factor_the_layer_once(monkeypatch):
     op = stiffness(SQUARE, 0.3)
     compare_mass_models(op, normalize_w(WENDLAND, 2), k=2)
     assert built == [op]
+
+
+def test_w_modes_from_the_l2_start_match_the_dense_oracle():
+    # compare_mass_models starts nonlocalW from the L2 modes; the start
+    # block must not change what the solve converges to
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.025)
+    assert mesh.n_interior == 1600
+    W = normalize_w(WENDLAND, 2)
+    op = stiffness(mesh, 0.1)
+    cmp = compare_mass_models(op, W, k=3)
+    evals, _ = dense_eigen(EigenProblem(op, "nonlocalW", 3, W=W))
+    assert all(cmp.w.converged)
+    assert np.all(np.abs(cmp.w.eigenvalues - evals) <= 1e-8 * evals)
+    # 6 blocks from the L2 modes, 14 for L2 from the seeded block
+    assert max(cmp.w.iterations) < max(cmp.l2.iterations)
+
+
+def test_w_solve_continues_from_the_l2_modes():
+    # the W mass is a kernel smoothing of the L2 weights, so the L2 modes
+    # are close to the W modes: 6 blocks, against 16 from the seeded start
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.0125)
+    assert mesh.n_interior == 6400
+    W = normalize_w(WENDLAND, 2)
+    op = stiffness(mesh, 0.05)
+    cmp = compare_mass_models(op, W, k=3)
+    assert all(cmp.w.converged)
+    assert max(cmp.w.iterations) <= 8
+    cold = solve_eigen(EigenProblem(op, "nonlocalW", 3, W=W))
+    assert all(cold.converged)
+    assert np.all(np.abs(cmp.w.eigenvalues - cold.eigenvalues)
+                  <= 1e-9 * cold.eigenvalues)
+    # the L2 half is the seeded solve_eigen, bit for bit
+    l2 = solve_eigen(EigenProblem(op, "L2", 3))
+    assert np.array_equal(cmp.l2.eigenvalues, l2.eigenvalues)
 
 
 def test_indefinite_w_kernel_is_refused():
