@@ -196,6 +196,16 @@ def _boundary_tables(mesh, base: KernelSpec, delta, stencil):
                          shape=(mesh.n_boundary, mesh.n_interior))
 
 
+def _refuse_empty(sums, points, error, message, floor=0.0, **info):
+    """Raise error(message) naming the first node whose row sum is at
+    most floor, with its position among points: a node whose kernel row
+    is empty would drop out of the form."""
+    bad = np.flatnonzero(sums <= floor)
+    if bad.size:
+        raise error(message, node=int(bad[0]),
+                    position=points[bad[0]].tolist(), **info)
+
+
 def _on_nodes(grid_matrix, stencil):
     """A CSR matrix on the bounding grid restricted to the mesh's nodes,
     in node order."""
@@ -346,15 +356,15 @@ class EnergyOperator:
         self._starts = stencil.pair_starts()[keep]
         self._w2 = 2.0 * offset_w[keep]
 
-    def _to_ends(self, pieces, second=np.add):
+    def _to_ends(self, pieces):
         """Per-node sums over the pairs of the nonzero-weight offsets: a
         piece (one value per grid site, read at each pair's first site)
-        adds to the pair's first node and, by `second`, to its second."""
+        adds to the pair's first node and subtracts from its second."""
         size = self._starts.shape[1]
         grid = np.zeros(size)
         for f, piece in zip(self._steps, pieces):
             grid[:size - f] += piece[:size - f]
-            second(grid[f:], piece[:size - f], out=grid[f:])
+            grid[f:] -= piece[:size - f]
         return grid[self.stencil.sites]
 
     def _differences(self, v):
@@ -618,9 +628,8 @@ class EnergyOperator:
         (exactly 0 for a constant field); for p = 2 it equals
         2 A u - 2 l."""
         v, p = _field_values(self.mesh, u), self.p
-        g = self._to_ends((p * w2 * _signed_power(d, p - 1.0) for w2, d
-                           in zip(self._w2, self._differences(v))),
-                          np.subtract)
+        g = self._to_ends(p * w2 * _signed_power(d, p - 1.0) for w2, d
+                          in zip(self._w2, self._differences(v)))
         return g + self._penalty_gradient(v)
 
     def _penalty_gradient(self, v):
@@ -642,9 +651,8 @@ class EnergyOperator:
         scale = c * self.pen_pref * _floored_power(self._inner(v), e)
 
         def apply(w):
-            out = self._to_ends((s * d for s, d
-                                 in zip(slices, self._differences(w))),
-                                np.subtract)
+            out = self._to_ends(s * d for s, d
+                                in zip(slices, self._differences(w)))
             return out + self._pen_t @ (scale * (self.pen @ w))
 
         return apply
@@ -683,7 +691,9 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
 
     Requires delta >= 2 h so the kernel is resolved by the quadrature,
     validated kernels, zero data for the zero-datum variants, p = 2
-    for the variants without a general-p statement, and a lattice mesh
+    for the variants without a general-p statement, a penalty kernel
+    row with a positive sum at every boundary node (AssemblyError naming
+    the first node and its position otherwise), and a lattice mesh
     (MeshError otherwise; see geometry.lattice_stencil). One
     lattice_stencil serves the interior pairs and the penalty tables
     when their kernels share a support: the kernel R is evaluated once
@@ -715,15 +725,15 @@ def assemble(mesh: DomainMesh, R: KernelSpec, spec: PenaltySpec,
     else:
         base = spec.kernel
     table = _boundary_tables(mesh, base, delta, stencil)
+    _refuse_empty(table @ np.ones(mesh.n_interior), mesh.boundary_points,
+                  AssemblyError, "penalty kernel row is empty at a boundary "
+                  "node")
     w_b = mesh.boundary_weights
     if spec.variant == "wang":
         wbb = _boundary_tables(mesh, antiderivative_kernel(base), delta,
                                stencil) @ np.ones(mesh.n_interior)
-        if np.any(wbb <= 0.0):
-            bad = int(np.nonzero(wbb <= 0.0)[0][0])
-            raise AssemblyError(
-                "wang weight vanishes at a boundary node",
-                node=bad, position=mesh.boundary_points[bad].tolist())
+        _refuse_empty(wbb, mesh.boundary_points, AssemblyError,
+                      "wang weight vanishes at a boundary node")
         pref = 2.0 * w_b / (delta**2 * wbb)
     elif spec.variant == "shi":
         # boundary nodes have zero boundary distance: max(delta^2, d) = delta^2
@@ -755,12 +765,9 @@ def mollify(mesh: DomainMesh, khat: KernelSpec, delta: float, u):
     smooth = w_mass_matrix(mesh, khat, delta, stencil)
     omega = smooth @ np.ones(mesh.n_interior)
     numer = smooth @ v
-    if np.any(omega <= _TINY):
-        bad = int(np.nonzero(omega <= _TINY)[0][0])
-        raise MollifierError(
-            "mollifier weight vanishes at an interior node",
-            node=bad, position=mesh.interior_points[bad].tolist(),
-            radius=khat.support * delta)
+    _refuse_empty(omega, mesh.interior_points, MollifierError,
+                  "mollifier weight vanishes at an interior node", _TINY,
+                  radius=khat.support * delta)
     trace = trace_matrix(mesh, khat, delta, stencil)
     return numer / omega, trace @ v
 
@@ -776,12 +783,9 @@ def trace_matrix(mesh: DomainMesh, khat: KernelSpec, delta: float,
     MollifierError naming the node."""
     table = _boundary_tables(mesh, khat, delta, stencil)
     omega = table @ np.ones(mesh.n_interior)
-    if np.any(omega <= _TINY):
-        bad = int(np.nonzero(omega <= _TINY)[0][0])
-        raise MollifierError(
-            "mollifier weight vanishes at a boundary node",
-            node=bad, position=mesh.boundary_points[bad].tolist(),
-            radius=khat.support * delta)
+    _refuse_empty(omega, mesh.boundary_points, MollifierError,
+                  "mollifier weight vanishes at a boundary node", _TINY,
+                  radius=khat.support * delta)
     table.data /= np.repeat(omega, np.diff(table.indptr))
     return table
 

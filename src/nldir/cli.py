@@ -1,11 +1,12 @@
 """Command-line frontend.
 
 Subcommands: sigma, validate-kernel, solve, eigen, sweep, compare,
-probe-coercivity. Experiment state lives entirely in the JSON config
-and the output files; the config file is never modified. Exit status 0
-on success, 1 on a domain error (machine-readable JSON on stderr), 2 on
-a usage error. Human-readable numbers print with 6 significant digits;
-machine files carry 17.
+probe-coercivity. sigma and validate-kernel take a kernel id and read
+no config; the others keep their experiment state entirely in the JSON
+config and the output files, and never modify the config file. Exit
+status 0 on success, 1 on a domain error (machine-readable JSON on
+stderr), 2 on a usage error. Human-readable numbers print with 6
+significant digits; machine files carry 17.
 """
 
 import argparse
@@ -18,8 +19,7 @@ import numpy as np
 
 from . import study
 from .errors import ConfigError, NldirError
-from .kernels import kernel_by_id, normalize_w, sigma_r, validate_kernel
-from .spectra import compare_mass_models
+from .kernels import kernel_by_id, sigma_r, validate_kernel
 from .study import StudyConfig
 
 
@@ -30,7 +30,21 @@ def _parser():
                     "kernel constants, minimizers, spectra, horizon sweeps.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    sp = sub.add_parser("sigma", help="print the kernel constant sigma_R")
+    sp.add_argument("--kernel", required=True)
+    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--dim", type=int, required=True)
+
+    sp = sub.add_parser("validate-kernel",
+                        help="run the kernel admissibility checks")
+    sp.add_argument("--kernel", required=True)
+
+    for name, help_text in (
+            ("solve", "minimize one assembled energy and save the field"),
+            ("eigen", "compute nonlocal eigenpairs, CSV output"),
+            ("sweep", "run a horizon sweep from a config"),
+            ("compare", "sweep several penalty variants on identical meshes"),
+            ("probe-coercivity", "random-probe coercivity ratios")):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON experiment config")
         sp.add_argument("--out", help="override the primary output path")
@@ -38,21 +52,6 @@ def _parser():
                         help="override the config's row thread count")
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--verbose", action="store_true")
-        return sp
-
-    sp = add("sigma", "print the kernel constant sigma_R")
-    sp.add_argument("--kernel", required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--dim", type=int, required=True)
-
-    sp = add("validate-kernel", "run the kernel admissibility checks")
-    sp.add_argument("--kernel", required=True)
-
-    add("solve", "minimize one assembled energy and save the field")
-    add("eigen", "compute nonlocal eigenpairs, CSV output")
-    add("sweep", "run a horizon sweep from a config")
-    add("compare", "sweep several penalty variants on identical meshes")
-    add("probe-coercivity", "random-probe coercivity ratios")
     return ap
 
 
@@ -123,14 +122,7 @@ def _cmd_eigen(args):
         raise ConfigError("eigen requires eigen_modes >= 1 in the config",
                           field="eigen_modes", value=cfg.eigen_modes)
     # one zero-datum operator, so both mass models share its layer factor
-    op = study.row_operator(cfg, cfg.deltas[0])
-    if cfg.eigen_mass == "both":
-        cmp = compare_mass_models(
-            op, normalize_w(kernel_by_id(cfg.kernel_w), op.mesh.dim),
-            cfg.eigen_modes, seed=cfg.seed)
-        results = (cmp.l2, cmp.w)
-    else:
-        results = (study.solve_modes(cfg, op, cfg.eigen_mass),)
+    results = study.solve_modes(cfg, study.row_operator(cfg, cfg.deltas[0]))
     lines = ["mode,lambda,residual,mass_model,delta,h"]
     for res in results:
         mass = res.mass_model
@@ -178,6 +170,9 @@ def _cmd_compare(args):
 
 def _cmd_probe(args):
     cfg = _load_config(args)
+    if cfg.p != 2.0:
+        raise ConfigError("probe-coercivity requires p = 2", field="p",
+                          p=cfg.p)
     delta = cfg.deltas[0]
     mesh, spec = study.mesh_and_penalty(cfg, delta)
     report = study.coercivity_probe(mesh, spec,

@@ -18,6 +18,10 @@ their upper antiderivatives; wendland, which is not a power of
 profile here whose radial function is positive definite in dimensions
 up to 3, which matters when a profile is used as the mass kernel W; the
 quartic and cubic profiles produce indefinite mass forms on fine grids.
+
+The quadrature constants refine their midpoint ladder to a fixed
+relative tolerance within 10**7 nodes: 1e-8 for sigma_r and
+scaled_mass, 1e-10 for kernel_mass and so for normalize_w.
 """
 
 import math
@@ -239,7 +243,7 @@ def _ladder(estimate, rel_tol, budget, what):
         budget=budget, rel_tol=rel_tol)
 
 
-def _radial_moment(radial, radius, dim, p, rel_tol, budget, what):
+def _radial_moment(radial, radius, dim, p, rel_tol, what):
     """int_{R^dim} radial(|z|) |z_1|^p dz for a radial integrand with
     support radius `radius`: the sphere moment
     int_{S^(dim-1)} |w_1|^p dw = 2 pi^((dim-1)/2) G((p+1)/2) / G((dim+p)/2)
@@ -261,11 +265,10 @@ def _radial_moment(radial, radius, dim, p, rel_tol, budget, what):
         r = (np.arange(n) + 0.5) * h
         return sphere * float(np.sum(radial(r) * r ** (p + dim - 1)) * h)
 
-    return _ladder(estimate, rel_tol, budget, what)
+    return _ladder(estimate, rel_tol, _BUDGET, what)
 
 
-def sigma_r(kernel: KernelSpec, p: float, dim: int,
-            rel_tol: float = 1e-8, budget: int = _BUDGET) -> QuadResult:
+def sigma_r(kernel: KernelSpec, p: float, dim: int) -> QuadResult:
     """Directional p-th moment of the kernel,
     int_{R^dim} profile(|z|^2) |z_1|^p dz, by the radial midpoint
     ladder (any axis gives the same value for a radial profile).
@@ -276,28 +279,26 @@ def sigma_r(kernel: KernelSpec, p: float, dim: int,
     if not 1 < p < math.inf:
         raise KernelError("exponent must be finite and exceed 1", p=p)
     return _radial_moment(lambda r: kernel.profile(r * r), kernel.support,
-                          dim, p, rel_tol, budget, f"sigma_R({kernel.label})")
+                          dim, p, 1e-8, f"sigma_R({kernel.label})")
 
 
-def kernel_mass(kernel: KernelSpec, dim: int,
-                rel_tol: float = 1e-8, budget: int = _BUDGET) -> QuadResult:
+def kernel_mass(kernel: KernelSpec, dim: int) -> QuadResult:
     """int_{R^dim} profile(|z|^2) dz over the support ball."""
     return _radial_moment(lambda r: kernel.profile(r * r), kernel.support,
-                          dim, 0.0, rel_tol, budget, f"mass({kernel.label})")
+                          dim, 0.0, 1e-10, f"mass({kernel.label})")
 
 
-def scaled_mass(kernel: KernelSpec, delta: float, dim: int,
-                rel_tol: float = 1e-8, budget: int = _BUDGET) -> QuadResult:
+def scaled_mass(kernel: KernelSpec, delta: float, dim: int) -> QuadResult:
     """Mass of the scaled kernel over its support ball of radius
     r*delta; independent of delta up to quadrature error."""
     return _radial_moment(lambda r: eval_scaled(kernel, r, delta, dim),
-                          kernel.support * delta, dim, 0.0, rel_tol, budget,
+                          kernel.support * delta, dim, 0.0, 1e-8,
                           f"scaled_mass({kernel.label})")
 
 
-def normalize_w(kernel: KernelSpec, dim: int, rel_tol: float = 1e-10) -> KernelSpec:
+def normalize_w(kernel: KernelSpec, dim: int) -> KernelSpec:
     """Rescale the profile so its dim-dimensional mass is 1."""
-    mass = kernel_mass(kernel, dim, rel_tol=rel_tol).value
+    mass = kernel_mass(kernel, dim).value
     if mass <= _TINY:
         raise KernelError("cannot normalize a zero-mass profile",
                           kernel=kernel.label, mass=mass)

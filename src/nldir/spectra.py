@@ -166,15 +166,15 @@ def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS,
         mass_model=prob.mass, delta=op.delta, h=op.mesh.h)
 
 
-def dense_eigen(prob: EigenProblem, k: int = None):
+def dense_eigen(prob: EigenProblem):
     """Full symmetric generalized eigendecomposition on a densified
     operator; intended as an independent oracle at small node counts.
-    Returns (eigenvalues, eigenvectors) columns ascending."""
+    Returns the first prob.k (eigenvalues, eigenvectors) columns,
+    ascending."""
     op = prob.stiffness
     a = _columns(op.apply_quadratic)(np.eye(op.mesh.n_interior))
     evals, evecs = scipy.linalg.eigh(a, prob._b_mat.toarray())
-    kk = prob.k if k is None else k
-    return evals[:kk], evecs[:, :kk]
+    return evals[:prob.k], evecs[:, :prob.k]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ the L2 error against the exact local solution, a smoothed boundary
 trace norm, the energy, and the kernel constant sigma_R. Reports are
 reproducible bit for bit given config and seed, except for the wall
 time column. Error trends are asserted by the callers (tests), not
-here; rates are reported as information only.
+here; rates are reported as information only. solve_modes is where
+eigen_mass picks the mass models and kernel_w becomes the W mass
+kernel: nldir eigen only prints its results, and a sweep row, which
+refuses "both", reports its single one.
 
 The manufactured catalog is this laboratory's own choice of closed-form
 local solutions (assembly.MANUFACTURED, whose ids are also boundary
@@ -232,16 +235,22 @@ def solve_row(cfg: StudyConfig, case, delta):
     return op, result, lp_norm(op.mesh, error, 2.0)
 
 
-def solve_modes(cfg: StudyConfig, op, mass):
+def solve_modes(cfg: StudyConfig, op):
     """The cfg.eigen_modes smallest eigenpairs of a zero-datum operator
-    under one mass model (nonlocalW: the normalized kernel_w), solved to
-    tol 1e-9 in at most 2,000 LOBPCG blocks seeded by cfg.seed."""
-    from .spectra import EigenProblem, solve_eigen
+    as one EigenResult per mass model of cfg.eigen_mass (nonlocalW: the
+    normalized kernel_w; "both": L2, then nonlocalW started from the L2
+    modes by compare_mass_models), solved to tol 1e-9 in at most 2,000
+    LOBPCG blocks from a start seeded by cfg.seed."""
+    from .spectra import EigenProblem, compare_mass_models, solve_eigen
     w_kernel = None
-    if mass == "nonlocalW":
+    if cfg.eigen_mass != "L2":
         w_kernel = normalize_w(kernel_by_id(cfg.kernel_w), op.mesh.dim)
-    prob = EigenProblem(op, mass, cfg.eigen_modes, W=w_kernel)
-    return solve_eigen(prob, seed=cfg.seed)
+    if cfg.eigen_mass == "both":
+        cmp = compare_mass_models(op, w_kernel, cfg.eigen_modes,
+                                  seed=cfg.seed)
+        return cmp.l2, cmp.w
+    prob = EigenProblem(op, cfg.eigen_mass, cfg.eigen_modes, W=w_kernel)
+    return (solve_eigen(prob, seed=cfg.seed),)
 
 
 def _run_row(cfg: StudyConfig, case, delta, sigma):
@@ -262,8 +271,7 @@ def _run_row(cfg: StudyConfig, case, delta, sigma):
     if cfg.eigen_modes > 0:
         # the datum enters only the affine part, so the stencil and the
         # penalty arrays of op serve the zero-datum stiffness unchanged
-        eig = solve_modes(cfg, op.twin(a=np.zeros(mesh.n_boundary)),
-                          cfg.eigen_mass)
+        (eig,) = solve_modes(cfg, op.twin(a=np.zeros(mesh.n_boundary)))
         eigen_lambdas = tuple(float(v) for v in eig.eigenvalues)
 
     row = SweepRow(delta=delta, h=mesh.h, penalty=cfg.variant, p=cfg.p,

@@ -27,7 +27,8 @@ from nldir import (AssemblyError, ConfigError, EnergyOperator, KernelError,
                    boundary_data, build_mesh, lp_norm, mollify,
                    w_mass_matrix)
 from nldir.assembly import VARIANTS, ZERO_DATA_VARIANTS, trace_matrix
-from nldir.kernels import QUARTIC, WENDLAND, KernelSpec, normalize_w
+from nldir.kernels import (QUARTIC, WENDLAND, KernelSpec, minorant_kernel,
+                           normalize_w)
 
 INTERVAL = build_mesh({"interval": [0.0, 1.0]}, 0.1)       # 10 + 2 nodes
 SQUARE = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)  # 16 + 16
@@ -647,6 +648,21 @@ def test_a_non_finite_datum_is_refused_naming_its_node(bad):
         assert info["node"] == 3 and info["count"] == 2
         assert np.array_equal(info["point"], SQUARE.boundary_points[3])
         json.dumps(exc.value.payload(), allow_nan=False)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_penalty_kernel_with_an_empty_row_is_refused(variant):
+    # the minorant's support, 0.1 delta = 0.02, falls short of the
+    # interior node nearest each end, h/2 = 0.025 away: every penalty
+    # row would be empty, so a solve would return u = 0 as converged
+    # with the datum never imposed
+    mesh = build_mesh({"interval": [0.0, 1.0]}, 0.05)
+    spec = PenaltySpec(variant, minorant_kernel(QUARTIC, 0.01))
+    datum = None if variant in ZERO_DATA_VARIANTS else "linear_x"
+    with pytest.raises(AssemblyError, match="penalty kernel row") as exc:
+        assemble(mesh, QUARTIC, spec, 0.2, 2.0, datum)
+    assert exc.value.info["node"] == 0
+    assert exc.value.info["position"] == [0.0]
 
 
 def test_operator_rejects_foreign_field():

@@ -288,10 +288,19 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_sigma_has_no_rel_tol_flag(capsys):
-    # sigma's midpoint ladder stops at the fixed tolerance 1e-8
-    assert dispatch(["sigma", "--kernel", "quartic", "--p", "2", "--dim",
-                     "1", "--rel-tol", "1e-6"]) == 2
-    assert "--rel-tol" in capsys.readouterr().err
+    # sigma's midpoint ladder stops at the fixed tolerance 1e-8, and
+    # neither kernel command reads a config, so the config commands'
+    # flags are usage errors there
+    kernel_commands = (["sigma", "--kernel", "quartic", "--p", "2",
+                        "--dim", "1"],
+                       ["validate-kernel", "--kernel", "quartic"])
+    extras = (["--rel-tol", "1e-6"], ["--config", "c.json"],
+              ["--out", "o.csv"], ["--threads", "1"], ["--seed", "1"],
+              ["--verbose"])
+    for argv in kernel_commands:
+        for extra in extras:
+            assert dispatch(argv + extra) == 2, extra
+            assert extra[0] in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- config
@@ -645,6 +654,28 @@ def test_probe_coercivity_reports_and_saves(tmp_path, capsys):
     assert doc["variant"] == "product"
     assert len(doc["ratios"]) == 10
     assert doc["min_ratio"] > 0
+
+
+def test_probe_coercivity_refuses_p_other_than_2(tmp_path, capsys):
+    # the probe's penalty energy is the p = 2 form, whatever p says
+    path = write_config(tmp_path, case="zero", trials=10, p=3.0)
+    assert dispatch(["probe-coercivity", "--config", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigError" and payload["field"] == "p"
+
+
+def test_a_penalty_that_imposes_nothing_is_refused(tmp_path, capsys):
+    # on the interval at delta = 0.2, ratio 4, this minorant's support
+    # reaches no interior node from either end, so no datum is imposed:
+    # solve and eigen exit 1 and the sweep row records the refusal
+    path = write_config(tmp_path, kernel_k="minorant:quartic:0.01",
+                        eigen_modes=1)
+    for command in ("solve", "eigen"):
+        assert dispatch([command, "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "AssemblyError" and payload["node"] == 0
+    assert dispatch(["sweep", "--config", str(path)]) == 1
+    assert "AssemblyError: penalty kernel row" in capsys.readouterr().err
 
 
 def test_probe_coercivity_out_flag_wins_over_out_json(tmp_path):

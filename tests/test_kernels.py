@@ -35,6 +35,7 @@ from nldir import (CUBIC, QUARTIC, WENDLAND, KernelError, KernelSpec,
                    eval_scaled, kernel_by_id, kernel_mass, minorant_kernel,
                    normalize_w, scaled_mass, sigma_r, tabulated_kernel,
                    validate_kernel)
+from nldir.kernels import _ladder
 
 SIGMA_QUARTIC_1D = 16.0 / 105.0
 SIGMA_QUARTIC_2D = np.pi / 24.0
@@ -103,8 +104,16 @@ def test_sigma_at_a_large_exponent_is_finite(dim):
 
 
 def test_sigma_budget_exhaustion_carries_extrapolants():
+    # sigma_r's own ladder for the 2D quartic at p = 2: the sphere moment
+    # pi times the midpoint sum of profile(r^2) r^3 on (0, 1); at
+    # tolerance 1e-14 it runs out of a 5,000-node budget
+    def estimate(n):
+        h = 1.0 / n
+        r = (np.arange(n) + 0.5) * h
+        return math.pi * float(np.sum(QUARTIC.profile(r * r) * r**3) * h)
+
     with pytest.raises(QuadratureError) as err:
-        sigma_r(QUARTIC, 2, 2, rel_tol=1e-14, budget=5000)
+        _ladder(estimate, 1e-14, 5000, "sigma_R(quartic)")
     assert "last" in err.value.info
     assert err.value.info["last"] is not None
 

@@ -285,12 +285,17 @@ def coo_layer(op):
     diag = row_sums(op)
     if not per_node:
         diag += np.bincount(idx, weights=op.pen_pref, minlength=n)
-    in_layer = op._to_ends(op._starts) < 2 * len(op._steps)
-    in_layer[idx] = True
-    nodes = np.flatnonzero(in_layer)
     sites = op.stencil.sites
     node_of = np.full(op._starts.shape[1], -1)
     node_of[sites] = np.arange(n)
+    links = np.zeros(n, dtype=int)
+    for f, start in zip(op._steps, op._starts):
+        first = np.flatnonzero(start)
+        np.add.at(links, node_of[first], 1)
+        np.add.at(links, node_of[first + f], 1)
+    in_layer = links < 2 * len(op._steps)
+    in_layer[idx] = True
+    nodes = np.flatnonzero(in_layer)
     at = sites[nodes]
     rows, cols = [nodes], [np.arange(len(nodes))]
     vals = [diag[nodes]]
