@@ -576,12 +576,12 @@ class EnergyOperator:
         weights rescale by delta^(p-2)): lambda(theta) = sum_o 2 w(o)
         (1 - prod_a cos(theta_a o_a)) over all signed offsets o, at
         theta_a = pi k / n_a, k = 1..n_a, on the stencil's n_1 x ...
-        bounding grid. On the lattice with equal weights that assemble()
-        certified, the interior form is a convolution stencil away from
-        the boundary and the DST-II diagonalizes P_tau, so a row whose
-        stencil stays on the mesh is the interior form's row. The penalty
-        terms are left out. The cosine sum is one _cosine_sum contraction
-        over the half-offsets.
+        bounding grid. On the lattice with equal weights that the mesh
+        constructor certified, the interior form is a convolution stencil
+        away from the boundary and the DST-II diagonalizes P_tau, so a row
+        whose stencil stays on the mesh is the interior form's row. The
+        penalty terms are left out. The cosine sum is one _cosine_sum
+        contraction over the half-offsets.
         """
         # each half-offset o stands for o and -o
         coef = 4.0 * self.offset_w * self.delta ** (self.p - 2.0)

@@ -7,9 +7,9 @@ weight. For intervals and rectangles the cell count per axis is rounded
 so the weights sum to the exact measure; polygons use a bounding-box
 grid with a center-inside indicator, which carries an O(h) geometric
 error by construction. build_mesh records the lattice it lays the
-cells out on, which lattice_stencil checks and reads. Boundary
-quadrature is the two endpoints in 1D and midpoints of segments of
-length <= h in 2D, with outward unit normals.
+cells out on, which the DomainMesh constructor checks against the
+nodes and lattice_stencil reads. Boundary quadrature is the two
+endpoints in 1D and midpoints of segments of length <= h in 2D.
 
 Shape descriptors follow the config convention:
 {"interval": [a, b]} | {"rect": [[x0, y0], [x1, y1]]} |
@@ -34,10 +34,41 @@ class DomainMesh:
     interior_weights: np.ndarray  # (N,)
     boundary_points: np.ndarray   # (M, dim)
     boundary_weights: np.ndarray  # (M,)
-    boundary_normals: np.ndarray  # (M, dim) outward unit normals
     # (sites, shape, origin, spacing) of the cell grid, as build_mesh
     # lays it out (see _cells); None for a point cloud
     lattice: tuple = None
+
+    def __post_init__(self):
+        """The one check of a recorded lattice against the nodes.
+        MeshError when the origin is not finite or a spacing not
+        positive and finite, the site and node counts differ, a node lies
+        more than 1e-6 cell off its site (a NaN node among them), two
+        nodes share one, or a weight is not the cell measure (with an
+        axis of one row, whose spacing is h, the weights must be equal).
+        Every comparison is written to fail on NaN."""
+        if self.lattice is None:
+            return
+        sites, shape, origin, spacing = self.lattice
+        if not (np.all(np.isfinite(origin))
+                and np.all((spacing > 0) & (spacing < np.inf))):
+            raise MeshError("the lattice needs a finite origin and positive "
+                            "finite spacings", origin=list(origin),
+                            spacing=list(spacing))
+        pts, qw = self.interior_points, self.interior_weights
+        if len(sites) != len(pts):
+            raise MeshError("the lattice has a site count other than the "
+                            "node count", sites=len(sites), nodes=len(pts))
+        for axis, index in enumerate(np.unravel_index(sites, shape)):
+            steps = (pts[:, axis] - origin[axis]) / spacing[axis]
+            if not np.all(np.abs(steps - index) <= 1e-6):
+                raise MeshError("interior nodes are off a uniform lattice",
+                                axis=axis, spacing=spacing[axis])
+        if np.any(np.bincount(sites) > 1):
+            raise MeshError("two interior nodes share a lattice cell")
+        cell = float(np.prod(spacing)) if min(shape) > 1 else float(qw[0])
+        if not np.all(np.abs(qw - cell) <= 1e-9 * cell):
+            raise MeshError("interior weights are not the lattice cell "
+                            "measure", cell=cell)
 
     @property
     def n_interior(self):
@@ -54,19 +85,17 @@ def _freeze(*arrays):
 
 
 def _closed_polyline(verts, h):
-    """Boundary quadrature of the closed CCW polyline through verts: each
-    side split into pieces of length <= h, their midpoints, weights
-    (piece lengths) and outward normals (the rotated tangents)."""
-    pts, w, normals = [], [], []
+    """Boundary quadrature of the closed polyline through verts: each
+    side split into pieces of length <= h, their midpoints and weights
+    (piece lengths)."""
+    pts, w = [], []
     for p0, p1 in zip(verts, np.roll(verts, -1, axis=0)):
         length = float(np.linalg.norm(p1 - p0))
         m = max(1, int(np.ceil(length / h - 1e-12)))
         t = (np.arange(m) + 0.5) / m
         pts.append(p0[None, :] + t[:, None] * (p1 - p0)[None, :])
         w.append(np.full(m, length / m))
-        tangent = (p1 - p0) / length
-        normals.append(np.tile([tangent[1], -tangent[0]], (m, 1)))
-    return np.vstack(pts), np.concatenate(w), np.vstack(normals)
+    return np.vstack(pts), np.concatenate(w)
 
 
 def _shoelace(verts):
@@ -182,10 +211,8 @@ def _interval_mesh(spec, h):
     pts, qw, lattice = _cells([a + (np.arange(n) + 0.5) * he], he, he)
     bpts = np.array([[a], [b]])
     bw = np.array([1.0, 1.0])
-    bn = np.array([[-1.0], [1.0]])
-    _freeze(bpts, bw, bn)
-    return DomainMesh(1, {"interval": [a, b]}, he, pts, qw, bpts, bw, bn,
-                      lattice)
+    _freeze(bpts, bw)
+    return DomainMesh(1, {"interval": [a, b]}, he, pts, qw, bpts, bw, lattice)
 
 
 def _rect_mesh(spec, h):
@@ -202,12 +229,11 @@ def _rect_mesh(spec, h):
     pts, qw, lattice = _cells([x0 + (np.arange(nx) + 0.5) * hx,
                                y0 + (np.arange(ny) + 0.5) * hy],
                               max(hx, hy), hx * hy)
-    # CCW so the rotated tangent points outward
-    bpts, bw, bn = _closed_polyline(
+    bpts, bw = _closed_polyline(
         np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]), h)
-    _freeze(bpts, bw, bn)
+    _freeze(bpts, bw)
     return DomainMesh(2, {"rect": [[x0, y0], [x1, y1]]}, max(hx, hy),
-                      pts, qw, bpts, bw, bn, lattice)
+                      pts, qw, bpts, bw, lattice)
 
 
 def _polygon_mesh(spec, h):
@@ -222,7 +248,7 @@ def _polygon_mesh(spec, h):
                         edge=int(np.argmin(side)))
     if abs(area) <= 1e-12 * scale**2:
         raise MeshError("degenerate polygon: zero area", area=area)
-    if area < 0:
+    if area < 0:  # a polygon and its reversal give the same boundary arrays
         verts = verts[::-1].copy()
     nv = len(verts)
     for i in range(nv):
@@ -241,39 +267,10 @@ def _polygon_mesh(spec, h):
         [a + h * (np.arange(n) + 0.5)
          for a, n in zip(low, _cell_counts(h, high - low, np.ceil))],
         h, h * h, lambda cand: _points_in_polygon(cand, verts))
-    bpts, bw, bn = _closed_polyline(verts, h)
-    _freeze(bpts, bw, bn)
+    bpts, bw = _closed_polyline(verts, h)
+    _freeze(bpts, bw)
     return DomainMesh(2, {"polygon": verts.tolist()}, h, pts, qw, bpts, bw,
-                      bn, lattice)
-
-
-def _lattice(mesh: DomainMesh):
-    """The lattice build_mesh recorded (see _cells), checked against the
-    nodes, not inferred from them. MeshError when there is none, the
-    site and node counts differ, a node lies more than 1e-6 cell off its
-    site, two nodes share one, or a weight is not the cell measure (with
-    an axis of one row, whose spacing is h, the weights must be equal)."""
-    if mesh.lattice is None:
-        raise MeshError("the mesh records no lattice; build it with "
-                        "build_mesh")
-    sites, shape, origin, spacing = mesh.lattice
-    pts = mesh.interior_points
-    if len(sites) != len(pts):
-        raise MeshError("the lattice has a site count other than the "
-                        "node count", sites=len(sites), nodes=len(pts))
-    for axis, index in enumerate(np.unravel_index(sites, shape)):
-        steps = (pts[:, axis] - origin[axis]) / spacing[axis]
-        if np.max(np.abs(steps - index)) > 1e-6:
-            raise MeshError("interior nodes are off a uniform lattice",
-                            axis=axis, spacing=spacing[axis])
-    if np.bincount(sites).max() > 1:
-        raise MeshError("two interior nodes share a lattice cell")
-    cell = (float(np.prod(spacing)) if min(shape) > 1
-            else float(mesh.interior_weights[0]))
-    if np.max(np.abs(mesh.interior_weights - cell)) > 1e-9 * cell:
-        raise MeshError("interior weights are not the lattice cell measure",
-                        cell=cell)
-    return sites, shape, origin, spacing
+                      lattice)
 
 
 @dataclass(frozen=True)
@@ -334,12 +331,14 @@ def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
     (2 radius / spacing + 1)^dim cells around it and keeps the nodes
     with |x_b - x_j|^2 <= radius^2 (summed per axis), whose square roots
     are its boundary_lengths. The lattice is the one build_mesh
-    recorded; MeshError when there is none or the nodes no longer fit
-    it: a count other than the sites', a node off its site, two nodes
-    in one cell, or a weight other than the cell measure."""
+    recorded, which the DomainMesh constructor checked against the
+    nodes; MeshError when there is none."""
     if not 0 < radius < np.inf:
         raise MeshError("radius must be positive and finite", radius=radius)
-    sites, shape, origin, spacing = _lattice(mesh)
+    if mesh.lattice is None:
+        raise MeshError("the mesh records no lattice; build it with "
+                        "build_mesh")
+    sites, shape, origin, spacing = mesh.lattice
 
     reach = [min(int(radius // s) + 1, n - 1) for s, n in zip(spacing, shape)]
     grid = np.stack(np.meshgrid(*[np.arange(-k, k + 1) for k in reach],

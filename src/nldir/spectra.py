@@ -72,9 +72,6 @@ class EigenProblem:
         self.mass = mass
         self.k = int(k)
         self.W = W
-        # one array per mode that solve_eigen starts from instead of the
-        # seeded block; only compare_mass_models sets it
-        self._start = None
         mesh = stiffness.mesh
         delta = stiffness.delta
         if mass == "L2":
@@ -127,12 +124,13 @@ _EIGEN_DEFAULTS = SolveOptions(tol=1e-9, max_iter=2000)
 
 
 def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS,
-                seed: int = 0) -> EigenResult:
+                seed: int = 0, start=None) -> EigenResult:
     """First k eigenpairs, ascending, mass-orthonormal, from one block
-    LOBPCG solve whose start block is seeded by seed (for the nonlocalW
-    solve of compare_mass_models: the L2 modes). Residual target per
-    mode is tol * max(|lambda|, 1); a mode that misses it when the budget
-    of opts.max_iter block iterations runs out is returned flagged
+    LOBPCG solve started from start, one array of node values per mode
+    (compare_mass_models passes the L2 eigenfields), or when start is
+    None from the block seeded by seed. Residual target per mode is
+    tol * max(|lambda|, 1); a mode that misses it when the budget of
+    opts.max_iter block iterations runs out is returned flagged
     non-converged."""
     from scipy.sparse.linalg import lobpcg
     op = prob.stiffness
@@ -145,11 +143,11 @@ def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS,
         blocks += 1
         return apply_m(block)
 
-    if prob._start is None:
+    if start is None:
         x0 = np.random.default_rng(seed).standard_normal(
             (op.mesh.n_interior, prob.k))
     else:  # a fresh block per solve: lobpcg may write into its start
-        x0 = np.column_stack(prob._start)
+        x0 = np.column_stack(start)
     lams, xs = lobpcg(apply_a, x0, B=prob.apply_mass, M=counted_m,
                       largest=False, tol=opts.tol, maxiter=opts.max_iter)
     order = np.argsort(lams, kind="stable")
@@ -193,9 +191,8 @@ def compare_mass_models(stiffness: EnergyOperator, W: KernelSpec, k: int,
     seed picks only the L2 start; each solve certifies its own residuals
     against opts.tol."""
     res_l2 = solve_eigen(EigenProblem(stiffness, "L2", k), opts, seed)
-    prob_w = EigenProblem(stiffness, "nonlocalW", k, W=W)
-    prob_w._start = res_l2.eigenfields
-    res_w = solve_eigen(prob_w, opts, seed)
+    res_w = solve_eigen(EigenProblem(stiffness, "nonlocalW", k, W=W), opts,
+                        start=res_l2.eigenfields)
     denom = np.where(np.abs(res_l2.eigenvalues) > _DROP,
                      np.abs(res_l2.eigenvalues), 1.0)
     gaps = np.abs(res_l2.eigenvalues - res_w.eigenvalues) / denom

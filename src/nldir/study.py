@@ -365,7 +365,8 @@ def coercivity_probe(mesh, spec: PenaltySpec, khat, delta: float,
     Probes where both sides vanish are skipped. c_n rescales the minimum
     by the variant's power of delta (4 for shi_delta_sq_prefactor shi, 2
     for the rest at p = 2), comparable across horizons. The fields are
-    drawn a trial at a time, smoothed in blocks of <= _PROBE_BLOCK values."""
+    drawn and smoothed in blocks of <= _PROBE_BLOCK values, one draw call
+    per block, which yields the same stream as a draw per trial."""
     if trials < 10:
         raise ConfigError("need at least 10 trials", field="trials",
                           trials=trials)
@@ -377,8 +378,8 @@ def coercivity_probe(mesh, spec: PenaltySpec, khat, delta: float,
     ratios = []
     skipped = 0
     for start in range(0, trials, per_block):
-        block = np.array([rng.standard_normal(mesh.n_interior)
-                          for _ in range(min(per_block, trials - start))])
+        block = rng.standard_normal((min(per_block, trials - start),
+                                     mesh.n_interior))
         traces_sq = mesh.boundary_weights @ (trace @ block.T) ** 2
         for u, trace_sq in zip(block, traces_sq.tolist()):
             pen = op.penalty_energy(u)

@@ -47,7 +47,7 @@ def cloud_mesh(points, seed=0):
     bpts = rng.uniform(-0.2, 1.2, size=(5, dim))
     return DomainMesh(dim, {"rect": [[0.0] * dim, [1.0] * dim]}, 0.1,
                       pts, np.full(len(pts), 0.1 ** dim), bpts,
-                      np.full(5, 0.1), np.tile(np.eye(dim)[0], (5, 1)))
+                      np.full(5, 0.1))
 
 
 # ---------------------------------------------------------------- build_mesh
@@ -60,14 +60,6 @@ def test_interval_quarter_cells():
     assert np.allclose(mesh.interior_weights, 0.25, atol=1e-15)
     assert np.allclose(np.sort(mesh.boundary_points[:, 0]), [0.0, 1.0])
     assert np.allclose(mesh.boundary_weights, 1.0)
-
-
-def test_interval_normals_point_outward():
-    mesh = build_mesh({"interval": [2.0, 5.0]}, 0.5)
-    for b in range(mesh.n_boundary):
-        x = mesh.boundary_points[b, 0]
-        n = mesh.boundary_normals[b, 0]
-        assert n == (-1.0 if x == 2.0 else 1.0)
 
 
 def test_interval_snaps_h_to_divide_length():
@@ -106,16 +98,6 @@ def test_rect_interior_points_inside_boundary_on_edges():
     on_edge = (np.isclose(b[:, 0], 0) | np.isclose(b[:, 0], 2)
                | np.isclose(b[:, 1], 0) | np.isclose(b[:, 1], 1))
     assert np.all(on_edge)
-
-
-def test_rect_normals_unit_and_outward():
-    mesh = build_mesh({"rect": [[0.0, 0.0], [2.0, 1.0]]}, 0.25)
-    center = np.array([1.0, 0.5])
-    norms = np.linalg.norm(mesh.boundary_normals, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-14)
-    outward = np.sum(mesh.boundary_normals
-                     * (mesh.boundary_points - center), axis=1)
-    assert np.all(outward > 0)
 
 
 def test_boundary_segment_weights_at_most_h():
@@ -157,12 +139,10 @@ def test_clockwise_polygon_is_reoriented():
     ccw = build_mesh({"polygon": L_SHAPE}, 0.1)
     cw = build_mesh({"polygon": L_SHAPE[::-1]}, 0.1)
     assert cw.n_interior == ccw.n_interior
-    center = np.array([0.4, 0.4])
-    # normals must still point away from a deep interior point
-    near = np.linalg.norm(cw.boundary_points - center, axis=1) < 0.45
-    outward = np.sum(cw.boundary_normals[near]
-                     * (cw.boundary_points[near] - center), axis=1)
-    assert np.all(outward > 0)
+    # the reversed list is walked in the CCW order, so the boundary
+    # quadrature is the same bit for bit
+    assert np.array_equal(cw.boundary_points, ccw.boundary_points)
+    assert np.array_equal(cw.boundary_weights, ccw.boundary_weights)
 
 
 def test_mesh_arrays_are_frozen():
@@ -342,12 +322,64 @@ def test_lattice_index_rebuilds_the_nodes(shape, h, grid):
 def test_lattice_index_refuses_off_lattice_nodes(shift):
     # the replaced mesh keeps the lattice build_mesh recorded, so each
     # shift moves node 5 off its recorded site, by -1 cell onto the
-    # point of node 4
+    # point of node 4, and the constructor refuses it
     mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)
     pts = mesh.interior_points.copy()
     pts[5, 1] += shift * mesh.h
-    with pytest.raises(MeshError, match="off a uniform lattice"):
-        lattice_stencil(replace(mesh, interior_points=pts), mesh.h)
+    with pytest.raises(MeshError, match="off a uniform lattice") as exc:
+        replace(mesh, interior_points=pts)
+    assert exc.value.info == {"axis": 1, "spacing": mesh.h}
+
+
+def test_a_nan_node_is_refused_at_construction():
+    # a NaN coordinate is no distance from its site; unrefused, it
+    # drops 6 of the 80 boundary pairs of this mesh's stencil at 2 h
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)
+    pts = mesh.interior_points.copy()
+    pts[5, 1] = np.nan
+    with pytest.raises(MeshError, match="off a uniform lattice") as exc:
+        replace(mesh, interior_points=pts)
+    assert exc.value.info["axis"] == 1
+
+
+@pytest.mark.parametrize("value", [0.0, -0.25, np.inf, np.nan])
+def test_a_bad_lattice_spacing_is_refused_at_construction(value):
+    # unrefused, a zero spacing ends in an OverflowError in
+    # lattice_stencil
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)
+    sites, shape, origin, spacing = mesh.lattice
+    spacing = spacing.copy()
+    spacing[0] = value
+    with pytest.raises(MeshError, match="positive finite spacings"):
+        replace(mesh, lattice=(sites, shape, origin, spacing))
+
+
+def test_a_nonfinite_lattice_origin_is_refused_at_construction():
+    mesh = build_mesh({"interval": [0.0, 1.0]}, 0.25)
+    sites, shape, origin, spacing = mesh.lattice
+    with pytest.raises(MeshError, match="finite origin"):
+        replace(mesh, lattice=(sites, shape, np.array([np.nan]), spacing))
+
+
+def test_two_nodes_on_one_lattice_cell_are_refused():
+    # node 1 moved onto node 0 and its site with it: each node sits on
+    # its site, but one cell holds two
+    mesh = build_mesh({"interval": [0.0, 1.0]}, 0.25)
+    sites, shape, origin, spacing = mesh.lattice
+    pts, sites = mesh.interior_points.copy(), sites.copy()
+    pts[1], sites[1] = pts[0], sites[0]
+    with pytest.raises(MeshError, match="share a lattice cell"):
+        replace(mesh, interior_points=pts,
+                lattice=(sites, shape, origin, spacing))
+
+
+def test_a_nan_weight_is_refused_at_construction():
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.25)
+    weights = mesh.interior_weights.copy()
+    weights[3] = np.nan
+    with pytest.raises(MeshError, match="not the lattice cell measure") as exc:
+        replace(mesh, interior_weights=weights)
+    assert exc.value.info == {"cell": 0.0625}
 
 
 def test_lattice_stencil_refuses_an_infinite_radius():
@@ -365,12 +397,11 @@ def test_lattice_stencil_needs_the_recorded_lattice():
     mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.125)
     by_hand = DomainMesh(2, mesh.shape, mesh.h, mesh.interior_points,
                          mesh.interior_weights, mesh.boundary_points,
-                         mesh.boundary_weights, mesh.boundary_normals)
+                         mesh.boundary_weights)
     with pytest.raises(MeshError, match="records no lattice"):
         lattice_stencil(by_hand, mesh.h)
-    dropped = replace(mesh, interior_points=mesh.interior_points[:63])
     with pytest.raises(MeshError, match="site count") as exc:
-        lattice_stencil(dropped, mesh.h)
+        replace(mesh, interior_points=mesh.interior_points[:63])
     assert exc.value.info == {"sites": 64, "nodes": 63}
 
 
@@ -405,8 +436,7 @@ def test_neighbor_radius_zero_skips_coincident_points():
     pts = np.array([[0.1, 0.2], [0.1, 0.2], [0.6, 0.4]])
     bpts = np.array([[0.1, 0.2], [0.0, 0.0]])
     mesh = DomainMesh(2, {"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.1, pts,
-                      np.full(3, 0.01), bpts, np.full(2, 0.1),
-                      np.tile([1.0, 0.0], (2, 1)))
+                      np.full(3, 0.01), bpts, np.full(2, 0.1))
     table = neighbor_pairs(mesh, 0.0)
     assert table.indices.size == 0
     assert table.boundary_indices.size == 0

@@ -280,24 +280,23 @@ def test_eigen_iterations_per_mode_at_6400_nodes():
 
 
 def test_preconditioner_refuses_off_lattice_nodes():
-    # the preconditioner reads the lattice that assemble certified, so
-    # an off-lattice mesh is refused before any operator exists
+    # the preconditioner reads the lattice that the mesh constructor
+    # certified, so an off-lattice mesh is refused before any operator
+    # exists
     rng = np.random.default_rng(3)
     pts = SQUARE.interior_points
-    mesh = replace(SQUARE, interior_points=pts + rng.normal(
-        scale=1e-3 * SQUARE.h, size=pts.shape))
     with pytest.raises(MeshError, match="off a uniform lattice"):
-        make_op(mesh, "product", 0.5, a="harmonic_xy")
+        replace(SQUARE, interior_points=pts + rng.normal(
+            scale=1e-3 * SQUARE.h, size=pts.shape))
 
 
 def test_preconditioner_refuses_unequal_weights():
     weights = SQUARE.interior_weights.copy()
     weights[0] *= 1.5
-    mesh = replace(SQUARE, interior_weights=weights)
     with pytest.raises(MeshError,
                        match="interior weights are not the lattice cell "
                              "measure"):
-        make_op(mesh, "product", 0.5, a="harmonic_xy")
+        replace(SQUARE, interior_weights=weights)
 
 
 def test_preconditioner_refuses_a_nonpositive_symbol():

@@ -261,6 +261,27 @@ def test_w_modes_from_the_l2_start_match_the_dense_oracle():
     assert max(cmp.w.iterations) < max(cmp.l2.iterations)
 
 
+def test_seeded_start_finds_the_fourth_of_two_close_modes():
+    # on the 1 x 1.28 rectangle the dense lambda_4 = 9.0957 and lambda_5
+    # = 9.1283 lie 0.4 % apart; LOBPCG converges only inside the span
+    # its start block reaches, and a start from the tau symbol's four
+    # lowest DST modes certified lambda_5 as lambda_4 in 9 blocks. The
+    # seeded start takes 32 blocks and finds lambda_4
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.28]]}, 0.025)
+    assert mesh.n_interior == 2040
+    op = stiffness(mesh, 0.1)
+    lams = {}
+    for prob in (EigenProblem(op, "L2", 4),
+                 EigenProblem(op, "nonlocalW", 4, W=normalize_w(WENDLAND, 2))):
+        res = solve_eigen(prob)
+        evals, _ = dense_eigen(prob)
+        assert all(res.converged), prob.mass
+        assert np.all(np.abs(res.eigenvalues - evals) <= 1e-8 * evals), \
+            prob.mass
+        lams[prob.mass] = res.eigenvalues
+    assert lams["L2"][3] == pytest.approx(9.09572885, rel=1e-8)
+
+
 def test_w_solve_continues_from_the_l2_modes():
     # the W mass is a kernel smoothing of the L2 weights, so the L2 modes
     # are close to the W modes: 6 blocks, against 16 from the seeded start

@@ -447,8 +447,8 @@ def test_coercivity_requires_ten_trials():
 
 
 class ZeroRng:
-    def standard_normal(self, n):
-        return np.zeros(n)
+    def standard_normal(self, shape):
+        return np.zeros(shape)
 
 
 def test_coercivity_all_degenerate_probes_error(monkeypatch):
@@ -461,17 +461,19 @@ def test_coercivity_all_degenerate_probes_error(monkeypatch):
 
 
 class MixedRng:
-    """First draw is all zero (degenerate), the rest are genuine."""
+    """First field drawn is all zero (degenerate), the rest are
+    genuine; coercivity_probe draws a block of fields per call."""
 
     def __init__(self, inner):
         self.calls = 0
         self.inner = inner
 
-    def standard_normal(self, n):
+    def standard_normal(self, shape):
         self.calls += 1
+        block = self.inner.standard_normal(shape)
         if self.calls == 1:
-            return np.zeros(n)
-        return self.inner.standard_normal(n)
+            block[0] = 0.0
+        return block
 
 
 def test_coercivity_skips_degenerate_probes(monkeypatch):
@@ -490,10 +492,10 @@ class SpikeRng:
     mollifier: nonzero only at nodes 0.125 and 0.875 of the h=0.05
     interval mesh."""
 
-    def standard_normal(self, n):
-        u = np.zeros(n)
-        u[2] = 1.0       # x = 0.125
-        u[n - 3] = 1.0   # x = 0.875
+    def standard_normal(self, shape):
+        u = np.zeros(shape)
+        u[..., 2] = 1.0    # x = 0.125
+        u[..., -3] = 1.0   # x = 0.875
         return u
 
 
