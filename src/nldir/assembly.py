@@ -62,6 +62,7 @@ PER_NODE_VARIANTS = ("product", "wang")
 QUADRATIC_ONLY_VARIANTS = ("dirac_diagonal", "wang", "shi")
 
 _TINY = 1e-300
+_BLOCK = 1 << 18  # stencil entries per block of layer nodes in _layer
 
 
 @dataclass(frozen=True)
@@ -206,13 +207,20 @@ def _refuse_empty(sums, points, error, message, floor=0.0, **info):
                     position=points[bad[0]].tolist(), **info)
 
 
+def _fills_grid(stencil):
+    """Whether the mesh's nodes are the stencil's whole bounding grid, in
+    grid order, so a grid array read at the sites is the array itself."""
+    sites = stencil.sites
+    return len(sites) == np.prod(stencil.shape) \
+        and np.array_equal(sites, np.arange(len(sites)))
+
+
 def _on_nodes(grid_matrix, stencil):
     """A CSR matrix on the bounding grid restricted to the mesh's nodes,
     in node order."""
-    sites = stencil.sites
-    if len(sites) == grid_matrix.shape[0] \
-            and np.array_equal(sites, np.arange(len(sites))):
+    if _fills_grid(stencil):
         return grid_matrix
+    sites = stencil.sites
     return grid_matrix[sites][:, sites]
 
 
@@ -261,56 +269,107 @@ def _dst_map(stencil, symbol, combine):
     """r -> the gather of idst(combine(dst(r), symbol)): r scattered onto
     the stencil's bounding grid (zero off the mesh), an orthonormal
     DST-II, combined with the tau symbol (np.multiply applies P_tau,
-    np.divide solves with it), transformed back. A closure over the
-    grid, the sites and the symbol, so a cached map keeps no operator
-    alive (an operator -> map -> operator cycle would outlive its last
-    reference until the cycle collector runs)."""
+    np.divide solves with it), transformed back. When the nodes fill the
+    grid in order, r is reshaped instead (never transformed in place,
+    being the caller's) and the result is not gathered. A closure over
+    the grid, the sites and the symbol, so a cached map keeps no
+    operator alive (an operator -> map -> operator cycle would outlive
+    its last reference until the cycle collector runs)."""
     from scipy.fft import dstn, idstn
-    shape, sites = stencil.shape, stencil.sites
+    shape, sites, whole = stencil.shape, stencil.sites, _fills_grid(stencil)
 
     def apply(r):
-        grid = np.zeros(shape)
-        grid.ravel()[sites] = r
-        spectrum = dstn(grid, type=2, norm="ortho", overwrite_x=True)
+        if whole:
+            spectrum = dstn(r.reshape(shape), type=2, norm="ortho")
+        else:
+            grid = np.zeros(shape)
+            grid.ravel()[sites] = r
+            spectrum = dstn(grid, type=2, norm="ortho", overwrite_x=True)
         combine(spectrum, symbol, out=spectrum)
-        return idstn(spectrum, type=2, norm="ortho",
-                     overwrite_x=True).ravel()[sites]
+        out = idstn(spectrum, type=2, norm="ortho", overwrite_x=True).ravel()
+        return out if whole else out[sites]
 
     return apply
 
 
+def _owned(array):
+    """An array that owns its memory, so it can be resized in place:
+    array itself, the array it is a leading slice of (as scipy trims a
+    product's slack), or else a copy."""
+    base = array.base
+    if base is None:
+        return array
+    if isinstance(base, np.ndarray) and base.flags.owndata \
+            and base.ndim == 1 and base.dtype == array.dtype \
+            and base.ctypes.data == array.ctypes.data:
+        return base
+    return array.copy()
+
+
 class _LayerFactor:
-    """A_LL = P^T U^T U P for the layer block A_LL (CSR): P is the
+    """A_LL = P^T U^T U P for the layer block A_LL = B[L]: P is the
     reverse Cuthill-McKee order (Cuthill & McKee, 1969; George & Liu,
     Computer Solution of Large Sparse Positive Definite Systems, 1981),
     in which the ring of layer nodes has a bandwidth kd of a few stencil
     widths whatever delta is, and U is LAPACK's upper banded Cholesky
-    factor (dpbtrf), kept as its kd + 1 diagonals and filled by one
-    scatter of the entries on or above the diagonal of P A_LL P^T.
-    solve(r) is A_LL^-1 r: two banded triangular solves (dpbtrs). A
-    leading minor of P A_LL P^T that is not positive raises SolverError
-    (reason "layer_not_positive_definite", its order as minor)."""
+    factor (dpbtrf), kept as its kd + 1 diagonals. Column j of A_LL is
+    row j of B^T (CSR) at the layer nodes, so A_LL is never built: the
+    order comes from A_LL's int32 structure (symmetric, so its columns
+    serve as its rows), and the entries on or above the diagonal of
+    P A_LL P^T are scattered into the band block by block of B^T's
+    rows. solve(r) is A_LL^-1 r: two banded triangular solves (dpbtrs).
+    A leading minor of P A_LL P^T that is not positive raises
+    SolverError (reason "layer_not_positive_definite", its order as
+    minor)."""
 
-    def __init__(self, a):
+    def __init__(self, bt, nodes):
         from scipy.sparse.csgraph import reverse_cuthill_mckee
-        perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+        m = len(nodes)
+        layer_of = np.full(bt.shape[1], -1, dtype=np.int32)
+        layer_of[nodes] = np.arange(m, dtype=np.int32)
+        # blocks of B^T's rows of about _BLOCK / 4 stored entries each
+        step = max(1, _BLOCK // 4 * m // max(bt.nnz, 1))
+        blocks = [(a, min(a + step, m)) for a in range(0, m, step)]
+        # per column j of A_LL, its rows i; B^T's nnz bounds their count
+        # (pages of the bound past the last row are never written)
+        counts = np.zeros(m, dtype=np.int64)
+        rows, end = np.empty(bt.nnz, dtype=np.int32), 0
+        for a, b in blocks:
+            lo, hi = bt.indptr[a], bt.indptr[b]
+            i = layer_of[bt.indices[lo:hi]]
+            at = np.flatnonzero(i >= 0)
+            counts[a:b] = np.diff(np.searchsorted(at, bt.indptr[a:b + 1] - lo))
+            rows[end:end + len(at)] = i[at]
+            end += len(at)
+        rows = rows[:end]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        perm = reverse_cuthill_mckee(sp.csr_matrix(
+            (np.ones(end, dtype=bool), rows, indptr), shape=(m, m)),
+            symmetric_mode=True)
         inv = np.empty_like(perm)
-        inv[perm] = np.arange(len(perm))
+        inv[perm] = np.arange(m)
         # entry (i, j), i <= j, of P A P^T goes to row kd - (j - i) of
-        # column j of LAPACK's upper band storage
-        rows = np.repeat(inv, np.diff(a.indptr))
-        cols = inv[a.indices]
-        gap = cols - rows
-        upper = gap >= 0
-        kd = int(gap.max())
-        band = np.zeros((len(perm), kd + 1))
-        band[cols[upper], kd - gap[upper]] = a.data[upper]
+        # column j of LAPACK's upper band storage; kd is the largest
+        # inv[j] - inv[i] over A_LL's entries
+        held = counts > 0
+        kd = int(np.max(inv[held] - np.minimum.reduceat(
+            inv[rows], indptr[:-1][held]), initial=0))
+        del rows
+        band = np.zeros((m, kd + 1))
+        for a, b in blocks:
+            lo, hi = bt.indptr[a], bt.indptr[b]
+            i = layer_of[bt.indices[lo:hi]]
+            keep = i >= 0
+            cols = np.repeat(inv[a:b], counts[a:b])
+            gap = cols - inv[i[keep]]
+            upper = gap >= 0
+            band[cols[upper], kd - gap[upper]] = bt.data[lo:hi][keep][upper]
         factor, info = lapack.dpbtrf(band.T, overwrite_ab=True)
         if info > 0:
             raise SolverError("boundary layer block is not positive "
                               "definite",
                               reason="layer_not_positive_definite",
-                              minor=info, n_layer=len(perm))
+                              minor=info, n_layer=m)
         self.perm, self.inv, self.factor = perm, inv, factor
 
     def solve(self, r):
@@ -479,9 +538,10 @@ class EnergyOperator:
             y = tau(r)
             c = bt @ y
             w = factor.solve(c - r[nodes])
-            az = r.copy()
-            az[nodes] = c
-            az -= b @ w
+            az = b @ w  # then r - B w, with c - B w on L
+            on_layer = c - az[nodes]
+            np.subtract(r, az, out=az)
+            az[nodes] = on_layer
             y[nodes] -= w
             return y, az
 
@@ -489,33 +549,37 @@ class EnergyOperator:
 
     @functools.cached_property
     def _layer_columns(self):
-        """The layer nodes, B from _layer and B^T (a CSC view of B's
-        arrays, so no copy)."""
+        """The layer nodes, B from _layer (a CSC view of the stored B^T,
+        so no copy) and B^T (CSR)."""
         nodes, b = self._layer()
         return nodes, b, b.T
 
     @functools.cached_property
     def _layer_factor(self):
-        """The banded Cholesky factor (_LayerFactor) of A_LL, B's layer
-        rows; A_LL itself is not kept."""
-        nodes, b, _ = self._layer_columns
-        return _LayerFactor(b[nodes])
+        """The banded Cholesky factor (_LayerFactor) of A_LL, read from
+        B^T's rows at the layer nodes; A_LL itself is never built."""
+        nodes, _, bt = self._layer_columns
+        return _LayerFactor(bt, nodes)
 
     def _layer(self):
         """The boundary layer of the p = 2 form and its columns: the
         nodes missing a neighbor at some offset of nonzero weight (their
         rows differ from the full stencil) plus every node a penalty row
-        touches, ascending; and B = A[:, L] (n x |L|, CSR, each row's
-        columns ascending), which stores no zeros. Each pair (i, j, w)
-        adds 2 w (u_i - u_j)^2 to u^T A u, so a layer node's stencil
-        column S holds -2 w at each linked neighbor and their sum on the
-        diagonal, read by one (|L| x K) gather at the node's site and the
+        touches, ascending; and B = A[:, L] (n x |L|) as the CSC view of
+        B^T, which is stored once (CSR, int32 indices, each row's columns
+        ascending, no slack past nnz) and holds no zeros. Each pair
+        (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so a layer node's
+        stencil column S holds -2 w at each linked neighbor and their sum
+        on the diagonal, read by a gather at the node's site and the
         sites f up and down. The penalty P = K^T diag(pref) K lives on
-        L x L, as every column of K is a layer node. One sparse product
-        writes B^T = Y Z, Y^T = [diag(pref) K[:, L]; I], Z = [K; S^T]:
-        each entry is P's sum over the penalty rows in ascending order
-        plus S's entry, as the sum P + S gives it, with exact zeros
-        dropped; the counting transpose to B sorts each row."""
+        L x L, as every column of K is a layer node. B^T = Y Z, Y^T =
+        [diag(pref) K[:, L]; I], Z = [K; S^T], is written by one sparse
+        product per block of about _BLOCK stencil entries of layer
+        nodes, on the penalty rows that reach the block: each entry is
+        P's sum over the penalty rows in ascending order plus S's entry,
+        as the sum P + S gives it, with exact zeros dropped. Each block's
+        rows are sorted and appended in place, so no block, Z or the
+        (|L| x K) gathers exist for all nodes at once."""
         self._require_quadratic()
         sites, node_of = self.stencil.sites, self.stencil.node_of
         full = np.ones(len(node_of), dtype=bool)  # linked both ways per offset
@@ -526,48 +590,81 @@ class EnergyOperator:
         in_layer = ~full[sites]
         in_layer[self.pen.indices] = True
         nodes = np.flatnonzero(in_layer)
-        m, k, at = len(nodes), len(self._steps), sites[nodes][:, None]
-        # per layer node (row) and offset (column): is the node a pair's
-        # first site, linked to the site f up, or its second, linked to
-        # the site f down (a pair starting at s links s and s + f)
-        ups, downs = at + self._steps, at - self._steps
+        pen, n = self.pen, self.mesh.n_interior
+        m, k = len(nodes), len(self._steps)
+        width = 2 * k + 1
+        layer_of = np.empty(n, dtype=np.int32)
+        layer_of[nodes] = np.arange(m)
+        # the rows of Y: per layer node, the penalty rows touching it
+        # (ascending) with weight pref_r K_r, then 1 at its S^T row of Z
+        yp = sp.csr_matrix((np.repeat(self.pen_pref, np.diff(pen.indptr))
+                            * pen.data, layer_of[pen.indices], pen.indptr),
+                           shape=(pen.shape[0], m)).T.tocsr()
         row = len(node_of) * np.arange(k)
+        data, cols = np.empty(0), np.empty(0, dtype=np.int32)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        step = max(1, _BLOCK // width)
+        for a in range(0, m, step):
+            b = min(a + step, m)
+            lo, hi = yp.indptr[a], yp.indptr[b]
+            reach, local = np.unique(yp.indices[lo:hi], return_inverse=True)
+            y = sp.hstack([sp.csr_matrix(
+                (yp.data[lo:hi], local.astype(np.int32),
+                 yp.indptr[a:b + 1] - lo), shape=(b - a, len(reach))),
+                sp.identity(b - a, format="csr")], format="csr")
+            z = self._layer_block_rows(pen[reach], nodes[a:b], row)
+            part = y @ z
+            del y, z
+            part.sort_indices()
+            start, count = len(data), int(part.indptr[-1])
+            if start == 0:  # the first block's arrays are kept, not copied
+                data, cols = (_owned(part.data),
+                              _owned(part.indices.astype(np.int32,
+                                                         copy=False)))
+            # grown in place (realloc): no old copy is held beside it
+            data.resize(start + count, refcheck=False)
+            cols.resize(start + count, refcheck=False)
+            if start:
+                data[start:] = part.data[:count]
+                cols[start:] = part.indices[:count]
+            indptr[a + 1:b + 1] = start + part.indptr[1:]
+        bt = sp.csr_matrix((data, cols, indptr), shape=(m, n))
+        return nodes, bt.T
+
+    def _layer_block_rows(self, k_rows, block, row):
+        """Z's rows for a block of layer nodes: the penalty rows k_rows
+        (CSR), then per node its stencil column S written in place: the
+        node, then a slot per offset and direction holding -2 w at its
+        site's node, or 0 when unlinked (at node 0 when the site holds
+        none). Per node and offset, the node is a pair's first site,
+        linked to the site f up, or its second, linked to the site f
+        down (a pair starting at s links s and s + f)."""
+        node_of, k = self.stencil.node_of, len(self._steps)
+        at = self.stencil.sites[block][:, None]
+        ups, downs = at + self._steps, at - self._steps
         up = self._starts.take(at + row)
         down = self._starts.take(downs + row, mode="clip") & (downs >= 0)
-        diag = np.zeros(m)
+        diag = np.zeros(len(block))
         for w2, first, second in zip(self._w2, up.T, down.T):
             diag += w2 * first  # per offset, first site then second
             diag += w2 * second
-        # Z, its stencil rows written in place: the node, then a slot per
-        # offset and direction holding -2 w at its site's node, or 0 when
-        # unlinked (at node 0 when the site holds none)
-        pen = self.pen
-        width, n_pen = 2 * k + 1, pen.nnz
-        data = np.empty(n_pen + m * width)
-        cols = np.empty(len(data), dtype=pen.indices.dtype)
-        data[:n_pen], cols[:n_pen] = pen.data, pen.indices
-        vals = data[n_pen:].reshape(m, width)
+        width, n_pen = 2 * k + 1, k_rows.nnz
+        data = np.empty(n_pen + len(block) * width)
+        cols = np.empty(len(data), dtype=np.int32)
+        data[:n_pen], cols[:n_pen] = k_rows.data, k_rows.indices
+        vals = data[n_pen:].reshape(len(block), width)
         vals[:, 0] = diag
         np.multiply(-self._w2, up, out=vals[:, 1:k + 1])
         np.multiply(-self._w2, down, out=vals[:, k + 1:])
-        near = cols[n_pen:].reshape(m, width)
-        near[:, 0] = nodes
+        near = cols[n_pen:].reshape(len(block), width)
+        near[:, 0] = block
         near[:, 1:k + 1] = node_of.take(ups, mode="clip")
         near[:, k + 1:] = node_of.take(downs, mode="clip")
         np.maximum(near, 0, out=near)
-        step = np.arange(1, m + 1, dtype=pen.indptr.dtype)
-        z = sp.csr_matrix((data, cols, np.concatenate(
-            [pen.indptr, n_pen + width * step])),
-            shape=(pen.shape[0] + m, self.mesh.n_interior))
-        layer_of = np.empty(len(in_layer), dtype=pen.indices.dtype)
-        layer_of[nodes] = np.arange(m)
-        y = sp.csr_matrix((
-            np.concatenate([np.repeat(self.pen_pref, np.diff(pen.indptr))
-                            * pen.data, np.ones(m)]),
-            np.concatenate([layer_of[pen.indices], layer_of[nodes]]),
-            np.concatenate([pen.indptr, n_pen + step])),
-            shape=(pen.shape[0] + m, m)).T.tocsr()
-        return nodes, (y @ z).T.tocsr()
+        step = np.arange(1, len(block) + 1, dtype=np.int32)
+        return sp.csr_matrix((data, cols, np.concatenate(
+            [k_rows.indptr, n_pen + width * step])),
+            shape=(k_rows.shape[0] + len(block), self.mesh.n_interior))
 
     @functools.cached_property
     def _symbol(self):
@@ -631,6 +728,23 @@ class EnergyOperator:
         g = self._to_ends(p * w2 * _signed_power(d, p - 1.0) for w2, d
                           in zip(self._w2, self._differences(v)))
         return g + self._penalty_gradient(v)
+
+    def _energy_and_gradient(self, u):
+        """(energy(u), gradient(u)) from one pass over the per-offset
+        differences: the same sums, in the same order, as the two
+        apart."""
+        v, p = _field_values(self.mesh, u), self.p
+        size = self._starts.shape[1]
+        grid, interior = np.zeros(size), 0.0
+        for f, w2, d in zip(self._steps, self._w2, self._differences(v)):
+            interior += w2 * (d @ d if p == 2.0 else np.sum(np.abs(d) ** p))
+            piece = _signed_power(d, p - 1.0)  # d itself at p = 2
+            piece *= p * w2
+            grid[:size - f] += piece
+            grid[f:] -= piece
+        g = grid if _fills_grid(self.stencil) else grid[self.stencil.sites]
+        g += self._penalty_gradient(v)
+        return float(interior) + self.penalty_energy(v), g
 
     def _penalty_gradient(self, v):
         """Gradient of penalty_energy at the values v: -sum_r t_r K_r,

@@ -15,8 +15,9 @@ def _jsonable(value):
         return repr(value)  # JSON has no NaN or Infinity
     if isinstance(value, np.ndarray):
         if value.size <= 32:
-            return value.tolist()
-        return {"size": int(value.size), "norm": float(np.linalg.norm(value))}
+            return _jsonable(value.tolist())
+        return {"size": int(value.size),
+                "norm": _jsonable(float(np.linalg.norm(value)))}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value

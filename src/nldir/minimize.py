@@ -82,11 +82,12 @@ def _finish(op, x, energy, gradient, iterations, opts, stop_reason):
 
 def _cg_iterates(x, r, step):
     """Conjugate gradients from x with residual r = l - A x, where
-    step(r) returns the preconditioned residual z and A z: yields
-    (x, r) after each update, x updated in place. A d follows by the
-    recurrence A d = A z + beta A d, so no matvec runs. A direction
-    with nonpositive curvature raises SolverError naming the probe
-    vector."""
+    step(r) returns the preconditioned residual z and A z as new arrays
+    (never r itself): yields (x, r) after each update. x, r, the
+    direction d and A d are updated in place, and each step's z and A z
+    are dropped before the next step runs. A d follows by the recurrence
+    A d = A z + beta A d, so no matvec runs. A direction with
+    nonpositive curvature raises SolverError naming the probe vector."""
     d, ad = step(r)
     rz = float(r @ d)
     for iteration in itertools.count(1):
@@ -96,13 +97,16 @@ def _cg_iterates(x, r, step):
                               iteration=iteration, curvature=dad, probe=d)
         alpha = rz / dad
         x += alpha * d
-        r = r - alpha * ad  # a new array: step may return r itself as z
+        r -= alpha * ad
         yield x, r
         z, az = step(r)
         rz_new = float(r @ z)
         beta = rz_new / rz
-        d = z + beta * d
-        ad = az + beta * ad
+        d *= beta
+        d += z
+        ad *= beta
+        ad += az
+        del z, az
         rz = rz_new
 
 
@@ -119,8 +123,9 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     last iterate with stop_reason "max_iter", flagged non-converged.
     The CG steps run on the DST symbol and the layer columns only; the
     energy and gradient that certify the result (see _finish) cost one
-    pass of per-offset slice sums more, paid on purpose so a wrong
-    _symbol or _layer cannot certify its own answer.
+    fused pass of per-offset slice sums more (op._energy_and_gradient),
+    paid on purpose so a wrong _symbol or _layer cannot certify its own
+    answer.
     """
     if op.p != 2.0:
         raise SolverError("quadratic solve requires an operator with p = 2",
@@ -137,13 +142,15 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
                 and 2.0 * r_norm <= opts.tol * (1.0 + abs(f_val)))
 
     x, r, step = op.deflated_cg()
-    iterations = 0
-    if not small(x, r):
+    iterations, done = 0, small(x, r)
+    if not done:
         for iterations, (x, r) in enumerate(_cg_iterates(x, r, step), 1):
-            if small(x, r) or iterations == opts.max_iter:
+            done = small(x, r)
+            if done or iterations == opts.max_iter:
                 break
-    return _finish(op, x, op.energy(x), op.gradient(x), iterations, opts,
-                   "gradient" if small(x, r) else "max_iter")
+    del r, step  # the certification reads x alone
+    return _finish(op, x, *op._energy_and_gradient(x), iterations, opts,
+                   "gradient" if done else "max_iter")
 
 
 def solve_p_energy(op: EnergyOperator, opts: SolveOptions = SolveOptions()

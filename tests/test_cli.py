@@ -192,6 +192,19 @@ def test_sigma_refusal_is_strict_json(capsys, kernel, p):
         == "KernelError"
 
 
+def test_array_payloads_are_strict_json():
+    # an ndarray's non-finite entries, and a large array's non-finite
+    # norm, are written as strings like a list's, not as bare NaN
+    small = np.array([np.nan, 1.0, np.inf])
+    large = np.full(40, -np.inf)
+    payload = nldir.MeshError("x", a=small, b=small.reshape(3, 1),
+                              c=large).payload()
+    text = json.dumps(payload, allow_nan=False)
+    assert _strict_json(text)["a"] == ["nan", 1.0, "inf"]
+    assert payload["b"] == [["nan"], [1.0], ["inf"]]
+    assert payload["c"] == {"size": 40, "norm": "inf"}
+
+
 # -------------------------------------------------------- validate-kernel
 
 def test_validate_kernel_passes_quartic(capsys):

@@ -10,6 +10,7 @@ to the largest entry once the oracle's zero-weight entries are dropped.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -323,17 +324,26 @@ def assert_layer_is_the_coo_build(mesh, ratio):
         nodes, b = op._layer()
         want_nodes, want_b = coo_layer(op)
         assert np.array_equal(nodes, want_nodes)
+        # B is the CSC view of the stored B^T: B^T's rows sorted, int32
+        # indices and no slack past nnz
+        bt = b.T
+        assert b.format == "csc" and bt.has_sorted_indices
+        assert bt.indices.dtype == np.int32
+        for part in (bt.data, bt.indices):
+            memory = part if part.base is None else part.base
+            assert len(part) == memory.size == bt.indptr[-1]
+        got = b.tocsr()
         for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(b, part), getattr(want_b, part))
+            assert np.array_equal(getattr(got, part), getattr(want_b, part))
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_layer_blocks_equal_a_coo_build_bit_for_bit(name, ratio):
-    # _layer writes B^T as one sparse product, the penalty's sum before
-    # the stencil entry, and lets scipy transpose it; the arrays of B
-    # must be those of the COO build ("wide" has two offsets sharing a
-    # flat step)
+    # _layer writes B^T block by block of layer nodes, each block one
+    # sparse product, the penalty's sum before the stencil entry; B,
+    # read back as CSR, must have the arrays of the COO build ("wide"
+    # has two offsets sharing a flat step)
     assert_layer_is_the_coo_build(MESHES[name], ratio)
 
 
@@ -342,6 +352,50 @@ def test_layer_blocks_equal_a_coo_build_bit_for_bit_at_ratio_8():
     # offsets and the layer factor's widest band
     assert_layer_is_the_coo_build(build_mesh({"polygon": PENTAGON}, 0.04),
                                   8.0)
+
+
+def test_layer_built_in_small_blocks_is_the_one_block_build(monkeypatch):
+    # one layer node per block of _layer and one B^T row per block of the
+    # band fill: B^T is still the COO build, and the order and the band
+    # are bit for bit those of the one-block build
+    mesh = build_mesh({"polygon": PENTAGON}, 0.04)
+    spec = PenaltySpec("product", QUARTIC)
+    whole = assemble(mesh, QUARTIC, spec, 8.0 * mesh.h, 2.0, "linear_x")
+    monkeypatch.setattr("nldir.assembly._BLOCK", 64)
+    assert_layer_is_the_coo_build(mesh, 8.0)
+    small = assemble(mesh, QUARTIC, spec, 8.0 * mesh.h, 2.0, "linear_x")
+    for part in ("perm", "factor"):
+        assert np.array_equal(getattr(small._layer_factor, part),
+                              getattr(whole._layer_factor, part))
+
+
+def test_layer_build_and_factor_peaks_stay_near_what_they_store():
+    # unit square, delta = 0.05, delta/h = 8 (N = 25,600): the traced
+    # peak over the start of building the layer columns is at most 2x
+    # the stored B^T, and that of the band factor at most 1.5x its band.
+    # Z, B^T and its transposed copy B built whole peaked at 3.7x, and a
+    # factor read from A_LL = B[L] with per-entry int64 indices at 4.1x
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.05 / 8)
+    assert mesh.n_interior == 25600
+    op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC), 0.05, 2.0,
+                  "linear_x")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        peaks = []
+        for build in (lambda: op._layer_columns, lambda: op._layer_factor):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    bt = op._layer_columns[2]
+    stored = bt.data.nbytes + bt.indices.nbytes + bt.indptr.nbytes
+    assert peaks[0] <= 2.0 * stored
+    assert peaks[1] <= 1.5 * op._layer_factor.factor.nbytes
 
 
 @pytest.mark.parametrize("ratio", RATIOS)

@@ -138,7 +138,8 @@ def test_quadratic_solver_requires_p2():
 
 class DiagonalOp:
     """Stand-in with the form u^T D u - 2 sum(u) and no preconditioning:
-    CG starts at x0 (zero by default) and steps r -> (r, D r)."""
+    CG starts at x0 (zero by default) and steps r -> (a copy of r, D r),
+    as no step may return r itself."""
 
     def __init__(self, mesh, d, x0=None):
         self.mesh = mesh
@@ -150,13 +151,12 @@ class DiagonalOp:
 
     def deflated_cg(self):
         x0 = self._x0.copy()
-        return x0, self.linear_term - self._d * x0, lambda r: (r, self._d * r)
+        return x0, self.linear_term - self._d * x0, \
+            lambda r: (r.copy(), self._d * r)
 
-    def energy(self, u):
-        return float(u @ (self._d * u) - 2.0 * (self.linear_term @ u))
-
-    def gradient(self, u):
-        return 2.0 * (self._d * u - self.linear_term)
+    def _energy_and_gradient(self, u):
+        return (float(u @ (self._d * u) - 2.0 * (self.linear_term @ u)),
+                2.0 * (self._d * u - self.linear_term))
 
 
 class IndefiniteOp(DiagonalOp):
