@@ -237,11 +237,10 @@ def _stencil_matrix(stencil, weights, diagonal):
     share a row. Exact zeros (offsets of weight 0, off-mesh and
     wrapped-around entries) are not stored."""
     steps = stencil.flat_offsets
-    starts = stencil.pair_starts()
     flat, row = np.unique(steps, return_inverse=True)
-    k, size = len(flat), starts.shape[1]
+    k, size = len(flat), len(stencil.node_of)
     data = np.zeros((2 * k + 1, size))
-    for start, f, w, r in zip(starts, steps, weights, row):
+    for start, f, w, r in zip(stencil.pair_rows(), steps, weights, row):
         data[r, f:] += w * start[:size - f]
         data[k + r] += w * start
     data[2 * k, stencil.sites] = diagonal
@@ -409,17 +408,17 @@ class EnergyOperator:
         self.pen_pref = pen_pref
         self._pen_t = pen.T  # K^T as a CSC view of pen's arrays, no copy
         self._pen_sums = pen @ np.ones(mesh.n_interior)
-        # per nonzero-weight offset: flat step, pair start sites, 2 w
-        keep = offset_w != 0.0
-        self._steps = stencil.flat_offsets[keep]
-        self._starts = stencil.pair_starts()[keep]
-        self._w2 = 2.0 * offset_w[keep]
+        # the nonzero-weight offsets, their flat steps and 2 w; their
+        # pair starts are made on demand (LatticeStencil.pair_rows)
+        self._keep = offset_w != 0.0
+        self._steps = stencil.flat_offsets[self._keep]
+        self._w2 = 2.0 * offset_w[self._keep]
 
     def _to_ends(self, pieces):
         """Per-node sums over the pairs of the nonzero-weight offsets: a
         piece (one value per grid site, read at each pair's first site)
         adds to the pair's first node and subtracts from its second."""
-        size = self._starts.shape[1]
+        size = len(self.stencil.node_of)
         grid = np.zeros(size)
         for f, piece in zip(self._steps, pieces):
             grid[:size - f] += piece[:size - f]
@@ -429,10 +428,10 @@ class EnergyOperator:
     def _differences(self, v):
         """Per nonzero-weight offset: u_i - u_j at each pair's first
         site on the bounding grid, exactly 0 at every other site."""
-        size = self._starts.shape[1]
+        size = len(self.stencil.node_of)
         grid = np.zeros(size)
         grid[self.stencil.sites] = v
-        for f, start in zip(self._steps, self._starts):
+        for f, start in zip(self._steps, self.stencil.pair_rows(self._keep)):
             d = grid[:size - f] - grid[f:]
             d *= start[:size - f]
             yield d
@@ -570,20 +569,20 @@ class EnergyOperator:
         ascending, no slack past nnz) and holds no zeros. Each pair
         (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so a layer node's
         stencil column S holds -2 w at each linked neighbor and their sum
-        on the diagonal, read by a gather at the node's site and the
-        sites f up and down. The penalty P = K^T diag(pref) K lives on
-        L x L, as every column of K is a layer node. B^T = Y Z, Y^T =
-        [diag(pref) K[:, L]; I], Z = [K; S^T], is written by one sparse
-        product per block of about _BLOCK stencil entries of layer
-        nodes, on the penalty rows that reach the block: each entry is
-        P's sum over the penalty rows in ascending order plus S's entry,
-        as the sum P + S gives it, with exact zeros dropped. Each block's
-        rows are sorted and appended in place, so no block, Z or the
-        (|L| x K) gathers exist for all nodes at once."""
+        on the diagonal, from node_of at the sites f up and down and an
+        in-grid test per axis (_layer_block_rows). The penalty P =
+        K^T diag(pref) K lives on L x L, as every column of K is a layer
+        node. B^T = Y Z, Y^T = [diag(pref) K[:, L]; I], Z = [K; S^T], is
+        written by one sparse product per block of about _BLOCK stencil
+        entries of layer nodes, on the penalty rows that reach the block:
+        each entry is P's sum over the penalty rows in ascending order
+        plus S's entry, as the sum P + S gives it, with exact zeros
+        dropped. Each block's rows are sorted and appended in place, so no
+        block, Z or the (|L| x K) gathers exist for all nodes at once."""
         self._require_quadratic()
         sites, node_of = self.stencil.sites, self.stencil.node_of
         full = np.ones(len(node_of), dtype=bool)  # linked both ways per offset
-        for f, start in zip(self._steps, self._starts):
+        for f, start in zip(self._steps, self.stencil.pair_rows(self._keep)):
             full &= start
             full[f:] &= start[:-f]
             full[:f] = False
@@ -600,7 +599,6 @@ class EnergyOperator:
         yp = sp.csr_matrix((np.repeat(self.pen_pref, np.diff(pen.indptr))
                             * pen.data, layer_of[pen.indices], pen.indptr),
                            shape=(pen.shape[0], m)).T.tocsr()
-        row = len(node_of) * np.arange(k)
         data, cols = np.empty(0), np.empty(0, dtype=np.int32)
         indptr = np.zeros(m + 1, dtype=np.int64)
         step = max(1, _BLOCK // width)
@@ -612,7 +610,7 @@ class EnergyOperator:
                 (yp.data[lo:hi], local.astype(np.int32),
                  yp.indptr[a:b + 1] - lo), shape=(b - a, len(reach))),
                 sp.identity(b - a, format="csr")], format="csr")
-            z = self._layer_block_rows(pen[reach], nodes[a:b], row)
+            z = self._layer_block_rows(pen[reach], nodes[a:b])
             part = y @ z
             del y, z
             part.sort_indices()
@@ -631,40 +629,51 @@ class EnergyOperator:
         bt = sp.csr_matrix((data, cols, indptr), shape=(m, n))
         return nodes, bt.T
 
-    def _layer_block_rows(self, k_rows, block, row):
+    def _layer_block_rows(self, k_rows, block):
         """Z's rows for a block of layer nodes: the penalty rows k_rows
         (CSR), then per node its stencil column S written in place: the
-        node, then a slot per offset and direction holding -2 w at its
-        site's node, or 0 when unlinked (at node 0 when the site holds
-        none). Per node and offset, the node is a pair's first site,
-        linked to the site f up, or its second, linked to the site f
-        down (a pair starting at s links s and s + f)."""
-        node_of, k = self.stencil.node_of, len(self._steps)
-        at = self.stencil.sites[block][:, None]
-        ups, downs = at + self._steps, at - self._steps
-        up = self._starts.take(at + row)
-        down = self._starts.take(downs + row, mode="clip") & (downs >= 0)
-        diag = np.zeros(len(block))
-        for w2, first, second in zip(self._w2, up.T, down.T):
-            diag += w2 * first  # per offset, first site then second
-            diag += w2 * second
+        node, then a slot per offset and direction holding -2 w at the
+        node it is linked to, or 0 when unlinked (at node 0 when the site
+        holds none). Per node at site s and offset o, the node is a
+        pair's first site, linked to the node at s + o, or its second,
+        linked to the node at s - o, when that site is on the grid, axis
+        by axis, and holds a node. The zeros are dropped in place before
+        Z is returned, so the product is sized for the entries it keeps
+        (a zero adds 0.0 to a sum or is dropped from it)."""
+        stencil, k = self.stencil, len(self._steps)
+        at = stencil.sites[block]
+        ups, downs = at[:, None] + self._steps, at[:, None] - self._steps
+        up, down = np.ones((2, len(block), k), dtype=bool)
+        for i, o, n in zip(np.unravel_index(at, stencil.shape),
+                           stencil.offsets[self._keep].T, stencil.shape):
+            idx = np.arange(n)[:, None]  # an (n, k) table, read at i
+            up &= ((idx + o >= 0) & (idx + o < n))[i]
+            down &= ((idx - o >= 0) & (idx - o < n))[i]
         width, n_pen = 2 * k + 1, k_rows.nnz
         data = np.empty(n_pen + len(block) * width)
         cols = np.empty(len(data), dtype=np.int32)
         data[:n_pen], cols[:n_pen] = k_rows.data, k_rows.indices
+        near = cols[n_pen:].reshape(len(block), width)
+        near[:, 0] = block
+        near[:, 1:k + 1] = stencil.node_of.take(ups, mode="clip")
+        near[:, k + 1:] = stencil.node_of.take(downs, mode="clip")
+        up &= near[:, 1:k + 1] >= 0
+        down &= near[:, k + 1:] >= 0
+        np.maximum(near, 0, out=near)
+        diag = np.zeros(len(block))
+        for w2, first, second in zip(self._w2, up.T, down.T):
+            diag += w2 * first  # per offset, first site then second
+            diag += w2 * second
         vals = data[n_pen:].reshape(len(block), width)
         vals[:, 0] = diag
         np.multiply(-self._w2, up, out=vals[:, 1:k + 1])
         np.multiply(-self._w2, down, out=vals[:, k + 1:])
-        near = cols[n_pen:].reshape(len(block), width)
-        near[:, 0] = block
-        near[:, 1:k + 1] = node_of.take(ups, mode="clip")
-        near[:, k + 1:] = node_of.take(downs, mode="clip")
-        np.maximum(near, 0, out=near)
         step = np.arange(1, len(block) + 1, dtype=np.int32)
-        return sp.csr_matrix((data, cols, np.concatenate(
+        z = sp.csr_matrix((data, cols, np.concatenate(
             [k_rows.indptr, n_pen + width * step])),
             shape=(k_rows.shape[0] + len(block), self.mesh.n_interior))
+        z.eliminate_zeros()
+        return z
 
     @functools.cached_property
     def _symbol(self):
@@ -734,7 +743,7 @@ class EnergyOperator:
         differences: the same sums, in the same order, as the two
         apart."""
         v, p = _field_values(self.mesh, u), self.p
-        size = self._starts.shape[1]
+        size = len(self.stencil.node_of)
         grid, interior = np.zeros(size), 0.0
         for f, w2, d in zip(self._steps, self._w2, self._differences(v)):
             interior += w2 * (d @ d if p == 2.0 else np.sum(np.abs(d) ** p))

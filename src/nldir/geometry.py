@@ -16,9 +16,10 @@ Shape descriptors follow the config convention:
 {"polygon": [[x, y], ...]}, with no vertex repeated in a row.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -27,6 +28,11 @@ from .errors import MeshError
 
 @dataclass(frozen=True)
 class DomainMesh:
+    """Interior and boundary quadrature of a domain. On a lattice mesh
+    from build_mesh, interior_weights is a read-only broadcast view of
+    the one cell measure, which the constructor certifies every weight
+    equals."""
+
     dim: int
     shape: dict
     h: float
@@ -193,8 +199,8 @@ def _cells(axes, h, cell, inside=None):
     origin = np.array([g[a] for g, a in zip(axes, lo)])
     spacing = np.array([(g[b] - g[a]) / (b - a) if b > a else h
                         for g, a, b in zip(axes, lo, hi)])
-    qw = np.full(len(pts), cell)
-    _freeze(pts, qw, sites, origin, spacing)
+    qw = np.broadcast_to(cell, len(pts))  # read-only, one value
+    _freeze(pts, sites, origin, spacing)
     return pts, qw, (sites, shape, origin, spacing)
 
 
@@ -283,7 +289,8 @@ class LatticeStencil:
     lengths. Two nodes are neighbors exactly when their lattice indices
     differ by one of them. `sites` places each interior node on the
     C-ordered bounding grid of shape `shape`; a polygon's nodes are a
-    mask on that grid, and `node_of` maps each site to its node or -1.
+    mask on that grid, and `node_of` (int32) maps each site to its node
+    or -1.
     Boundary-to-interior neighbors are CSR lists with ascending node
     indices per boundary node, `boundary_lengths` their |x_b - x_j|."""
 
@@ -303,18 +310,36 @@ class LatticeStencil:
         strides = np.cumprod((self.shape[1:] + (1,))[::-1])[::-1]
         return self.offsets @ strides
 
-    def pair_starts(self):
-        """(K, G) booleans on the flattened grid of G sites: entry
-        [k, s] says that sites s and s + offsets[k] both hold nodes."""
-        mask = (self.node_of >= 0).reshape(self.shape)
-        starts = np.zeros((len(self.offsets),) + self.shape, dtype=bool)
-        for out, o in zip(starts, self.offsets):
-            src = tuple(slice(max(0, -k), n - max(0, k))
-                        for k, n in zip(o, self.shape))
-            dst = tuple(slice(max(0, k), n - max(0, -k))
-                        for k, n in zip(o, self.shape))
-            out[src] = mask[src] & mask[dst]
-        return starts.reshape(len(self.offsets), int(np.prod(self.shape)))
+    @functools.cached_property
+    def _pair_slices(self):
+        """Per half-offset o, the grid slices of the sites s and s + o
+        that are both on the grid, worked out once per stencil."""
+        return [(tuple(slice(max(0, -k), n - max(0, k))
+                       for k, n in zip(o, self.shape)),
+                 tuple(slice(max(0, k), n - max(0, -k))
+                       for k, n in zip(o, self.shape)))
+                for o in self.offsets.tolist()]
+
+    def pair_rows(self, keep=None):
+        """A generator of the pair-start rows of the half-offsets (those
+        the mask `keep` selects, when given), each made on demand from
+        the node mask: G booleans on the flattened grid whose entry s
+        says that sites s and s + o both hold nodes (s + o on the grid,
+        axis by axis). One buffer holds every row in turn, so a row
+        lasts until the next is made. When every site holds a node, a
+        row is its slice of the grid, and the mask is not read."""
+        mask = None if len(self.sites) == len(self.node_of) \
+            else (self.node_of >= 0).reshape(self.shape)
+        row = np.empty(self.shape, dtype=bool)
+        flat = row.reshape(-1)
+        slices = self._pair_slices
+        for src, dst in slices if keep is None else compress(slices, keep):
+            row.fill(False)
+            if mask is None:
+                row[src] = True
+            else:
+                np.logical_and(mask[src], mask[dst], out=row[src])
+            yield flat
 
 
 def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
@@ -362,7 +387,7 @@ def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
         cand = (cand[:, :, None] * n + idx[:, None, :]).reshape(m, -1)
         inside = (inside[:, :, None]
                   & ((idx >= 0) & (idx < n))[:, None, :]).reshape(m, -1)
-    node_of = np.full(int(np.prod(shape)), -1, dtype=np.int64)
+    node_of = np.full(int(np.prod(shape)), -1, dtype=np.int32)
     node_of[sites] = np.arange(len(sites))
     # rows ascend, and so do a row's window sites and nodes: CSR order
     rows, cols = np.nonzero(inside)
@@ -370,7 +395,7 @@ def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
     rows, nodes = rows[nodes >= 0], nodes[nodes >= 0]
     sq = sum((bpts[rows, a] - pts[nodes, a]) ** 2 for a in range(mesh.dim))
     hit = sq <= radius * radius
-    bidx, blen = nodes[hit], np.sqrt(sq[hit])
+    bidx, blen = nodes[hit].astype(np.intp), np.sqrt(sq[hit])
     bptr = np.searchsorted(rows[hit], np.arange(m + 1))
     _freeze(sites, half, lengths, bptr, bidx, blen, node_of)
     return LatticeStencil(float(radius), shape, sites, half, lengths,

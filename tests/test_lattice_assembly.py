@@ -125,15 +125,19 @@ def densify(apply, n):
     return np.column_stack([apply(e) for e in eye])
 
 
+def kept_rows(op):
+    """The stencil's pair-start rows of the operator's nonzero-weight
+    offsets, each a copy."""
+    return [row.copy() for row in op.stencil.pair_rows(op._keep)]
+
+
 def row_sums(op):
     """Per node, the sum of 2 w over the pairs it is in: the diagonal of
     the interior form, from the per-offset weights and pair sites."""
     n = op.mesh.n_interior
-    sites = op.stencil.sites
-    node_of = np.full(op._starts.shape[1], -1)
-    node_of[sites] = np.arange(n)
+    node_of = op.stencil.node_of
     out = np.zeros(n)
-    for f, w2, start in zip(op._steps, op._w2, op._starts):
+    for f, w2, start in zip(op._steps, op._w2, kept_rows(op)):
         first = np.flatnonzero(start)
         np.add.at(out, node_of[first], w2)
         np.add.at(out, node_of[first + f], w2)
@@ -274,6 +278,17 @@ LAYER_SPECS = [PenaltySpec(v, QUARTIC) for v in VARIANTS] \
     + [PenaltySpec("shi", QUARTIC, shi_delta_sq_prefactor=True)]
 
 
+def link_counts(op):
+    """Per node, the number of pairs of nonzero-weight offsets it is in."""
+    node_of = op.stencil.node_of
+    links = np.zeros(op.mesh.n_interior, dtype=int)
+    for f, start in zip(op._steps, kept_rows(op)):
+        first = np.flatnonzero(start)
+        np.add.at(links, node_of[first], 1)
+        np.add.at(links, node_of[first + f], 1)
+    return links
+
+
 def coo_layer(op):
     """The layer nodes (a pair count below the full stencil's, or a
     penalty row) and B = A[:, L] from a COO triplet list of the stencil
@@ -286,21 +301,15 @@ def coo_layer(op):
     diag = row_sums(op)
     if not per_node:
         diag += np.bincount(idx, weights=op.pen_pref, minlength=n)
-    sites = op.stencil.sites
-    node_of = np.full(op._starts.shape[1], -1)
-    node_of[sites] = np.arange(n)
-    links = np.zeros(n, dtype=int)
-    for f, start in zip(op._steps, op._starts):
-        first = np.flatnonzero(start)
-        np.add.at(links, node_of[first], 1)
-        np.add.at(links, node_of[first + f], 1)
-    in_layer = links < 2 * len(op._steps)
+    sites, node_of = op.stencil.sites, op.stencil.node_of
+    starts = kept_rows(op)
+    in_layer = link_counts(op) < 2 * len(op._steps)
     in_layer[idx] = True
     nodes = np.flatnonzero(in_layer)
     at = sites[nodes]
     rows, cols = [nodes], [np.arange(len(nodes))]
     vals = [diag[nodes]]
-    for f, w2, start in zip(op._steps, op._w2, op._starts):
+    for f, w2, start in zip(op._steps, op._w2, starts):
         for other, first in ((at + f, at), (at - f, at - f)):
             hit = np.flatnonzero(start[np.maximum(first, 0)] & (first >= 0))
             rows.append(node_of[other[hit]])
@@ -367,6 +376,61 @@ def test_layer_built_in_small_blocks_is_the_one_block_build(monkeypatch):
     for part in ("perm", "factor"):
         assert np.array_equal(getattr(small._layer_factor, part),
                               getattr(whole._layer_factor, part))
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_layer_products_get_no_unlinked_stencil_slot(name, monkeypatch):
+    # the stencil rows of Z handed to each block's product store a
+    # node's diagonal and one entry per linked neighbor, and no zero: a
+    # slot kept for an unlinked neighbor would size scipy's product for
+    # entries it then drops
+    mesh = MESHES[name]
+    op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
+                  4.0 * mesh.h, 2.0, "linear_x")
+    build, counts = EnergyOperator._layer_block_rows, []
+
+    def spy(self, k_rows, block):
+        z = build(self, k_rows, block)
+        rows = z[k_rows.shape[0]:]
+        assert np.count_nonzero(rows.data) == rows.nnz
+        counts.append(np.diff(rows.indptr))
+        return z
+
+    monkeypatch.setattr(EnergyOperator, "_layer_block_rows", spy)
+    monkeypatch.setattr("nldir.assembly._BLOCK", 32)
+    nodes, _ = op._layer()
+    assert len(counts) > 1
+    assert np.array_equal(np.concatenate(counts), 1 + link_counts(op)[nodes])
+
+
+def test_operator_holds_and_builds_no_pair_start_table():
+    # unit square, delta = 0.05, delta/h = 8 (N = G = 25,600): a table of
+    # the pair starts of the K nonzero-weight offsets takes K x G bytes.
+    # The operator's own arrays (the mesh, the stencil and the penalty
+    # table are not arrays of its own) total less, and so does the traced
+    # peak of its constructor over its start; holding the table, and
+    # building it from the table of all offsets, peaked at twice it
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.05 / 8)
+    assert mesh.n_interior == len(mesh.lattice[0]) == 25600
+    op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC), 0.05, 2.0,
+                  "linear_x")
+    table = np.count_nonzero(op.offset_w) * len(op.stencil.node_of)
+    held = sum(value.nbytes for value in vars(op).values()
+               if isinstance(value, np.ndarray))
+    assert held < table
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        EnergyOperator(op.mesh, op.delta, op.p, op.spec, op.a, op.stencil,
+                       op.offset_w, op.pen, op.pen_node, op.pen_pref)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < table
 
 
 def test_layer_build_and_factor_peaks_stay_near_what_they_store():
@@ -555,9 +619,9 @@ def test_zero_weight_ties_are_not_stored():
     assert np.count_nonzero(op.offset_w) == len(stencil.offsets) - 2
     # the slices keep only the nonzero-weight offsets and their pairs
     assert np.all(op._w2 != 0.0)
-    starts = stencil.pair_starts()
-    assert op._starts.sum() == starts[op.offset_w != 0.0].sum() \
-        == starts.sum() - starts[ties].sum()
+    pairs = np.array([row.sum() for row in stencil.pair_rows()])
+    assert sum(row.sum() for row in kept_rows(op)) \
+        == pairs[op.offset_w != 0.0].sum() == pairs.sum() - pairs[ties].sum()
     nodes, b = op._layer()
     assert_no_stored_zeros(b)
     assert b.shape == (mesh.n_interior, len(nodes)) \
@@ -620,30 +684,41 @@ def test_stencil_records_pair_lengths_and_node_map(name):
         assert np.array_equal(st.node_of, want)
 
 
-def stencil_pairs(stencil):
-    """Unordered node pairs (i, j) the stencil's half-offsets join."""
+def offset_pairs(stencil):
+    """Per half-offset o (a tuple), the node pairs (i, j), x_j = x_i + o
+    on the lattice, that its on-demand pair-start row holds."""
     node = stencil.node_of
-    pairs = set()
-    for start, f in zip(stencil.pair_starts(), stencil.flat_offsets):
-        sites = np.nonzero(start)[0]
-        pairs.update(zip(node[sites].tolist(), node[sites + f].tolist()))
-    return {(min(i, j), max(i, j)) for i, j in pairs}
+    return {tuple(o): set(zip(node[sites].tolist(), node[sites + f].tolist()))
+            for o, f, sites in zip(stencil.offsets.tolist(),
+                                   stencil.flat_offsets,
+                                   map(np.flatnonzero, stencil.pair_rows()))}
 
 
 @pytest.mark.parametrize("name", MESHES)
 def test_stencil_pairs_equal_brute_force_with_ties_in(name):
     # radii on exact lattice distances: every tie pair is in, as the
-    # O(N^2) double loop finds with the radius widened by 1e-9
+    # O(N^2) double loop finds with the radius widened by 1e-9, and each
+    # offset's row holds exactly the pairs one lattice step o apart,
+    # first to second ("wide" has two offsets sharing a flat step, so a
+    # row that wrapped around the grid would hold the other's pairs)
     mesh = MESHES[name]
     pts = mesh.interior_points
-    for factor in (1.0, 2.0, 3.0, 4.0, 2.0 ** 0.5, 5.0 ** 0.5, 3.3):
+    sites, shape, _, _ = mesh.lattice
+    index = np.column_stack(np.unravel_index(sites, shape))
+    for factor in (1.0, 2.0, 3.0, 4.0, 2.0 ** 0.5, 5.0 ** 0.5, 3.3, 8.0):
         radius = factor * mesh.h
-        want = set()
+        stencil = lattice_stencil(mesh, radius)
+        want = {tuple(o): set() for o in stencil.offsets.tolist()}
         for i in range(mesh.n_interior):
             d2 = np.sum((pts[i + 1:] - pts[i]) ** 2, axis=1)
             hits = np.nonzero(d2 <= (radius * (1 + 1e-9)) ** 2)[0]
-            want.update((i, i + 1 + j) for j in hits.tolist())
-        assert stencil_pairs(lattice_stencil(mesh, radius)) == want, factor
+            for j in (i + 1 + hits).tolist():
+                o = index[j] - index[i]
+                if o[np.flatnonzero(o)[0]] > 0:
+                    want[tuple(o.tolist())].add((i, j))
+                else:
+                    want[tuple((-o).tolist())].add((j, i))
+        assert offset_pairs(stencil) == want, factor
 
 
 def test_stencil_refuses_off_lattice_meshes_and_empty_radii():
