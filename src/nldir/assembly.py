@@ -62,7 +62,7 @@ PER_NODE_VARIANTS = ("product", "wang")
 QUADRATIC_ONLY_VARIANTS = ("dirac_diagonal", "wang", "shi")
 
 _TINY = 1e-300
-_BLOCK = 1 << 18  # stencil entries per block of layer nodes in _layer
+_BLOCK = 1 << 17  # stencil entries per block of layer nodes (_layer_columns)
 
 
 @dataclass(frozen=True)
@@ -207,18 +207,10 @@ def _refuse_empty(sums, points, error, message, floor=0.0, **info):
                     position=points[bad[0]].tolist(), **info)
 
 
-def _fills_grid(stencil):
-    """Whether the mesh's nodes are the stencil's whole bounding grid, in
-    grid order, so a grid array read at the sites is the array itself."""
-    sites = stencil.sites
-    return len(sites) == np.prod(stencil.shape) \
-        and np.array_equal(sites, np.arange(len(sites)))
-
-
 def _on_nodes(grid_matrix, stencil):
     """A CSR matrix on the bounding grid restricted to the mesh's nodes,
     in node order."""
-    if _fills_grid(stencil):
+    if stencil.whole:
         return grid_matrix
     sites = stencil.sites
     return grid_matrix[sites][:, sites]
@@ -275,7 +267,7 @@ def _dst_map(stencil, symbol, combine):
     operator alive (an operator -> map -> operator cycle would outlive
     its last reference until the cycle collector runs)."""
     from scipy.fft import dstn, idstn
-    shape, sites, whole = stencil.shape, stencil.sites, _fills_grid(stencil)
+    shape, sites, whole = stencil.shape, stencil.sites, stencil.whole
 
     def apply(r):
         if whole:
@@ -407,7 +399,8 @@ class EnergyOperator:
         self.pen_node = pen_node
         self.pen_pref = pen_pref
         self._pen_t = pen.T  # K^T as a CSC view of pen's arrays, no copy
-        self._pen_sums = pen @ np.ones(mesh.n_interior)
+        # a_{b_r} s_r per row, the datum the residuals are taken from
+        self._target = a_values[pen_node] * (pen @ np.ones(mesh.n_interior))
         # the nonzero-weight offsets, their flat steps and 2 w; their
         # pair starts are made on demand (LatticeStencil.pair_rows)
         self._keep = offset_w != 0.0
@@ -480,14 +473,14 @@ class EnergyOperator:
             z2 = z1 + P_tau^-1 (r - A z1)
             z  = z2 + A_LL^-1 (r - A z2)_L
 
-        on the boundary layer L of _layer. Off L the p = 2 form is the
-        translation-invariant stencil that P_tau^-1 inverts, so A - P_tau
-        lives on L x L and the iteration counts no longer grow as delta
-        falls. As z1 lives on L, A z1 = B z1_L and (A z2)_L = B^T z2 with
-        B = A[:, L], so an apply is one DST pair and two layer solves
-        (four banded triangular solves). It reads _layer_columns and
-        _layer_factor, which refuses an A_LL that is not positive
-        definite.
+        on the boundary layer L of _layer_columns. Off L the p = 2 form
+        is the translation-invariant stencil that P_tau^-1 inverts, so
+        A - P_tau lives on L x L and the iteration counts no longer grow
+        as delta falls. As z1 lives on L, A z1 = B z1_L and
+        (A z2)_L = B^T z2 with B = A[:, L], so an apply is one DST pair
+        and two layer solves (four banded triangular solves). It reads
+        _layer_columns and _layer_factor, which refuses an A_LL that is
+        not positive definite.
         """
         tau = self._tau_solve
         if self.p != 2.0:
@@ -548,37 +541,25 @@ class EnergyOperator:
 
     @functools.cached_property
     def _layer_columns(self):
-        """The layer nodes, B from _layer (a CSC view of the stored B^T,
-        so no copy) and B^T (CSR)."""
-        nodes, b = self._layer()
-        return nodes, b, b.T
-
-    @functools.cached_property
-    def _layer_factor(self):
-        """The banded Cholesky factor (_LayerFactor) of A_LL, read from
-        B^T's rows at the layer nodes; A_LL itself is never built."""
-        nodes, _, bt = self._layer_columns
-        return _LayerFactor(bt, nodes)
-
-    def _layer(self):
-        """The boundary layer of the p = 2 form and its columns: the
+        """The boundary layer L of the p = 2 form and its columns: the
         nodes missing a neighbor at some offset of nonzero weight (their
         rows differ from the full stencil) plus every node a penalty row
-        touches, ascending; and B = A[:, L] (n x |L|) as the CSC view of
-        B^T, which is stored once (CSR, int32 indices, each row's columns
-        ascending, no slack past nnz) and holds no zeros. Each pair
-        (i, j, w) adds 2 w (u_i - u_j)^2 to u^T A u, so a layer node's
-        stencil column S holds -2 w at each linked neighbor and their sum
-        on the diagonal, from node_of at the sites f up and down and an
-        in-grid test per axis (_layer_block_rows). The penalty P =
-        K^T diag(pref) K lives on L x L, as every column of K is a layer
-        node. B^T = Y Z, Y^T = [diag(pref) K[:, L]; I], Z = [K; S^T], is
-        written by one sparse product per block of about _BLOCK stencil
-        entries of layer nodes, on the penalty rows that reach the block:
-        each entry is P's sum over the penalty rows in ascending order
-        plus S's entry, as the sum P + S gives it, with exact zeros
-        dropped. Each block's rows are sorted and appended in place, so no
-        block, Z or the (|L| x K) gathers exist for all nodes at once."""
+        touches, ascending; B = A[:, L] (n x |L|) as the CSC view of B^T;
+        and B^T, stored once (CSR, int32 indices, each row's columns
+        ascending, no slack past nnz), holding no zeros.
+
+        A = S + P: the interior form S (each pair (i, j, w) adds
+        2 w (u_i - u_j)^2 to u^T A u) and the penalty P =
+        K^T diag(pref) K, which lives on L x L as every column of K is a
+        layer node. So B^T = P[L] + S^T[L], written block by block of
+        about _BLOCK stencil entries of layer nodes as the block's
+        stencil rows (_layer_block_rows) plus one penalty product
+        Y_blk K, Y = (diag(pref) K[:, L])^T. scipy's product sums P's
+        entry over the penalty rows in ascending order and the sum adds
+        it to S's (one rounding, which commutes), so each entry has the
+        bits of (sum_r P_r) + S, exact zeros dropped. Each block's rows
+        are sorted and appended in place, so no block or product exists
+        for all nodes at once."""
         self._require_quadratic()
         sites, node_of = self.stencil.sites, self.stencil.node_of
         full = np.ones(len(node_of), dtype=bool)  # linked both ways per offset
@@ -589,30 +570,20 @@ class EnergyOperator:
         in_layer = ~full[sites]
         in_layer[self.pen.indices] = True
         nodes = np.flatnonzero(in_layer)
-        pen, n = self.pen, self.mesh.n_interior
-        m, k = len(nodes), len(self._steps)
-        width = 2 * k + 1
+        pen, n, m = self.pen, self.mesh.n_interior, len(nodes)
         layer_of = np.empty(n, dtype=np.int32)
         layer_of[nodes] = np.arange(m)
-        # the rows of Y: per layer node, the penalty rows touching it
-        # (ascending) with weight pref_r K_r, then 1 at its S^T row of Z
+        # Y: per layer node, the penalty rows touching it (ascending),
+        # each with weight pref_r K_r
         yp = sp.csr_matrix((np.repeat(self.pen_pref, np.diff(pen.indptr))
                             * pen.data, layer_of[pen.indices], pen.indptr),
                            shape=(pen.shape[0], m)).T.tocsr()
         data, cols = np.empty(0), np.empty(0, dtype=np.int32)
         indptr = np.zeros(m + 1, dtype=np.int64)
-        step = max(1, _BLOCK // width)
+        step = max(1, _BLOCK // (2 * len(self._steps) + 1))
         for a in range(0, m, step):
             b = min(a + step, m)
-            lo, hi = yp.indptr[a], yp.indptr[b]
-            reach, local = np.unique(yp.indices[lo:hi], return_inverse=True)
-            y = sp.hstack([sp.csr_matrix(
-                (yp.data[lo:hi], local.astype(np.int32),
-                 yp.indptr[a:b + 1] - lo), shape=(b - a, len(reach))),
-                sp.identity(b - a, format="csr")], format="csr")
-            z = self._layer_block_rows(pen[reach], nodes[a:b])
-            part = y @ z
-            del y, z
+            part = self._layer_block_rows(nodes[a:b]) + yp[a:b] @ pen
             part.sort_indices()
             start, count = len(data), int(part.indptr[-1])
             if start == 0:  # the first block's arrays are kept, not copied
@@ -627,19 +598,24 @@ class EnergyOperator:
                 cols[start:] = part.indices[:count]
             indptr[a + 1:b + 1] = start + part.indptr[1:]
         bt = sp.csr_matrix((data, cols, indptr), shape=(m, n))
-        return nodes, bt.T
+        return nodes, bt.T, bt
 
-    def _layer_block_rows(self, k_rows, block):
-        """Z's rows for a block of layer nodes: the penalty rows k_rows
-        (CSR), then per node its stencil column S written in place: the
-        node, then a slot per offset and direction holding -2 w at the
-        node it is linked to, or 0 when unlinked (at node 0 when the site
-        holds none). Per node at site s and offset o, the node is a
-        pair's first site, linked to the node at s + o, or its second,
-        linked to the node at s - o, when that site is on the grid, axis
-        by axis, and holds a node. The zeros are dropped in place before
-        Z is returned, so the product is sized for the entries it keeps
-        (a zero adds 0.0 to a sum or is dropped from it)."""
+    @functools.cached_property
+    def _layer_factor(self):
+        """The banded Cholesky factor (_LayerFactor) of A_LL, read from
+        B^T's rows at the layer nodes; A_LL itself is never built."""
+        nodes, _, bt = self._layer_columns
+        return _LayerFactor(bt, nodes)
+
+    def _layer_block_rows(self, block):
+        """The stencil rows S^T of a block of layer nodes (CSR): per
+        node, the node, then a slot per offset and direction holding
+        -2 w at the node it is linked to, or 0 when unlinked (at node 0
+        when the site holds none), written in place. Per node at site s
+        and offset o, the node is a pair's first site, linked to the
+        node at s + o, or its second, linked to the node at s - o, when
+        that site is on the grid, axis by axis, and holds a node. The
+        zeros are dropped in place before the rows are returned."""
         stencil, k = self.stencil, len(self._steps)
         at = stencil.sites[block]
         ups, downs = at[:, None] + self._steps, at[:, None] - self._steps
@@ -649,11 +625,8 @@ class EnergyOperator:
             idx = np.arange(n)[:, None]  # an (n, k) table, read at i
             up &= ((idx + o >= 0) & (idx + o < n))[i]
             down &= ((idx - o >= 0) & (idx - o < n))[i]
-        width, n_pen = 2 * k + 1, k_rows.nnz
-        data = np.empty(n_pen + len(block) * width)
-        cols = np.empty(len(data), dtype=np.int32)
-        data[:n_pen], cols[:n_pen] = k_rows.data, k_rows.indices
-        near = cols[n_pen:].reshape(len(block), width)
+        width = 2 * k + 1
+        near = np.empty((len(block), width), dtype=np.int32)
         near[:, 0] = block
         near[:, 1:k + 1] = stencil.node_of.take(ups, mode="clip")
         near[:, k + 1:] = stencil.node_of.take(downs, mode="clip")
@@ -664,16 +637,16 @@ class EnergyOperator:
         for w2, first, second in zip(self._w2, up.T, down.T):
             diag += w2 * first  # per offset, first site then second
             diag += w2 * second
-        vals = data[n_pen:].reshape(len(block), width)
+        vals = np.empty((len(block), width))
         vals[:, 0] = diag
         np.multiply(-self._w2, up, out=vals[:, 1:k + 1])
         np.multiply(-self._w2, down, out=vals[:, k + 1:])
-        step = np.arange(1, len(block) + 1, dtype=np.int32)
-        z = sp.csr_matrix((data, cols, np.concatenate(
-            [k_rows.indptr, n_pen + width * step])),
-            shape=(k_rows.shape[0] + len(block), self.mesh.n_interior))
-        z.eliminate_zeros()
-        return z
+        rows = sp.csr_matrix((vals.reshape(-1), near.reshape(-1),
+                              np.arange(0, width * len(block) + 1, width,
+                                        dtype=np.int32)),
+                             shape=(len(block), self.mesh.n_interior))
+        rows.eliminate_zeros()
+        return rows
 
     @functools.cached_property
     def _symbol(self):
@@ -711,7 +684,7 @@ class EnergyOperator:
 
     def _inner(self, v):
         """Penalty residuals a_{b_r} s_r - K_r . v per row (K v = pen @ v)."""
-        return self.a[self.pen_node] * self._pen_sums - self.pen @ v
+        return self._target - self.pen @ v
 
     def interior_energy(self, u) -> float:
         """Ordered-pair double sum of kernel-weighted p-th power
@@ -751,7 +724,7 @@ class EnergyOperator:
             piece *= p * w2
             grid[:size - f] += piece
             grid[f:] -= piece
-        g = grid if _fills_grid(self.stencil) else grid[self.stencil.sites]
+        g = grid if self.stencil.whole else grid[self.stencil.sites]
         g += self._penalty_gradient(v)
         return float(interior) + self.penalty_energy(v), g
 

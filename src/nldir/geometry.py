@@ -311,6 +311,13 @@ class LatticeStencil:
         return self.offsets @ strides
 
     @functools.cached_property
+    def whole(self):
+        """Whether the nodes fill the bounding grid in grid order, so a
+        grid array read at the sites is the array itself."""
+        return len(self.sites) == len(self.node_of) \
+            and np.array_equal(self.sites, np.arange(len(self.sites)))
+
+    @functools.cached_property
     def _pair_slices(self):
         """Per half-offset o, the grid slices of the sites s and s + o
         that are both on the grid, worked out once per stencil."""
@@ -328,8 +335,7 @@ class LatticeStencil:
         axis by axis). One buffer holds every row in turn, so a row
         lasts until the next is made. When every site holds a node, a
         row is its slice of the grid, and the mask is not read."""
-        mask = None if len(self.sites) == len(self.node_of) \
-            else (self.node_of >= 0).reshape(self.shape)
+        mask = None if self.whole else (self.node_of >= 0).reshape(self.shape)
         row = np.empty(self.shape, dtype=bool)
         flat = row.reshape(-1)
         slices = self._pair_slices

@@ -124,8 +124,8 @@ def solve_quadratic(op: EnergyOperator, opts: SolveOptions = SolveOptions()
     The CG steps run on the DST symbol and the layer columns only; the
     energy and gradient that certify the result (see _finish) cost one
     fused pass of per-offset slice sums more (op._energy_and_gradient),
-    paid on purpose so a wrong _symbol or _layer cannot certify its own
-    answer.
+    paid on purpose so a wrong _symbol or _layer_columns cannot certify
+    its own answer.
     """
     if op.p != 2.0:
         raise SolverError("quadratic solve requires an operator with p = 2",

@@ -172,7 +172,7 @@ def test_operator_tables_match_the_search_oracle(name, ratio):
         assert abs(op.interior_energy(u) - want_e) <= 1e-13 * want_e
         assert_close(op.gradient(u) - penalty_only(op).gradient(u), want_g)
         assert np.all(op._w2 != 0.0)
-        assert_no_stored_zeros(op._layer()[1])
+        assert_no_stored_zeros(op._layer_columns[1])
         base = spec.kernel
         if variant in ("wang", "shi"):
             base = antiderivative_kernel(base)
@@ -330,7 +330,7 @@ def assert_layer_is_the_coo_build(mesh, ratio):
     for spec in LAYER_SPECS:
         datum = None if spec.variant in ZERO_DATA_VARIANTS else "linear_x"
         op = assemble(mesh, QUARTIC, spec, ratio * mesh.h, 2.0, datum)
-        nodes, b = op._layer()
+        nodes, b = op._layer_columns[:2]
         want_nodes, want_b = coo_layer(op)
         assert np.array_equal(nodes, want_nodes)
         # B is the CSC view of the stored B^T: B^T's rows sorted, int32
@@ -349,8 +349,8 @@ def assert_layer_is_the_coo_build(mesh, ratio):
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_layer_blocks_equal_a_coo_build_bit_for_bit(name, ratio):
-    # _layer writes B^T block by block of layer nodes, each block one
-    # sparse product, the penalty's sum before the stencil entry; B,
+    # _layer_columns writes B^T block by block of layer nodes, each
+    # block its stencil rows plus the penalty's product; B,
     # read back as CSR, must have the arrays of the COO build ("wide"
     # has two offsets sharing a flat step)
     assert_layer_is_the_coo_build(MESHES[name], ratio)
@@ -364,9 +364,9 @@ def test_layer_blocks_equal_a_coo_build_bit_for_bit_at_ratio_8():
 
 
 def test_layer_built_in_small_blocks_is_the_one_block_build(monkeypatch):
-    # one layer node per block of _layer and one B^T row per block of the
-    # band fill: B^T is still the COO build, and the order and the band
-    # are bit for bit those of the one-block build
+    # one layer node per block of _layer_columns and one B^T row per
+    # block of the band fill: B^T is still the COO build, and the order
+    # and the band are bit for bit those of the one-block build
     mesh = build_mesh({"polygon": PENTAGON}, 0.04)
     spec = PenaltySpec("product", QUARTIC)
     whole = assemble(mesh, QUARTIC, spec, 8.0 * mesh.h, 2.0, "linear_x")
@@ -380,27 +380,46 @@ def test_layer_built_in_small_blocks_is_the_one_block_build(monkeypatch):
 
 @pytest.mark.parametrize("name", MESHES)
 def test_layer_products_get_no_unlinked_stencil_slot(name, monkeypatch):
-    # the stencil rows of Z handed to each block's product store a
+    # the stencil rows added to each block's penalty product store a
     # node's diagonal and one entry per linked neighbor, and no zero: a
-    # slot kept for an unlinked neighbor would size scipy's product for
+    # slot kept for an unlinked neighbor would size scipy's sum for
     # entries it then drops
     mesh = MESHES[name]
     op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
                   4.0 * mesh.h, 2.0, "linear_x")
     build, counts = EnergyOperator._layer_block_rows, []
 
-    def spy(self, k_rows, block):
-        z = build(self, k_rows, block)
-        rows = z[k_rows.shape[0]:]
+    def spy(self, block):
+        rows = build(self, block)
         assert np.count_nonzero(rows.data) == rows.nnz
         counts.append(np.diff(rows.indptr))
-        return z
+        return rows
 
     monkeypatch.setattr(EnergyOperator, "_layer_block_rows", spy)
     monkeypatch.setattr("nldir.assembly._BLOCK", 32)
-    nodes, _ = op._layer()
+    nodes, _ = op._layer_columns[:2]
     assert len(counts) > 1
     assert np.array_equal(np.concatenate(counts), 1 + link_counts(op)[nodes])
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_layer_stencil_rows_are_the_stencil_matrix_rows(name, ratio):
+    # the stencil rows S^T that each block adds to its penalty product
+    # are, bit for bit, the layer rows of the interior form's matrix
+    # built in one dia-to-CSR pass, with no stored zero
+    mesh = MESHES[name]
+    op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
+                  ratio * mesh.h, 2.0, "linear_x")
+    nodes = op._layer_columns[0]
+    got = op._layer_block_rows(nodes)
+    want = _stencil_matrix(op.stencil, -2.0 * op.offset_w, row_sums(op))
+    want = want[nodes]
+    got.sort_indices()
+    want.sort_indices()
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_operator_holds_and_builds_no_pair_start_table():
@@ -493,7 +512,7 @@ def test_layer_columns_equal_the_operator_on_the_layer(name, ratio):
     for spec in LAYER_SPECS:
         datum = None if spec.variant in ZERO_DATA_VARIANTS else "linear_x"
         op = assemble(mesh, QUARTIC, spec, ratio * mesh.h, 2.0, datum)
-        nodes, b = op._layer()
+        nodes, b = op._layer_columns[:2]
         hess = op.hessian(np.zeros(mesh.n_interior))
         unit = np.eye(mesh.n_interior)[nodes]
         assert b.shape == (mesh.n_interior, len(nodes))
@@ -622,7 +641,7 @@ def test_zero_weight_ties_are_not_stored():
     pairs = np.array([row.sum() for row in stencil.pair_rows()])
     assert sum(row.sum() for row in kept_rows(op)) \
         == pairs[op.offset_w != 0.0].sum() == pairs.sum() - pairs[ties].sum()
-    nodes, b = op._layer()
+    nodes, b = op._layer_columns[:2]
     assert_no_stored_zeros(b)
     assert b.shape == (mesh.n_interior, len(nodes)) \
         and len(nodes) < mesh.n_interior

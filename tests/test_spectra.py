@@ -7,6 +7,7 @@ eigenvalues approach as sigma * that after dividing by the kernel
 constant sigma (16/105 for the quartic profile in 1D, pi/24 in 2D).
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -234,13 +235,15 @@ def test_both_mass_models_factor_the_layer_once(monkeypatch):
     # the layer blocks and their factor are cached on the stiffness, so
     # the second solve of compare_mass_models reuses the first's
     built = []
-    layer = EnergyOperator._layer
+    layer = EnergyOperator._layer_columns.func
 
     def counted(self):
         built.append(self)
         return layer(self)
 
-    monkeypatch.setattr(EnergyOperator, "_layer", counted)
+    cached = functools.cached_property(counted)
+    cached.__set_name__(EnergyOperator, "_layer_columns")
+    monkeypatch.setattr(EnergyOperator, "_layer_columns", cached)
     op = stiffness(SQUARE, 0.3)
     compare_mass_models(op, normalize_w(WENDLAND, 2), k=2)
     assert built == [op]
