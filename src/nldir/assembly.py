@@ -41,7 +41,9 @@ DST-II tau-matrix P_tau applies exactly; on L it is a row of the
 sparse layer columns B = A[:, L]. So A u is P_tau u with its L entries
 replaced by B^T u, and the same two pieces, P_tau^-1 and an exact
 solve on L, give a symmetric preconditioner and the deflated
-conjugate-gradient step of minimize.solve_quadratic.
+conjugate-gradient step of minimize.solve_quadratic. The interior
+form's rows in B and the W mass form are one lattice stencil with
+other weights, and one builder, _stencil_rows, writes the rows of both.
 """
 
 import functools
@@ -207,38 +209,57 @@ def _refuse_empty(sums, points, error, message, floor=0.0, **info):
                     position=points[bad[0]].tolist(), **info)
 
 
-def _on_nodes(grid_matrix, stencil):
-    """A CSR matrix on the bounding grid restricted to the mesh's nodes,
-    in node order."""
-    if stencil.whole:
-        return grid_matrix
-    sites = stencil.sites
-    return grid_matrix[sites][:, sites]
+def _stencil_rows(stencil, weights, block, diagonal=None):
+    """Rows `block` (node indices) of the symmetric n x n matrix with
+    weights[k] at (i, j) and (j, i) for every two nodes linked at the
+    k-th half-offset, as CSR with int32 indices, ascending columns and
+    no stored zero. The node at site s is linked at half-offset o to the
+    node at s + o and to the node at s - o, when that site is on the
+    grid, axis by axis, and holds a node. The diagonal is `diagonal` (one
+    value, or one per node), or else minus the row's link sum, summed per
+    offset in offset order, the link at s + o before the one at s - o
+    (the interior form's row sum when weights is -2 w).
 
-
-def _stencil_matrix(stencil, weights, diagonal):
-    """n x n CSR matrix with weights[k] at (i, j) and (j, i) for every
-    two nodes the k-th half-offset apart and `diagonal` (per node) on
-    the diagonal.
-
-    Built in one dia-to-CSR pass on the flattened bounding grid: the
-    dia row of offset f holds the pair weights at their second site
-    (entries (s, s + f)), the row of -f at their first (entries
-    (s + f, s)). Two offsets can share a flat step (o and
-    o + (1, -n_1) on an n_0 x n_1 grid); their pairs are disjoint and
-    share a row. Exact zeros (offsets of weight 0, off-mesh and
-    wrapped-around entries) are not stored."""
-    steps = stencil.flat_offsets
-    flat, row = np.unique(steps, return_inverse=True)
-    k, size = len(flat), len(stencil.node_of)
-    data = np.zeros((2 * k + 1, size))
-    for start, f, w, r in zip(stencil.pair_rows(), steps, weights, row):
-        data[r, f:] += w * start[:size - f]
-        data[k + r] += w * start
-    data[2 * k, stencil.sites] = diagonal
-    grid = sp.dia_matrix((data, np.concatenate([flat, -flat, [0]])),
-                         shape=(size, size)).tocsr()
-    return _on_nodes(grid, stencil)
+    A row has one slot per nonzero-weight offset and direction, ordered
+    by flat step: the links at s - o, largest step first, the node
+    itself, then the links at s + o, smallest step first. Nodes ascend
+    with their sites, so the columns ascend as written and no sort pass
+    runs. Unlinked slots hold 0 and are dropped in place, with a zero
+    diagonal. Two offsets can share a flat step (o and o + (1, -n_1) on
+    an n_0 x n_1 grid); at most one of them links a given site."""
+    kept = np.flatnonzero(weights)
+    kept = kept[np.argsort(stencil.flat_offsets[kept], kind="stable")]
+    k, steps, w = len(kept), stencil.flat_offsets[kept], weights[kept]
+    # the slots' signed offsets: -o by descending step, 0, +o ascending
+    signed = np.concatenate([-stencil.offsets[kept[::-1]],
+                             np.zeros((1, len(stencil.shape)), dtype=int),
+                             stencil.offsets[kept]])
+    at = stencil.sites[block]
+    # per slot, the node at its site (clipped onto the grid)
+    near = np.concatenate([
+        stencil.node_of.take(at[:, None] - steps[::-1], mode="clip"),
+        stencil.node_of[at, None],
+        stencil.node_of.take(at[:, None] + steps, mode="clip")], axis=1)
+    linked = near >= 0
+    for i, o, n in zip(np.unravel_index(at, stencil.shape), signed.T,
+                       stencil.shape):
+        idx = np.arange(n)[:, None]  # an (n, 2k + 1) table, read at i
+        linked &= ((idx + o >= 0) & (idx + o < n))[i]
+    np.maximum(near, 0, out=near)
+    vals = np.multiply(np.concatenate([w[::-1], [0.0], w]), linked)
+    if diagonal is None:
+        diagonal = np.zeros(len(block))
+        for up in k + 1 + np.argsort(kept):  # the s + o slots, offset order
+            diagonal -= vals[:, up]
+            diagonal -= vals[:, 2 * k - up]
+    vals[:, k] = diagonal
+    width = 2 * k + 1
+    rows = sp.csr_matrix((vals.reshape(-1), near.reshape(-1),
+                          np.arange(0, width * len(block) + 1, width,
+                                    dtype=np.int32)),
+                         shape=(len(block), len(stencil.sites)))
+    rows.eliminate_zeros()
+    return rows
 
 
 def _cosine_sum(stencil, coef, angles):
@@ -553,13 +574,13 @@ class EnergyOperator:
         K^T diag(pref) K, which lives on L x L as every column of K is a
         layer node. So B^T = P[L] + S^T[L], written block by block of
         about _BLOCK stencil entries of layer nodes as the block's
-        stencil rows (_layer_block_rows) plus one penalty product
-        Y_blk K, Y = (diag(pref) K[:, L])^T. scipy's product sums P's
-        entry over the penalty rows in ascending order and the sum adds
-        it to S's (one rounding, which commutes), so each entry has the
-        bits of (sum_r P_r) + S, exact zeros dropped. Each block's rows
-        are sorted and appended in place, so no block or product exists
-        for all nodes at once."""
+        stencil rows (_stencil_rows, weights -2 w) plus one penalty
+        product Y_blk K, Y = (diag(pref) K[:, L])^T. scipy's product
+        sums P's entry over the penalty rows in ascending order and the
+        sum adds it to S's (one rounding, which commutes), so each entry
+        has the bits of (sum_r P_r) + S, exact zeros dropped. Each
+        block's rows are sorted and appended in place, so no block or
+        product exists for all nodes at once."""
         self._require_quadratic()
         sites, node_of = self.stencil.sites, self.stencil.node_of
         full = np.ones(len(node_of), dtype=bool)  # linked both ways per offset
@@ -580,10 +601,12 @@ class EnergyOperator:
                            shape=(pen.shape[0], m)).T.tocsr()
         data, cols = np.empty(0), np.empty(0, dtype=np.int32)
         indptr = np.zeros(m + 1, dtype=np.int64)
+        weights = -2.0 * self.offset_w
         step = max(1, _BLOCK // (2 * len(self._steps) + 1))
         for a in range(0, m, step):
             b = min(a + step, m)
-            part = self._layer_block_rows(nodes[a:b]) + yp[a:b] @ pen
+            part = _stencil_rows(self.stencil, weights, nodes[a:b]) \
+                + yp[a:b] @ pen
             part.sort_indices()
             start, count = len(data), int(part.indptr[-1])
             if start == 0:  # the first block's arrays are kept, not copied
@@ -606,47 +629,6 @@ class EnergyOperator:
         B^T's rows at the layer nodes; A_LL itself is never built."""
         nodes, _, bt = self._layer_columns
         return _LayerFactor(bt, nodes)
-
-    def _layer_block_rows(self, block):
-        """The stencil rows S^T of a block of layer nodes (CSR): per
-        node, the node, then a slot per offset and direction holding
-        -2 w at the node it is linked to, or 0 when unlinked (at node 0
-        when the site holds none), written in place. Per node at site s
-        and offset o, the node is a pair's first site, linked to the
-        node at s + o, or its second, linked to the node at s - o, when
-        that site is on the grid, axis by axis, and holds a node. The
-        zeros are dropped in place before the rows are returned."""
-        stencil, k = self.stencil, len(self._steps)
-        at = stencil.sites[block]
-        ups, downs = at[:, None] + self._steps, at[:, None] - self._steps
-        up, down = np.ones((2, len(block), k), dtype=bool)
-        for i, o, n in zip(np.unravel_index(at, stencil.shape),
-                           stencil.offsets[self._keep].T, stencil.shape):
-            idx = np.arange(n)[:, None]  # an (n, k) table, read at i
-            up &= ((idx + o >= 0) & (idx + o < n))[i]
-            down &= ((idx - o >= 0) & (idx - o < n))[i]
-        width = 2 * k + 1
-        near = np.empty((len(block), width), dtype=np.int32)
-        near[:, 0] = block
-        near[:, 1:k + 1] = stencil.node_of.take(ups, mode="clip")
-        near[:, k + 1:] = stencil.node_of.take(downs, mode="clip")
-        up &= near[:, 1:k + 1] >= 0
-        down &= near[:, k + 1:] >= 0
-        np.maximum(near, 0, out=near)
-        diag = np.zeros(len(block))
-        for w2, first, second in zip(self._w2, up.T, down.T):
-            diag += w2 * first  # per offset, first site then second
-            diag += w2 * second
-        vals = np.empty((len(block), width))
-        vals[:, 0] = diag
-        np.multiply(-self._w2, up, out=vals[:, 1:k + 1])
-        np.multiply(-self._w2, down, out=vals[:, k + 1:])
-        rows = sp.csr_matrix((vals.reshape(-1), near.reshape(-1),
-                              np.arange(0, width * len(block) + 1, width,
-                                        dtype=np.int32)),
-                             shape=(len(block), self.mesh.n_interior))
-        rows.eliminate_zeros()
-        return rows
 
     @functools.cached_property
     def _symbol(self):
@@ -889,10 +871,12 @@ def trace_matrix(mesh: DomainMesh, khat: KernelSpec, delta: float,
 def w_mass_matrix(mesh: DomainMesh, W: KernelSpec, delta: float,
                   stencil=None):
     """Sparse symmetric mass form B[i,j] = q_i q_j W_delta(|x_i-x_j|),
-    diagonal included, built per lattice offset; exact zeros are not
-    stored. stencil is reused as in _w_stencil."""
+    diagonal included: _stencil_rows of every node with _w_stencil's
+    c_k per half-offset and c_0 on the diagonal, in canonical CSR
+    (columns ascending, no stored zero; LOBPCG's B @ v sums each row in
+    stored order). stencil is reused as in _w_stencil."""
     stencil, c, c0 = _w_stencil(mesh, W, delta, stencil)
-    return _stencil_matrix(stencil, c, np.full(mesh.n_interior, c0))
+    return _stencil_rows(stencil, c, np.arange(mesh.n_interior), c0)
 
 
 def _w_stencil(mesh, W, delta, stencil=None):

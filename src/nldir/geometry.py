@@ -175,27 +175,34 @@ def _cell_counts(h, spans, rounding):
     return [max(1, int(rounding(c))) for c in cells]
 
 
-def _cells(axes, h, cell, inside=None):
-    """Interior quadrature on the grid of per-axis center coordinates:
-    the centers in C order (those `inside` keeps, when given), the cell
-    measure as weights, and their lattice (sites, shape, origin,
-    spacing) on the grid's box trimmed to the rows that hold nodes. The
-    origin is the first kept coordinate per axis and the spacing the
-    coordinate span over the index span, or h on an axis of one row."""
-    pts = np.column_stack([g.ravel()
-                           for g in np.meshgrid(*axes, indexing="ij")])
-    grid = [len(a) for a in axes]
-    keep = np.ones(grid, dtype=bool)
-    if inside is not None:
-        keep = inside(pts).reshape(grid)
-        pts = pts[keep.ravel()]
-    if len(pts) == 0:
-        raise MeshError("no cell centers fall inside the polygon", h=h)
-    rows = [np.flatnonzero(np.moveaxis(keep, axis, 0).any(
-        axis=tuple(range(1, keep.ndim)))) for axis in range(keep.ndim)]
-    lo, hi = [r[0] for r in rows], [r[-1] for r in rows]
-    box = keep[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
-    sites, shape = np.flatnonzero(box), box.shape
+def _cells(lows, steps, counts, h, cell, inside=None):
+    """Interior quadrature on the grid of per-axis center coordinates
+    low + (i + 1/2) step, i < count: the centers in C order (those
+    `inside` keeps, when given), the cell measure as weights, and their
+    lattice (sites, shape, origin, spacing) on the grid's box trimmed to
+    the rows that hold nodes. The origin is the first kept coordinate
+    per axis and the spacing the coordinate span over the index span, or
+    h on an axis of one row. MeshError naming h and the counts when the
+    layout does not fit in memory."""
+    try:
+        axes = [low + (np.arange(n) + 0.5) * step
+                for low, step, n in zip(lows, steps, counts)]
+        pts = np.column_stack([g.ravel()
+                               for g in np.meshgrid(*axes, indexing="ij")])
+        keep = np.ones(counts, dtype=bool)
+        if inside is not None:
+            keep = inside(pts).reshape(counts)
+            pts = pts[keep.ravel()]
+        if len(pts) == 0:
+            raise MeshError("no cell centers fall inside the polygon", h=h)
+        rows = [np.flatnonzero(np.moveaxis(keep, axis, 0).any(
+            axis=tuple(range(1, keep.ndim)))) for axis in range(keep.ndim)]
+        lo, hi = [r[0] for r in rows], [r[-1] for r in rows]
+        box = keep[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
+        sites, shape = np.flatnonzero(box), box.shape
+    except MemoryError:
+        raise MeshError("mesh too large to allocate", h=h,
+                        cells=list(counts)) from None
     origin = np.array([g[a] for g, a in zip(axes, lo)])
     spacing = np.array([(g[b] - g[a]) / (b - a) if b > a else h
                         for g, a, b in zip(axes, lo, hi)])
@@ -214,7 +221,7 @@ def _interval_mesh(spec, h):
                         h=h, length=b - a)
     n, = _cell_counts(h, [b - a], round)
     he = (b - a) / n
-    pts, qw, lattice = _cells([a + (np.arange(n) + 0.5) * he], he, he)
+    pts, qw, lattice = _cells([a], [he], [n], he, he)
     bpts = np.array([[a], [b]])
     bw = np.array([1.0, 1.0])
     _freeze(bpts, bw)
@@ -232,9 +239,8 @@ def _rect_mesh(spec, h):
                         h=h, sides=[x1 - x0, y1 - y0])
     nx, ny = _cell_counts(h, [x1 - x0, y1 - y0], round)
     hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
-    pts, qw, lattice = _cells([x0 + (np.arange(nx) + 0.5) * hx,
-                               y0 + (np.arange(ny) + 0.5) * hy],
-                              max(hx, hy), hx * hy)
+    pts, qw, lattice = _cells([x0, y0], [hx, hy], [nx, ny], max(hx, hy),
+                              hx * hy)
     bpts, bw = _closed_polyline(
         np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]), h)
     _freeze(bpts, bw)
@@ -270,9 +276,8 @@ def _polygon_mesh(spec, h):
                         h=h, extent=scale)
     low, high = verts.min(axis=0), verts.max(axis=0)
     pts, qw, lattice = _cells(
-        [a + h * (np.arange(n) + 0.5)
-         for a, n in zip(low, _cell_counts(h, high - low, np.ceil))],
-        h, h * h, lambda cand: _points_in_polygon(cand, verts))
+        low, [h, h], _cell_counts(h, high - low, np.ceil), h, h * h,
+        lambda cand: _points_in_polygon(cand, verts))
     bpts, bw = _closed_polyline(verts, h)
     _freeze(bpts, bw)
     return DomainMesh(2, {"polygon": verts.tolist()}, h, pts, qw, bpts, bw,

@@ -184,15 +184,16 @@ def kernel_by_id(spec_id: str) -> KernelSpec:
     if spec_id.startswith("tabulated:"):
         return tabulated_kernel(spec_id.split(":", 1)[1])
     if spec_id.startswith("minorant:"):
-        parts = spec_id.split(":")
-        if len(parts) != 3:
+        # the base is any catalog id, colons included: c2 follows the last
+        base, _, knot = spec_id[len("minorant:"):].rpartition(":")
+        if not base:
             raise KernelError("minorant id must be minorant:<base_id>:<c2>",
                               kernel_id=spec_id)
         try:
-            c2 = float(parts[2])
+            c2 = float(knot)
         except ValueError:
             raise KernelError("minorant knot must be a number", kernel_id=spec_id)
-        return minorant_kernel(kernel_by_id(parts[1]), c2)
+        return minorant_kernel(kernel_by_id(base), c2)
     raise KernelError("unknown kernel id", kernel_id=spec_id,
                       catalog=sorted(builtin) + ["tabulated:<path>", "minorant:<id>:<c2>"])
 

@@ -73,18 +73,19 @@ def test_pipeline_commands_leave_scipy_spatial_unloaded(tmp_path):
 
 def test_p2_pipeline_commands_build_no_pair_lists(tmp_path, monkeypatch):
     # the energy, the gradient, the Hessian and the boundary layer read
-    # per-offset grid slices for every p: a square sweep row, a
-    # coercivity probe and a p = 3 sweep row (Newton-CG) never build a
-    # sparse stencil matrix; an eigen solve under both masses builds one,
-    # the W mass matrix. No operator keeps a list of its pairs.
-    real = nldir.assembly._stencil_matrix
+    # per-offset grid slices for every p: a square sweep row and a p = 3
+    # sweep row (Newton-CG from a p = 2 start) build stencil rows only
+    # for the p = 2 layer columns, block by block, and a coercivity probe
+    # builds none; an eigen solve under both masses also builds the W
+    # mass matrix's rows, once. No operator keeps a list of its pairs.
+    real = nldir.assembly._stencil_rows
     built = []
 
-    def counted(stencil, weights, diagonal=None):
+    def counted(stencil, weights, block, diagonal=None):
         built.append(sys._getframe(1).f_code.co_name)
-        return real(stencil, weights, diagonal)
+        return real(stencil, weights, block, diagonal)
 
-    monkeypatch.setattr(nldir.assembly, "_stencil_matrix", counted)
+    monkeypatch.setattr(nldir.assembly, "_stencil_rows", counted)
 
     def run(name, command, **overrides):
         path = write_config(tmp_path, **overrides)
@@ -96,15 +97,18 @@ def test_p2_pipeline_commands_build_no_pair_lists(tmp_path, monkeypatch):
         return got
 
     square = {"rect": [[0.0, 0.0], [1.0, 1.0]]}
-    assert run("sweep.json", "sweep", shape=square,
-               case="harmonic_x2_minus_y2") == []
-    assert run("eigen.json", "eigen", shape=square, case="zero",
-               eigen_modes=1, eigen_mass="both") == ["w_mass_matrix"]
+    layer = {"_layer_columns"}
+    assert set(run("sweep.json", "sweep", shape=square,
+                   case="harmonic_x2_minus_y2")) == layer
+    eigen = run("eigen.json", "eigen", shape=square, case="zero",
+                eigen_modes=1, eigen_mass="both")
+    assert eigen.count("w_mass_matrix") == 1
+    assert set(eigen) == layer | {"w_mass_matrix"}
     assert run("probe.json", "probe-coercivity", shape=square, case="zero",
                trials=10) == []
-    assert run("p3.json", "sweep", p=3.0) == []
-    assert run("p3_square.json", "sweep", shape=square, p=3.0,
-               deltas=[0.2]) == []
+    assert set(run("p3.json", "sweep", p=3.0)) == layer
+    assert set(run("p3_square.json", "sweep", shape=square, p=3.0,
+                   deltas=[0.2])) == layer
     assert not any(hasattr(nldir.EnergyOperator, name)
                    for name in ("_pairs", "pair_i", "pair_j", "pair_w"))
 
@@ -137,6 +141,19 @@ def test_sigma_quartic_1d(capsys):
     code = dispatch(["sigma", "--kernel", "quartic", "--p", "2", "--dim", "1"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "0.152381"
+
+
+def test_sigma_of_a_minorant_of_a_tabulated_kernel(tmp_path, capsys):
+    # a minorant reads its base only at the knot c2, where this
+    # tabulation of the quartic profile holds the quartic's value, so
+    # both minorants have one sigma
+    s = np.linspace(0.0, 1.0, 101)
+    path = tmp_path / "quartic.csv"
+    np.savetxt(path, np.column_stack([s, (1.0 - s) ** 2]), delimiter=",")
+    code = dispatch(["sigma", "--kernel", f"minorant:tabulated:{path}:0.5",
+                     "--p", "2", "--dim", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "0.0134687"
 
 
 def test_sigma_quartic_2d(capsys):
@@ -280,6 +297,55 @@ def test_a_cell_size_too_small_to_lay_out_is_a_mesh_error(tmp_path, capsys):
     capsys.readouterr()
     got = json.loads(rows.read_text())["rows"]
     assert "error" not in got[0]
+    assert got[1]["error"].startswith("MeshError: ")
+
+
+_CAPPED = """
+import resource, sys
+cap = 4 << 30  # 4 GiB of address space: numpy, scipy and a small mesh fit
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from nldir.cli import dispatch
+sys.exit(dispatch(sys.argv[1:]))
+"""
+
+
+def run_capped(*argv):
+    """The command line in a child process whose address space is capped
+    at 4 GiB, so a mesh far past the cap fails to allocate at once,
+    whatever memory the host has."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(nldir.__file__)))
+    return subprocess.run([sys.executable, "-c", _CAPPED, *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_a_mesh_too_large_to_allocate_is_a_mesh_error(tmp_path):
+    # ratio 1e6 at delta = 0.1 asks for 1e7 x 1e7 cells (1.6e15 bytes of
+    # centers): small enough to index, too large to allocate. solve
+    # reports the MemoryError as a MeshError naming h and the cell
+    # counts, and a sweep records it on that row and keeps the others
+    square = {"rect": [[0.0, 0.0], [1.0, 1.0]]}
+    config = write_config(tmp_path, shape=square, deltas=[0.1], ratio=1e6)
+    out = run_capped("solve", "--config", str(config),
+                     "--out", str(tmp_path / "u.csv"))
+    assert out.returncode == 1, out.stderr
+    payload = _strict_json(out.stderr.strip())
+    assert payload["error"] == "MeshError"
+    assert payload["h"] == 1e-7 and payload["cells"] == [10 ** 7] * 2
+    # the interval's 1e13 centers fail in their one axis
+    config = write_config(tmp_path, deltas=[0.1], ratio=1e12)
+    out = run_capped("solve", "--config", str(config),
+                     "--out", str(tmp_path / "u.csv"))
+    assert out.returncode == 1, out.stderr
+    payload = _strict_json(out.stderr.strip())
+    assert payload["error"] == "MeshError" and len(payload["cells"]) == 1
+    rows = tmp_path / "rows.json"
+    config = write_config(tmp_path, shape=square, deltas=[0.1, 4e-5],
+                          out_json=str(rows))
+    out = run_capped("sweep", "--config", str(config))
+    assert out.returncode == 0, out.stderr
+    got = json.loads(rows.read_text())["rows"]
+    assert len(got) == 2 and "error" not in got[0] and got[0]["converged"]
     assert got[1]["error"].startswith("MeshError: ")
 
 

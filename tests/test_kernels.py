@@ -268,6 +268,22 @@ def test_kernel_by_id_minorant_and_tabulated(tmp_path):
     assert tk.label == f"tabulated:{path}"
 
 
+def test_minorant_ids_take_every_catalog_id_as_base(tmp_path):
+    # c2 follows the last colon, so a base whose id holds colons (a
+    # tabulation, another minorant) is read, and its label reads back
+    s = np.linspace(0.0, 1.0, 101)
+    path = tmp_path / "tab.csv"
+    np.savetxt(path, np.column_stack([s, (1.0 - s) ** 2]), delimiter=",")
+    for spec_id in (f"minorant:tabulated:{path}:0.5",
+                    "minorant:minorant:quartic:0.5:0.25"):
+        k = kernel_by_id(spec_id)
+        assert k.label == spec_id
+        assert kernel_by_id(k.label).label == k.label
+    for bad in ("minorant:quartic", "minorant::0.5"):
+        with pytest.raises(KernelError):
+            kernel_by_id(bad)
+
+
 def test_minorant_kernel_sits_below_its_base():
     # (c1/c2^2)(s - c2)^2 on [0, c2] with c1 = base(c2) minorizes any
     # convex nonincreasing profile on that range

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from nldir import (EnergyOperator, MeshError, PenaltySpec, assemble,
                    build_mesh, neighbor_pairs, w_mass_matrix)
 from nldir.assembly import (PER_NODE_VARIANTS, VARIANTS, ZERO_DATA_VARIANTS,
-                            _cosine_sum, _stencil_matrix, trace_matrix)
+                            _cosine_sum, _stencil_rows, trace_matrix)
 from nldir.geometry import lattice_stencil
 from nldir.kernels import (QUARTIC, KernelSpec, antiderivative_kernel,
                            eval_scaled)
@@ -195,14 +195,21 @@ def test_operator_tables_match_the_search_oracle(name, ratio):
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_fft_interior_form_matches_the_stencil_matrix(name, ratio):
-    # the matrix-free interior form (per offset slice) against the
-    # sparse matrix built from the same per-offset weights; on "wide"
-    # two offsets share a flat step of the bounding grid
+    # the matrix-free interior form (per offset slice) and the sparse
+    # matrix the stencil-row builder makes from the same per-offset
+    # weights, for all nodes at once, against the k-d tree search's
+    # pairs at coordinate distances; on "wide" two offsets share a flat
+    # step of the bounding grid
     mesh = MESHES[name]
-    op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
-                  ratio * mesh.h, 2.0, "linear_x")
-    want = _stencil_matrix(op.stencil, -2.0 * op.offset_w, row_sums(op))
-    assert_close(densify(interior_form(op), mesh.n_interior), want.toarray())
+    delta = ratio * mesh.h
+    op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC), delta,
+                  2.0, "linear_x")
+    pairs = oracle_pairs(mesh, QUARTIC, delta, 1.0 / delta**2)
+    want = 2.0 * (np.diag(pairs.sum(axis=1)) - pairs)
+    got = _stencil_rows(op.stencil, -2.0 * op.offset_w,
+                        np.arange(mesh.n_interior))
+    assert_no_stored_zeros(got)
+    assert_close(got.toarray(), want)
     v = np.random.default_rng(5).standard_normal(mesh.n_interior)
     assert_close(interior_form(op)(v), want @ v)
 
@@ -387,39 +394,55 @@ def test_layer_products_get_no_unlinked_stencil_slot(name, monkeypatch):
     mesh = MESHES[name]
     op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
                   4.0 * mesh.h, 2.0, "linear_x")
-    build, counts = EnergyOperator._layer_block_rows, []
+    build, counts = _stencil_rows, []
 
-    def spy(self, block):
-        rows = build(self, block)
+    def spy(stencil, weights, block, diagonal=None):
+        rows = build(stencil, weights, block, diagonal)
         assert np.count_nonzero(rows.data) == rows.nnz
         counts.append(np.diff(rows.indptr))
         return rows
 
-    monkeypatch.setattr(EnergyOperator, "_layer_block_rows", spy)
+    monkeypatch.setattr("nldir.assembly._stencil_rows", spy)
     monkeypatch.setattr("nldir.assembly._BLOCK", 32)
     nodes, _ = op._layer_columns[:2]
     assert len(counts) > 1
     assert np.array_equal(np.concatenate(counts), 1 + link_counts(op)[nodes])
 
 
+def dense_stencil(op):
+    """The interior form's matrix, dense, from the pair-start rows of
+    the nonzero-weight offsets: -2 w at both entries of every pair, and
+    row_sums on the diagonal."""
+    node_of = op.stencil.node_of
+    dense = np.diag(row_sums(op))
+    for f, w2, start in zip(op._steps, op._w2, kept_rows(op)):
+        first = np.flatnonzero(start)
+        i, j = node_of[first], node_of[first + f]
+        dense[i, j] = dense[j, i] = -w2
+    return dense
+
+
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_layer_stencil_rows_are_the_stencil_matrix_rows(name, ratio):
     # the stencil rows S^T that each block adds to its penalty product
-    # are, bit for bit, the layer rows of the interior form's matrix
-    # built in one dia-to-CSR pass, with no stored zero
+    # are, bit for bit, the same rows of the one builder's all-node
+    # matrix, whose entries are those of the per-pair dense stencil,
+    # its row sums summed in the same order; every row is canonical
     mesh = MESHES[name]
     op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC),
                   ratio * mesh.h, 2.0, "linear_x")
+    weights = -2.0 * op.offset_w
+    whole = _stencil_rows(op.stencil, weights, np.arange(mesh.n_interior))
+    assert np.array_equal(whole.toarray(), dense_stencil(op))
     nodes = op._layer_columns[0]
-    got = op._layer_block_rows(nodes)
-    want = _stencil_matrix(op.stencil, -2.0 * op.offset_w, row_sums(op))
-    want = want[nodes]
-    got.sort_indices()
-    want.sort_indices()
-    assert got.shape == want.shape
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, part), getattr(want, part))
+    for block in np.array_split(nodes, 3):
+        got = _stencil_rows(op.stencil, weights, block)
+        want = whole[block]
+        assert got.shape == want.shape
+        assert got.has_canonical_format
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_operator_holds_and_builds_no_pair_start_table():
@@ -622,6 +645,21 @@ def test_trace_and_mass_match_the_search_oracle(name, ratio):
     assert_no_stored_zeros(mass)
     assert_close(mass.toarray(), oracle_pairs(mesh, QUARTIC, delta, 1.0)
                  + np.diag(q * q * k0))
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_w_mass_is_canonical_and_exactly_symmetric(name, ratio):
+    # LOBPCG's B @ v sums each row in stored order, so the W mass comes
+    # back with its columns strictly ascending per row (no sort pass, no
+    # duplicate), no stored zero, and equal to its transpose bit for bit
+    mesh = MESHES[name]
+    mass = w_mass_matrix(mesh, QUARTIC, ratio * mesh.h)
+    rows = np.repeat(np.arange(mesh.n_interior), np.diff(mass.indptr))
+    assert np.all((np.diff(mass.indices) > 0) | (np.diff(rows) > 0))
+    assert mass.has_canonical_format
+    assert_no_stored_zeros(mass)
+    assert (mass != mass.T).nnz == 0
 
 
 def test_zero_weight_ties_are_not_stored():
