@@ -44,6 +44,8 @@ solve on L, give a symmetric preconditioner and the deflated
 conjugate-gradient step of minimize.solve_quadratic. The interior
 form's rows in B and the W mass form are one lattice stencil with
 other weights, and one builder, _stencil_rows, writes the rows of both.
+The eigensolve applies the W mass without its rows, as one FFT
+convolution on the zero-padded bounding grid (_w_mass_map).
 """
 
 import functools
@@ -299,6 +301,48 @@ def _dst_map(stencil, symbol, combine):
             spectrum = dstn(grid, type=2, norm="ortho", overwrite_x=True)
         combine(spectrum, symbol, out=spectrum)
         out = idstn(spectrum, type=2, norm="ortho", overwrite_x=True).ravel()
+        return out if whole else out[sites]
+
+    return apply
+
+
+def _w_mass_map(stencil, c, c0):
+    """v -> B v for a vector or an n x k block, B the W mass form of the
+    offset weights c and the diagonal c0 (w_mass_matrix of the same
+    stencil and weights): one linear convolution over the grid axes of v
+    scattered onto the stencil's bounding grid (reshaped when the nodes
+    fill it) with the kernel box, c0 at the centre of (2 R + 1)^d cells,
+    R the stencil's reach per axis, and c_k at +-o_k. Both are
+    zero-padded per axis to a fast length >= n + 2 R, so a site s +- o
+    counts only when it is on the grid and holds a node, the rule of
+    _stencil_rows, and the product is rfftn/irfftn once for all k
+    columns, cropped and gathered back. A closure over the grid, the
+    sites, the crop and the box's read-only spectrum, as _dst_map."""
+    from scipy.fft import irfftn, next_fast_len, rfftn
+    shape, sites, whole = stencil.shape, stencil.sites, stencil.whole
+    reach = np.abs(stencil.offsets).max(axis=0, initial=0)
+    box = np.zeros(2 * reach + 1)
+    box[tuple(reach)] = c0
+    box[tuple((reach + stencil.offsets).T)] = c
+    box[tuple((reach - stencil.offsets).T)] = c
+    padded = [next_fast_len(int(n + 2 * r), True)
+              for n, r in zip(shape, reach)]
+    axes = tuple(range(len(shape)))
+    kernel = rfftn(box, padded)
+    kernel.flags.writeable = False
+    crop = tuple(slice(r, r + n) for r, n in zip(reach, shape))
+
+    def apply(v):
+        extra = v.shape[1:]
+        if whole:
+            grid = v.reshape(shape + extra)
+        else:
+            grid = np.zeros(shape + extra)
+            grid.reshape((-1,) + extra)[sites] = v
+        spectrum = rfftn(grid, padded, axes=axes)
+        spectrum *= kernel.reshape(kernel.shape + (1,) * len(extra))
+        out = irfftn(spectrum, padded, axes=axes, overwrite_x=True)
+        out = out[crop].reshape((-1,) + extra)
         return out if whole else out[sites]
 
     return apply
@@ -873,8 +917,9 @@ def w_mass_matrix(mesh: DomainMesh, W: KernelSpec, delta: float,
     """Sparse symmetric mass form B[i,j] = q_i q_j W_delta(|x_i-x_j|),
     diagonal included: _stencil_rows of every node with _w_stencil's
     c_k per half-offset and c_0 on the diagonal, in canonical CSR
-    (columns ascending, no stored zero; LOBPCG's B @ v sums each row in
-    stored order). stencil is reused as in _w_stencil."""
+    (columns ascending, no stored zero); the independent oracle of
+    _w_mass_map, which the eigensolve applies instead, and mollify's
+    smoothing. stencil is reused as in _w_stencil."""
     stencil, c, c0 = _w_stencil(mesh, W, delta, stencil)
     return _stencil_rows(stencil, c, np.arange(mesh.n_interior), c0)
 

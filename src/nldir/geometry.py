@@ -368,7 +368,9 @@ def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
     with |x_b - x_j|^2 <= radius^2 (summed per axis), whose square roots
     are its boundary_lengths. The lattice is the one build_mesh
     recorded, which the DomainMesh constructor checked against the
-    nodes; MeshError when there is none."""
+    nodes; MeshError when there is none, and MeshError naming h, the
+    radius and the windows' [count, cells per axis] when the windows do
+    not fit in memory."""
     if not 0 < radius < np.inf:
         raise MeshError("radius must be positive and finite", radius=radius)
     if mesh.lattice is None:
@@ -388,21 +390,25 @@ def lattice_stencil(mesh: DomainMesh, radius: float) -> LatticeStencil:
     # boundary windows: candidate cells per axis, combined in C order
     pts, bpts = mesh.interior_points, mesh.boundary_points
     m = len(bpts)
-    cand = np.zeros((m, 1), dtype=np.int64)
-    inside = np.ones((m, 1), dtype=bool)
-    for axis, n in enumerate(shape):
-        low = np.floor((bpts[:, axis] - origin[axis] - radius)
-                       / spacing[axis]).astype(np.int64)
-        idx = low[:, None] + np.arange(
-            int(np.ceil(2.0 * radius / spacing[axis])) + 2)
-        cand = (cand[:, :, None] * n + idx[:, None, :]).reshape(m, -1)
-        inside = (inside[:, :, None]
-                  & ((idx >= 0) & (idx < n))[:, None, :]).reshape(m, -1)
     node_of = np.full(int(np.prod(shape)), -1, dtype=np.int32)
     node_of[sites] = np.arange(len(sites))
-    # rows ascend, and so do a row's window sites and nodes: CSR order
-    rows, cols = np.nonzero(inside)
-    nodes = node_of[cand[rows, cols]]
+    widths = [int(np.ceil(2.0 * radius / s)) + 2 for s in spacing]
+    try:
+        cand = np.zeros((m, 1), dtype=np.int64)
+        inside = np.ones((m, 1), dtype=bool)
+        for axis, (n, width) in enumerate(zip(shape, widths)):
+            low = np.floor((bpts[:, axis] - origin[axis] - radius)
+                           / spacing[axis]).astype(np.int64)
+            idx = low[:, None] + np.arange(width)
+            cand = (cand[:, :, None] * n + idx[:, None, :]).reshape(m, -1)
+            inside = (inside[:, :, None]
+                      & ((idx >= 0) & (idx < n))[:, None, :]).reshape(m, -1)
+        # rows ascend, and so do a row's window sites and nodes: CSR order
+        rows, cols = np.nonzero(inside)
+        nodes = node_of[cand[rows, cols]]
+    except MemoryError:
+        raise MeshError("mesh too large to allocate", h=mesh.h,
+                        radius=float(radius), windows=[m, *widths]) from None
     rows, nodes = rows[nodes >= 0], nodes[nodes >= 0]
     sq = sum((bpts[rows, a] - pts[nodes, a]) ** 2 for a in range(mesh.dim))
     hit = sq <= radius * radius

@@ -6,7 +6,11 @@ started from a seeded Gaussian n x k block, so the modes are found
 together and come back mass-orthonormal without deflation. Two mass
 models: "L2" (diagonal quadrature weights) and "nonlocalW" (double-sum
 kernel form); orthogonality for the normalized path is taken in the
-same kernel inner product as its unit constraint. A lower bound on the
+same kernel inner product as its unit constraint. No mass matrix is
+stored: the L2 mass is the weights times v, and the W mass B, one
+translation-invariant lattice stencil, is applied as one FFT
+convolution on the bounding grid (assembly._w_mass_map); the dense
+oracle reads the sparse w_mass_matrix instead. A lower bound on the
 mass form's smallest eigenvalue certifies it before any solve.
 compare_mass_models solves nonlocalW as a continuation of L2: the W
 mass is a kernel smoothing of the L2 weights, so the L2 modes are a
@@ -29,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
-from .assembly import EnergyOperator, _w_stencil, w_mass_floor, w_mass_matrix
+from .assembly import (EnergyOperator, _w_mass_map, _w_stencil, w_mass_floor,
+                       w_mass_matrix)
 from .errors import MassFormError, SolverError
 from .kernels import KernelSpec
 from .minimize import SolveOptions
@@ -48,7 +52,10 @@ class EigenProblem:
     eigenvalue is not > 1e-8 times a Gershgorin bound on its largest,
     which caps its condition number at 1e8: for L2 the least and the
     largest weight, for nonlocalW w_mass_floor and c_0 + sum_k 2 |c_k|
-    on one W stencil (the stiffness's when the radii agree)."""
+    on one W stencil (the stiffness's when the radii agree). It holds
+    the mass as a map, not a matrix: the weights for L2, and for
+    nonlocalW the spectrum of the W kernel box on the zero-padded
+    bounding grid, about the size of one grid of float64."""
 
     def __init__(self, stiffness: EnergyOperator, mass: str = "L2",
                  k: int = 1, W: KernelSpec = None):
@@ -75,14 +82,15 @@ class EigenProblem:
         mesh = stiffness.mesh
         delta = stiffness.delta
         if mass == "L2":
-            self._b_mat = sp.diags(mesh.interior_weights, format="csr")
-            floor = float(np.min(mesh.interior_weights))
-            scale = float(np.max(mesh.interior_weights))
+            weights = mesh.interior_weights
+            self._mass = lambda v: (weights if v.ndim == 1
+                                    else weights[:, None]) * v
+            floor, scale = float(np.min(weights)), float(np.max(weights))
         else:
             if W is None:
                 raise SolverError("nonlocalW mass requires a kernel W")
             stencil, c, c0 = _w_stencil(mesh, W, delta, stiffness.stencil)
-            self._b_mat = w_mass_matrix(mesh, W, delta, stencil)
+            self._mass = _w_mass_map(stencil, c, c0)
             floor = w_mass_floor(mesh, W, delta, stencil)
             scale = c0 + 2.0 * float(np.sum(np.abs(c)))
         if not floor > 1e-8 * scale:
@@ -92,8 +100,10 @@ class EigenProblem:
                 kernel=None if W is None else W.label)
 
     def apply_mass(self, v):
-        """B @ v for a vector or an n x k block."""
-        return self._b_mat @ v
+        """B @ v for a vector or an n x k block: the weights times v for
+        L2, one rfftn/irfftn convolution over all k columns for
+        nonlocalW (w_mass_matrix @ v to rounding)."""
+        return self._mass(v)
 
 
 @dataclass(frozen=True)
@@ -167,11 +177,18 @@ def solve_eigen(prob: EigenProblem, opts: SolveOptions = _EIGEN_DEFAULTS,
 def dense_eigen(prob: EigenProblem):
     """Full symmetric generalized eigendecomposition on a densified
     operator; intended as an independent oracle at small node counts.
+    The mass is densified apart from apply_mass: the L2 weights as a
+    diagonal, or w_mass_matrix, the sparse stencil rows, for nonlocalW.
     Returns the first prob.k (eigenvalues, eigenvectors) columns,
     ascending."""
     op = prob.stiffness
-    a = _columns(op.apply_quadratic)(np.eye(op.mesh.n_interior))
-    evals, evecs = scipy.linalg.eigh(a, prob._b_mat.toarray())
+    mesh = op.mesh
+    a = _columns(op.apply_quadratic)(np.eye(mesh.n_interior))
+    if prob.mass == "L2":
+        b = np.diag(mesh.interior_weights)
+    else:
+        b = w_mass_matrix(mesh, prob.W, op.delta, op.stencil).toarray()
+    evals, evecs = scipy.linalg.eigh(a, b)
     return evals[:prob.k], evecs[:, :prob.k]
 
 

@@ -76,8 +76,9 @@ def test_p2_pipeline_commands_build_no_pair_lists(tmp_path, monkeypatch):
     # per-offset grid slices for every p: a square sweep row and a p = 3
     # sweep row (Newton-CG from a p = 2 start) build stencil rows only
     # for the p = 2 layer columns, block by block, and a coercivity probe
-    # builds none; an eigen solve under both masses also builds the W
-    # mass matrix's rows, once. No operator keeps a list of its pairs.
+    # builds none; an eigen solve under both masses builds them only for
+    # the layer columns too, as it applies the W mass as a convolution.
+    # No operator keeps a list of its pairs.
     real = nldir.assembly._stencil_rows
     built = []
 
@@ -102,8 +103,7 @@ def test_p2_pipeline_commands_build_no_pair_lists(tmp_path, monkeypatch):
                    case="harmonic_x2_minus_y2")) == layer
     eigen = run("eigen.json", "eigen", shape=square, case="zero",
                 eigen_modes=1, eigen_mass="both")
-    assert eigen.count("w_mass_matrix") == 1
-    assert set(eigen) == layer | {"w_mass_matrix"}
+    assert set(eigen) == layer
     assert run("probe.json", "probe-coercivity", shape=square, case="zero",
                trials=10) == []
     assert set(run("p3.json", "sweep", p=3.0)) == layer
@@ -302,21 +302,22 @@ def test_a_cell_size_too_small_to_lay_out_is_a_mesh_error(tmp_path, capsys):
 
 _CAPPED = """
 import resource, sys
-cap = 4 << 30  # 4 GiB of address space: numpy, scipy and a small mesh fit
+cap = int(sys.argv.pop(1)) << 20  # MiB of address space
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from nldir.cli import dispatch
 sys.exit(dispatch(sys.argv[1:]))
 """
 
 
-def run_capped(*argv):
+def run_capped(*argv, cap_mib=4096):
     """The command line in a child process whose address space is capped
-    at 4 GiB, so a mesh far past the cap fails to allocate at once,
-    whatever memory the host has."""
+    at cap_mib (4 GiB: numpy, scipy and a small mesh fit), so a mesh far
+    past the cap fails to allocate at once, whatever memory the host
+    has."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(nldir.__file__)))
-    return subprocess.run([sys.executable, "-c", _CAPPED, *argv], env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", _CAPPED, str(cap_mib),
+                           *argv], env=env, capture_output=True, text=True)
 
 
 def test_a_mesh_too_large_to_allocate_is_a_mesh_error(tmp_path):
@@ -347,6 +348,23 @@ def test_a_mesh_too_large_to_allocate_is_a_mesh_error(tmp_path):
     got = json.loads(rows.read_text())["rows"]
     assert len(got) == 2 and "error" not in got[0] and got[0]["converged"]
     assert got[1]["error"].startswith("MeshError: ")
+
+
+def test_boundary_windows_too_large_to_allocate_are_a_mesh_error(tmp_path):
+    # at delta = 0.4, ratio 400 the 10^6-node square lays out under a
+    # 1.5 GiB cap, but the window cells of its 4,000 boundary nodes
+    # (802 x 802 each, 19 GiB of indices) do not: solve reports that as a
+    # MeshError naming h, the radius and the windows, not a traceback
+    config = write_config(tmp_path, shape={"rect": [[0.0, 0.0], [1.0, 1.0]]},
+                          deltas=[0.4], ratio=400.0)
+    out = run_capped("solve", "--config", str(config),
+                     "--out", str(tmp_path / "u.csv"), cap_mib=1536)
+    assert out.returncode == 1, out.stderr
+    payload = _strict_json(out.stderr.strip())
+    assert payload["error"] == "MeshError"
+    assert payload["message"] == "mesh too large to allocate"
+    assert payload["h"] == 0.001 and payload["radius"] == 0.4
+    assert payload["windows"] == [4000, 802, 802]
 
 
 # ------------------------------------------------------------ usage errors

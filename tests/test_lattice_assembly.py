@@ -17,13 +17,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nldir import (EnergyOperator, MeshError, PenaltySpec, assemble,
-                   build_mesh, neighbor_pairs, w_mass_matrix)
+from nldir import (EigenProblem, EnergyOperator, MeshError, PenaltySpec,
+                   assemble, build_mesh, neighbor_pairs, w_mass_matrix)
 from nldir.assembly import (PER_NODE_VARIANTS, VARIANTS, ZERO_DATA_VARIANTS,
-                            _cosine_sum, _stencil_rows, trace_matrix)
+                            _cosine_sum, _stencil_rows, _w_mass_map,
+                            _w_stencil, trace_matrix)
 from nldir.geometry import lattice_stencil
-from nldir.kernels import (QUARTIC, KernelSpec, antiderivative_kernel,
-                           eval_scaled)
+from nldir.kernels import (QUARTIC, WENDLAND, KernelSpec,
+                           antiderivative_kernel, eval_scaled, normalize_w)
 from nldir.minimize import _cg_iterates
 
 L_SHAPE = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
@@ -650,9 +651,9 @@ def test_trace_and_mass_match_the_search_oracle(name, ratio):
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("name", MESHES)
 def test_w_mass_is_canonical_and_exactly_symmetric(name, ratio):
-    # LOBPCG's B @ v sums each row in stored order, so the W mass comes
-    # back with its columns strictly ascending per row (no sort pass, no
-    # duplicate), no stored zero, and equal to its transpose bit for bit
+    # the W mass matrix, the oracle of the FFT map, comes back with its
+    # columns strictly ascending per row (no sort pass, no duplicate), no
+    # stored zero, and equal to its transpose bit for bit
     mesh = MESHES[name]
     mass = w_mass_matrix(mesh, QUARTIC, ratio * mesh.h)
     rows = np.repeat(np.arange(mesh.n_interior), np.diff(mass.indptr))
@@ -660,6 +661,68 @@ def test_w_mass_is_canonical_and_exactly_symmetric(name, ratio):
     assert mass.has_canonical_format
     assert_no_stored_zeros(mass)
     assert (mass != mass.T).nnz == 0
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_w_mass_map_is_the_w_mass_matrix(name, ratio):
+    # the FFT convolution on the bounding grid against the stencil rows,
+    # for a vector and an n x 3 block; "wide" has two offsets of one flat
+    # step, and the L-shape and the pentagon leave grid sites empty
+    mesh = MESHES[name]
+    stencil, c, c0 = _w_stencil(mesh, QUARTIC, ratio * mesh.h)
+    apply = _w_mass_map(stencil, c, c0)
+    mass = w_mass_matrix(mesh, QUARTIC, ratio * mesh.h, stencil)
+    rng = np.random.default_rng(7)
+    for v in (rng.standard_normal(mesh.n_interior),
+              rng.standard_normal((mesh.n_interior, 3))):
+        got, want = apply(v), mass @ v
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("name", MESHES)
+def test_w_mass_map_is_symmetric(name, ratio):
+    mesh = MESHES[name]
+    stencil, c, c0 = _w_stencil(mesh, QUARTIC, ratio * mesh.h)
+    apply = _w_mass_map(stencil, c, c0)
+    top = max(abs(c0), float(np.max(np.abs(c))))
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        x, u = rng.standard_normal((2, mesh.n_interior))
+        assert abs(x @ apply(u) - u @ apply(x)) \
+            <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(u) * top
+
+
+def test_w_eigenproblem_holds_no_w_matrix():
+    # unit square, delta = 0.05, delta/h = 8 (N = G = 25,600): the W mass
+    # problem holds at most 4x and peaks at most 40x the grid's float64
+    # bytes over its start (the spectrum of the kernel box, 1.3x, and the
+    # floor's symbol grid); the sparse W matrix held 290x and peaked at
+    # 318x. scipy.fft and the operator's affine terms, which the problem
+    # reads, are loaded first: they are not the problem's
+    import scipy.fft  # noqa: F401
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.05 / 8)
+    assert mesh.n_interior == len(mesh.lattice[0]) == 25600
+    op = assemble(mesh, QUARTIC, PenaltySpec("product", QUARTIC), 0.05)
+    assert not np.any(op.linear_term)
+    W = normalize_w(WENDLAND, 2)
+    grid = 8 * len(op.stencil.node_of)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        prob = EigenProblem(op, "nonlocalW", 3, W)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held - start <= 4 * grid
+    assert peak - start <= 40 * grid
+    assert prob.apply_mass(np.ones((mesh.n_interior, 3))).shape == (25600, 3)
 
 
 def test_zero_weight_ties_are_not_stored():

@@ -20,6 +20,7 @@ from nldir import (ConfigError, EigenProblem, KernelError, PenaltySpec,
                    build_mesh, coercivity_probe, compare_penalties,
                    manufactured_case, report_csv_text, report_json_dict,
                    run_delta_sweep, solve_eigen)
+from nldir.assembly import trace_matrix
 from nldir.kernels import QUARTIC, KernelSpec, kernel_by_id, normalize_w
 from nldir import study
 from nldir.study import CSV_HEADER
@@ -437,6 +438,24 @@ def test_coercivity_blocks_of_trials_match_one_block(monkeypatch):
     blocked = coercivity_probe(*args, trials=20, seed=7)
     assert len(blocked.ratios) == 20
     np.testing.assert_allclose(blocked.ratios, whole.ratios, rtol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["product", "dirac_diagonal"])
+def test_coercivity_penalties_are_penalty_energy_bit_for_bit(variant,
+                                                            monkeypatch):
+    # runs of 3 trials (the last one short) of one sparse product each
+    # give every trial the bits of op.penalty_energy(u); per-entry rows
+    # outnumber the nodes, per-node rows do not
+    mesh = build_mesh({"rect": [[0.0, 0.0], [1.0, 1.0]]}, 0.1)
+    spec = PenaltySpec(variant, QUARTIC)
+    op = assemble(mesh, QUARTIC, spec, 0.3, 2.0, np.zeros(mesh.n_boundary))
+    monkeypatch.setattr(study, "_PROBE_PRODUCT", 3 * op.pen.shape[0])
+    report = coercivity_probe(mesh, spec, QUARTIC, 0.3, trials=20, seed=7)
+    block = np.random.default_rng(7).standard_normal((20, mesh.n_interior))
+    trace = trace_matrix(mesh, QUARTIC, 0.3)
+    traces_sq = mesh.boundary_weights @ (trace @ block.T) ** 2
+    assert report.ratios == tuple(op.penalty_energy(u) / t
+                                  for u, t in zip(block, traces_sq))
 
 
 def test_coercivity_requires_ten_trials():
